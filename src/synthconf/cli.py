@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimatorSpec, fit
+from .estimators import _ESTIMATORS, _REQUIRED, EstimatorSpec
 from .exceptions import SynthconfError
 from .inference import (
     PermutationScheme,
@@ -27,24 +27,21 @@ from .inference import (
     test_sharp_null,
 )
 from .io import RunConfig, default_seed, read_panel_csv, write_json_result
-from .panel import EffectTrajectory, adjust_under_null
+from .panel import EffectTrajectory
 from .simulation import DgpSpec, run_size_experiment
-from .solvers import SolverConfig
 
 __all__ = ["main", "cmd_test", "cmd_ci", "cmd_placebo", "cmd_simulate", "parse_estimator"]
 
 
-def parse_estimator(text: str, seed: int = 0) -> EstimatorSpec:
+def parse_estimator(text: str) -> EstimatorSpec:
     """Build an estimator spec from its CLI notation, e.g. ``classo:K=2``.
 
-    Supported: ``did``, ``sc``, ``classo[:K=..]``, ``lasso:lam=..``,
-    ``elastic-net:lam=..,alpha=..``, ``factor:k=..``,
-    ``interactive-fe:k=..``, ``matrix-completion[:K=..]``,
-    ``ar:lags=..``, and ``fused:base=<kind>,lags=..`` (the base uses its
-    default parameters).
+    The notation is a kind, with ``-`` for ``_`` (``elastic-net``), then
+    optionally ``:`` and comma-separated ``key=value`` parameters; the
+    estimator table in :mod:`synthconf.estimators` lists each kind's keys.
     """
     name, _, param_text = text.partition(":")
-    name = name.strip().lower().replace("_", "-")
+    kind = name.strip().lower().replace("-", "_")
     params = {}
     if param_text:
         for item in param_text.split(","):
@@ -52,39 +49,21 @@ def parse_estimator(text: str, seed: int = 0) -> EstimatorSpec:
                 raise SynthconfError(f"malformed estimator parameter {item!r} in {text!r}")
             key, _, value = item.partition("=")
             params[key.strip()] = value.strip()
-    solver = SolverConfig(seed=seed)
+    if kind not in _ESTIMATORS:
+        raise SynthconfError(f"unknown estimator {name.strip()!r}")
+    fields = {}
     try:
-        if name == "did":
-            return EstimatorSpec.did(solver)
-        if name == "sc":
-            return EstimatorSpec.sc(solver)
-        if name == "classo":
-            return EstimatorSpec.classo(float(params.pop("K", 1.0)), solver)
-        if name == "lasso":
-            return EstimatorSpec.lasso(float(params.pop("lam")), solver)
-        if name == "elastic-net":
-            return EstimatorSpec.elastic_net(
-                float(params.pop("lam")), float(params.pop("alpha")), solver
-            )
-        if name == "factor":
-            return EstimatorSpec.factor(int(params.pop("k")), solver)
-        if name == "interactive-fe":
-            return EstimatorSpec.interactive_fe(int(params.pop("k")), solver)
-        if name == "matrix-completion":
-            radius = params.pop("K", None)
-            return EstimatorSpec.matrix_completion(
-                float(radius) if radius is not None else None, solver
-            )
-        if name == "ar":
-            return EstimatorSpec.ar(int(params.pop("lags")), solver=solver)
-        if name == "fused":
-            base = parse_estimator(params.pop("base"), seed)
-            return EstimatorSpec.fused(base, int(params.pop("lags")))
-    except KeyError as exc:
-        raise SynthconfError(f"estimator {text!r} is missing parameter {exc}") from None
+        for key, field, convert, default in _ESTIMATORS[kind].params:
+            if key in params:
+                raw = params[key]
+                fields[field] = parse_estimator(raw) if convert is EstimatorSpec else convert(raw)
+            elif default is _REQUIRED:
+                raise SynthconfError(f"estimator {text!r} is missing parameter {key!r}")
+            else:
+                fields[field] = default
+        return getattr(EstimatorSpec, kind)(**fields)
     except ValueError as exc:
         raise SynthconfError(f"invalid estimator specification {text!r}: {exc}") from None
-    raise SynthconfError(f"unknown estimator {name!r}")
 
 
 def _scheme_from_config(cfg: RunConfig, length: int | None = None) -> PermutationScheme:
@@ -92,11 +71,16 @@ def _scheme_from_config(cfg: RunConfig, length: int | None = None) -> Permutatio
         return PermutationScheme.moving_block()
     if cfg.permutations == "iid":
         if length is None:
-            raise SynthconfError("full i.i.d. enumeration needs a known residual window")
+            raise SynthconfError("full i.i.d. enumeration is not supported in simulations")
         return PermutationScheme.iid_all(length)
     if cfg.permutations == "iid-sampled":
         return PermutationScheme.iid_sampled(n_samples=cfg.n_perm, seed=cfg.seed)
     raise SynthconfError(f"unknown permutation scheme {cfg.permutations!r}")
+
+
+def _fitted_length(n_periods: int, spec: EstimatorSpec) -> int:
+    """Length of the residual window that fitting ``spec`` on ``n_periods`` periods leaves."""
+    return n_periods - (spec.n_lags or 0)
 
 
 def _statistic_from_config(cfg: RunConfig) -> Statistic:
@@ -160,15 +144,14 @@ def _write_residuals_csv(path, start: int, residuals: np.ndarray) -> None:
 def cmd_test(cfg: RunConfig) -> int:
     """Test a sharp null trajectory (zero by default) on a panel CSV."""
     panel, names = _load_panel(cfg)
-    estimator = parse_estimator(cfg.estimator, cfg.seed)
+    estimator = parse_estimator(cfg.estimator)
     statistic = _statistic_from_config(cfg)
     alpha0 = (
         EffectTrajectory(np.asarray(cfg.alpha0, dtype=float))
         if cfg.alpha0 is not None
         else EffectTrajectory.zero(panel.n_post)
     )
-    fitted = fit(adjust_under_null(panel, alpha0), estimator)
-    scheme = _scheme_from_config(cfg, length=fitted.n_fitted)
+    scheme = _scheme_from_config(cfg, length=_fitted_length(panel.n_periods, estimator))
     result = test_sharp_null(panel, alpha0, estimator, scheme, statistic)
 
     out = _out_dir(cfg)
@@ -178,7 +161,7 @@ def cmd_test(cfg: RunConfig) -> int:
         "statistic": result.statistic,
         "n_permutations": result.n_permutations,
         "estimator": result.estimator_id,
-        "estimator_diagnostics": _diagnostics_payload(fitted.diagnostics),
+        "estimator_diagnostics": _diagnostics_payload(result.diagnostics),
         "scheme": {"kind": result.scheme.kind, "n_samples": cfg.n_perm, "seed": cfg.seed},
         "statistic_kind": statistic.label,
         "alpha": cfg.alpha,
@@ -197,9 +180,9 @@ def cmd_test(cfg: RunConfig) -> int:
 def cmd_ci(cfg: RunConfig) -> int:
     """Pointwise confidence intervals for every post-treatment period."""
     panel, names = _load_panel(cfg)
-    estimator = parse_estimator(cfg.estimator, cfg.seed)
+    estimator = parse_estimator(cfg.estimator)
     statistic = _statistic_from_config(cfg)
-    scheme = _scheme_from_config(cfg, length=panel.t0 + 1)
+    scheme = _scheme_from_config(cfg, length=_fitted_length(panel.t0 + 1, estimator))
     grid = _parse_grid(cfg.grid) if cfg.grid is not None else None
     band = confidence_band(
         panel, estimator, scheme, statistic, grid=grid, level=1.0 - cfg.alpha
@@ -243,9 +226,9 @@ def cmd_placebo(cfg: RunConfig) -> int:
     if cfg.tau is None:
         raise SynthconfError("placebo tests need --tau (length of the placebo window)")
     panel, names = _load_panel(cfg)
-    estimator = parse_estimator(cfg.estimator, cfg.seed)
+    estimator = parse_estimator(cfg.estimator)
     statistic = _statistic_from_config(cfg)
-    scheme = _scheme_from_config(cfg, length=panel.t0)
+    scheme = _scheme_from_config(cfg, length=_fitted_length(panel.t0, estimator))
     result = placebo_test(panel, cfg.tau, estimator, scheme, statistic)
 
     out = _out_dir(cfg)
@@ -279,10 +262,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         alpha_true=cfg.alpha_true,
         seed=cfg.seed,
     )
-    estimator = parse_estimator(cfg.estimator, cfg.seed)
-    scheme = _scheme_from_config(cfg) if cfg.permutations != "iid" else None
-    if scheme is None:
-        raise SynthconfError("full i.i.d. enumeration is not supported in simulations")
+    estimator = parse_estimator(cfg.estimator)
+    scheme = _scheme_from_config(cfg)
     result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
 
     out = _out_dir(cfg)

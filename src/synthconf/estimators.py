@@ -12,7 +12,7 @@ fitted window instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,12 +35,6 @@ from .solvers import (
 
 __all__ = ["ProxyFit", "EstimatorSpec", "fit", "default_nuclear_radius"]
 
-_PANEL_KINDS = (
-    "did", "sc", "classo", "lasso", "elastic_net",
-    "factor", "interactive_fe", "matrix_completion",
-)
-_KINDS = _PANEL_KINDS + ("ar", "fused")
-
 
 @dataclass(frozen=True)
 class ProxyFit:
@@ -49,14 +43,15 @@ class ProxyFit:
     ``start`` is the first fitted period (1-based); panel estimators fit
     all periods (``start=1``) while models with ``K`` lags start at
     ``K+1``.  On the fitted window, ``proxy + residuals`` reconstructs the
-    treated null-adjusted outcome exactly.
+    treated null-adjusted outcome exactly.  :func:`fit` sets
+    ``estimator_id`` to the spec's label; direct ``fit_*`` calls leave it empty.
     """
 
     proxy: np.ndarray
     residuals: np.ndarray
     start: int
-    estimator_id: str
     permutation_invariant: bool
+    estimator_id: str = ""
     diagnostics: SolveReport | None = None
     params: dict = field(default_factory=dict)
 
@@ -99,6 +94,8 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind == "classo" and not (self.radius is not None and self.radius > 0):
+            raise ValueError(f"radius must be positive; got {self.radius}")
         if self.kind == "fused":
             if self.base is None or self.base.kind not in _PANEL_KINDS:
                 raise ValueError("fused estimators need a panel-model base (not 'ar'/'fused')")
@@ -120,8 +117,6 @@ class EstimatorSpec:
 
     @classmethod
     def classo(cls, radius: float = 1.0, solver: SolverConfig | None = None) -> "EstimatorSpec":
-        if not radius > 0:
-            raise ValueError(f"radius must be positive; got {radius}")
         return cls("classo", radius=radius, solver=solver or SolverConfig())
 
     @classmethod
@@ -154,21 +149,7 @@ class EstimatorSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "classo":
-            return f"classo(K={self.radius:g})"
-        if self.kind == "lasso":
-            return f"lasso(lam={self.lam:g})"
-        if self.kind == "elastic_net":
-            return f"elastic_net(lam={self.lam:g},alpha={self.alpha:g})"
-        if self.kind in ("factor", "interactive_fe"):
-            return f"{self.kind}(k={self.n_factors})"
-        if self.kind == "matrix_completion":
-            return f"matrix_completion(K={'auto' if self.radius is None else format(self.radius, 'g')})"
-        if self.kind == "ar":
-            return f"ar(lags={self.n_lags})"
-        if self.kind == "fused":
-            return f"fused({self.base.label},lags={self.n_lags})"
-        return self.kind
+        return _ESTIMATORS[self.kind].label(self)
 
 
 def fit(panel: PanelData, spec) -> ProxyFit:
@@ -185,25 +166,11 @@ def fit(panel: PanelData, spec) -> ProxyFit:
                 f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
             )
         return fitted
-    if spec.kind == "did":
-        return fit_did(panel)
-    if spec.kind == "sc":
-        return fit_sc(panel, spec.solver)
-    if spec.kind == "classo":
-        return fit_classo(panel, spec.radius if spec.radius is not None else 1.0, spec.solver)
-    if spec.kind == "lasso":
-        return fit_penalized(panel, LassoPenalty(spec.lam), spec.solver)
-    if spec.kind == "elastic_net":
-        return fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver)
-    if spec.kind == "factor":
-        return fit_factor(panel, spec.n_factors)
-    if spec.kind == "interactive_fe":
-        return fit_interactive_fe(panel, spec.n_factors, spec.solver)
-    if spec.kind == "matrix_completion":
-        return fit_matrix_completion(panel, spec.radius, spec.solver)
-    if spec.kind == "ar":
-        return fit_ar(panel, spec.n_lags, spec.ar_fitter)
-    return fit_fused(panel, spec.base, spec.n_lags)
+    fitted = _ESTIMATORS[spec.kind].fitter(panel, spec)
+    # The fitter built this object a moment ago and nothing else holds it,
+    # so naming it in place saves a copy of every fit.
+    object.__setattr__(fitted, "estimator_id", spec.label)
+    return fitted
 
 
 def _require_controls(panel: PanelData, who: str) -> None:
@@ -252,7 +219,6 @@ def fit_did(panel: PanelData) -> ProxyFit:
         proxy=proxy,
         residuals=y - proxy,
         start=1,
-        estimator_id="did",
         permutation_invariant=True,
         params={"mu": mu},
     )
@@ -269,7 +235,6 @@ def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
         proxy=proxy,
         residuals=y - proxy,
         start=1,
-        estimator_id="sc",
         permutation_invariant=True,
         diagnostics=report,
         params={"weights": w[:n_con], "covariate_coefs": w[n_con:]},
@@ -295,7 +260,6 @@ def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = Solver
         proxy=proxy,
         residuals=y - proxy,
         start=1,
-        estimator_id=f"classo(K={radius:g})",
         permutation_invariant=True,
         diagnostics=report,
         params={"mu": mu, "weights": w[:n_con], "covariate_coefs": w[n_con:]},
@@ -310,15 +274,10 @@ def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig())
     weights[:n_con] = 1.0
     mu, w, report = coordinate_descent_penalized(X, y, penalty, cfg, penalty_weights=weights)
     proxy = mu + X @ w
-    if isinstance(penalty, LassoPenalty):
-        label = f"lasso(lam={penalty.lam:g})"
-    else:
-        label = f"elastic_net(lam={penalty.lam:g},alpha={penalty.alpha:g})"
     return ProxyFit(
         proxy=proxy,
         residuals=y - proxy,
         start=1,
-        estimator_id=label,
         permutation_invariant=True,
         diagnostics=report,
         params={"mu": mu, "weights": w[:n_con], "covariate_coefs": w[n_con:]},
@@ -341,7 +300,6 @@ def fit_factor(panel: PanelData, n_factors: int) -> ProxyFit:
         proxy=proxy,
         residuals=resid,
         start=1,
-        estimator_id=f"factor(k={n_factors})",
         permutation_invariant=True,
         diagnostics=report,
         params={"treated_loading": loadings[0]},
@@ -371,7 +329,6 @@ def fit_interactive_fe(panel: PanelData, n_factors: int, cfg: SolverConfig = Sol
         proxy=proxy,
         residuals=panel.treated - proxy,
         start=1,
-        estimator_id=f"interactive_fe(k={n_factors})",
         permutation_invariant=True,
         diagnostics=report,
         params={"treated_loading": loadings[0], "beta": beta},
@@ -419,7 +376,6 @@ def fit_matrix_completion(
         proxy=proxy,
         residuals=panel.treated - proxy,
         start=1,
-        estimator_id=f"matrix_completion(K={radius:g})",
         permutation_invariant=True,
         diagnostics=report,
         params={"radius": radius},
@@ -479,7 +435,6 @@ def fit_ar(panel: PanelData, n_lags: int, fitter: Callable | None = None) -> Pro
         proxy=proxy,
         residuals=target - proxy,
         start=n_lags + 1,
-        estimator_id=f"ar(lags={n_lags})",
         permutation_invariant=False,
         diagnostics=diagnostics,
         params=params,
@@ -529,8 +484,79 @@ def fit_fused(panel: PanelData, base: EstimatorSpec, n_lags: int) -> ProxyFit:
         proxy=proxy,
         residuals=target - predicted,
         start=n_lags + 1,
-        estimator_id=f"fused({stage1.estimator_id},lags={n_lags})",
         permutation_invariant=False,
         diagnostics=diagnostics,
         params={"rho": rho, "base": stage1.estimator_id, "base_params": stage1.params},
     )
+
+
+
+
+_REQUIRED = object()
+
+
+def _param_label(spec: EstimatorSpec) -> str:
+    """``kind(key=value,...)`` over the CLI parameters; an unset value reads ``auto``."""
+    items = []
+    for key, name, _, _ in _ESTIMATORS[spec.kind].params:
+        value = getattr(spec, name)
+        items.append(f"{key}={'auto' if value is None else format(value, 'g')}")
+    return f"{spec.kind}({','.join(items)})" if items else spec.kind
+
+
+class _Kind(NamedTuple):
+    """How the CLI, ``EstimatorSpec.label`` and :func:`fit` handle one kind.
+
+    ``params`` holds the CLI parameters as ``(key, spec field, type, default)``;
+    one of type :class:`EstimatorSpec` is itself in CLI notation.  The CLI name
+    is the kind with ``-`` for ``_``; the spec comes from the classmethod of the
+    kind's name.
+    """
+
+    params: tuple
+    fitter: Callable[[PanelData, EstimatorSpec], ProxyFit]
+    label: Callable[[EstimatorSpec], str] = _param_label
+    fused_base: bool = True
+
+
+_ESTIMATORS = {
+    "did": _Kind((), lambda panel, spec: fit_did(panel)),
+    "sc": _Kind((), lambda panel, spec: fit_sc(panel, spec.solver)),
+    "classo": _Kind(
+        (("K", "radius", float, 1.0),),
+        lambda panel, spec: fit_classo(panel, spec.radius, spec.solver),
+    ),
+    "lasso": _Kind(
+        (("lam", "lam", float, _REQUIRED),),
+        lambda panel, spec: fit_penalized(panel, LassoPenalty(spec.lam), spec.solver),
+    ),
+    "elastic_net": _Kind(
+        (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
+        lambda panel, spec: fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver),
+    ),
+    "factor": _Kind(
+        (("k", "n_factors", int, _REQUIRED),),
+        lambda panel, spec: fit_factor(panel, spec.n_factors),
+    ),
+    "interactive_fe": _Kind(
+        (("k", "n_factors", int, _REQUIRED),),
+        lambda panel, spec: fit_interactive_fe(panel, spec.n_factors, spec.solver),
+    ),
+    "matrix_completion": _Kind(
+        (("K", "radius", float, None),),
+        lambda panel, spec: fit_matrix_completion(panel, spec.radius, spec.solver),
+    ),
+    "ar": _Kind(
+        (("lags", "n_lags", int, _REQUIRED),),
+        lambda panel, spec: fit_ar(panel, spec.n_lags, spec.ar_fitter),
+        fused_base=False,
+    ),
+    "fused": _Kind(
+        (("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)),
+        lambda panel, spec: fit_fused(panel, spec.base, spec.n_lags),
+        label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})",
+        fused_base=False,
+    ),
+}
+_KINDS = tuple(_ESTIMATORS)
+_PANEL_KINDS = tuple(kind for kind, row in _ESTIMATORS.items() if row.fused_base)

@@ -30,6 +30,7 @@ from .panel import (
     pointwise_slice,
     pre_treatment_slice,
 )
+from .solvers import SolveReport
 
 __all__ = [
     "PermutationScheme",
@@ -107,10 +108,6 @@ class PermutationScheme:
     @classmethod
     def iid_sampled(cls, n_samples: int = 5000, seed: int = 0, length: int | None = None) -> "PermutationScheme":
         return cls("iid_sampled", length=length, n_samples=n_samples, seed=seed)
-
-    @property
-    def contains_identity(self) -> bool:
-        return True
 
     @property
     def is_group(self) -> bool:
@@ -231,7 +228,10 @@ def permute_residuals(residuals, pi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Observed statistic, its permutation distribution, and the p-value."""
+    """Observed statistic, its permutation distribution, and the p-value.
+
+    ``diagnostics`` is the solver report of the fit that gave the residuals, if any.
+    """
 
     statistic: float
     permuted_statistics: np.ndarray
@@ -242,6 +242,7 @@ class TestResult:
     window: tuple[int, int]
     residuals: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    diagnostics: SolveReport | None = None
 
     @property
     def n_permutations(self) -> int:
@@ -269,25 +270,20 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
     """
     residuals = np.asarray(residuals, dtype=float)
     n = residuals.shape[0]
-    scheme._window(n)
-    size = scheme.size(n)
-
-    if isinstance(statistic, Statistic):
+    stats = np.empty(scheme.size(n))  # size() also checks n against the scheme
+    vectorized = isinstance(statistic, Statistic)
+    if vectorized:
         post_idx = np.arange(n)[post_window]
         if post_idx.size == 0:
             raise DimensionError("post-treatment window is empty")
-        stats = np.empty(size)
-        offset = 0
-        for chunk in scheme._iter_chunks(n):
-            vals = residuals[chunk[:, post_idx]]
-            stats[offset: offset + chunk.shape[0]] = statistic._rows(vals)
-            offset += chunk.shape[0]
-        q = statistic.order
-    else:
-        stats = np.empty(size)
-        for i, pi in enumerate(scheme.iter_permutations(n)):
-            stats[i] = statistic(residuals[pi], post_window)
-        q = "custom"
+    offset = 0
+    for chunk in scheme._iter_chunks(n):
+        if vectorized:
+            values = statistic._rows(residuals[chunk[:, post_idx]])
+        else:
+            values = [statistic(residuals[pi], post_window) for pi in chunk]
+        stats[offset: offset + chunk.shape[0]] = values
+        offset += chunk.shape[0]
 
     observed = stats[0]
     pv = float((stats >= observed).mean())
@@ -297,7 +293,7 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
         p_value=pv,
         scheme=scheme,
         estimator_id=None,
-        q=q,
+        q=statistic.order if vectorized else "custom",
         window=(1, n),
         residuals=residuals,
     )
@@ -333,6 +329,7 @@ def test_sharp_null(
         result,
         estimator_id=fitted.estimator_id,
         window=(fitted.start, panel.n_periods),
+        diagnostics=fitted.diagnostics,
     )
 
 

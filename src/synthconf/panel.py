@@ -20,7 +20,6 @@ from .exceptions import DimensionError
 __all__ = [
     "PanelData",
     "EffectTrajectory",
-    "NullAdjustedData",
     "adjust_under_null",
     "aggregate_time_blocks",
     "aggregate_units",
@@ -133,16 +132,6 @@ class PanelData:
 
 
 @dataclass(frozen=True)
-class NullAdjustedData(PanelData):
-    """Panel whose post-treatment treated outcome has hypothesized effects removed.
-
-    Pre-treatment rows are identical to the source panel; post-treatment
-    treated entries equal the observed outcome minus the hypothesized
-    effect for that period.
-    """
-
-
-@dataclass(frozen=True)
 class EffectTrajectory:
     """Hypothesized treatment-effect values over the post-treatment window."""
 
@@ -177,7 +166,7 @@ def _as_trajectory(alpha0, n_post: int) -> EffectTrajectory:
     return traj
 
 
-def adjust_under_null(panel: PanelData, alpha0) -> NullAdjustedData:
+def adjust_under_null(panel: PanelData, alpha0) -> PanelData:
     """Subtract a hypothesized effect trajectory from the treated outcome.
 
     Parameters
@@ -189,7 +178,7 @@ def adjust_under_null(panel: PanelData, alpha0) -> NullAdjustedData:
 
     Returns
     -------
-    NullAdjustedData
+    PanelData
         Copy of the panel with the post-treatment treated entries replaced
         by ``Y_t - alpha0_t``.  Pre-treatment rows are untouched.
     """
@@ -201,7 +190,7 @@ def adjust_under_null(panel: PanelData, alpha0) -> NullAdjustedData:
     traj = _as_trajectory(alpha0, panel.n_post)
     outcomes = panel.outcomes.copy()
     outcomes[panel.t0:, 0] -= traj.values
-    return NullAdjustedData(
+    return PanelData(
         outcomes=outcomes,
         t0=panel.t0,
         n_treated=1,

@@ -52,7 +52,6 @@ class SolverConfig:
     max_iters: int = 10_000
     tol: float = 1e-8
     step_rule: str = "backtracking"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:

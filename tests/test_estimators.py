@@ -44,8 +44,10 @@ ALL_SPECS = [
     EstimatorSpec.elastic_net(0.5, 0.5),
     EstimatorSpec.factor(2),
     EstimatorSpec.matrix_completion(3.0),
+    EstimatorSpec.matrix_completion(),
     EstimatorSpec.ar(1),
     EstimatorSpec.fused(EstimatorSpec.did(), 1),
+    EstimatorSpec.fused(EstimatorSpec.matrix_completion(), 1),
 ]
 
 
@@ -97,6 +99,7 @@ class TestReconstructionIdentity:
         fitted = fit(panel, spec)
         treated_window = panel.treated[fitted.start - 1:]
         np.testing.assert_allclose(fitted.proxy + fitted.residuals, treated_window, atol=1e-10)
+        assert fitted.estimator_id == spec.label
 
 
 class TestPermutationInvariance:

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 import synthconf as sc
 from synthconf import DgpSpec, PanelData, ParseError, RunConfig, read_panel_csv, write_panel_csv
+from synthconf import estimators
 from synthconf.cli import main, parse_estimator
 from synthconf.io import SEED_ENV_VAR
 
@@ -146,6 +148,27 @@ class TestParseEstimator:
         assert parse_estimator("factor:k=3").n_factors == 3
         fused = parse_estimator("fused:base=did,lags=2")
         assert fused.base.kind == "did" and fused.n_lags == 2
+        assert parse_estimator("classo") == sc.EstimatorSpec.classo()
+        assert parse_estimator("matrix_completion:K=4") == sc.EstimatorSpec.matrix_completion(4.0)
+
+    NOTATIONS = {
+        "did": ("did", sc.EstimatorSpec.did()),
+        "sc": ("sc", sc.EstimatorSpec.sc()),
+        "classo": ("classo:K=2", sc.EstimatorSpec.classo(2.0)),
+        "lasso": ("lasso:lam=0.5", sc.EstimatorSpec.lasso(0.5)),
+        "elastic_net": ("elastic-net:lam=0.5,alpha=0.7", sc.EstimatorSpec.elastic_net(0.5, 0.7)),
+        "factor": ("factor:k=3", sc.EstimatorSpec.factor(3)),
+        "interactive_fe": ("interactive-fe:k=2", sc.EstimatorSpec.interactive_fe(2)),
+        "matrix_completion": ("matrix-completion", sc.EstimatorSpec.matrix_completion()),
+        "ar": ("ar:lags=2", sc.EstimatorSpec.ar(2)),
+        "fused": ("fused:base=classo:K=2,lags=1",
+                  sc.EstimatorSpec.fused(sc.EstimatorSpec.classo(2.0), 1)),
+    }
+
+    @pytest.mark.parametrize("kind", list(estimators._ESTIMATORS))
+    def test_round_trip_every_kind(self, kind):
+        notation, spec = self.NOTATIONS[kind]
+        assert parse_estimator(notation) == spec
 
     def test_errors(self):
         with pytest.raises(sc.SynthconfError):
@@ -180,6 +203,26 @@ class TestCmdTest:
         residuals = (out / "residuals.csv").read_text().splitlines()
         assert residuals[0] == "period,residual"
         assert len(residuals) == 14
+
+    def test_fits_once_and_reports_that_fit(self, fixture_csv, tmp_path, monkeypatch):
+        calls = []
+        fit_sc = estimators.fit_sc
+        monkeypatch.setattr(estimators, "fit_sc", lambda *a: calls.append(a) or fit_sc(*a))
+        out = tmp_path / "out"
+        rc = main([
+            "test", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+            "--estimator", "sc", "--out", str(out),
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        panel = read_panel_csv(fixture_csv, t0=12, treated="rhode")
+        direct = sc.fit(sc.adjust_under_null(panel, np.zeros(panel.n_post)), sc.EstimatorSpec.sc())
+        doc = json.loads((out / "result.json").read_text())
+        diagnostics = doc["estimator_diagnostics"]
+        assert diagnostics["iterations"] == direct.diagnostics.iterations
+        assert diagnostics["converged"] == direct.diagnostics.converged
+        assert diagnostics["final_objective"] == direct.diagnostics.final_objective
+        assert diagnostics["kkt_residual"] == direct.diagnostics.kkt_residual
 
     def test_rerun_byte_identical_except_timestamp(self, fixture_csv, tmp_path):
         import re
@@ -256,6 +299,40 @@ class TestCmdPlacebo:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 1
+
+
+class TestIidWithLags:
+    """Full i.i.d. enumeration over the window that a lag model leaves."""
+
+    @pytest.fixture
+    def short_csv(self, tmp_path):
+        rng = np.random.default_rng(9)
+        panel = PanelData(rng.standard_normal((9, 4)), t0=7)
+        path = tmp_path / "short.csv"
+        write_panel_csv(panel, path, unit_names=["treated", "c1", "c2", "c3"])
+        return path
+
+    @pytest.mark.parametrize("estimator", ["ar:lags=1", "fused:base=did,lags=1"])
+    def test_test_placebo_ci(self, short_csv, tmp_path, estimator):
+        common = ["--data", str(short_csv), "--t0", "7", "--treated", "treated",
+                  "--estimator", estimator, "--permutations", "iid"]
+        out = tmp_path / "test"
+        assert main(["test", *common, "--out", str(out)]) == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["n_permutations"] == math.factorial(9 - 1)
+
+        out = tmp_path / "placebo"
+        assert main(["placebo", *common, "--tau", "2", "--out", str(out)]) == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["n_permutations"] == math.factorial(7 - 1)
+
+        out = tmp_path / "ci"
+        assert main(["ci", *common, "--grid=-1:1:3", "--out", str(out)]) == 0
+        with open(out / "ci.csv", newline="") as fh:
+            p_values = [float(row["p_value"]) for row in csv.DictReader(fh)]
+        n_perm = math.factorial(7 + 1 - 1)
+        assert len(p_values) == 2 * 3
+        assert all(round(p * n_perm) == pytest.approx(p * n_perm, abs=1e-6) for p in p_values)
 
 
 class TestCmdSimulate:

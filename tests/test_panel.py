@@ -6,7 +6,6 @@ import pytest
 from synthconf import (
     DimensionError,
     EffectTrajectory,
-    NullAdjustedData,
     PanelData,
     adjust_under_null,
     aggregate_time_blocks,
@@ -56,7 +55,6 @@ class TestPanelData:
 class TestAdjustUnderNull:
     def test_zero_trajectory_is_identity(self, small_panel):
         adjusted = adjust_under_null(small_panel, EffectTrajectory.zero(2))
-        assert isinstance(adjusted, NullAdjustedData)
         np.testing.assert_array_equal(adjusted.outcomes, small_panel.outcomes)
 
     def test_subtraction_example(self):
