@@ -39,6 +39,10 @@ def parse_estimator(text: str) -> EstimatorSpec:
     The notation is a kind, with ``-`` for ``_`` (``elastic-net``), then
     optionally ``:`` and comma-separated ``key=value`` parameters; the
     estimator table in :mod:`synthconf.estimators` lists each kind's keys.
+    A parameter that is itself an estimator (the base of ``fused``) takes
+    every key its own kind does not have, so
+    ``fused:base=elastic-net:lam=1,alpha=0.5,lags=1`` gives the base both
+    ``lam`` and ``alpha``.  Any other unknown key is an error.
     """
     name, _, param_text = text.partition(":")
     kind = name.strip().lower().replace("-", "_")
@@ -51,9 +55,22 @@ def parse_estimator(text: str) -> EstimatorSpec:
             params[key.strip()] = value.strip()
     if kind not in _ESTIMATORS:
         raise SynthconfError(f"unknown estimator {name.strip()!r}")
+    row = _ESTIMATORS[kind]
+    keys = [key for key, _, _, _ in row.params]
+    unknown = [key for key in params if key not in keys]
+    nested = next((key for key, _, convert, _ in row.params if convert is EstimatorSpec), None)
+    if unknown and nested in params:
+        base = params[nested]
+        extra = ",".join(f"{key}={params.pop(key)}" for key in unknown)
+        params[nested] = f"{base},{extra}" if ":" in base else f"{base}:{extra}"
+    elif unknown:
+        raise SynthconfError(
+            f"estimator {text!r} has unknown parameter {unknown[0]!r}; "
+            f"valid parameters: {', '.join(keys) if keys else 'none'}"
+        )
     fields = {}
     try:
-        for key, field, convert, default in _ESTIMATORS[kind].params:
+        for key, field, convert, default in row.params:
             if key in params:
                 raw = params[key]
                 fields[field] = parse_estimator(raw) if convert is EstimatorSpec else convert(raw)

@@ -163,11 +163,14 @@ class TestParseEstimator:
         "ar": ("ar:lags=2", sc.EstimatorSpec.ar(2)),
         "fused": ("fused:base=classo:K=2,lags=1",
                   sc.EstimatorSpec.fused(sc.EstimatorSpec.classo(2.0), 1)),
+        # The base takes the keys that ``fused`` does not own.
+        "fused_elastic_net": ("fused:base=elastic-net:lam=1,alpha=0.5,lags=1",
+                              sc.EstimatorSpec.fused(sc.EstimatorSpec.elastic_net(1.0, 0.5), 1)),
     }
 
-    @pytest.mark.parametrize("kind", list(estimators._ESTIMATORS))
-    def test_round_trip_every_kind(self, kind):
-        notation, spec = self.NOTATIONS[kind]
+    @pytest.mark.parametrize("case", [*estimators._ESTIMATORS, "fused_elastic_net"])
+    def test_round_trip_every_kind(self, case):
+        notation, spec = self.NOTATIONS[case]
         assert parse_estimator(notation) == spec
 
     def test_errors(self):
@@ -175,6 +178,16 @@ class TestParseEstimator:
             parse_estimator("ridge")
         with pytest.raises(sc.SynthconfError):
             parse_estimator("lasso")  # missing lam
+
+    @pytest.mark.parametrize("notation, key, valid", [
+        ("classo:k=2", "'k'", "K"),
+        ("did:lam=1", "'lam'", "none"),
+        ("fused:lags=1,alpha=0.5", "'alpha'", "base, lags"),
+        ("fused:base=lasso:lam=1,alpha=0.5,lags=1", "'alpha'", "lam"),
+    ])
+    def test_unknown_key_names_valid_keys(self, notation, key, valid):
+        with pytest.raises(sc.SynthconfError, match=f"unknown parameter {key}; valid parameters: {valid}$"):
+            parse_estimator(notation)
 
 
 @pytest.fixture

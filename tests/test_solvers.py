@@ -3,6 +3,8 @@ principal components, alternating least squares, and OLS."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from synthconf import (
@@ -223,6 +225,62 @@ class TestCoordinateDescent:
         mu_e, w_e, _ = coordinate_descent_penalized(X, y, ElasticNetPenalty(0.5, 1.0))
         assert abs(mu_l - mu_e) < 1e-10
         np.testing.assert_allclose(w_l, w_e, atol=1e-10)
+
+    @staticmethod
+    def kkt_bound(X, y, tol=SolverConfig().tol):
+        """The documented stopping bound ``tol * (1 + 2 ||Xc'yc||_inf)``."""
+        xty = (X - X.mean(axis=0)).T @ (y - y.mean())
+        return tol * (1.0 + 2.0 * np.abs(xty).max(initial=0.0))
+
+    def test_lasso_more_columns_than_rows_converges(self):
+        # 23 rows, 50 penalized and 2 unpenalized columns, small lam: the
+        # fit nearly interpolates, and cyclic sweeps alone reach max_iters
+        # with a KKT residual of 3.5e-4.
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((23, 52))
+        y = X[:, :3].mean(axis=1) + rng.standard_normal(23)
+        weights = np.ones(52)
+        weights[-2:] = 0.0
+        mu, w, report = coordinate_descent_penalized(X, y, LassoPenalty(0.1), penalty_weights=weights)
+        assert report.converged
+        assert "exact active-set step" in report.note
+        kkt = _oracles.penalized_kkt_violation(X, y, mu, w, 0.1 * weights, np.zeros(52))
+        assert kkt <= self.kkt_bound(X, y)
+        # At most rank(Xc) = 22 nonzero weights, the two unpenalized ones among them.
+        assert w[-2:].all() and np.count_nonzero(w) <= 22
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(3, 9),
+        n_cols=st.integers(1, 12),
+        n_free=st.integers(0, 2),
+        lam=st.floats(0.01, 20.0),
+        alpha=st.floats(0.0, 1.0),
+        degenerate=st.sampled_from([None, "constant", "duplicate"]),
+    )
+    def test_kkt_and_objective_against_plain_descent(self, seed, n_rows, n_cols, n_free, lam, alpha,
+                                                     degenerate):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_rows, n_cols))
+        y = X[:, : min(3, n_cols)].sum(axis=1) + rng.standard_normal(n_rows)
+        # The first n_free columns are unpenalized.  A constant first column
+        # must keep a zero weight; a duplicate makes the first two collinear.
+        if degenerate == "constant":
+            X[:, 0] = 1.7
+        elif degenerate == "duplicate" and n_cols > 1:
+            X[:, 0] = X[:, 1]
+        weights = np.ones(n_cols)
+        weights[: min(n_free, n_cols - 1)] = 0.0
+        penalty = ElasticNetPenalty(lam, alpha)
+        l1, l2 = penalty.l1 * weights, penalty.l2 * weights
+        mu, w, report = coordinate_descent_penalized(X, y, penalty, penalty_weights=weights)
+        assert report.converged
+        assert degenerate != "constant" or w[0] == 0.0
+        assert _oracles.penalized_kkt_violation(X, y, mu, w, l1, l2) <= self.kkt_bound(X, y)
+        f = _oracles.penalized_objective(X, y, mu, w, l1, l2)
+        f_ref = _oracles.penalized_objective(X, y, *_oracles.penalized_cd_reference(X, y, l1, l2), l1, l2)
+        assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
 
     def test_penalty_validation(self):
         with pytest.raises(ValueError):
