@@ -26,7 +26,7 @@ from .inference import (
     placebo_test,
     test_sharp_null,
 )
-from .io import RunConfig, default_seed, read_panel_csv, write_json_result
+from .io import RunConfig, _coerce, default_seed, read_panel_csv, write_json_result
 from .panel import EffectTrajectory
 from .simulation import DgpSpec, run_size_experiment
 
@@ -142,14 +142,6 @@ def _diagnostics_payload(diagnostics):
     }
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo["treated"] = list(echo["treated"])
-    if echo["alpha0"] is not None:
-        echo["alpha0"] = list(echo["alpha0"])
-    return echo
-
-
 def _write_residuals_csv(path, start: int, residuals: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -185,7 +177,7 @@ def cmd_test(cfg: RunConfig) -> int:
         "reject": result.p_value <= cfg.alpha,
         "window": list(result.window),
         "treated_units": names[: panel.n_treated],
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
     }
     write_json_result(out / "result.json", payload)
     _write_residuals_csv(out / "residuals.csv", result.window[0], result.residuals)
@@ -229,7 +221,7 @@ def cmd_ci(cfg: RunConfig) -> int:
             for entry in band.entries
         ],
         "treated_units": names[: panel.n_treated],
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
     }
     write_json_result(out / "result.json", payload)
     for entry in band.entries:
@@ -259,7 +251,7 @@ def cmd_placebo(cfg: RunConfig) -> int:
         "alpha": cfg.alpha,
         "reject": result.p_value <= cfg.alpha,
         "treated_units": names[: panel.n_treated],
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
     }
     write_json_result(out / "result.json", payload)
     _write_residuals_csv(out / "residuals.csv", result.window[0], result.residuals)
@@ -269,16 +261,19 @@ def cmd_placebo(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Monte Carlo size or power experiment on a synthetic design."""
-    dgp = DgpSpec(
-        t0=cfg.sim_t0,
-        n_controls=cfg.controls,
-        rho_u=cfg.rho_u,
-        rho_eps=cfg.rho_eps,
-        weights_kind=cfg.dgp,
-        factor_trend=cfg.trend,
-        alpha_true=cfg.alpha_true,
-        seed=cfg.seed,
-    )
+    try:
+        dgp = DgpSpec(
+            t0=cfg.sim_t0,
+            n_controls=cfg.controls,
+            rho_u=cfg.rho_u,
+            rho_eps=cfg.rho_eps,
+            weights_kind=cfg.dgp,
+            factor_trend=cfg.trend,
+            alpha_true=cfg.alpha_true,
+            seed=cfg.seed,
+        )
+    except ValueError as exc:
+        raise SynthconfError(f"invalid simulation design: {exc}") from None
     estimator = parse_estimator(cfg.estimator)
     scheme = _scheme_from_config(cfg)
     result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
@@ -302,7 +297,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         writer.writeheader()
         writer.writerow(row)
     write_json_result(out / "result.json", {"command": "simulate", **row,
-                                            "config": _config_echo(cfg)})
+                                            "config": asdict(cfg)})
     print(f"rejection rate: {result.rejection_rate:.4f} ({cfg.reps} reps)")
     return 0
 
@@ -376,10 +371,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
-        if key == "treated":
-            value = tuple(part.strip() for part in value.split(",") if part.strip())
-        elif key == "alpha0":
-            value = tuple(float(part) for part in value.split(","))
+        if key in ("treated", "alpha0"):
+            try:
+                value = _coerce(key, value)
+            except ValueError:
+                raise SynthconfError(f"invalid value {value!r} for --{key}") from None
         overrides[key] = value
     return replace(cfg, **overrides)
 

@@ -108,8 +108,8 @@ class EstimatorSpec:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def did(cls, solver: SolverConfig | None = None) -> "EstimatorSpec":
-        return cls("did", solver=solver or SolverConfig())
+    def did(cls) -> "EstimatorSpec":
+        return cls("did")
 
     @classmethod
     def sc(cls, solver: SolverConfig | None = None) -> "EstimatorSpec":
@@ -128,8 +128,8 @@ class EstimatorSpec:
         return cls("elastic_net", lam=lam, alpha=alpha, solver=solver or SolverConfig())
 
     @classmethod
-    def factor(cls, n_factors: int, solver: SolverConfig | None = None) -> "EstimatorSpec":
-        return cls("factor", n_factors=n_factors, solver=solver or SolverConfig())
+    def factor(cls, n_factors: int) -> "EstimatorSpec":
+        return cls("factor", n_factors=n_factors)
 
     @classmethod
     def interactive_fe(cls, n_factors: int, solver: SolverConfig | None = None) -> "EstimatorSpec":
@@ -140,12 +140,12 @@ class EstimatorSpec:
         return cls("matrix_completion", radius=radius, solver=solver or SolverConfig())
 
     @classmethod
-    def ar(cls, n_lags: int, fitter: Callable | None = None, solver: SolverConfig | None = None) -> "EstimatorSpec":
-        return cls("ar", n_lags=n_lags, ar_fitter=fitter, solver=solver or SolverConfig())
+    def ar(cls, n_lags: int, fitter: Callable | None = None) -> "EstimatorSpec":
+        return cls("ar", n_lags=n_lags, ar_fitter=fitter)
 
     @classmethod
     def fused(cls, base: "EstimatorSpec", n_lags: int) -> "EstimatorSpec":
-        return cls("fused", base=base, n_lags=n_lags, solver=base.solver)
+        return cls("fused", base=base, n_lags=n_lags)
 
     @property
     def label(self) -> str:
@@ -204,6 +204,22 @@ def _block_projection(project_head: Callable, n_head: int, n_total: int) -> Call
     return project
 
 
+def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | None, **params) -> ProxyFit:
+    """The fit of a panel estimator: every period fitted, residuals ``treated - proxy``.
+
+    Panel estimators treat the periods as exchangeable rows, so their
+    residuals permute with the data and the fit is permutation-invariant.
+    """
+    return ProxyFit(
+        proxy=proxy,
+        residuals=panel.treated - proxy,
+        start=1,
+        permutation_invariant=True,
+        diagnostics=diagnostics,
+        params=params,
+    )
+
+
 def fit_did(panel: PanelData) -> ProxyFit:
     """Difference-in-differences: equal control weights plus a level shift.
 
@@ -211,17 +227,9 @@ def fit_did(panel: PanelData) -> ProxyFit:
     differences, so the residuals sum to zero exactly.
     """
     _require_controls(panel, "difference-in-differences")
-    y = panel.treated
     control_mean = panel.controls.mean(axis=1)
-    mu = float((y - control_mean).mean())
-    proxy = mu + control_mean
-    return ProxyFit(
-        proxy=proxy,
-        residuals=y - proxy,
-        start=1,
-        permutation_invariant=True,
-        params={"mu": mu},
-    )
+    mu = float((panel.treated - control_mean).mean())
+    return _panel_fit(panel, mu + control_mean, None, mu=mu)
 
 
 def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
@@ -230,15 +238,7 @@ def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
     y, X, n_con = _design(panel)
     project = _block_projection(project_simplex, n_con, X.shape[1])
     w, report = projected_gradient_ls(X, y, project, cfg)
-    proxy = X @ w
-    return ProxyFit(
-        proxy=proxy,
-        residuals=y - proxy,
-        start=1,
-        permutation_invariant=True,
-        diagnostics=report,
-        params={"weights": w[:n_con], "covariate_coefs": w[n_con:]},
-    )
+    return _panel_fit(panel, X @ w, report, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
 def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
@@ -255,15 +255,7 @@ def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = Solver
     project = _block_projection(lambda v: project_l1_ball(v, radius), n_con, X.shape[1])
     w, report = projected_gradient_ls(X - x_mean, y - y_mean, project, cfg)
     mu = y_mean - float(x_mean @ w)
-    proxy = mu + X @ w
-    return ProxyFit(
-        proxy=proxy,
-        residuals=y - proxy,
-        start=1,
-        permutation_invariant=True,
-        diagnostics=report,
-        params={"mu": mu, "weights": w[:n_con], "covariate_coefs": w[n_con:]},
-    )
+    return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
 def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
@@ -273,37 +265,19 @@ def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig())
     weights = np.zeros(X.shape[1])
     weights[:n_con] = 1.0
     mu, w, report = coordinate_descent_penalized(X, y, penalty, cfg, penalty_weights=weights)
-    proxy = mu + X @ w
-    return ProxyFit(
-        proxy=proxy,
-        residuals=y - proxy,
-        start=1,
-        permutation_invariant=True,
-        diagnostics=report,
-        params={"mu": mu, "weights": w[:n_con], "covariate_coefs": w[n_con:]},
-    )
+    return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
 def fit_factor(panel: PanelData, n_factors: int) -> ProxyFit:
     """Pure factor model: principal components of the full outcome matrix."""
     factors, loadings = pca_factors(panel.outcomes, n_factors)
-    y = panel.treated
-    proxy = factors @ loadings[0]
-    resid = y - proxy
     report = SolveReport(
         iterations=1,
         final_objective=float(((panel.outcomes - factors @ loadings.T) ** 2).sum()),
         converged=True,
         kkt_residual=0.0,
     )
-    return ProxyFit(
-        proxy=proxy,
-        residuals=resid,
-        start=1,
-        permutation_invariant=True,
-        diagnostics=report,
-        params={"treated_loading": loadings[0]},
-    )
+    return _panel_fit(panel, factors @ loadings[0], report, treated_loading=loadings[0])
 
 
 def fit_interactive_fe(panel: PanelData, n_factors: int, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
@@ -325,14 +299,7 @@ def fit_interactive_fe(panel: PanelData, n_factors: int, cfg: SolverConfig = Sol
         panel.outcomes, panel.covariates, n_factors, cfg
     )
     proxy = factors @ loadings[0] + panel.covariates[:, 0, :] @ beta
-    return ProxyFit(
-        proxy=proxy,
-        residuals=panel.treated - proxy,
-        start=1,
-        permutation_invariant=True,
-        diagnostics=report,
-        params={"treated_loading": loadings[0], "beta": beta},
-    )
+    return _panel_fit(panel, proxy, report, treated_loading=loadings[0], beta=beta)
 
 
 def default_nuclear_radius(matrix: np.ndarray) -> float:
@@ -371,15 +338,7 @@ def fit_matrix_completion(
         converged=kkt <= cfg.tol * (1.0 + float(np.abs(matrix).max())),
         kkt_residual=kkt,
     )
-    proxy = fitted[0]
-    return ProxyFit(
-        proxy=proxy,
-        residuals=panel.treated - proxy,
-        start=1,
-        permutation_invariant=True,
-        diagnostics=report,
-        params={"radius": radius},
-    )
+    return _panel_fit(panel, fitted[0], report, radius=radius)
 
 
 def _lag_matrix(series: np.ndarray, n_lags: int) -> np.ndarray:
@@ -488,8 +447,6 @@ def fit_fused(panel: PanelData, base: EstimatorSpec, n_lags: int) -> ProxyFit:
         diagnostics=diagnostics,
         params={"rho": rho, "base": stage1.estimator_id, "base_params": stage1.params},
     )
-
-
 
 
 _REQUIRED = object()

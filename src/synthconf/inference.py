@@ -4,9 +4,10 @@ The test pipeline composes three pure steps: subtract the hypothesized
 effect trajectory from the treated outcome, fit a counterfactual proxy on
 the full adjusted sample, and compare the post-treatment residuals against
 their permutation distribution.  The p-value is the fraction of
-permutations whose statistic is at least the observed one; because every
-permutation set contains the identity, p-values are bounded below by
-``1/|Pi|`` and the test is conservative under ties.
+permutations whose statistic is at least the observed one, up to a
+relative tolerance that counts rounding-level differences as ties;
+because every permutation set contains the identity, p-values are bounded
+below by ``1/|Pi|`` and the test is conservative under ties.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ __all__ = [
 MAX_ENUMERATED_LENGTH = 10
 
 _CHUNK = 4096
+
+#: Relative tolerance below the observed statistic within which a permuted
+#: statistic still counts as a tie (as in ``scipy.stats.permutation_test``).
+_TIE_RTOL = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -160,27 +165,34 @@ class PermutationScheme:
                 remaining -= m
 
 
-def statistic_sq(residuals, post_window, q: float = 1.0) -> float:
+def _post_values(residuals, post_window) -> np.ndarray:
+    u = np.asarray(residuals, dtype=float)[..., post_window]
+    if u.shape[-1] == 0:
+        raise DimensionError("post-treatment window is empty")
+    return u
+
+
+def statistic_sq(residuals, post_window, q: float = 1.0):
     """Scaled lq aggregate of the post-treatment residuals.
 
     Computes ``(T*^{-1/2} * sum |u_t|^q)^(1/q)`` over the post window;
     ``q=1`` is the default and is robust to heavy tails.  Large values
-    indicate evidence against the null.
+    indicate evidence against the null.  The window indexes the last axis,
+    so a matrix of residual rows gives one statistic per row.
     """
     if q < 1:
         raise ValueError(f"statistic order q must be >= 1; got {q}")
-    u = np.asarray(residuals, dtype=float)[post_window]
-    if u.size == 0:
-        raise DimensionError("post-treatment window is empty")
-    return float((np.abs(u) ** q).sum() / np.sqrt(u.size)) ** (1.0 / q)
+    u = _post_values(residuals, post_window)
+    return ((np.abs(u) ** q).sum(axis=-1) / np.sqrt(u.shape[-1])) ** (1.0 / q)
 
 
-def statistic_mean(residuals, post_window) -> float:
-    """Absolute scaled sum ``|sum u_t| / sqrt(T*)``; targets the average effect."""
-    u = np.asarray(residuals, dtype=float)[post_window]
-    if u.size == 0:
-        raise DimensionError("post-treatment window is empty")
-    return float(np.abs(u.sum()) / np.sqrt(u.size))
+def statistic_mean(residuals, post_window):
+    """Absolute scaled sum ``|sum u_t| / sqrt(T*)``; targets the average effect.
+
+    Like :func:`statistic_sq`, it reduces over the last axis.
+    """
+    u = _post_values(residuals, post_window)
+    return np.abs(u.sum(axis=-1)) / np.sqrt(u.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -204,17 +216,10 @@ class Statistic:
     def order(self):
         return self.q if self.kind == "sq" else "mean"
 
-    def __call__(self, residuals, post_window) -> float:
+    def __call__(self, residuals, post_window):
         if self.kind == "sq":
             return statistic_sq(residuals, post_window, self.q)
         return statistic_mean(residuals, post_window)
-
-    def _rows(self, post_values: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (m, T*) matrix of post-window residuals."""
-        n_post = post_values.shape[1]
-        if self.kind == "sq":
-            return ((np.abs(post_values) ** self.q).sum(axis=1) / np.sqrt(n_post)) ** (1.0 / self.q)
-        return np.abs(post_values.sum(axis=1)) / np.sqrt(n_post)
 
 
 def permute_residuals(residuals, pi) -> np.ndarray:
@@ -265,28 +270,28 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
     Returns
     -------
     TestResult
-        ``p_value = #{pi : S(u_pi) >= S(u)} / |Pi|``; the identity
-        permutation guarantees ``p_value >= 1/|Pi|``.
+        ``p_value = #{pi : S(u_pi) >= S(u) - gamma} / |Pi|`` with
+        ``gamma = 100 eps |S(u)|``: statistics that are equal in exact
+        arithmetic but were summed in another order count as ties, so the
+        test stays conservative.  The identity permutation guarantees
+        ``p_value >= 1/|Pi|``.
     """
     residuals = np.asarray(residuals, dtype=float)
     n = residuals.shape[0]
     stats = np.empty(scheme.size(n))  # size() also checks n against the scheme
     vectorized = isinstance(statistic, Statistic)
-    if vectorized:
-        post_idx = np.arange(n)[post_window]
-        if post_idx.size == 0:
-            raise DimensionError("post-treatment window is empty")
+    post_idx = np.arange(n)[post_window]
     offset = 0
     for chunk in scheme._iter_chunks(n):
         if vectorized:
-            values = statistic._rows(residuals[chunk[:, post_idx]])
+            values = statistic(residuals[chunk[:, post_idx]], slice(None))
         else:
             values = [statistic(residuals[pi], post_window) for pi in chunk]
         stats[offset: offset + chunk.shape[0]] = values
         offset += chunk.shape[0]
 
     observed = stats[0]
-    pv = float((stats >= observed).mean())
+    pv = float((stats >= observed - _TIE_RTOL * abs(observed)).mean())
     return TestResult(
         statistic=float(observed),
         permuted_statistics=stats,

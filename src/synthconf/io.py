@@ -256,7 +256,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        raw: dict[str, str] = {}
+        names = {f.name for f in fields(cls)}
+        kwargs = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -264,26 +265,29 @@ class RunConfig:
                     continue
                 if "=" not in line:
                     raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
-        kwargs = {}
-        by_name = {f.name: f for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in by_name:
-                raise ParseError(f"unknown configuration key {key!r}")
-            kwargs[key] = _coerce(key, value)
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in names:
+                    raise ParseError(f"line {lineno}: unknown configuration key {key!r}")
+                try:
+                    kwargs[key] = _coerce(key, value)
+                except ValueError:
+                    raise ParseError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
         if "command" not in kwargs:
             raise ParseError("configuration file must set 'command'")
         return cls(**kwargs)
 
 
 def _coerce(key: str, value: str):
+    """Parse one configuration value from its text form (file or CLI flag).
+
+    Raises ``ValueError`` when the text does not parse.
+    """
     if key in ("t0", "tau", "seed", "n_perm", "sim_t0", "controls", "reps"):
         return int(value)
     if key in ("q", "alpha", "rho_u", "rho_eps", "alpha_true"):
         return float(value)
     if key == "treated":
-        return tuple(part for part in value.split(",") if part)
+        return tuple(part.strip() for part in value.split(",") if part.strip())
     if key == "alpha0":
         return tuple(float(part) for part in value.split(","))
     return value

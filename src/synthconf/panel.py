@@ -127,9 +127,6 @@ class PanelData:
         """Outcome matrix of the control units, shape (T, J)."""
         return self.outcomes[:, self.n_treated:]
 
-    def _replace_arrays(self, outcomes, t0, n_treated, covariates):
-        return type(self)(outcomes=outcomes, t0=t0, n_treated=n_treated, covariates=covariates)
-
 
 @dataclass(frozen=True)
 class EffectTrajectory:
@@ -226,7 +223,7 @@ def aggregate_time_blocks(panel: PanelData) -> PanelData:
     if panel.covariates is not None:
         k = panel.covariates.shape[2]
         covariates = panel.covariates.reshape(n_blocks, block, panel.n_units, k).mean(axis=1)
-    return panel._replace_arrays(outcomes, n_blocks - 1, panel.n_treated, covariates)
+    return PanelData(outcomes, t0=n_blocks - 1, n_treated=panel.n_treated, covariates=covariates)
 
 
 def aggregate_units(panel: PanelData) -> PanelData:
@@ -244,7 +241,7 @@ def aggregate_units(panel: PanelData) -> PanelData:
     if panel.covariates is not None:
         treated_cov = panel.covariates[:, :n_treated, :].mean(axis=1, keepdims=True)
         covariates = np.concatenate([treated_cov, panel.covariates[:, n_treated:, :]], axis=1)
-    return panel._replace_arrays(outcomes, panel.t0, 1, covariates)
+    return PanelData(outcomes, t0=panel.t0, n_treated=1, covariates=covariates)
 
 
 def pre_treatment_slice(panel: PanelData, tau: int) -> PanelData:
@@ -267,7 +264,7 @@ def pre_treatment_slice(panel: PanelData, tau: int) -> PanelData:
         )
     outcomes = panel.outcomes[: panel.t0]
     covariates = None if panel.covariates is None else panel.covariates[: panel.t0]
-    return panel._replace_arrays(outcomes, new_t0, panel.n_treated, covariates)
+    return PanelData(outcomes, t0=new_t0, n_treated=panel.n_treated, covariates=covariates)
 
 
 def pointwise_slice(panel: PanelData, t: int) -> PanelData:
@@ -284,4 +281,4 @@ def pointwise_slice(panel: PanelData, t: int) -> PanelData:
     rows = np.concatenate([np.arange(panel.t0), [t - 1]])
     outcomes = panel.outcomes[rows]
     covariates = None if panel.covariates is None else panel.covariates[rows]
-    return panel._replace_arrays(outcomes, panel.t0, panel.n_treated, covariates)
+    return PanelData(outcomes, t0=panel.t0, n_treated=panel.n_treated, covariates=covariates)

@@ -52,20 +52,18 @@ class SolverConfig:
     per-coordinate subgradient violation is at most
     ``tol * (1 + 2 ||Xc'yc||_inf)`` on the centred data ``Xc``, ``yc``, and
     alternating least squares once the relative objective decrease falls
-    below ``tol``.
+    below ``tol``.  Every solver has one step rule; only the iteration cap
+    and the tolerance are set here.
     """
 
     max_iters: int = 10_000
     tol: float = 1e-8
-    step_rule: str = "backtracking"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive; got {self.tol}")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -188,19 +186,6 @@ def project_nuclear_ball(a, radius: float) -> np.ndarray:
     return (u * s_proj) @ vt
 
 
-def _power_iteration_norm(gram: np.ndarray, n_iters: int = 30) -> float:
-    """Largest eigenvalue of a PSD matrix, deterministic start."""
-    x = np.ones(gram.shape[0]) / np.sqrt(gram.shape[0])
-    lam = 0.0
-    for _ in range(n_iters):
-        y = gram @ x
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 0.0
-        x = y / lam
-    return lam
-
-
 def projected_gradient_ls(
     X,
     y,
@@ -224,10 +209,16 @@ def projected_gradient_ls(
     (w, report) : (ndarray, SolveReport)
         ``report.kkt_residual`` is the sup-norm of the unit-step projected
         gradient map ``w - project(w - grad)``; convergence is declared when
-        it falls below ``cfg.tol * (1 + ||X'y||_inf)``.  Under backtracking
-        the objective is nonincreasing at every iteration.  On
-        non-convergence the best iterate found is returned with
-        ``converged=False``.
+        it falls below ``cfg.tol * (1 + ||X'y||_inf)``.  On non-convergence
+        the last iterate is returned with ``converged=False``.
+
+    The step rule is Barzilai-Borwein (Barzilai and Borwein 1988): each
+    trial step is ``d'd / d'(grad_new - grad)`` from the previous move,
+    halved until the projected sufficient-decrease condition holds, so the
+    objective is nonincreasing on every iteration (up to a rounding slack
+    of ``1e-14 (1 + |f|)``).  The first trial step
+    is ``1 / (2 lambda_max(X'X))``, the inverse Lipschitz constant of the
+    gradient.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -241,7 +232,7 @@ def projected_gradient_ls(
     def objective(w):
         return float(w @ (gram @ w)) - 2.0 * float(xty @ w) + const
 
-    lam_max = _power_iteration_norm(gram)
+    lam_max = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
     step0 = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
 
     w = project(np.zeros(X.shape[1]))
@@ -257,28 +248,18 @@ def projected_gradient_ls(
         if converged:
             iterations -= 1
             break
-        if cfg.step_rule == "fixed":
-            w_new = project(w - step0 * grad)
+        for _ in range(80):
+            w_new = project(w - step * grad)
             d = w_new - w
+            dd = float(d @ d)
             f_new = objective(w_new)
-        else:
-            # Barzilai-Borwein trial step, halved until the projected-descent
-            # condition holds; guarantees a monotone objective.
-            for _ in range(80):
-                w_new = project(w - step * grad)
-                d = w_new - w
-                dd = float(d @ d)
-                f_new = objective(w_new)
-                if f_new <= f + float(grad @ d) + dd / (2.0 * step) + 1e-14 * (1.0 + abs(f)):
-                    break
-                step *= 0.5
+            if f_new <= f + float(grad @ d) + dd / (2.0 * step) + 1e-14 * (1.0 + abs(f)):
+                break
+            step *= 0.5
         grad_new = 2.0 * (gram @ w_new - xty)
-        dg = grad_new - grad
-        dd = float(d @ d)
-        ddg = float(d @ dg)
-        if cfg.step_rule == "backtracking":
-            step = dd / ddg if ddg > 0 else step * 2.0
-            step = min(max(step, 1e-16 * step0), 1e16 * step0)
+        ddg = float(d @ (grad_new - grad))
+        step = dd / ddg if ddg > 0 else step * 2.0
+        step = min(max(step, 1e-16 * step0), 1e16 * step0)
         w, f, grad = w_new, f_new, grad_new
         trace.append(f)
         kkt = float(np.abs(w - project(w - grad)).max(initial=0.0))

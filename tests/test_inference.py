@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthconf as sc
 from synthconf import (
@@ -132,6 +134,26 @@ class TestPValue:
     def test_total_ties_give_one(self):
         u = np.full(6, 0.7)
         result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(4, None))
+        assert result.p_value == 1.0
+
+    def test_rounding_level_ties_count(self):
+        # The six cyclic shifts put the same three values in the post window,
+        # so all statistics are equal in exact arithmetic; summation order
+        # alone splits them by 1 ulp.
+        u = np.array([0.1, 0.2, 0.3, 0.1, 0.2, 0.3])
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(3, None))
+        assert result.p_value == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=8),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_periodic_residuals_give_one(self, block, scale):
+        # A residual vector that repeats its post window has every shift of
+        # that window as its post window: every permutation is a tie.
+        u = scale * np.tile(block, 2)
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(len(block), None))
         assert result.p_value == 1.0
 
     def test_strict_maximum_gives_lower_bound(self):

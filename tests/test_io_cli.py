@@ -139,6 +139,26 @@ class TestRoundTrip:
         with pytest.raises(ParseError, match="banana"):
             RunConfig.from_file(path)
 
+    def test_config_treated_names_are_stripped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_lines(path, ["command=test", "treated=rhode, ny"])
+        assert RunConfig.from_file(path).treated == ("rhode", "ny")
+
+    def test_config_bad_value_names_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        write_lines(path, ["command=simulate", "reps=abc"])
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("synthconf: error: line 2:")
+        assert "'abc'" in err and "'reps'" in err
+
+    def test_config_unknown_dgp_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        write_lines(path, ["command=simulate", "dgp=DGP9", "reps=5"])
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("synthconf: error:") and "DGP9" in err
+
 
 class TestParseEstimator:
     def test_grammar(self):

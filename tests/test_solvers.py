@@ -162,16 +162,6 @@ class TestProjectedGradientLS:
         trace = np.asarray(report.objective_trace)
         assert (np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1]))).all()
 
-    def test_fixed_step_rule(self, rng):
-        X = rng.standard_normal((15, 3))
-        y = rng.standard_normal(15)
-        w_bt, _ = projected_gradient_ls(X, y, project_simplex)
-        w_fx, report = projected_gradient_ls(
-            X, y, project_simplex, SolverConfig(step_rule="fixed", max_iters=50_000)
-        )
-        assert report.converged
-        np.testing.assert_allclose(w_fx, w_bt, atol=1e-6)
-
     def test_nonconvergence_reported(self, rng):
         X = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
