@@ -27,7 +27,6 @@ from .inference import (
     confidence_band,
     default_ci_grid,
     p_value,
-    permute_residuals,
     placebo_test,
     pointwise_ci,
     statistic_mean,
@@ -88,7 +87,7 @@ __all__ = [
     "EstimatorSpec", "ProxyFit", "fit",
     # inference
     "PermutationScheme", "Statistic", "TestResult", "CiEntry", "ConfidenceBand",
-    "statistic_sq", "statistic_mean", "permute_residuals", "p_value",
+    "statistic_sq", "statistic_mean", "p_value",
     "test_sharp_null", "pointwise_ci", "confidence_band", "default_ci_grid",
     "test_average_effect", "test_multi_unit", "placebo_test",
     # simulation

@@ -83,29 +83,26 @@ def parse_estimator(text: str) -> EstimatorSpec:
         raise SynthconfError(f"invalid estimator specification {text!r}: {exc}") from None
 
 
-def _scheme_from_config(cfg: RunConfig, length: int | None = None) -> PermutationScheme:
-    if cfg.permutations == "moving-block":
-        return PermutationScheme.moving_block()
-    if cfg.permutations == "iid":
-        if length is None:
-            raise SynthconfError("full i.i.d. enumeration is not supported in simulations")
-        return PermutationScheme.iid_all(length)
-    if cfg.permutations == "iid-sampled":
-        return PermutationScheme.iid_sampled(n_samples=cfg.n_perm, seed=cfg.seed)
-    raise SynthconfError(f"unknown permutation scheme {cfg.permutations!r}")
+#: Permutation-scheme kind of each ``--permutations`` value.
+_SCHEME_KINDS = {"moving-block": "moving_block", "iid": "iid_all", "iid-sampled": "iid_sampled"}
 
 
-def _fitted_length(n_periods: int, spec: EstimatorSpec) -> int:
-    """Length of the residual window that fitting ``spec`` on ``n_periods`` periods leaves."""
-    return n_periods - (spec.n_lags or 0)
+def _method(cfg: RunConfig) -> tuple[EstimatorSpec, PermutationScheme, Statistic]:
+    """Estimator, permutation scheme and statistic of a run, checked before any fit.
 
-
-def _statistic_from_config(cfg: RunConfig) -> Statistic:
-    if cfg.statistic == "sq":
-        return Statistic("sq", cfg.q)
-    if cfg.statistic == "mean":
-        return Statistic("mean")
-    raise SynthconfError(f"unknown statistic {cfg.statistic!r}")
+    The scheme takes its length from the residuals it is applied to, so
+    one scheme serves every window a command tests.
+    """
+    if not 0 < cfg.alpha < 1:
+        raise SynthconfError(f"alpha must lie in (0, 1); got {cfg.alpha}")
+    estimator = parse_estimator(cfg.estimator)
+    try:
+        kind = _SCHEME_KINDS.get(cfg.permutations, cfg.permutations)
+        scheme = PermutationScheme(kind, n_samples=cfg.n_perm, seed=cfg.seed)
+        statistic = Statistic(cfg.statistic, cfg.q)
+    except ValueError as exc:
+        raise SynthconfError(str(exc)) from None
+    return estimator, scheme, statistic
 
 
 def _load_panel(cfg: RunConfig):
@@ -150,37 +147,43 @@ def _write_residuals_csv(path, start: int, residuals: np.ndarray) -> None:
             writer.writerow([start + i, format(value, ".17g")])
 
 
-def cmd_test(cfg: RunConfig) -> int:
-    """Test a sharp null trajectory (zero by default) on a panel CSV."""
-    panel, names = _load_panel(cfg)
-    estimator = parse_estimator(cfg.estimator)
-    statistic = _statistic_from_config(cfg)
-    alpha0 = (
-        EffectTrajectory(np.asarray(cfg.alpha0, dtype=float))
-        if cfg.alpha0 is not None
-        else EffectTrajectory.zero(panel.n_post)
-    )
-    scheme = _scheme_from_config(cfg, length=_fitted_length(panel.n_periods, estimator))
-    result = test_sharp_null(panel, alpha0, estimator, scheme, statistic)
+def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_units) -> None:
+    """Write ``result.json`` and ``residuals.csv`` of a ``test`` or ``placebo`` run.
 
+    The result's metadata (``tau`` for a placebo test) joins the document.
+    """
     out = _out_dir(cfg)
     payload = {
-        "command": "test",
+        "command": cfg.command,
+        **result.metadata,
         "p_value": result.p_value,
         "statistic": result.statistic,
         "n_permutations": result.n_permutations,
         "estimator": result.estimator_id,
         "estimator_diagnostics": _diagnostics_payload(result.diagnostics),
-        "scheme": {"kind": result.scheme.kind, "n_samples": cfg.n_perm, "seed": cfg.seed},
+        "scheme": asdict(result.scheme),
         "statistic_kind": statistic.label,
         "alpha": cfg.alpha,
         "reject": result.p_value <= cfg.alpha,
         "window": list(result.window),
-        "treated_units": names[: panel.n_treated],
+        "treated_units": treated_units,
         "config": asdict(cfg),
     }
     write_json_result(out / "result.json", payload)
     _write_residuals_csv(out / "residuals.csv", result.window[0], result.residuals)
+
+
+def cmd_test(cfg: RunConfig) -> int:
+    """Test a sharp null trajectory (zero by default) on a panel CSV."""
+    estimator, scheme, statistic = _method(cfg)
+    panel, names = _load_panel(cfg)
+    alpha0 = (
+        EffectTrajectory(np.asarray(cfg.alpha0, dtype=float))
+        if cfg.alpha0 is not None
+        else EffectTrajectory.zero(panel.n_post)
+    )
+    result = test_sharp_null(panel, alpha0, estimator, scheme, statistic)
+    _write_test_result(cfg, result, statistic, names[: panel.n_treated])
     print(f"p-value: {result.p_value:.4f}  (statistic {result.statistic:.6g}, "
           f"{result.n_permutations} permutations)")
     return 0
@@ -188,10 +191,8 @@ def cmd_test(cfg: RunConfig) -> int:
 
 def cmd_ci(cfg: RunConfig) -> int:
     """Pointwise confidence intervals for every post-treatment period."""
+    estimator, scheme, statistic = _method(cfg)
     panel, names = _load_panel(cfg)
-    estimator = parse_estimator(cfg.estimator)
-    statistic = _statistic_from_config(cfg)
-    scheme = _scheme_from_config(cfg, length=_fitted_length(panel.t0 + 1, estimator))
     grid = _parse_grid(cfg.grid) if cfg.grid is not None else None
     band = confidence_band(
         panel, estimator, scheme, statistic, grid=grid, level=1.0 - cfg.alpha
@@ -209,7 +210,7 @@ def cmd_ci(cfg: RunConfig) -> int:
     payload = {
         "command": "ci",
         "level": band.level,
-        "estimator": cfg.estimator,
+        "estimator": estimator.label,
         "intervals": [
             {
                 "period": entry.period,
@@ -234,33 +235,17 @@ def cmd_placebo(cfg: RunConfig) -> int:
     """Placebo specification test at a fake treatment date inside the pre window."""
     if cfg.tau is None:
         raise SynthconfError("placebo tests need --tau (length of the placebo window)")
+    estimator, scheme, statistic = _method(cfg)
     panel, names = _load_panel(cfg)
-    estimator = parse_estimator(cfg.estimator)
-    statistic = _statistic_from_config(cfg)
-    scheme = _scheme_from_config(cfg, length=_fitted_length(panel.t0, estimator))
     result = placebo_test(panel, cfg.tau, estimator, scheme, statistic)
-
-    out = _out_dir(cfg)
-    payload = {
-        "command": "placebo",
-        "tau": cfg.tau,
-        "p_value": result.p_value,
-        "statistic": result.statistic,
-        "n_permutations": result.n_permutations,
-        "estimator": result.estimator_id,
-        "alpha": cfg.alpha,
-        "reject": result.p_value <= cfg.alpha,
-        "treated_units": names[: panel.n_treated],
-        "config": asdict(cfg),
-    }
-    write_json_result(out / "result.json", payload)
-    _write_residuals_csv(out / "residuals.csv", result.window[0], result.residuals)
+    _write_test_result(cfg, result, statistic, names[: panel.n_treated])
     print(f"placebo (tau={cfg.tau}) p-value: {result.p_value:.4f}")
     return 0
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Monte Carlo size or power experiment on a synthetic design."""
+    estimator, scheme, _ = _method(cfg)
     try:
         dgp = DgpSpec(
             t0=cfg.sim_t0,
@@ -272,11 +257,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             alpha_true=cfg.alpha_true,
             seed=cfg.seed,
         )
+        result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
     except ValueError as exc:
         raise SynthconfError(f"invalid simulation design: {exc}") from None
-    estimator = parse_estimator(cfg.estimator)
-    scheme = _scheme_from_config(cfg)
-    result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
 
     out = _out_dir(cfg)
     row = {

@@ -41,7 +41,6 @@ __all__ = [
     "ConfidenceBand",
     "statistic_sq",
     "statistic_mean",
-    "permute_residuals",
     "p_value",
     "test_sharp_null",
     "pointwise_ci",
@@ -64,82 +63,69 @@ _TIE_RTOL = 100 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class PermutationScheme:
-    """A finite set of permutations of ``{1..T}``, identity included.
+    """A finite set of permutations of ``{1..n}``, identity included.
 
-    Three kinds are supported:
+    A scheme has no length of its own: ``n`` is the length of the residual
+    window it is applied to, which a lag model shortens.  Three kinds are
+    supported:
 
     ``moving_block``
-        The ``T`` cyclic shifts of the time indices.  Forms a group, which
+        The ``n`` cyclic shifts of the time indices.  Forms a group, which
         is what exact finite-sample validity rests on, and remains
         appropriate under weak serial dependence.  This is the default.
     ``iid_all``
-        All ``T!`` permutations; only permitted for ``T <= 10``.
+        All ``n!`` permutations; only permitted for ``n <= 10``.
     ``iid_sampled``
         ``n_samples`` permutations: the identity plus ``n_samples - 1``
         uniform draws with replacement from the full set.
-
-    ``length`` may be left None, in which case the scheme binds to the
-    residual window it is used on; a bound length is validated against the
-    window and mismatches raise ``DimensionError``.
     """
 
     kind: str
-    length: int | None = None
     n_samples: int = 5000
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("moving_block", "iid_all", "iid_sampled"):
             raise ValueError(f"unknown permutation scheme {self.kind!r}")
-        if self.kind == "iid_all":
-            if self.length is None:
-                raise ValueError("iid_all must be constructed with an explicit length")
-            if self.length > MAX_ENUMERATED_LENGTH:
-                raise ValueError(
-                    f"iid_all enumerates T! permutations and is limited to "
-                    f"T <= {MAX_ENUMERATED_LENGTH}; got T={self.length}"
-                )
         if self.kind == "iid_sampled" and self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+            raise ValueError(f"n_samples must be >= 1; got {self.n_samples}")
 
     @classmethod
-    def moving_block(cls, length: int | None = None) -> "PermutationScheme":
-        return cls("moving_block", length=length)
+    def moving_block(cls) -> "PermutationScheme":
+        return cls("moving_block")
 
     @classmethod
-    def iid_all(cls, length: int) -> "PermutationScheme":
-        return cls("iid_all", length=length)
+    def iid_all(cls) -> "PermutationScheme":
+        return cls("iid_all")
 
     @classmethod
-    def iid_sampled(cls, n_samples: int = 5000, seed: int = 0, length: int | None = None) -> "PermutationScheme":
-        return cls("iid_sampled", length=length, n_samples=n_samples, seed=seed)
+    def iid_sampled(cls, n_samples: int = 5000, seed: int = 0) -> "PermutationScheme":
+        return cls("iid_sampled", n_samples=n_samples, seed=seed)
 
     @property
     def is_group(self) -> bool:
         return self.kind in ("moving_block", "iid_all")
 
-    def _window(self, n: int | None = None) -> int:
-        if n is None:
-            if self.length is None:
-                raise DimensionError("scheme has no bound length and none was supplied")
-            return self.length
-        if self.length is not None and self.length != n:
-            raise DimensionError(
-                f"scheme is bound to length {self.length} but the residual window has length {n}"
-            )
-        return n
+    def size(self, n: int) -> int:
+        """Number of permutations of a window of ``n`` periods.
 
-    def size(self, n: int | None = None) -> int:
-        n = self._window(n)
+        Raises ``DimensionError`` when ``iid_all`` would enumerate more
+        than ``MAX_ENUMERATED_LENGTH!`` permutations.
+        """
         if self.kind == "moving_block":
             return n
         if self.kind == "iid_all":
+            if n > MAX_ENUMERATED_LENGTH:
+                raise DimensionError(
+                    f"iid_all enumerates T! permutations and is limited to "
+                    f"T <= {MAX_ENUMERATED_LENGTH}; got T={n}"
+                )
             return math.factorial(n)
         return self.n_samples
 
-    def iter_permutations(self, n: int | None = None) -> Iterable[np.ndarray]:
-        """Yield each permutation as a 0-based index array, identity first."""
-        n = self._window(n)
+    def iter_permutations(self, n: int) -> Iterable[np.ndarray]:
+        """Yield each permutation of ``{0..n-1}`` as an index array, identity first."""
+        self.size(n)  # refuses a too-long iid_all window
         for chunk in self._iter_chunks(n):
             yield from chunk
 
@@ -222,15 +208,6 @@ class Statistic:
         return statistic_mean(residuals, post_window)
 
 
-def permute_residuals(residuals, pi) -> np.ndarray:
-    """Reindex a residual vector by a permutation (0-based index array)."""
-    residuals = np.asarray(residuals, dtype=float)
-    pi = np.asarray(pi, dtype=np.intp)
-    if sorted(pi.tolist()) != list(range(residuals.shape[0])):
-        raise DimensionError("pi is not a bijection on the residual window")
-    return residuals[pi]
-
-
 @dataclass(frozen=True)
 class TestResult:
     """Observed statistic, its permutation distribution, and the p-value.
@@ -278,7 +255,7 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
     """
     residuals = np.asarray(residuals, dtype=float)
     n = residuals.shape[0]
-    stats = np.empty(scheme.size(n))  # size() also checks n against the scheme
+    stats = np.empty(scheme.size(n))  # size() also refuses a too-long iid_all window
     vectorized = isinstance(statistic, Statistic)
     post_idx = np.arange(n)[post_window]
     offset = 0
@@ -383,12 +360,6 @@ class ConfidenceBand:
     entries: tuple
     level: float
 
-    def interval(self, period: int) -> tuple[float, float]:
-        for entry in self.entries:
-            if entry.period == period:
-                return (entry.lower, entry.upper)
-        raise KeyError(f"no interval for period {period}")
-
 
 def pointwise_ci(
     panel: PanelData,
@@ -404,16 +375,19 @@ def pointwise_ci(
     For each candidate value the pre-treatment rows plus the adjusted row
     ``t`` form a one-post-period panel that is tested with
     :func:`test_sharp_null`; candidates whose p-value exceeds ``1 - level``
-    are accepted.  The reported interval is the hull of the accepted set,
-    with a flag when the set has interior gaps (and a warning when it is
-    empty, which indicates a too-coarse grid or severe misfit).
+    are accepted.  The grid is sorted first and must not be empty.  The
+    reported interval is the hull of the accepted set, with a flag when the
+    set has interior gaps (and a warning when it is empty, which indicates
+    a too-coarse grid or severe misfit).
     """
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1); got {level}")
     scheme = scheme or PermutationScheme.moving_block()
     if grid is None:
         grid = default_ci_grid(panel, t, spec)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.sort(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise DimensionError(f"the candidate grid for period {t} is empty")
     sub = pointwise_slice(panel, t)
     alpha = 1.0 - level
     pvals = np.empty(grid.shape[0])

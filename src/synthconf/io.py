@@ -77,9 +77,9 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
     Raises
     ------
     ParseError
-        On ragged rows, non-numeric cells, duplicate or missing
-        observations, or unknown treated units; messages carry the
-        offending line number.
+        On a file that cannot be read (the message names it), ragged rows,
+        non-numeric cells, duplicate or missing observations, or unknown
+        treated units; messages carry the offending line number.
     """
     if layout not in ("wide", "long"):
         raise ParseError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
@@ -94,8 +94,11 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    except OSError as exc:
+        raise ParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
     if len(rows) < 2:
         raise ParseError("file needs a header row and at least one data row")
     return rows

@@ -118,11 +118,6 @@ class PanelData:
         return self.outcomes[:, 0]
 
     @property
-    def treated_block(self) -> np.ndarray:
-        """Outcome matrix of all treated units, shape (T, n_treated)."""
-        return self.outcomes[:, : self.n_treated]
-
-    @property
     def controls(self) -> np.ndarray:
         """Outcome matrix of the control units, shape (T, J)."""
         return self.outcomes[:, self.n_treated:]
@@ -145,10 +140,6 @@ class EffectTrajectory:
     @classmethod
     def zero(cls, n_post: int) -> "EffectTrajectory":
         return cls(np.zeros(n_post))
-
-    @classmethod
-    def constant(cls, value: float, n_post: int) -> "EffectTrajectory":
-        return cls(np.full(n_post, float(value)))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -235,7 +226,7 @@ def aggregate_units(panel: PanelData) -> PanelData:
     n_treated = panel.n_treated
     if n_treated == 1:
         return panel
-    treated_mean = panel.treated_block.mean(axis=1, keepdims=True)
+    treated_mean = panel.outcomes[:, :n_treated].mean(axis=1, keepdims=True)
     outcomes = np.hstack([treated_mean, panel.controls])
     covariates = None
     if panel.covariates is not None:

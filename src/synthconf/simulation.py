@@ -83,6 +83,11 @@ class ExperimentResult:
     p_values: np.ndarray | None = None
 
 
+def _check_level(level: float) -> None:
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1); got {level}")
+
+
 def dgp_weights(kind: str, n_controls: int) -> np.ndarray:
     """Treated-unit weight vector over the controls for each design."""
     if kind == "DGP1":
@@ -159,7 +164,11 @@ def run_size_experiment(
     added to the post period) and tests the null of no effect at the given
     level, so ``alpha_true=0`` measures size and ``alpha_true != 0``
     measures power.  Replication seeds are spawned from ``dgp.seed``.
+    Raises ``ValueError`` for ``n_reps < 1`` or a level outside ``(0, 1)``.
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1; got {n_reps}")
+    _check_level(level)
     scheme = scheme or PermutationScheme.moving_block()
     statistic = Statistic()
     zero = EffectTrajectory.zero(1)
@@ -207,8 +216,7 @@ def oracle_power_bound(dgp: DgpSpec, alpha_grid: Sequence[float], level: float =
     the normal distribution function.  At ``alpha_true = 0`` the bound
     equals the nominal level exactly.
     """
-    if not 0 < level < 1:
-        raise ValueError(f"level must lie in (0, 1); got {level}")
+    _check_level(level)
     z = sps.norm.ppf(1.0 - level / 2.0)
     a = np.asarray(alpha_grid, dtype=float)
     return sps.norm.cdf(a - z) + sps.norm.cdf(-a - z)

@@ -530,27 +530,15 @@ def alternating_ls(Y, X, k: int, cfg: SolverConfig = SolverConfig()):
     Parameters
     ----------
     Y : ndarray of shape (T, N)
-    X : ndarray of shape (T, N, k_x) or None
-        With ``X=None`` the routine reduces to :func:`pca_factors`.
+    X : ndarray of shape (T, N, k_x)
     k : int
     cfg : SolverConfig
 
     Returns
     -------
     (F, L, beta, report)
-        ``beta`` is None when no covariates are supplied.
     """
     Y = np.asarray(Y, dtype=float)
-    if X is None:
-        factors, loadings = pca_factors(Y, k)
-        resid = Y - factors @ loadings.T
-        f = float((resid**2).sum())
-        report = SolveReport(
-            iterations=1, final_objective=f, converged=True, kkt_residual=0.0,
-            objective_trace=(f,),
-        )
-        return factors, loadings, None, report
-
     X = np.asarray(X, dtype=float)
     n_periods, n_units = Y.shape
     if X.ndim != 3 or X.shape[:2] != (n_periods, n_units):

@@ -16,7 +16,6 @@ from synthconf import (
     PermutationScheme,
     Statistic,
     p_value,
-    permute_residuals,
     placebo_test,
     pointwise_ci,
     statistic_mean,
@@ -64,19 +63,19 @@ class TestStatistics:
 
 class TestPermutationScheme:
     def test_moving_block_enumerates_t_shifts(self):
-        scheme = PermutationScheme.moving_block(4)
-        perms = list(scheme.iter_permutations())
-        assert len(perms) == 4
+        scheme = PermutationScheme.moving_block()
+        perms = list(scheme.iter_permutations(4))
+        assert len(perms) == 4 == scheme.size(4)
         np.testing.assert_array_equal(perms[0], [0, 1, 2, 3])
         np.testing.assert_array_equal(perms[1], [1, 2, 3, 0])
 
     def test_moving_block_shift_example(self):
         u = np.array([1.0, 2.0, 3.0, 4.0])
-        shift = list(PermutationScheme.moving_block(4).iter_permutations())[1]
-        np.testing.assert_array_equal(permute_residuals(u, shift), [2.0, 3.0, 4.0, 1.0])
+        shift = list(PermutationScheme.moving_block().iter_permutations(4))[1]
+        np.testing.assert_array_equal(u[shift], [2.0, 3.0, 4.0, 1.0])
 
     def test_moving_block_composition_is_cyclic(self):
-        perms = list(PermutationScheme.moving_block(5).iter_permutations())
+        perms = list(PermutationScheme.moving_block().iter_permutations(5))
         for a, b in itertools.product(range(5), repeat=2):
             composed = perms[a][perms[b]]
             np.testing.assert_array_equal(composed, perms[(a + b) % 5])
@@ -84,8 +83,8 @@ class TestPermutationScheme:
     def test_group_property(self):
         # Pi * pi = Pi for every pi: composing all elements with a fixed one
         # reproduces the set.
-        for scheme in (PermutationScheme.moving_block(6), PermutationScheme.iid_all(4)):
-            perms = [tuple(p) for p in scheme.iter_permutations()]
+        for scheme, n in ((PermutationScheme.moving_block(), 6), (PermutationScheme.iid_all(), 4)):
+            perms = [tuple(p) for p in scheme.iter_permutations(n)]
             assert scheme.is_group
             for pi in perms:
                 pi = np.asarray(pi)
@@ -93,15 +92,21 @@ class TestPermutationScheme:
                 assert composed == set(perms)
 
     def test_iid_all_counts_and_identity_first(self):
-        scheme = PermutationScheme.iid_all(4)
-        perms = list(scheme.iter_permutations())
-        assert len(perms) == math.factorial(4) == scheme.size()
+        scheme = PermutationScheme.iid_all()
+        perms = list(scheme.iter_permutations(4))
+        assert len(perms) == math.factorial(4) == scheme.size(4)
         np.testing.assert_array_equal(perms[0], [0, 1, 2, 3])
         assert len({tuple(p) for p in perms}) == 24
 
     def test_iid_all_guard(self):
+        scheme = PermutationScheme.iid_all()
+        assert scheme.size(10) == math.factorial(10)
         with pytest.raises(ValueError):
-            PermutationScheme.iid_all(11)
+            scheme.size(11)
+        with pytest.raises(ValueError):
+            next(iter(scheme.iter_permutations(11)))
+        with pytest.raises(ValueError):
+            p_value(np.ones(11), scheme, Statistic(), slice(10, None))
 
     def test_iid_sampled_contains_identity_and_is_seeded(self):
         scheme = PermutationScheme.iid_sampled(n_samples=50, seed=3)
@@ -112,15 +117,6 @@ class TestPermutationScheme:
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
         assert not scheme.is_group
-
-    def test_length_mismatch_rejected(self):
-        scheme = PermutationScheme.moving_block(5)
-        with pytest.raises(DimensionError):
-            p_value(np.ones(4), scheme, Statistic(), slice(3, None))
-
-    def test_permute_residuals_validates_bijection(self):
-        with pytest.raises(DimensionError):
-            permute_residuals(np.ones(3), [0, 0, 2])
 
 
 class TestPValue:
@@ -179,7 +175,7 @@ class TestPValue:
         # Evaluating the same set of permutations through a custom callable
         # (loop path) and the built-in statistic (vectorized path) agrees.
         u = rng.standard_normal(7)
-        scheme = PermutationScheme.moving_block(7)
+        scheme = PermutationScheme.moving_block()
         fast = p_value(u, scheme, Statistic("sq", 1), slice(5, None))
         slow = p_value(u, scheme, lambda r, w: statistic_sq(r, w, 1), slice(5, None))
         assert fast.p_value == slow.p_value
@@ -196,7 +192,7 @@ class TestPValue:
 
     def test_iid_all_matches_explicit_enumeration(self, rng):
         u = rng.standard_normal(5)
-        result = p_value(u, PermutationScheme.iid_all(5), Statistic("sq", 1), slice(3, None))
+        result = p_value(u, PermutationScheme.iid_all(), Statistic("sq", 1), slice(3, None))
         stats = []
         for pi in itertools.permutations(range(5)):
             v = u[list(pi)][3:]
@@ -297,6 +293,21 @@ class TestPointwiseCi:
         )
         pvals = entry.p_values
         np.testing.assert_array_equal(entry.accepted, pvals >= 2 / n_perms - 1e-12)
+
+    def test_grid_is_sorted_and_must_not_be_empty(self, rng):
+        panel = random_panel(rng, 12, 3)
+        spec = EstimatorSpec.did()
+        grid = np.linspace(-2, 2, 21)
+        ascending = pointwise_ci(panel, 12, spec, grid=grid)
+        assert not ascending.is_empty
+        for order in (grid[::-1], rng.permutation(grid)):
+            entry = pointwise_ci(panel, 12, spec, grid=order)
+            np.testing.assert_array_equal(entry.grid, grid)
+            np.testing.assert_array_equal(entry.p_values, ascending.p_values)
+            assert (entry.lower, entry.upper, entry.has_gaps) == (
+                ascending.lower, ascending.upper, ascending.has_gaps)
+        with pytest.raises(DimensionError):
+            pointwise_ci(panel, 12, spec, grid=[])
 
     def test_empty_acceptance_warns(self, rng):
         controls = rng.standard_normal((14, 3))

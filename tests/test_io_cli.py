@@ -69,6 +69,11 @@ class TestReadWide:
         with pytest.raises(ParseError, match="t0"):
             read_panel_csv(path, treated="a")
 
+    def test_missing_file_is_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(ParseError, match="nope.csv"):
+            read_panel_csv(path, t0=3, treated="a")
+
     def test_duplicate_unit_names_rejected(self, tmp_path):
         path = tmp_path / "panel.csv"
         write_lines(path, ["time,a,a", "1,1,2", "2,3,4"])
@@ -312,6 +317,22 @@ class TestCmdCi:
         assert len(doc["intervals"]) == 1
         assert doc["intervals"][0]["period"] == 13
 
+    def test_descending_grid_gives_ordered_intervals(self, fixture_csv, tmp_path):
+        docs = []
+        for i, grid in enumerate(("--grid=-3:3:13", "--grid=3:-3:13")):
+            out = tmp_path / f"out{i}"
+            assert main(["ci", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                         "--estimator", "did", grid, "--out", str(out)]) == 0
+            docs.append(json.loads((out / "result.json").read_text())["intervals"])
+        assert docs[1] == docs[0]
+        assert docs[0][0]["lower"] <= docs[0][0]["upper"]
+
+    def test_estimator_named_by_label(self, fixture_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ci", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                     "--estimator", "classo", "--grid=-1:1:3", "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["estimator"] == "classo(K=1)"
+
 
 class TestCmdPlacebo:
     def test_runs_and_writes_residuals(self, fixture_csv, tmp_path):
@@ -326,12 +347,65 @@ class TestCmdPlacebo:
         assert 0 < doc["p_value"] <= 1
         assert len((out / "residuals.csv").read_text().splitlines()) == 13  # header + 12 pre rows
 
+    def test_result_keys_match_test_plus_tau(self, fixture_csv, tmp_path):
+        common = ["--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                  "--estimator", "sc"]
+        assert main(["test", *common, "--out", str(tmp_path / "test")]) == 0
+        assert main(["placebo", *common, "--tau", "2", "--out", str(tmp_path / "placebo")]) == 0
+        test_doc = json.loads((tmp_path / "test" / "result.json").read_text())
+        placebo_doc = json.loads((tmp_path / "placebo" / "result.json").read_text())
+        assert set(placebo_doc) == set(test_doc) | {"tau"}
+        assert placebo_doc["command"] == "placebo"
+        assert placebo_doc["window"] == [1, 12]
+        assert placebo_doc["estimator_diagnostics"]["converged"]
+
     def test_missing_tau_is_an_error(self, fixture_csv, tmp_path):
         rc = main([
             "placebo", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 1
+
+
+class TestBadValues:
+    """A bad flag value ends in ``synthconf: error:`` and exit 1, not a traceback."""
+
+    @pytest.fixture
+    def wide_csv(self, tmp_path):
+        panel = PanelData(np.random.default_rng(5).standard_normal((23, 4)), t0=20)
+        path = tmp_path / "wide.csv"
+        write_panel_csv(panel, path, unit_names=["treated", "c1", "c2", "c3"])
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--permutations", "iid"],
+        ["test", "--q", "0.5"],
+        ["test", "--permutations", "iid-sampled", "--n-perm", "0"],
+        ["ci", "--alpha", "1.5"],
+        ["ci", "--grid=-1:1:0"],
+    ], ids=["iid_too_long", "q_below_one", "no_samples", "alpha_above_one", "empty_grid"])
+    def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
+        rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "synthconf: error:" in capsys.readouterr().err
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        rc = main(["test", "--data", str(missing), "--t0", "3", "--treated", "a",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("synthconf: error:") and "nope.csv" in err
+
+    @pytest.mark.parametrize("flags", [["--reps", "0"], ["--alpha", "2"]], ids=["reps", "alpha"])
+    def test_simulate_reps_and_alpha(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--estimator", "did", "--sim-t0", "5", "--controls", "3",
+                   "--reps", "5", *flags, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("synthconf: error:")
+        assert not (out / "result.json").exists()
 
 
 class TestIidWithLags:
@@ -381,6 +455,14 @@ class TestCmdSimulate:
         assert len(rows) == 1
         assert rows[0]["dgp"] == "DGP1"
         assert 0.0 <= float(rows[0]["rejection_rate"]) <= 1.0
+
+    def test_iid_on_a_short_design(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--permutations", "iid", "--sim-t0", "4", "--controls", "4",
+                   "--reps", "5", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert 0.0 <= doc["rejection_rate"] <= 1.0
 
     def test_matches_library_call(self, tmp_path):
         out = tmp_path / "out"

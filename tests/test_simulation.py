@@ -109,6 +109,15 @@ class TestRunSizeExperiment:
         assert result.p_values is None
 
 
+    def test_rejects_no_reps_and_a_level_outside_unit_interval(self):
+        dgp = DgpSpec(t0=8, n_controls=3)
+        with pytest.raises(ValueError, match="n_reps"):
+            run_size_experiment(dgp, EstimatorSpec.did(), n_reps=0)
+        for level in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError, match="level"):
+                run_size_experiment(dgp, EstimatorSpec.did(), n_reps=5, level=level)
+
+
 class TestRunPowerCurve:
     def test_zero_effect_point_reproduces_size_run(self):
         dgp = DgpSpec(t0=12, n_controls=4, seed=77)

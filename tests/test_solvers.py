@@ -320,15 +320,6 @@ class TestPcaFactors:
 
 
 class TestAlternatingLS:
-    def test_without_covariates_reduces_to_pca(self, rng):
-        Y = rng.standard_normal((15, 6))
-        f_pca, l_pca = pca_factors(Y, 2)
-        f_als, l_als, beta, report = alternating_ls(Y, None, 2)
-        assert beta is None
-        np.testing.assert_array_equal(f_als, f_pca)
-        np.testing.assert_array_equal(l_als, l_pca)
-        assert report.converged
-
     def test_noise_free_model_reaches_zero(self, rng):
         T, N, k = 25, 8, 2
         F = rng.standard_normal((T, k))
