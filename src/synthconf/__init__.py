@@ -67,7 +67,7 @@ from .solvers import (
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
-    projected_gradient_ls,
+    simplex_ls,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +81,7 @@ __all__ = [
     # solvers
     "SolverConfig", "SolveReport", "LassoPenalty", "ElasticNetPenalty",
     "project_simplex", "project_l1_ball", "project_nuclear_ball",
-    "projected_gradient_ls", "coordinate_descent_penalized",
+    "simplex_ls", "coordinate_descent_penalized",
     "pca_factors", "alternating_ls", "ols",
     # estimators
     "EstimatorSpec", "ProxyFit", "fit",

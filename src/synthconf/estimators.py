@@ -25,12 +25,11 @@ from .solvers import (
     SolverConfig,
     alternating_ls,
     coordinate_descent_penalized,
+    _centre,
     ols,
     pca_factors,
-    project_l1_ball,
     project_nuclear_ball,
-    project_simplex,
-    projected_gradient_ls,
+    simplex_ls,
 )
 
 __all__ = ["ProxyFit", "EstimatorSpec", "fit", "default_nuclear_radius"]
@@ -192,27 +191,23 @@ def _design(panel: PanelData):
     return panel.treated, X, n_constrained
 
 
-def _block_projection(project_head: Callable, n_head: int, n_total: int) -> Callable:
-    if n_head == n_total:
-        return project_head
-
-    def project(v):
-        out = v.copy()
-        out[:n_head] = project_head(v[:n_head])
-        return out
-
-    return project
-
-
 def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | None, **params) -> ProxyFit:
     """The fit of a panel estimator: every period fitted, residuals ``treated - proxy``.
 
     Panel estimators treat the periods as exchangeable rows, so their
     residuals permute with the data and the fit is permutation-invariant.
+    A residual no larger than the rounding level of the outcomes,
+    ``outcomes.size * eps * max|outcomes|``, is set to zero: where the
+    proxy fits a period exactly (``sc`` or ``classo`` with at least as many
+    controls as periods can fit them all), rounding noise would otherwise
+    rank the permutations, and the p-value would depend on the units.
     """
+    residuals = panel.treated - proxy
+    floor = panel.outcomes.size * np.finfo(float).eps * np.abs(panel.outcomes).max()
+    residuals[np.abs(residuals) <= floor] = 0.0
     return ProxyFit(
         proxy=proxy,
-        residuals=panel.treated - proxy,
+        residuals=residuals,
         start=1,
         permutation_invariant=True,
         diagnostics=diagnostics,
@@ -236,8 +231,7 @@ def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
     """Synthetic control: simplex-constrained least-squares weights on controls."""
     _require_controls(panel, "synthetic control")
     y, X, n_con = _design(panel)
-    project = _block_projection(project_simplex, n_con, X.shape[1])
-    w, report = projected_gradient_ls(X, y, project, cfg)
+    w, report = simplex_ls(X, y, n_con, cfg)
     return _panel_fit(panel, X @ w, report, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
@@ -247,13 +241,19 @@ def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = Solver
     Nests both difference-in-differences (equal weights are feasible) and
     synthetic control (simplex weights are feasible for ``radius >= 1``).
     The intercept is concentrated out by centering, which is exact.
+
+    The weights are ``radius * (v+ - v-)`` for the simplex-constrained
+    least-squares fit ``(v+, v-)`` on the columns ``radius * [Xc, -Xc]``: a
+    point of the simplex maps into the ball, and every point of the ball is
+    the image of one (put the unused budget on both signs of a column), so
+    an interior least-squares fit is found the same way.
     """
     _require_controls(panel, "constrained lasso")
     y, X, n_con = _design(panel)
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
-    project = _block_projection(lambda v: project_l1_ball(v, radius), n_con, X.shape[1])
-    w, report = projected_gradient_ls(X - x_mean, y - y_mean, project, cfg)
+    xc, yc, x_mean, y_mean = _centre(X, y)
+    head = radius * xc[:, :n_con]
+    v, report = simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), yc, 2 * n_con, cfg)
+    w = np.concatenate([radius * (v[:n_con] - v[n_con:2 * n_con]), v[2 * n_con:]])
     mu = y_mean - float(x_mean @ w)
     return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
 

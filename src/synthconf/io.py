@@ -93,12 +93,16 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
     return (panel, names) if return_names else panel
 
 
+def _unreadable(path, exc: OSError) -> ParseError:
+    return ParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}")
+
+
 def _read_rows(path) -> list[tuple[int, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
     except OSError as exc:
-        raise ParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+        raise _unreadable(path, exc) from None
     if len(rows) < 2:
         raise ParseError("file needs a header row and at least one data row")
     return rows
@@ -261,20 +265,24 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         names = {f.name for f in fields(cls)}
         kwargs = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key not in names:
-                    raise ParseError(f"line {lineno}: unknown configuration key {key!r}")
-                try:
-                    kwargs[key] = _coerce(key, value)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise _unreadable(path, exc) from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in names:
+                raise ParseError(f"line {lineno}: unknown configuration key {key!r}")
+            try:
+                kwargs[key] = _coerce(key, value)
+            except ValueError:
+                raise ParseError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
         if "command" not in kwargs:
             raise ParseError("configuration file must set 'command'")
         return cls(**kwargs)

@@ -20,7 +20,7 @@ from scipy import stats as sps
 from .estimators import EstimatorSpec
 from .inference import PermutationScheme, Statistic, p_value, test_sharp_null
 from .panel import EffectTrajectory, PanelData
-from .solvers import SolverConfig, project_simplex, projected_gradient_ls
+from .solvers import SolverConfig, simplex_ls
 
 __all__ = [
     "DgpSpec",
@@ -245,7 +245,7 @@ def _pre_only_sc_pvalue(panel: PanelData, cfg: SolverConfig, statistic: Statisti
     """
     y = panel.treated
     X = panel.controls
-    w, _ = projected_gradient_ls(X[: panel.t0], y[: panel.t0], project_simplex, cfg)
+    w, _ = simplex_ls(X[: panel.t0], y[: panel.t0], X.shape[1], cfg)
     residuals = y - X @ w
     result = p_value(
         residuals, PermutationScheme.moving_block(), statistic, slice(panel.t0, None)

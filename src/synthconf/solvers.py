@@ -1,9 +1,10 @@
 """Constrained and penalized least-squares machinery shared by the estimators.
 
 Everything here is deterministic and pure: Euclidean projections onto the
-unit simplex, the l1 ball and the nuclear-norm ball, a monotone projected
-gradient loop with backtracking line search, cyclic coordinate descent for
-separable penalties with an exact active-set finish, principal components,
+unit simplex, the l1 ball and the nuclear-norm ball, an exact active-set
+method for least squares over the simplex (with free columns), cyclic
+coordinate descent for separable penalties with an exact active-set
+finish, principal components,
 alternating least squares for factor-plus-regression models, and ordinary
 least squares via the normal equations.  Problems in this package are small
 and dense, so exactness is preferred over speed everywhere.
@@ -12,7 +13,6 @@ and dense, so exactness is preferred over speed everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "project_simplex",
     "project_l1_ball",
     "project_nuclear_ball",
-    "projected_gradient_ls",
+    "simplex_ls",
     "coordinate_descent_penalized",
     "pca_factors",
     "alternating_ls",
@@ -47,9 +47,9 @@ class SolverConfig:
     """Iteration controls shared by the iterative solvers.
 
     ``tol`` is interpreted relative to the natural scale of each problem:
-    the projected-gradient loop stops once the projected-gradient map is
-    below ``tol * (1 + ||X'y||_inf)``, coordinate descent once the largest
-    per-coordinate subgradient violation is at most
+    the simplex active-set method stops once its unit-free duality gap
+    (see :func:`simplex_ls`) is at most ``tol``, coordinate descent once
+    the largest per-coordinate subgradient violation is at most
     ``tol * (1 + 2 ||Xc'yc||_inf)`` on the centred data ``Xc``, ``yc``, and
     alternating least squares once the relative objective decrease falls
     below ``tol``.  Every solver has one step rule; only the iteration cap
@@ -71,8 +71,11 @@ class SolveReport:
     """Outcome of one solver run.
 
     ``converged`` is True only when ``kkt_residual`` met the documented
-    threshold for the routine that produced the report.  The objective
-    trace (one value per iteration) is kept for monotonicity diagnostics.
+    threshold for the routine that produced the report.  ``iterations``
+    counts the routine's own steps (active-set steps, sweeps, alternations)
+    and ``note`` names the method or how the solve ended.  Alternating
+    least squares keeps its objective trace (one value per iteration) for
+    monotonicity diagnostics.
     """
 
     iterations: int
@@ -186,97 +189,19 @@ def project_nuclear_ball(a, radius: float) -> np.ndarray:
     return (u * s_proj) @ vt
 
 
-def projected_gradient_ls(
-    X,
-    y,
-    project: Callable[[np.ndarray], np.ndarray],
-    cfg: SolverConfig = SolverConfig(),
-):
-    """Minimize ||y - X w||_2^2 over a closed convex set given by its projection.
+def _centre(X, y):
+    """``(Xc, yc, x_mean, y_mean)``: the data less their column means.
 
-    Parameters
-    ----------
-    X : ndarray of shape (T, p)
-    y : ndarray of shape (T,)
-    project : callable
-        Euclidean projection onto the feasible set.  The iterate starts at
-        ``project(0)`` (the uniform weight for the simplex, the origin for
-        balls).
-    cfg : SolverConfig
-
-    Returns
-    -------
-    (w, report) : (ndarray, SolveReport)
-        ``report.kkt_residual`` is the sup-norm of the unit-step projected
-        gradient map ``w - project(w - grad)``; convergence is declared when
-        it falls below ``cfg.tol * (1 + ||X'y||_inf)``.  On non-convergence
-        the last iterate is returned with ``converged=False``.
-
-    The step rule is Barzilai-Borwein (Barzilai and Borwein 1988): each
-    trial step is ``d'd / d'(grad_new - grad)`` from the previous move,
-    halved until the projected sufficient-decrease condition holds, so the
-    objective is nonincreasing on every iteration (up to a rounding slack
-    of ``1e-14 (1 + |f|)``).  The first trial step
-    is ``1 / (2 lambda_max(X'X))``, the inverse Lipschitz constant of the
-    gradient.
+    A column that does not vary is set to exactly zero.  Centring leaves
+    rounding noise in it, which must not count as variation: a solver
+    would fit that noise with a coefficient of order 1e16.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
-    gram = X.T @ X
-    xty = X.T @ y
-    const = float(y @ y)
-    kkt_scale = cfg.tol * (1.0 + float(np.abs(xty).max(initial=0.0)))
-
-    def objective(w):
-        return float(w @ (gram @ w)) - 2.0 * float(xty @ w) + const
-
-    lam_max = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-    step0 = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
-
-    w = project(np.zeros(X.shape[1]))
-    f = objective(w)
-    grad = 2.0 * (gram @ w - xty)
-    trace = [f]
-    step = step0
-    kkt = float(np.abs(w - project(w - grad)).max(initial=0.0))
-    converged = kkt <= kkt_scale
-    iterations = 0
-
-    for iterations in range(1, cfg.max_iters + 1):
-        if converged:
-            iterations -= 1
-            break
-        for _ in range(80):
-            w_new = project(w - step * grad)
-            d = w_new - w
-            dd = float(d @ d)
-            f_new = objective(w_new)
-            if f_new <= f + float(grad @ d) + dd / (2.0 * step) + 1e-14 * (1.0 + abs(f)):
-                break
-            step *= 0.5
-        grad_new = 2.0 * (gram @ w_new - xty)
-        ddg = float(d @ (grad_new - grad))
-        step = dd / ddg if ddg > 0 else step * 2.0
-        step = min(max(step, 1e-16 * step0), 1e16 * step0)
-        w, f, grad = w_new, f_new, grad_new
-        trace.append(f)
-        kkt = float(np.abs(w - project(w - grad)).max(initial=0.0))
-        converged = kkt <= kkt_scale
-        if dd == 0.0 and not converged:
-            # Stalled: projection returned the same point but the gradient
-            # map is above tolerance (degenerate geometry); stop honestly.
-            break
-
-    report = SolveReport(
-        iterations=iterations,
-        final_objective=f,
-        converged=converged,
-        kkt_residual=kkt,
-        objective_trace=tuple(trace),
-    )
-    return w, report
+    x_mean = X.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = X - x_mean
+    flat = np.abs(xc).max(axis=0, initial=0.0) <= X.shape[0] * _EPS * np.abs(X).max(axis=0, initial=0.0)
+    xc[:, flat] = 0.0
+    return xc, y - y_mean, x_mean, y_mean
 
 
 def _step_to_first_zero(x, d, bound, limit):
@@ -299,6 +224,110 @@ def _step_to_first_zero(x, d, bound, limit):
         return x, None
     moved[bound & (moved * x < 0.0)] = 0.0
     return moved, k
+
+
+def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig()):
+    """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1.
+
+    ``m`` is ``n_constrained``; the columns after the first ``m`` are free.
+
+    The free coefficients are a least-squares fit to whatever the
+    constrained part leaves over, so their span is projected out of ``X``
+    and ``y`` first (an SVD with the rank cut-off of ``numpy.linalg.lstsq``,
+    which also copes with collinear free columns).  What is left is solved
+    by a primal active-set method on the Gram matrix: NNLS of Lawson and
+    Hanson (1974, ch. 23) with a sum-to-one row.  It starts at the best
+    vertex.  Each step solves the equality-constrained KKT system on the
+    support; when the solution leaves the simplex the iterate moves toward
+    it up to the first weight that reaches zero, which is dropped, else the
+    solution is taken and the coordinate with the largest gradient
+    violation joins (the first of tied ones).  A joining column is never
+    an affine combination of the support (it would have no violation), so
+    the KKT system stays nonsingular in exact arithmetic; ``lstsq`` stands
+    in if rounding makes it singular.
+
+    Returns
+    -------
+    (w, report) : (ndarray, SolveReport)
+        The certificate is the Frank-Wolfe duality gap
+        ``max_j r_j - w'r`` of the constrained columns, ``r = X'(y - X w)``
+        on the projected data, which bounds the excess objective by twice
+        itself.  ``report.kkt_residual`` is the gap over
+        ``c (||y|| + c)``, where ``c`` is the largest projected column norm,
+        so it has no units: scaling ``X`` and ``y`` together changes
+        neither it nor the steps.  Convergence is declared when it is at
+        most ``cfg.tol``.  ``report.iterations`` counts KKT solves.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
+    m = n_constrained
+    if not 1 <= m <= X.shape[1]:
+        raise DimensionError(f"n_constrained must lie in 1..{X.shape[1]}; got {n_constrained}")
+    head, target = X[:, :m], y
+    if m < X.shape[1]:
+        u, s, vt = np.linalg.svd(X[:, m:], full_matrices=False)
+        rank = int((s > max(X.shape[0], X.shape[1] - m) * _EPS * s.max(initial=0.0)).sum())
+        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+        head = head - u @ (u.T @ head)
+        target = y - u @ (u.T @ y)
+    gram = head.T @ head
+    xty = head.T @ target
+    col_max = float(np.sqrt(np.diag(gram).max()))
+    scale = col_max * (float(np.linalg.norm(target)) + col_max)
+    # The sum-to-one row is scaled like the Gram matrix, which keeps the
+    # KKT system balanced in any units.
+    pad = col_max**2
+
+    def solve_on(support):
+        n = support.size
+        system = np.empty((n + 1, n + 1))
+        system[:n, :n] = gram[np.ix_(support, support)]
+        system[:n, n] = system[n, :n] = pad
+        system[n, n] = 0.0
+        rhs = np.append(xty[support], pad)
+        try:
+            return np.linalg.solve(system, rhs)[:n]
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(system, rhs, rcond=None)[0][:n]
+
+    support = np.array([int(np.argmin(np.diag(gram) - 2.0 * xty))])
+    w_s = np.ones(1)
+    r = xty - gram[:, support] @ w_s
+    gap = float(r.max() - w_s @ r[support])
+    steps = 0
+    while gap > cfg.tol * scale and steps < cfg.max_iters:
+        joining = int(np.argmax(r))
+        if (support == joining).any():
+            break  # the gap is rounding on the support itself
+        support = np.append(support, joining)
+        w_s = np.append(w_s, 0.0)
+        while steps < cfg.max_iters:
+            steps += 1
+            z = solve_on(support)
+            if (z > 0.0).all():
+                w_s = z
+                break
+            w_s, _ = _step_to_first_zero(w_s, z - w_s, np.ones(z.size, dtype=bool), 1.0)
+            keep = w_s > 0.0
+            support, w_s = support[keep], w_s[keep]
+        r = xty - gram[:, support] @ w_s
+        gap = float(r.max() - w_s @ r[support])
+
+    w = np.zeros(X.shape[1])
+    w[support] = w_s
+    if m < X.shape[1]:
+        w[m:] = vt.T @ ((u.T @ (y - X[:, :m] @ w[:m])) / s)
+    resid = y - X @ w
+    report = SolveReport(
+        iterations=steps,
+        final_objective=float(resid @ resid),
+        converged=gap <= cfg.tol * scale,
+        kkt_residual=max(gap, 0.0) / scale if scale > 0 else 0.0,
+        note="simplex active set",
+    )
+    return w, report
 
 
 def coordinate_descent_penalized(
@@ -351,20 +380,15 @@ def coordinate_descent_penalized(
     if weights.shape != (p,):
         raise DimensionError("penalty_weights must have one entry per column")
 
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = X - x_mean
-    yc = y - y_mean
+    xc, yc, x_mean, y_mean = _centre(X, y)
     gram = xc.T @ xc
     xty = xc.T @ yc
     col_sq = np.diag(gram).copy()
     l1 = penalty.l1 * weights
     l2 = penalty.l2 * weights
     kkt_scale = cfg.tol * (1.0 + 2.0 * float(np.abs(xty).max(initial=0.0)))
-    # Constant columns never leave zero.  Centring leaves rounding noise in
-    # them, which must not count as variation: the sweep would divide by
-    # it and send the coefficient off to ~1e16.
-    varies = np.abs(xc).max(axis=0, initial=0.0) > X.shape[0] * _EPS * np.abs(X).max(axis=0, initial=0.0)
+    # Constant columns never leave zero.
+    varies = xc.any(axis=0)
     live = np.flatnonzero(varies).tolist()
     # Columns with no l1 penalty always join the exact step's support.
     smooth = (l1 == 0.0) & varies

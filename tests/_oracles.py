@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to validate the solvers.
 
 Everything here deliberately avoids the code paths of the package: grids
-are enumerated directly, thresholds come from scipy bisection, and linear
-systems are solved through QR.  Keeping these routes independent is the
-point; do not "simplify" them by calling into synthconf.
+are enumerated directly, thresholds come from scipy bisection,
+linear systems are solved through QR, and constrained least squares has a
+first-order reference solver (projected gradient).  Keeping these routes
+independent is the point; do not "simplify" them by calling into synthconf.
 """
 
 import numpy as np
@@ -168,3 +169,82 @@ def penalized_cd_reference(X: np.ndarray, y: np.ndarray, l1: np.ndarray, l2: np.
         if biggest <= 1e-14 * max(1.0, np.abs(w).max(initial=0.0)):
             break
     return float(y.mean() - X.mean(axis=0) @ w), w
+
+
+def projected_gradient_reference(X: np.ndarray, y: np.ndarray, n_constrained: int,
+                                 radius: float | None = None, max_iters: int = 5000,
+                                 tol: float = 1e-12):
+    """Reference solver: min ||y - Xw||^2 with w[:m] constrained and w[m:] free.
+
+    The constraint is the unit simplex, or the l1 ball of ``radius``, as in
+    :func:`constrained_gap`; its projection is one of the bisection oracles
+    above (their 1e-14 threshold is well inside the stopping bound).
+    Barzilai-Borwein steps with backtracking on the projected sufficient
+    decrease, started at ``project(0)``, so every iterate is feasible and
+    the objective never rises.  Stops when the unit-step projected-gradient
+    map is below ``tol (1 + ||X'y||_inf)`` or after ``max_iters``.  Returns
+    ``(w, objective)``.
+    """
+    m = n_constrained
+
+    def project(v):
+        out = v.copy()
+        out[:m] = simplex_projection_bisect(v[:m]) if radius is None else l1_projection_bisect(v[:m], radius)
+        return out
+
+    gram, xty, yy = X.T @ X, X.T @ y, float(y @ y)
+
+    def objective(w):
+        return float(w @ gram @ w) - 2.0 * float(xty @ w) + yy
+
+    lam_max = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+    step = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
+    w = project(np.zeros(X.shape[1]))
+    f = objective(w)
+    grad = 2.0 * (gram @ w - xty)
+    stop = tol * (1.0 + float(np.abs(xty).max(initial=0.0)))
+    for _ in range(max_iters):
+        if np.abs(w - project(w - grad)).max(initial=0.0) <= stop:
+            break
+        for _ in range(80):
+            w_new = project(w - step * grad)
+            d = w_new - w
+            f_new = objective(w_new)
+            if f_new <= f + float(grad @ d) + float(d @ d) / (2.0 * step) + 1e-14 * (1.0 + abs(f)):
+                break
+            step *= 0.5
+        if f_new > f:
+            break
+        grad_new = 2.0 * (gram @ w_new - xty)
+        ddg = float(d @ (grad_new - grad))
+        step = float(d @ d) / ddg if ddg > 0 else 2.0 * step
+        w, f, grad = w_new, f_new, grad_new
+    return w, f
+
+
+def constrained_gap(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_constrained: int,
+                    radius: float | None = None):
+    """KKT check of min ||y - Xw||^2 with w[:m] constrained and w[m:] free.
+
+    The constraint is the unit simplex, or the l1 ball of ``radius``.
+    Returns ``(gap, free, scale)``.  ``gap`` is the Frank-Wolfe
+    duality gap ``max_s g's - w'g`` over the vertices ``s`` of the
+    constraint set, with ``g = X[:, :m]'(y - Xw)``: ``max_j g_j - w'g`` on
+    the simplex, ``radius * max_j |g_j| - w'g`` on the ball.  It is
+    nonnegative and zero exactly at an optimum.  ``scale`` is
+    ``c (||y|| + c)``, where ``c`` is the largest constrained column norm
+    (times ``radius`` on the ball), and bounds the norm of ``g`` at the
+    optimum.  ``free`` is the largest ``|x_j'(y - Xw)| / (||x_j|| (||y|| + c))``
+    over the free columns ``x_j``, zero at an optimum.
+    """
+    m = n_constrained
+    resid = y - X @ w
+    g = X.T @ resid
+    head = g[:m].max() if radius is None else radius * np.abs(g[:m]).max()
+    gap = float(head - w[:m] @ g[:m])
+    norms = np.linalg.norm(X, axis=0)
+    c = float(norms[:m].max()) * (1.0 if radius is None else radius)
+    reach = float(np.linalg.norm(y)) + c
+    nonzero = norms[m:] > 0
+    free = np.abs(g[m:][nonzero]) / (norms[m:][nonzero] * reach)
+    return gap, float(free.max(initial=0.0)), c * reach

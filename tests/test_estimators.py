@@ -216,6 +216,26 @@ class TestConstrainedLasso:
         assert abs(float((fitted.residuals**2).sum()) - grid_best) < 5e-3
 
 
+class TestUnitsOfY:
+    @pytest.mark.parametrize("fitter", [fit_sc, fit_classo])
+    def test_constrained_fits_do_not_depend_on_units(self, fitter):
+        # Regression: a stopping bound of tol * (1 + ||X'y||) let both fits
+        # stop at their starting point, reporting convergence, once the
+        # outcomes were scaled by 1e-6 or 1e6.
+        rng = np.random.default_rng(0)
+        controls = rng.standard_normal((20, 20))
+        treated = controls[:, :3].mean(axis=1) + rng.standard_normal(20)
+        outcomes = np.column_stack([treated, controls])
+        base = fitter(PanelData(outcomes, t0=19))
+        assert base.diagnostics.converged and base.diagnostics.iterations > 0
+        for c in (1e-6, 1e6):
+            scaled = fitter(PanelData(c * outcomes, t0=19))
+            assert scaled.diagnostics.converged
+            assert scaled.diagnostics.iterations == base.diagnostics.iterations
+            np.testing.assert_allclose(scaled.params["weights"], base.params["weights"], atol=1e-12)
+            np.testing.assert_allclose(scaled.residuals / c, base.residuals, atol=1e-12)
+
+
 class TestPenalized:
     def test_zero_penalty_is_ols(self, rng):
         controls = rng.standard_normal((20, 3))

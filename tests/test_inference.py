@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthconf as sc
@@ -257,6 +257,25 @@ class TestSharpNull:
         result = sharp_null(panel, [0.0, 0.0], EstimatorSpec.did(), statistic=Statistic("mean"))
         assert result.q == "mean"
         assert result.p_value >= 1 / 14
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_periods=st.integers(6, 24),
+        n_controls=st.integers(1, 12),
+        exponent=st.floats(-6.0, 6.0),
+    )
+    # classo fits all six periods exactly: its residuals are rounding noise.
+    @example(seed=6, n_periods=6, n_controls=7, exponent=1.0)
+    def test_p_values_do_not_depend_on_units(self, seed, n_periods, n_controls, exponent):
+        rng = np.random.default_rng(seed)
+        panel = random_panel(rng, n_periods, n_controls, noise=1.0)
+        scaled = PanelData(10.0**exponent * panel.outcomes, t0=panel.t0)
+        alpha0 = np.zeros(panel.n_post)
+        specs = [EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.classo(),
+                 EstimatorSpec.factor(1)]
+        for spec in specs:
+            assert sharp_null(scaled, alpha0, spec).p_value == sharp_null(panel, alpha0, spec).p_value
 
 
 class TestPointwiseCi:

@@ -1,9 +1,9 @@
-"""Tests for projections, the projected-gradient loop, coordinate descent,
+"""Tests for projections, the simplex active-set solver, coordinate descent,
 principal components, alternating least squares, and OLS."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -11,6 +11,7 @@ from synthconf import (
     DimensionError,
     ElasticNetPenalty,
     LassoPenalty,
+    PanelData,
     RankDeficiencyError,
     SolverConfig,
     alternating_ls,
@@ -20,8 +21,9 @@ from synthconf import (
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
-    projected_gradient_ls,
+    simplex_ls,
 )
+from synthconf.estimators import fit_classo
 
 
 class TestProjectSimplex:
@@ -129,47 +131,93 @@ class TestProjectionProperties:
             assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-class TestProjectedGradientLS:
+class TestSimplexLS:
     def test_recovers_feasible_noise_free_solution(self, rng):
         X = rng.standard_normal((30, 4))
         w_star = np.array([0.4, 0.3, 0.2, 0.1])
         y = X @ w_star
-        w, report = projected_gradient_ls(X, y, project_simplex)
+        w, report = simplex_ls(X, y, 4)
         assert report.converged
-        assert report.final_objective < 1e-6
-        np.testing.assert_allclose(w, w_star, atol=1e-4)
+        assert report.final_objective < 1e-20
+        np.testing.assert_allclose(w, w_star, atol=1e-12)
 
     def test_simplex_matches_1d_grid(self, rng):
         X = rng.standard_normal((12, 2))
         y = X @ np.array([0.7, 0.3]) + 0.5 * rng.standard_normal(12)
-        w, report = projected_gradient_ls(X, y, project_simplex)
+        w, report = simplex_ls(X, y, 2)
         w1 = np.linspace(0.0, 1.0, 10001)
         grid = np.column_stack([w1, 1.0 - w1])
         grid_best = ((y[:, None] - X @ grid.T) ** 2).sum(axis=0).min()
         assert abs(report.final_objective - grid_best) < 1e-4
 
     def test_l1_ball_matches_grid(self, rng):
+        # The l1 ball of radius K is the image of the simplex on [X, -X]
+        # under v -> K (v+ - v-).
         X = rng.standard_normal((10, 3))
         y = X @ np.array([0.5, -0.3, 0.1]) + 0.3 * rng.standard_normal(10)
-        _, report = projected_gradient_ls(X, y, lambda v: project_l1_ball(v, 1.0))
+        v, report = simplex_ls(np.hstack([X, -X]), y, 6)
+        w = v[:3] - v[3:]
+        assert np.abs(w).sum() <= 1.0 + 1e-12
         grid_best = _oracles.l1_ball_objective_grid_search(X, y, radius=1.0, step=1e-2)
         assert abs(report.final_objective - grid_best) < 5e-3
-
-    def test_objective_monotone_under_backtracking(self, rng):
-        X = rng.standard_normal((20, 6))
-        y = rng.standard_normal(20)
-        _, report = projected_gradient_ls(X, y, project_simplex)
-        trace = np.asarray(report.objective_trace)
-        assert (np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1]))).all()
 
     def test_nonconvergence_reported(self, rng):
         X = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
-        _, report = projected_gradient_ls(
-            X, y, project_simplex, SolverConfig(max_iters=2, tol=1e-14)
-        )
+        _, report = simplex_ls(X, y, 3, SolverConfig(max_iters=1))
         assert not report.converged
-        assert report.iterations == 2
+        assert report.iterations == 1
+        assert report.kkt_residual > SolverConfig().tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(3, 12),
+        n_cols=st.integers(1, 15),
+        n_free=st.integers(0, 2),
+        radius=st.floats(0.05, 5.0),
+        kind=st.sampled_from(["sc", "classo"]),
+        degenerate=st.sampled_from([None, "constant", "duplicate"]),
+    )
+    # A free constant column whose centring leaves rounding noise.
+    @example(seed=0, n_rows=10, n_cols=3, n_free=1, radius=1.0, kind="classo", degenerate="constant")
+    def test_kkt_and_objective_against_projected_gradient(self, seed, n_rows, n_cols, n_free, radius,
+                                                          kind, degenerate):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_rows, n_cols + n_free))
+        y = X[:, : min(3, n_cols)].sum(axis=1) + rng.standard_normal(n_rows)
+        # A constant last column, or a first column that duplicates the
+        # last one; the last column is free when there are free columns.
+        if degenerate == "constant":
+            X[:, -1] = 0.3  # its mean is not exactly 0.3 for 10 to 12 rows
+        elif degenerate == "duplicate" and X.shape[1] > 1:
+            X[:, 0] = X[:, -1]
+        if kind == "sc":
+            w, report = simplex_ls(X, y, n_cols)
+            f = report.final_objective
+            assert (w[:n_cols] >= 0.0).all() and abs(w[:n_cols].sum() - 1.0) <= 1e-12
+            ref_X, ref_y, ball = X, y, None
+        else:
+            covariates = None if n_free == 0 else np.repeat(X[:, None, n_cols:], n_cols + 1, axis=1)
+            panel = PanelData(np.column_stack([y, X[:, :n_cols]]), t0=n_rows - 1, covariates=covariates)
+            fitted = fit_classo(panel, radius)
+            report = fitted.diagnostics
+            w = np.concatenate([fitted.params["weights"], fitted.params["covariate_coefs"]])
+            f = float(fitted.residuals @ fitted.residuals)
+            assert np.abs(w[:n_cols]).sum() <= radius * (1.0 + 1e-12)
+            # The intercept is profiled out by centring, an algebraic identity.
+            ref_X, ref_y, ball = X - X.mean(axis=0), y - y.mean(), radius
+            np.testing.assert_allclose(fitted.params["mu"], y.mean() - X.mean(axis=0) @ w,
+                                       atol=1e-9 * (1.0 + np.abs(y).max()))
+            # A constant covariate is the intercept again and keeps a zero
+            # coefficient; its centred column holds only rounding noise.
+            assert not (degenerate == "constant" and n_free) or w[-1] == 0.0
+        assert report.converged
+        gap, free, scale = _oracles.constrained_gap(ref_X, ref_y, w, n_cols, ball)
+        assert gap <= SolverConfig().tol * scale
+        assert free <= 1e-10
+        _, f_ref = _oracles.projected_gradient_reference(ref_X, ref_y, n_cols, ball)
+        assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
 
 
 class TestCoordinateDescent:
