@@ -61,9 +61,9 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     alternating_ls,
-    coordinate_descent_penalized,
     ols,
     pca_factors,
+    penalized_ls,
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
@@ -81,7 +81,7 @@ __all__ = [
     # solvers
     "SolverConfig", "SolveReport", "LassoPenalty", "ElasticNetPenalty",
     "project_simplex", "project_l1_ball", "project_nuclear_ball",
-    "simplex_ls", "coordinate_descent_penalized",
+    "simplex_ls", "penalized_ls",
     "pca_factors", "alternating_ls", "ols",
     # estimators
     "EstimatorSpec", "ProxyFit", "fit",

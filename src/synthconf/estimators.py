@@ -24,10 +24,10 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     alternating_ls,
-    coordinate_descent_penalized,
     _centre,
     ols,
     pca_factors,
+    penalized_ls,
     project_nuclear_ball,
     simplex_ls,
 )
@@ -264,7 +264,7 @@ def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig())
     y, X, n_con = _design(panel)
     weights = np.zeros(X.shape[1])
     weights[:n_con] = 1.0
-    mu, w, report = coordinate_descent_penalized(X, y, penalty, cfg, penalty_weights=weights)
+    mu, w, report = penalized_ls(X, y, penalty, cfg, penalty_weights=weights)
     return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 

@@ -12,10 +12,10 @@ whether replications run serially or are distributed by index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .estimators import EstimatorSpec
 from .inference import PermutationScheme, Statistic, p_value, test_sharp_null
@@ -217,9 +217,11 @@ def oracle_power_bound(dgp: DgpSpec, alpha_grid: Sequence[float], level: float =
     equals the nominal level exactly.
     """
     _check_level(level)
-    z = sps.norm.ppf(1.0 - level / 2.0)
+    normal = NormalDist()
+    z = normal.inv_cdf(1.0 - level / 2.0)
+    cdf = np.vectorize(normal.cdf, otypes=[float])
     a = np.asarray(alpha_grid, dtype=float)
-    return sps.norm.cdf(a - z) + sps.norm.cdf(-a - z)
+    return cdf(a - z) + cdf(-a - z)
 
 
 def _simulate_iid_controls_panel(

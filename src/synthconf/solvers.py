@@ -1,13 +1,13 @@
 """Constrained and penalized least-squares machinery shared by the estimators.
 
 Everything here is deterministic and pure: Euclidean projections onto the
-unit simplex, the l1 ball and the nuclear-norm ball, an exact active-set
-method for least squares over the simplex (with free columns), cyclic
-coordinate descent for separable penalties with an exact active-set
-finish, principal components,
-alternating least squares for factor-plus-regression models, and ordinary
-least squares via the normal equations.  Problems in this package are small
-and dense, so exactness is preferred over speed everywhere.
+unit simplex, the l1 ball and the nuclear-norm ball, one exact active-set
+method that solves least squares over the simplex (with free columns) and
+lasso / elastic-net least squares (on the signed split of the weights),
+principal components, alternating least squares for factor-plus-regression
+models, and ordinary least squares via the normal equations.  Problems in
+this package are small and dense, so exactness is preferred over speed
+everywhere.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "project_l1_ball",
     "project_nuclear_ball",
     "simplex_ls",
-    "coordinate_descent_penalized",
+    "penalized_ls",
     "pca_factors",
     "alternating_ls",
     "ols",
@@ -36,9 +36,6 @@ __all__ = [
 #: Condition-number ceiling above which normal equations are refused.
 MAX_CONDITION = 1e12
 
-#: Coordinate-descent sweeps between attempts of the exact active-set step.
-_EXACT_EVERY = 3
-
 _EPS = np.finfo(float).eps
 
 
@@ -46,14 +43,14 @@ _EPS = np.finfo(float).eps
 class SolverConfig:
     """Iteration controls shared by the iterative solvers.
 
-    ``tol`` is interpreted relative to the natural scale of each problem:
-    the simplex active-set method stops once its unit-free duality gap
-    (see :func:`simplex_ls`) is at most ``tol``, coordinate descent once
-    the largest per-coordinate subgradient violation is at most
-    ``tol * (1 + 2 ||Xc'yc||_inf)`` on the centred data ``Xc``, ``yc``, and
-    alternating least squares once the relative objective decrease falls
-    below ``tol``.  Every solver has one step rule; only the iteration cap
-    and the tolerance are set here.
+    ``tol`` is interpreted relative to the natural scale of each problem.
+    There is one certificate for ``sc``, ``classo``, lasso and elastic net:
+    the active-set method stops once its gap over ``c (||y|| + c)``, ``c``
+    the largest column norm, is at most ``tol`` (see :func:`simplex_ls` and
+    :func:`penalized_ls`), which has no units.  Alternating least squares
+    stops once the relative objective decrease falls below ``tol``.  Every
+    solver has one step rule; only the iteration cap and the tolerance are
+    set here.
     """
 
     max_iters: int = 10_000
@@ -72,7 +69,7 @@ class SolveReport:
 
     ``converged`` is True only when ``kkt_residual`` met the documented
     threshold for the routine that produced the report.  ``iterations``
-    counts the routine's own steps (active-set steps, sweeps, alternations)
+    counts the routine's own steps (KKT solves, alternations)
     and ``note`` names the method or how the solve ended.  Alternating
     least squares keeps its objective trace (one value per iteration) for
     monotonicity diagnostics.
@@ -204,14 +201,10 @@ def _centre(X, y):
     return xc, y - y_mean, x_mean, y_mean
 
 
-def _step_to_first_zero(x, d, bound, limit):
-    """Move ``x`` along ``d`` by at most ``limit`` times ``d``, stopping where a
-    ``bound`` entry first reaches zero.
-
-    Returns ``(point, k)``: ``k`` is the entry set to zero, or None if the
-    full step was taken.  No ``bound`` entry changes sign.
-    """
-    toward = np.flatnonzero(bound & (x * d < 0.0))
+def _step_to_first_zero(x, d, limit):
+    """``(x + t d, k)`` for the largest ``t <= limit`` at which no entry of ``x``
+    has changed sign: ``k`` is the entry set to zero, or None if none is."""
+    toward = np.flatnonzero(x * d < 0.0)
     ratios = -x[toward] / d[toward]
     if ratios.size and ratios.min() < limit:
         k = int(toward[ratios.argmin()])
@@ -222,41 +215,124 @@ def _step_to_first_zero(x, d, bound, limit):
         moved = x + limit * d
     else:
         return x, None
-    moved[bound & (moved * x < 0.0)] = 0.0
+    moved[moved * x < 0.0] = 0.0
     return moved, k
+
+
+def _project_free(head, free, y):
+    """Project the span of the free columns out of ``head`` and ``y``.
+
+    The free coefficients are a least-squares fit to whatever the other
+    columns leave over.  The span comes from an SVD with the rank cut-off
+    of ``numpy.linalg.lstsq``, which copes with collinear free columns.
+    Returns ``(gram, xty, scale, coefs)``: the Gram matrix of the projected
+    ``head``, its product with the projected ``y``, the certificate scale
+    ``c (||y|| + c)`` with ``c`` the largest projected column norm, and
+    ``coefs(rest)``, the free coefficients that best fit ``rest``.
+    """
+    coefs = lambda rest: np.zeros(0)
+    if free.shape[1]:
+        u, s, vt = np.linalg.svd(free, full_matrices=False)
+        rank = int((s > max(free.shape) * _EPS * s[0]).sum())
+        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+        head = head - u @ (u.T @ head)
+        y = y - u @ (u.T @ y)
+        coefs = lambda rest: vt.T @ ((u.T @ rest) / s)
+    gram = head.T @ head
+    col_max = float(np.sqrt(np.diag(gram).max(initial=0.0)))
+    scale = col_max * (float(np.linalg.norm(y)) + col_max)
+    return gram, head.T @ y, scale, coefs
+
+
+def _solve(system, rhs):
+    """``system \\ rhs``, by least squares if rounding made ``system`` singular."""
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
+def _active_set(gram, lin, pad, support, w_s, scale, cfg):
+    """Minimize ``v'Gv / 2 - lin'v`` over ``v >= 0`` from ``v[support] = w_s``.
+
+    NNLS of Lawson and Hanson (1974, ch. 23) on the Gram matrix ``G``; with
+    ``pad > 0`` the weights also sum to one, a KKT row scaled by ``pad``.
+    Each step solves the KKT system on the support.  If a weight of the
+    solution is not positive, the iterate moves toward it until the first
+    weight reaches zero and drops that one; else it takes the solution and
+    the largest violation of ``r = lin - G v`` joins (the first of ties).
+    A joining column is never an affine combination of the support, so with
+    the sum-to-one row the system stays nonsingular.  Without it the column
+    can lie in the span of the support (a lasso on more columns than rows;
+    its Schur complement is at the rounding level).  Along ``(-a, 1)``, with
+    ``a`` the column in terms of the support, the fit is fixed and the
+    objective falls at rate ``r_j``: the iterate moves that way until a
+    weight reaches zero, and that weight leaves.
+
+    Returns ``(support, w_s, steps, converged, kkt)``.  ``steps`` counts KKT
+    solves, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
+    ``converged`` says the last solve was completed and ``kkt <= cfg.tol``.
+    """
+    border = np.full(int(pad > 0), pad)  # the sum-to-one row, if any
+
+    def solve_on(support):
+        n = support.size
+        system = np.zeros((n + border.size, n + border.size))
+        system[:n, :n] = gram[np.ix_(support, support)]
+        system[:n, n:] = system[n:, :n] = pad
+        return _solve(system, np.append(lin[support], border))[:n]
+
+    limit = cfg.tol * scale
+    r = lin - gram[:, support] @ w_s
+    gap = float(r.max(initial=-np.inf) - w_s @ r[support])
+    steps = 0
+    solved = True
+    while gap > limit and steps < cfg.max_iters:
+        joining = int(np.argmax(r))
+        if (support == joining).any():
+            break  # the gap is rounding on the support itself
+        old = support
+        support, w_s = np.append(support, joining), np.append(w_s, 0.0)
+        if not pad and old.size:
+            a = _solve(gram[np.ix_(old, old)], gram[old, joining])
+            if gram[joining, joining] - gram[old, joining] @ a <= old.size * _EPS * gram[joining, joining]:
+                w_s, k = _step_to_first_zero(w_s, np.append(-a, 1.0), np.inf)
+                if k is None:
+                    break  # no descent along the span: rounding
+                support, w_s = np.delete(support, k), np.delete(w_s, k)
+        solved = False
+        while not solved and steps < cfg.max_iters:
+            steps += 1
+            z = solve_on(support)
+            solved = bool((z > 0.0).all())
+            if solved:
+                w_s = z
+            else:
+                w_s, _ = _step_to_first_zero(w_s, z - w_s, 1.0)
+                keep = w_s > 0.0
+                support, w_s = support[keep], w_s[keep]
+        r = lin - gram[:, support] @ w_s
+        gap = float(r.max() - w_s @ r[support])
+    kkt = max(gap, 0.0) / scale if scale > 0 else 0.0
+    return support, w_s, steps, solved and gap <= limit, kkt
 
 
 def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig()):
     """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1.
 
-    ``m`` is ``n_constrained``; the columns after the first ``m`` are free.
-
-    The free coefficients are a least-squares fit to whatever the
-    constrained part leaves over, so their span is projected out of ``X``
-    and ``y`` first (an SVD with the rank cut-off of ``numpy.linalg.lstsq``,
-    which also copes with collinear free columns).  What is left is solved
-    by a primal active-set method on the Gram matrix: NNLS of Lawson and
-    Hanson (1974, ch. 23) with a sum-to-one row.  It starts at the best
-    vertex.  Each step solves the equality-constrained KKT system on the
-    support; when the solution leaves the simplex the iterate moves toward
-    it up to the first weight that reaches zero, which is dropped, else the
-    solution is taken and the coordinate with the largest gradient
-    violation joins (the first of tied ones).  A joining column is never
-    an affine combination of the support (it would have no violation), so
-    the KKT system stays nonsingular in exact arithmetic; ``lstsq`` stands
-    in if rounding makes it singular.
+    ``m`` is ``n_constrained``; the columns after the first ``m`` are free
+    and are projected out (:func:`_project_free`).  The rest is solved by
+    the active-set method of :func:`_active_set` with a sum-to-one row,
+    started at the best vertex.
 
     Returns
     -------
     (w, report) : (ndarray, SolveReport)
-        The certificate is the Frank-Wolfe duality gap
-        ``max_j r_j - w'r`` of the constrained columns, ``r = X'(y - X w)``
-        on the projected data, which bounds the excess objective by twice
-        itself.  ``report.kkt_residual`` is the gap over
-        ``c (||y|| + c)``, where ``c`` is the largest projected column norm,
-        so it has no units: scaling ``X`` and ``y`` together changes
-        neither it nor the steps.  Convergence is declared when it is at
-        most ``cfg.tol``.  ``report.iterations`` counts KKT solves.
+        ``report.kkt_residual`` is the certificate of :func:`_active_set`:
+        the Frank-Wolfe duality gap of the constrained columns, which bounds
+        the excess objective by twice itself, over ``c (||y|| + c)``.  It
+        has no units: scaling ``X`` and ``y`` together changes neither it
+        nor the steps.  ``report.iterations`` counts KKT solves.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -265,111 +341,44 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig()):
     m = n_constrained
     if not 1 <= m <= X.shape[1]:
         raise DimensionError(f"n_constrained must lie in 1..{X.shape[1]}; got {n_constrained}")
-    head, target = X[:, :m], y
-    if m < X.shape[1]:
-        u, s, vt = np.linalg.svd(X[:, m:], full_matrices=False)
-        rank = int((s > max(X.shape[0], X.shape[1] - m) * _EPS * s.max(initial=0.0)).sum())
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-        head = head - u @ (u.T @ head)
-        target = y - u @ (u.T @ y)
-    gram = head.T @ head
-    xty = head.T @ target
-    col_max = float(np.sqrt(np.diag(gram).max()))
-    scale = col_max * (float(np.linalg.norm(target)) + col_max)
-    # The sum-to-one row is scaled like the Gram matrix, which keeps the
-    # KKT system balanced in any units.
-    pad = col_max**2
-
-    def solve_on(support):
-        n = support.size
-        system = np.empty((n + 1, n + 1))
-        system[:n, :n] = gram[np.ix_(support, support)]
-        system[:n, n] = system[n, :n] = pad
-        system[n, n] = 0.0
-        rhs = np.append(xty[support], pad)
-        try:
-            return np.linalg.solve(system, rhs)[:n]
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(system, rhs, rcond=None)[0][:n]
-
-    support = np.array([int(np.argmin(np.diag(gram) - 2.0 * xty))])
-    w_s = np.ones(1)
-    r = xty - gram[:, support] @ w_s
-    gap = float(r.max() - w_s @ r[support])
-    steps = 0
-    while gap > cfg.tol * scale and steps < cfg.max_iters:
-        joining = int(np.argmax(r))
-        if (support == joining).any():
-            break  # the gap is rounding on the support itself
-        support = np.append(support, joining)
-        w_s = np.append(w_s, 0.0)
-        while steps < cfg.max_iters:
-            steps += 1
-            z = solve_on(support)
-            if (z > 0.0).all():
-                w_s = z
-                break
-            w_s, _ = _step_to_first_zero(w_s, z - w_s, np.ones(z.size, dtype=bool), 1.0)
-            keep = w_s > 0.0
-            support, w_s = support[keep], w_s[keep]
-        r = xty - gram[:, support] @ w_s
-        gap = float(r.max() - w_s @ r[support])
+    gram, xty, scale, free_coefs = _project_free(X[:, :m], X[:, m:], y)
+    # The sum-to-one row is scaled like the Gram matrix (by the largest
+    # squared column norm), which keeps the KKT system balanced in any units.
+    pad = float(np.sqrt(np.diag(gram).max())) ** 2
+    start = np.array([int(np.argmin(np.diag(gram) - 2.0 * xty))])
+    support, w_s, steps, converged, kkt = _active_set(gram, xty, pad, start, np.ones(1), scale, cfg)
 
     w = np.zeros(X.shape[1])
     w[support] = w_s
-    if m < X.shape[1]:
-        w[m:] = vt.T @ ((u.T @ (y - X[:, :m] @ w[:m])) / s)
+    w[m:] = free_coefs(y - X[:, :m] @ w[:m])
     resid = y - X @ w
-    report = SolveReport(
-        iterations=steps,
-        final_objective=float(resid @ resid),
-        converged=gap <= cfg.tol * scale,
-        kkt_residual=max(gap, 0.0) / scale if scale > 0 else 0.0,
-        note="simplex active set",
-    )
-    return w, report
+    return w, SolveReport(steps, float(resid @ resid), converged, kkt, note="simplex active set")
 
 
-def coordinate_descent_penalized(
-    X,
-    y,
-    penalty,
-    cfg: SolverConfig = SolverConfig(),
-    penalty_weights=None,
-):
-    """Minimize sum((y - mu - X w)^2) + P(w) by cyclic coordinate descent.
+def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None):
+    """Minimize sum((y - mu - X w)^2) + P(w) with a free intercept ``mu``.
 
-    The intercept ``mu`` is unpenalized and handled by centering.
     ``penalty`` is a :class:`LassoPenalty` or :class:`ElasticNetPenalty`;
     ``penalty_weights`` optionally scales the penalty per column (0 leaves
     a column unpenalized).
 
-    The sweeps run on the centred Gram matrix ``G = Xc'Xc`` and ``c = Xc'yc``,
-    formed once: the gradient ``c - G w`` is kept up to date with one row of
-    ``G`` per changed coordinate (the covariance updates of Friedman, Hastie
-    and Tibshirani 2010), so a sweep costs O(p) per changed coordinate
-    whatever the number of rows.
-
-    Every few sweeps an exact step is tried on the current support ``A``
-    (plus every column without an l1 penalty) and signs ``s``: it solves
-    ``(G_AA + diag(l2_A)) w_A = c_A - (l1_A / 2) s`` and ends the solve if
-    the solution keeps the signs ``s`` and meets the stopping bound below.
-    Otherwise the sweeps go on from the iterate moved toward that solution
-    up to the first coefficient that reaches zero, which lowers the
-    objective.  When ``G_AA + diag(l2_A)`` is singular (a lasso support on
-    more columns than there are rows), the step first moves along its null
-    space, where the fit stays fixed, to lower the l1 norm, dropping one
-    coefficient at a time until the matrix has full rank.  Constant columns
-    keep a zero coefficient.
+    The intercept is concentrated out by centring, and the ridge part of
+    the penalty is least squares on extra rows ``sqrt(l2_j) e_j`` with
+    target 0.  Columns without an l1 penalty are then free and projected
+    out (:func:`_project_free`).  For the others, with ``A`` their Gram
+    matrix (``Xc'Xc + diag(l2)``) and ``c`` their product with the target,
+    ``w = w+ - w-`` for the nonnegative ``(w+, w-)`` that minimizes the
+    quadratic with Gram ``[[A, -A], [-A, A]]`` and linear term
+    ``[c - l1/2, -c - l1/2]``, solved by :func:`_active_set` from zero.
+    Constant columns keep a zero weight.
 
     Returns
     -------
     (intercept, w, report)
-        ``report.kkt_residual`` is the largest per-coordinate subgradient
-        violation of the stationarity conditions; convergence is declared
-        when it is at most ``cfg.tol * (1 + 2 ||Xc'yc||_inf)``.
-        ``report.iterations`` counts sweeps, and ``report.note`` says when the
-        exact step ended the solve.
+        The certificate is the gap ``max r - v'r`` of that quadratic, its
+        largest KKT violation once a support is solved, over the same
+        ``c (||y|| + c)`` as in :func:`simplex_ls`; it has no units when
+        ``lam`` is scaled with the squared units of the data.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -381,134 +390,28 @@ def coordinate_descent_penalized(
         raise DimensionError("penalty_weights must have one entry per column")
 
     xc, yc, x_mean, y_mean = _centre(X, y)
-    gram = xc.T @ xc
-    xty = xc.T @ yc
-    col_sq = np.diag(gram).copy()
     l1 = penalty.l1 * weights
     l2 = penalty.l2 * weights
-    kkt_scale = cfg.tol * (1.0 + 2.0 * float(np.abs(xty).max(initial=0.0)))
-    # Constant columns never leave zero.
+    xa = np.vstack([xc, np.diag(np.sqrt(l2))[l2 > 0.0]])
+    ya = np.append(yc, np.zeros(np.count_nonzero(l2)))
     varies = xc.any(axis=0)
-    live = np.flatnonzero(varies).tolist()
-    # Columns with no l1 penalty always join the exact step's support.
-    smooth = (l1 == 0.0) & varies
+    split = np.flatnonzero(varies & (l1 > 0.0))
+    free = np.flatnonzero(varies & (l1 == 0.0))
+    a, c, scale, free_coefs = _project_free(xa[:, split], xa[:, free], ya)
+    half = 0.5 * l1[split]
+    support, v_s, steps, converged, kkt = _active_set(
+        np.block([[a, -a], [-a, a]]), np.concatenate([c - half, -c - half]), 0.0,
+        np.zeros(0, dtype=int), np.zeros(0), scale, cfg)
 
-    def kkt_residual(w, grad):
-        g = -2.0 * grad + 2.0 * l2 * w
-        viol = np.where(
-            w != 0.0,
-            np.abs(g + l1 * np.sign(w)),
-            np.maximum(np.abs(g) - l1, 0.0),
-        )
-        return float(viol.max(initial=0.0))
-
-    def objective(w):
-        """The objective up to the constant ``yc'yc``."""
-        return float(w @ (gram @ w)) - 2.0 * float(xty @ w) + float(l2 @ (w * w)) + float(l1 @ np.abs(w))
-
-    def active_set_step(w):
-        """Exact solution on the support and signs of ``w``, or a better point.
-
-        Returns ``(point, kkt)``: the solution with its KKT residual when it
-        keeps the signs and meets the stopping bound, else a point whose
-        objective is no larger than at ``w`` (or None) with ``kkt=inf``.
-        """
-        support = np.flatnonzero((w != 0.0) | smooth)
-        w_a = w[support]
-        signs = np.sign(w_a)
-        bound = l1[support] > 0.0
-        # G_AA + diag(l2_A) is singular only on columns without an l2 penalty.
-        unridged = np.flatnonzero(l2[support] == 0.0)
-        evals, evecs = np.linalg.eigh(gram[np.ix_(support[unridged], support[unridged])])
-        null_unridged = evecs[:, evals <= evals.max(initial=0.0) * evals.size * _EPS]
-        null = np.zeros((support.size, null_unridged.shape[1]))
-        null[unridged] = null_unridged
-        # Along a null direction the fit is fixed and the l1 term linear, so
-        # moving against the l1 gradient lowers the objective until a
-        # coordinate reaches zero; drop it and go on until the support has
-        # full rank (a lasso support on more columns than rows).
-        while null.shape[1]:
-            d = -(null @ (null.T @ (l1[support] * signs)))
-            if np.abs(d).max() <= support.size * _EPS * l1[support].max():
-                break  # the objective is flat on what is left of the null space
-            w_a, k = _step_to_first_zero(w_a, d, bound, np.inf)
-            if k is None:
-                return None, np.inf
-            q, _ = np.linalg.qr(null[k][:, None], mode="complete")
-            null = np.delete(null @ q[:, 1:], k, axis=0)
-            support, w_a, signs, bound = (np.delete(a, k) for a in (support, w_a, signs, bound))
-        system = gram[np.ix_(support, support)] + np.diag(l2[support])
-        rhs = xty[support] - 0.5 * l1[support] * signs
-        try:
-            # Along flat directions every solution is as good: take the
-            # least-norm one, so collinear unpenalized columns stay bounded.
-            exact = np.linalg.lstsq(system, rhs, rcond=None)[0] if null.shape[1] else np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            return None, np.inf
-        candidate = np.zeros(p)
-        if np.all((np.sign(exact) == signs) | ~bound):
-            candidate[support] = exact
-            kkt = kkt_residual(candidate, xty - gram @ candidate)
-            if kkt <= kkt_scale:
-                return candidate, kkt
-        # On these signs the objective is a convex quadratic minimized at
-        # ``exact``, so it falls along the way there while no sign changes.
-        candidate[support], _ = _step_to_first_zero(w_a, exact - w_a, bound, 1.0)
-        return (candidate if objective(candidate) <= objective(w) else None), np.inf
-
-    # The sweep reads and writes Python floats; only the gradient update
-    # is a numpy row operation.
-    rows = list(gram)
-    thresholds = (l1 / 2.0).tolist()
-    diag = col_sq.tolist()
-    denominators = (col_sq + l2).tolist()
-    coefs = [0.0] * p
-    grad = xty.copy()
-    converged = False
-    note = ""
-    for iterations in range(1, cfg.max_iters + 1):
-        for j in live:
-            old = coefs[j]
-            z = grad.item(j) + diag[j] * old
-            thr = thresholds[j]
-            if z > thr:
-                new = (z - thr) / denominators[j]
-            elif z < -thr:
-                new = (z + thr) / denominators[j]
-            else:
-                new = 0.0
-            if new != old:
-                coefs[j] = new
-                grad -= rows[j] * (new - old)
-        w = np.array(coefs)
-        grad = xty - gram @ w
-        kkt = kkt_residual(w, grad)
-        if kkt <= kkt_scale:
-            converged = True
-            break
-        if iterations % _EXACT_EVERY == 0:
-            candidate, candidate_kkt = active_set_step(w)
-            if candidate_kkt <= kkt_scale:
-                w, kkt = candidate, candidate_kkt
-                converged = True
-                note = f"ended by the exact active-set step after {iterations} sweeps"
-                break
-            if candidate is not None:
-                w = candidate
-                coefs = w.tolist()
-                grad = xty - gram @ w
-
-    intercept = y_mean - float(x_mean @ w)
+    v = np.zeros(2 * split.size)
+    v[support] = v_s
+    w = np.zeros(p)
+    w[split] = v[:split.size] - v[split.size:]
+    w[free] = free_coefs(ya - xa[:, split] @ w[split])
     r = yc - xc @ w
-    penalty_value = float(l2 @ (w**2)) + float(l1 @ np.abs(w))
-    report = SolveReport(
-        iterations=iterations,
-        final_objective=float(r @ r) + penalty_value,
-        converged=converged,
-        kkt_residual=kkt,
-        note=note,
-    )
-    return intercept, w, report
+    objective = float(r @ r) + float(l2 @ (w * w)) + float(l1 @ np.abs(w))
+    report = SolveReport(steps, objective, converged, kkt, note="signed active set")
+    return y_mean - float(x_mean @ w), w, report
 
 
 def pca_factors(Y, k: int):
@@ -601,21 +504,25 @@ def alternating_ls(Y, X, k: int, cfg: SolverConfig = SolverConfig()):
 
 
 def ols(X, y) -> np.ndarray:
-    """Least-squares coefficients via the normal equations.
+    """Least-squares coefficients via the normal equations on unit-norm columns.
 
     Raises
     ------
     RankDeficiencyError
-        If the Gram matrix has condition number above ``1e12``.
+        If the Gram matrix of the columns scaled to unit norm (so whatever
+        their units) has condition number above ``1e12``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
-    gram = X.T @ X
+    norms = np.linalg.norm(X, axis=0)
+    norms[norms == 0.0] = 1.0  # a zero column stays zero and fails the check
+    scaled = X / norms
+    gram = scaled.T @ scaled
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise RankDeficiencyError(
             f"design is rank deficient: Gram condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
         )
-    return np.linalg.solve(gram, X.T @ y)
+    return np.linalg.solve(gram, scaled.T @ y) / norms

@@ -270,12 +270,18 @@ class TestSharpNull:
     def test_p_values_do_not_depend_on_units(self, seed, n_periods, n_controls, exponent):
         rng = np.random.default_rng(seed)
         panel = random_panel(rng, n_periods, n_controls, noise=1.0)
-        scaled = PanelData(10.0**exponent * panel.outcomes, t0=panel.t0)
+        c = 10.0**exponent
+        scaled = PanelData(c * panel.outcomes, t0=panel.t0)
         alpha0 = np.zeros(panel.n_post)
         specs = [EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.classo(),
-                 EstimatorSpec.factor(1)]
-        for spec in specs:
-            assert sharp_null(scaled, alpha0, spec).p_value == sharp_null(panel, alpha0, spec).p_value
+                 EstimatorSpec.factor(1), EstimatorSpec.ar(1),
+                 EstimatorSpec.fused(EstimatorSpec.did(), 1)]
+        pairs = [(spec, spec) for spec in specs]
+        # lam is in squared units of the outcomes.
+        pairs += [(EstimatorSpec.lasso(0.5), EstimatorSpec.lasso(0.5 * c**2)),
+                  (EstimatorSpec.elastic_net(0.5, 0.5), EstimatorSpec.elastic_net(0.5 * c**2, 0.5))]
+        for spec, scaled_spec in pairs:
+            assert sharp_null(scaled, alpha0, scaled_spec).p_value == sharp_null(panel, alpha0, spec).p_value
 
 
 class TestPointwiseCi:
