@@ -214,10 +214,13 @@ def cmd_ci(cfg: RunConfig) -> int:
         "intervals": [
             {
                 "period": entry.period,
-                "lower": entry.lower,
-                "upper": entry.upper,
+                # JSON has no NaN: an empty interval has null bounds.
+                "lower": None if entry.is_empty else entry.lower,
+                "upper": None if entry.is_empty else entry.upper,
                 "has_gaps": entry.has_gaps,
                 "empty": entry.is_empty,
+                "iterations": entry.iterations,
+                "nonconverged": entry.nonconverged,
             }
             for entry in band.entries
         ],

@@ -151,12 +151,19 @@ class EstimatorSpec:
         return _ESTIMATORS[self.kind].label(self)
 
 
-def fit(panel: PanelData, spec) -> ProxyFit:
+def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
     """Fit the proxy model described by ``spec`` on a null-adjusted panel.
 
     ``spec`` is an :class:`EstimatorSpec` or, for user-supplied estimators,
     any callable mapping a panel to a :class:`ProxyFit`; custom fits are
     responsible for setting their own ``permutation_invariant`` flag.
+
+    ``start`` is an earlier fit of the same spec on a panel with the same
+    controls, such as the neighbouring candidate of a test inversion.  The
+    ``sc``, ``classo``, lasso and elastic-net fitters start their solver
+    from its weights, which changes the steps taken but not the solution
+    the certificate accepts; other kinds, custom callables, and a start
+    from another spec ignore it.
     """
     if callable(spec) and not isinstance(spec, EstimatorSpec):
         fitted = spec(panel)
@@ -165,10 +172,13 @@ def fit(panel: PanelData, spec) -> ProxyFit:
                 f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
             )
         return fitted
-    fitted = _ESTIMATORS[spec.kind].fitter(panel, spec)
+    label = spec.label
+    if start is not None and start.estimator_id != label:
+        start = None
+    fitted = _ESTIMATORS[spec.kind].fitter(panel, spec, start)
     # The fitter built this object a moment ago and nothing else holds it,
     # so naming it in place saves a copy of every fit.
-    object.__setattr__(fitted, "estimator_id", spec.label)
+    object.__setattr__(fitted, "estimator_id", label)
     return fitted
 
 
@@ -227,15 +237,24 @@ def fit_did(panel: PanelData) -> ProxyFit:
     return _panel_fit(panel, mu + control_mean, None, mu=mu)
 
 
-def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
-    """Synthetic control: simplex-constrained least-squares weights on controls."""
+def _start_weights(start: ProxyFit | None):
+    """The control weights of a warm-start fit, or None."""
+    return None if start is None else start.params.get("weights")
+
+
+def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig(), start: ProxyFit | None = None) -> ProxyFit:
+    """Synthetic control: simplex-constrained least-squares weights on controls.
+
+    The solver starts from the weights of ``start``, if given (see :func:`fit`).
+    """
     _require_controls(panel, "synthetic control")
     y, X, n_con = _design(panel)
-    w, report = simplex_ls(X, y, n_con, cfg)
+    w, report = simplex_ls(X, y, n_con, cfg, _start_weights(start))
     return _panel_fit(panel, X @ w, report, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
-def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
+def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = SolverConfig(),
+               start: ProxyFit | None = None) -> ProxyFit:
     """l1-ball-constrained least squares with a free intercept.
 
     Nests both difference-in-differences (equal weights are feasible) and
@@ -246,25 +265,36 @@ def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = Solver
     least-squares fit ``(v+, v-)`` on the columns ``radius * [Xc, -Xc]``: a
     point of the simplex maps into the ball, and every point of the ball is
     the image of one (put the unused budget on both signs of a column), so
-    an interior least-squares fit is found the same way.
+    an interior least-squares fit is found the same way.  A warm start
+    from the weights ``w`` of ``start`` (see :func:`fit`) puts ``|w_j|`` on
+    the sign of ``w_j`` and scales the split to sum to one.
     """
     _require_controls(panel, "constrained lasso")
     y, X, n_con = _design(panel)
     xc, yc, x_mean, y_mean = _centre(X, y)
     head = radius * xc[:, :n_con]
-    v, report = simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), yc, 2 * n_con, cfg)
+    w0 = _start_weights(start)
+    split = None if w0 is None else np.concatenate([w0, -w0])
+    v, report = simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), yc, 2 * n_con, cfg, split)
     w = np.concatenate([radius * (v[:n_con] - v[n_con:2 * n_con]), v[2 * n_con:]])
     mu = y_mean - float(x_mean @ w)
     return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
-def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
-    """Penalized regression on control outcomes (lasso or elastic net)."""
+def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig(),
+                  start: ProxyFit | None = None) -> ProxyFit:
+    """Penalized regression on control outcomes (lasso or elastic net).
+
+    The solver starts from the weights of ``start``, if given (see :func:`fit`).
+    """
     _require_controls(panel, "penalized regression")
     y, X, n_con = _design(panel)
     weights = np.zeros(X.shape[1])
     weights[:n_con] = 1.0
-    mu, w, report = penalized_ls(X, y, penalty, cfg, penalty_weights=weights)
+    w0 = _start_weights(start)
+    if w0 is not None:
+        w0 = np.concatenate([w0, start.params["covariate_coefs"]])
+    mu, w, report = penalized_ls(X, y, penalty, cfg, penalty_weights=weights, start=w0)
     return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
 
 
@@ -465,52 +495,53 @@ class _Kind(NamedTuple):
     """How the CLI, ``EstimatorSpec.label`` and :func:`fit` handle one kind.
 
     ``params`` holds the CLI parameters as ``(key, spec field, type, default)``;
-    one of type :class:`EstimatorSpec` is itself in CLI notation.  The CLI name
+    one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
+    takes the panel, the spec and the warm start of :func:`fit`.  The CLI name
     is the kind with ``-`` for ``_``; the spec comes from the classmethod of the
     kind's name.
     """
 
     params: tuple
-    fitter: Callable[[PanelData, EstimatorSpec], ProxyFit]
+    fitter: Callable[[PanelData, EstimatorSpec, ProxyFit | None], ProxyFit]
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
 
 
 _ESTIMATORS = {
-    "did": _Kind((), lambda panel, spec: fit_did(panel)),
-    "sc": _Kind((), lambda panel, spec: fit_sc(panel, spec.solver)),
+    "did": _Kind((), lambda panel, spec, start: fit_did(panel)),
+    "sc": _Kind((), lambda panel, spec, start: fit_sc(panel, spec.solver, start)),
     "classo": _Kind(
         (("K", "radius", float, 1.0),),
-        lambda panel, spec: fit_classo(panel, spec.radius, spec.solver),
+        lambda panel, spec, start: fit_classo(panel, spec.radius, spec.solver, start),
     ),
     "lasso": _Kind(
         (("lam", "lam", float, _REQUIRED),),
-        lambda panel, spec: fit_penalized(panel, LassoPenalty(spec.lam), spec.solver),
+        lambda panel, spec, start: fit_penalized(panel, LassoPenalty(spec.lam), spec.solver, start),
     ),
     "elastic_net": _Kind(
         (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
-        lambda panel, spec: fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver),
+        lambda panel, spec, start: fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver, start),
     ),
     "factor": _Kind(
         (("k", "n_factors", int, _REQUIRED),),
-        lambda panel, spec: fit_factor(panel, spec.n_factors),
+        lambda panel, spec, start: fit_factor(panel, spec.n_factors),
     ),
     "interactive_fe": _Kind(
         (("k", "n_factors", int, _REQUIRED),),
-        lambda panel, spec: fit_interactive_fe(panel, spec.n_factors, spec.solver),
+        lambda panel, spec, start: fit_interactive_fe(panel, spec.n_factors, spec.solver),
     ),
     "matrix_completion": _Kind(
         (("K", "radius", float, None),),
-        lambda panel, spec: fit_matrix_completion(panel, spec.radius, spec.solver),
+        lambda panel, spec, start: fit_matrix_completion(panel, spec.radius, spec.solver),
     ),
     "ar": _Kind(
         (("lags", "n_lags", int, _REQUIRED),),
-        lambda panel, spec: fit_ar(panel, spec.n_lags, spec.ar_fitter),
+        lambda panel, spec, start: fit_ar(panel, spec.n_lags, spec.ar_fitter),
         fused_base=False,
     ),
     "fused": _Kind(
         (("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)),
-        lambda panel, spec: fit_fused(panel, spec.base, spec.n_lags),
+        lambda panel, spec, start: fit_fused(panel, spec.base, spec.n_lags),
         label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})",
         fused_base=False,
     ),

@@ -254,31 +254,40 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
         ``p_value >= 1/|Pi|``.
     """
     residuals = np.asarray(residuals, dtype=float)
-    n = residuals.shape[0]
-    stats = np.empty(scheme.size(n))  # size() also refuses a too-long iid_all window
-    vectorized = isinstance(statistic, Statistic)
+    stats, pvals = _rank(residuals[None, :], scheme, statistic, post_window)
+    return TestResult(
+        statistic=float(stats[0, 0]),
+        permuted_statistics=stats[0],
+        p_value=float(pvals[0]),
+        scheme=scheme,
+        estimator_id=None,
+        q=statistic.order if isinstance(statistic, Statistic) else "custom",
+        window=(1, residuals.shape[0]),
+        residuals=residuals,
+    )
+
+
+def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, post_window):
+    """Permuted statistics and p-values of each row of a residual matrix.
+
+    Every row is ranked against the same permutations, generated once, as
+    :func:`p_value` documents.  Returns ``(stats, p_values)``: ``stats[i]``
+    holds the statistics of row ``i``, identity first.
+    """
+    n = rows.shape[1]
+    stats = np.empty((rows.shape[0], scheme.size(n)))  # size() also refuses a too-long iid_all window
     post_idx = np.arange(n)[post_window]
     offset = 0
     for chunk in scheme._iter_chunks(n):
-        if vectorized:
-            values = statistic(residuals[chunk[:, post_idx]], slice(None))
+        if isinstance(statistic, Statistic):
+            values = statistic(rows.take(chunk[:, post_idx], axis=1), slice(None))
         else:
-            values = [statistic(residuals[pi], post_window) for pi in chunk]
-        stats[offset: offset + chunk.shape[0]] = values
+            values = [[statistic(row[pi], post_window) for pi in chunk] for row in rows]
+        stats[:, offset: offset + chunk.shape[0]] = values
         offset += chunk.shape[0]
-
-    observed = stats[0]
-    pv = float((stats >= observed - _TIE_RTOL * abs(observed)).mean())
-    return TestResult(
-        statistic=float(observed),
-        permuted_statistics=stats,
-        p_value=pv,
-        scheme=scheme,
-        estimator_id=None,
-        q=statistic.order if vectorized else "custom",
-        window=(1, n),
-        residuals=residuals,
-    )
+    observed = stats[:, :1]
+    ties = stats >= observed - _TIE_RTOL * np.abs(observed)
+    return stats, np.add.reduce(ties, axis=1) / stats.shape[1]
 
 
 def test_sharp_null(
@@ -340,7 +349,13 @@ def default_ci_grid(
 
 @dataclass(frozen=True)
 class CiEntry:
-    """Accepted candidate effects for one post-treatment period."""
+    """Accepted candidate effects for one post-treatment period.
+
+    ``lower`` and ``upper`` are NaN when no candidate is accepted.
+    ``iterations`` sums the solver steps of the candidate fits and
+    ``nonconverged`` counts the fits whose report says they did not
+    converge; a fit without a report counts 0 in both.
+    """
 
     period: int
     grid: np.ndarray
@@ -351,6 +366,8 @@ class CiEntry:
     upper: float
     has_gaps: bool
     is_empty: bool
+    iterations: int
+    nonconverged: int
 
 
 @dataclass(frozen=True)
@@ -373,12 +390,16 @@ def pointwise_ci(
     """Confidence set for the effect in period ``t`` by test inversion.
 
     For each candidate value the pre-treatment rows plus the adjusted row
-    ``t`` form a one-post-period panel that is tested with
-    :func:`test_sharp_null`; candidates whose p-value exceeds ``1 - level``
-    are accepted.  The grid is sorted first and must not be empty.  The
-    reported interval is the hull of the accepted set, with a flag when the
-    set has interior gaps (and a warning when it is empty, which indicates
-    a too-coarse grid or severe misfit).
+    ``t`` form a one-post-period panel, tested as :func:`test_sharp_null`
+    would; candidates whose p-value exceeds ``1 - level`` are accepted.
+    The grid is sorted first and must not be empty.  The candidates share
+    their design and differ only in the last treated entry, so they are
+    fitted in grid order, each from its neighbour's solution (see
+    :func:`~synthconf.estimators.fit`), and all residual rows are ranked in
+    one permutation pass; the p-values are those of :func:`test_sharp_null`.
+    The reported interval is the hull of the accepted set, with a flag when
+    the set has interior gaps (and a warning when it is empty, which
+    indicates a too-coarse grid or severe misfit).
     """
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1); got {level}")
@@ -389,10 +410,13 @@ def pointwise_ci(
     if grid.size == 0:
         raise DimensionError(f"the candidate grid for period {t} is empty")
     sub = pointwise_slice(panel, t)
+    fits = []
+    for candidate in grid:
+        fits.append(fit(adjust_under_null(sub, [candidate]), spec, fits[-1] if fits else None))
+    rows = np.array([fitted.residuals for fitted in fits])
+    _, pvals = _rank(rows, scheme, statistic, fits[0].post_slice(sub.t0))
+    reports = [fitted.diagnostics for fitted in fits if fitted.diagnostics is not None]
     alpha = 1.0 - level
-    pvals = np.empty(grid.shape[0])
-    for i, candidate in enumerate(grid):
-        pvals[i] = test_sharp_null(sub, [candidate], spec, scheme, statistic).p_value
     # Strict inequality; the slack absorbs float error in 1 - level so that
     # p-values exactly on the boundary grid k/|Pi| = alpha are rejected.
     accepted = pvals > alpha + 1e-12
@@ -420,6 +444,8 @@ def pointwise_ci(
         upper=upper,
         has_gaps=has_gaps,
         is_empty=is_empty,
+        iterations=sum(report.iterations for report in reports),
+        nonconverged=sum(not report.converged for report in reports),
     )
 
 

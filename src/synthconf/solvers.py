@@ -257,6 +257,11 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
 
     NNLS of Lawson and Hanson (1974, ch. 23) on the Gram matrix ``G``; with
     ``pad > 0`` the weights also sum to one, a KKT row scaled by ``pad``.
+    The start is feasible: ``w_s > 0``, summing to one with that row.  The
+    empty support, or one vertex with that row, is the solution on its
+    support; any other start (say the solution of an earlier problem with
+    the same ``G``) is first solved on its support as below, so a cold
+    start takes the same steps whether or not warm starts exist.
     Each step solves the KKT system on the support.  If a weight of the
     solution is not positive, the iterate moves toward it until the first
     weight reaches zero and drops that one; else it takes the solution and
@@ -283,11 +288,23 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
         return _solve(system, np.append(lin[support], border))[:n]
 
     limit = cfg.tol * scale
-    r = lin - gram[:, support] @ w_s
-    gap = float(r.max(initial=-np.inf) - w_s @ r[support])
     steps = 0
-    solved = True
-    while gap > limit and steps < cfg.max_iters:
+    solved = support.size <= border.size
+    while True:
+        while not solved and steps < cfg.max_iters:
+            steps += 1
+            z = solve_on(support)
+            solved = bool((z > 0.0).all())
+            if solved:
+                w_s = z
+            else:
+                w_s, _ = _step_to_first_zero(w_s, z - w_s, 1.0)
+                keep = w_s > 0.0
+                support, w_s = support[keep], w_s[keep]
+        r = lin - gram[:, support] @ w_s
+        gap = float(r.max(initial=-np.inf) - w_s @ r[support])
+        if gap <= limit or steps >= cfg.max_iters:
+            break
         joining = int(np.argmax(r))
         if (support == joining).any():
             break  # the gap is rounding on the support itself
@@ -301,29 +318,29 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
                     break  # no descent along the span: rounding
                 support, w_s = np.delete(support, k), np.delete(w_s, k)
         solved = False
-        while not solved and steps < cfg.max_iters:
-            steps += 1
-            z = solve_on(support)
-            solved = bool((z > 0.0).all())
-            if solved:
-                w_s = z
-            else:
-                w_s, _ = _step_to_first_zero(w_s, z - w_s, 1.0)
-                keep = w_s > 0.0
-                support, w_s = support[keep], w_s[keep]
-        r = lin - gram[:, support] @ w_s
-        gap = float(r.max() - w_s @ r[support])
     kkt = max(gap, 0.0) / scale if scale > 0 else 0.0
     return support, w_s, steps, solved and gap <= limit, kkt
 
 
-def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig()):
+def _warm(start, n):
+    """A warm start as an array of ``n`` weights."""
+    start = np.asarray(start, dtype=float)
+    if start.shape != (n,):
+        raise DimensionError(f"a warm start needs {n} weights; got shape {start.shape}")
+    return start
+
+
+def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), start=None):
     """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1.
 
     ``m`` is ``n_constrained``; the columns after the first ``m`` are free
     and are projected out (:func:`_project_free`).  The rest is solved by
     the active-set method of :func:`_active_set` with a sum-to-one row,
-    started at the best vertex.
+    started at the best vertex, or warm at ``start``: weights of the ``m``
+    constrained columns, such as ``w[:m]`` of an earlier solve on the same
+    ``X``, whose positive part is scaled to sum to one (a start with no
+    positive weight is ignored).  A start changes the path, not the
+    certificate, so it saves steps when ``y`` moved little.
 
     Returns
     -------
@@ -345,8 +362,13 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig()):
     # The sum-to-one row is scaled like the Gram matrix (by the largest
     # squared column norm), which keeps the KKT system balanced in any units.
     pad = float(np.sqrt(np.diag(gram).max())) ** 2
-    start = np.array([int(np.argmin(np.diag(gram) - 2.0 * xty))])
-    support, w_s, steps, converged, kkt = _active_set(gram, xty, pad, start, np.ones(1), scale, cfg)
+    w0 = np.zeros(m) if start is None else _warm(start, m)
+    support = np.flatnonzero(w0 > 0.0)
+    if support.size:
+        w_s = w0[support] / w0[support].sum()
+    else:
+        support, w_s = np.array([int(np.argmin(np.diag(gram) - 2.0 * xty))]), np.ones(1)
+    support, w_s, steps, converged, kkt = _active_set(gram, xty, pad, support, w_s, scale, cfg)
 
     w = np.zeros(X.shape[1])
     w[support] = w_s
@@ -355,12 +377,13 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig()):
     return w, SolveReport(steps, float(resid @ resid), converged, kkt, note="simplex active set")
 
 
-def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None):
+def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None, start=None):
     """Minimize sum((y - mu - X w)^2) + P(w) with a free intercept ``mu``.
 
     ``penalty`` is a :class:`LassoPenalty` or :class:`ElasticNetPenalty`;
     ``penalty_weights`` optionally scales the penalty per column (0 leaves
-    a column unpenalized).
+    a column unpenalized).  ``start`` is an optional warm start, one weight
+    per column, such as the ``w`` of an earlier solve on the same ``X``.
 
     The intercept is concentrated out by centring, and the ridge part of
     the penalty is least squares on extra rows ``sqrt(l2_j) e_j`` with
@@ -369,8 +392,8 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
     matrix (``Xc'Xc + diag(l2)``) and ``c`` their product with the target,
     ``w = w+ - w-`` for the nonnegative ``(w+, w-)`` that minimizes the
     quadratic with Gram ``[[A, -A], [-A, A]]`` and linear term
-    ``[c - l1/2, -c - l1/2]``, solved by :func:`_active_set` from zero.
-    Constant columns keep a zero weight.
+    ``[c - l1/2, -c - l1/2]``, solved by :func:`_active_set` from zero or
+    from the signed split of ``start``.  Constant columns keep a zero weight.
 
     Returns
     -------
@@ -399,9 +422,16 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
     free = np.flatnonzero(varies & (l1 == 0.0))
     a, c, scale, free_coefs = _project_free(xa[:, split], xa[:, free], ya)
     half = 0.5 * l1[split]
+    if start is None:
+        support, v_s = np.zeros(0, dtype=int), np.zeros(0)
+    else:
+        w0 = _warm(start, p)[split]
+        v0 = np.concatenate([w0, -w0])
+        support = np.flatnonzero(v0 > 0.0)
+        v_s = v0[support]
     support, v_s, steps, converged, kkt = _active_set(
         np.block([[a, -a], [-a, a]]), np.concatenate([c - half, -c - half]), 0.0,
-        np.zeros(0, dtype=int), np.zeros(0), scale, cfg)
+        support, v_s, scale, cfg)
 
     v = np.zeros(2 * split.size)
     v[support] = v_s

@@ -9,6 +9,7 @@ from synthconf import (
     EstimatorSpec,
     PanelData,
     SolverConfig,
+    adjust_under_null,
     fit,
 )
 from synthconf.estimators import (
@@ -74,6 +75,35 @@ class TestCustomEstimator:
         panel = random_panel(rng, 10, 3)
         with pytest.raises(TypeError):
             fit(panel, lambda p: p.treated)
+
+
+class TestWarmStart:
+    WARM_SPECS = [EstimatorSpec.sc(), EstimatorSpec.classo(), EstimatorSpec.lasso(0.5),
+                  EstimatorSpec.elastic_net(0.5, 0.5)]
+
+    @pytest.mark.parametrize("spec", WARM_SPECS, ids=lambda spec: spec.label)
+    def test_start_changes_the_steps_not_the_fit(self, rng, spec):
+        # The neighbouring candidate of a test inversion: only the last
+        # treated entry moved.
+        panel = random_panel(rng, 31, 50, t0=30, noise=1.0)
+        moved = adjust_under_null(panel, [0.3])
+        cold = fit(moved, spec)
+        warm = fit(moved, spec, start=fit(panel, spec))
+        assert warm.diagnostics.converged
+        assert warm.diagnostics.iterations < cold.diagnostics.iterations
+        np.testing.assert_allclose(warm.residuals, cold.residuals, rtol=0, atol=1e-9)
+
+    def test_start_is_ignored_by_other_specs(self, rng):
+        panel = random_panel(rng, 12, 4)
+        start = fit(panel, EstimatorSpec.classo(2.0))
+
+        def mean_proxy(panel):
+            return fit(panel, EstimatorSpec.did())
+
+        for spec in ALL_SPECS + [mean_proxy]:
+            cold, warm = fit(panel, spec), fit(panel, spec, start=start)
+            np.testing.assert_array_equal(warm.residuals, cold.residuals)
+            assert warm.diagnostics == cold.diagnostics
 
 
 class TestEstimatorSpec:

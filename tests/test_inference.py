@@ -346,6 +346,50 @@ class TestPointwiseCi:
         assert entry.is_empty
         assert math.isnan(entry.lower)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t0=st.integers(4, 12),
+        n_controls=st.integers(1, 15),
+        grid=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12),
+        repeats=st.integers(0, 3),
+        kind=st.sampled_from(["did", "sc", "classo", "lasso", "elastic_net"]),
+        radius=st.floats(0.5, 3.0),
+        lam=st.floats(0.01, 5.0),
+        alpha=st.floats(0.0, 1.0),
+    )
+    @pytest.mark.filterwarnings("ignore:no candidate effect accepted")
+    def test_p_values_equal_per_candidate_tests(self, seed, t0, n_controls, grid, repeats, kind,
+                                                radius, lam, alpha):
+        # Candidates are fitted warm from their neighbour and ranked in one
+        # pass; each p-value must still be that of its own sharp-null test.
+        rng = np.random.default_rng(seed)
+        panel = random_panel(rng, t0 + 2, n_controls, t0=t0, noise=1.0)
+        spec = {"did": EstimatorSpec.did(), "sc": EstimatorSpec.sc(),
+                "classo": EstimatorSpec.classo(radius), "lasso": EstimatorSpec.lasso(lam),
+                "elastic_net": EstimatorSpec.elastic_net(lam, alpha)}[kind]
+        grid = grid + grid[:repeats]
+        entry = pointwise_ci(panel, t0 + 2, spec, grid=grid)
+        sub = sc.pointwise_slice(panel, t0 + 2)
+        expected = [sharp_null(sub, [candidate], spec).p_value for candidate in sorted(grid)]
+        np.testing.assert_array_equal(entry.p_values, expected)
+
+    def test_reports_solver_steps_and_nonconverged_fits(self, rng):
+        panel = random_panel(rng, 12, 6, noise=1.0)
+        grid = np.linspace(-2, 2, 9)
+        sub = sc.pointwise_slice(panel, 12)
+        for spec in (EstimatorSpec.sc(), EstimatorSpec.sc(sc.SolverConfig(max_iters=1))):
+            entry = pointwise_ci(panel, 12, spec, grid=grid)
+            fits = [None]
+            for candidate in grid:
+                fits.append(sc.fit(sc.adjust_under_null(sub, [candidate]), spec, fits[-1]))
+            reports = [fitted.diagnostics for fitted in fits[1:]]
+            assert entry.iterations == sum(report.iterations for report in reports) > 0
+            assert entry.nonconverged == sum(not report.converged for report in reports)
+            assert (entry.nonconverged > 0) == (spec.solver.max_iters == 1)
+        entry = pointwise_ci(panel, 12, EstimatorSpec.did(), grid=grid)
+        assert (entry.iterations, entry.nonconverged) == (0, 0)
+
     def test_default_grid_has_41_points(self, rng):
         panel = random_panel(rng, 14, 3)
         entry = pointwise_ci(panel, 13, EstimatorSpec.did())

@@ -329,6 +329,30 @@ class TestCmdCi:
         assert docs[1] == docs[0]
         assert docs[0][0]["lower"] <= docs[0][0]["upper"]
 
+    def test_empty_interval_has_null_bounds(self, fixture_csv, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="no candidate effect accepted"):
+            assert main(["ci", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                         "--grid=100:101:3", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads((out / "result.json").read_text(), parse_constant=reject)
+        interval = doc["intervals"][0]
+        assert interval["empty"] is True
+        assert interval["lower"] is None and interval["upper"] is None
+
+    def test_intervals_report_solver_steps(self, fixture_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["ci", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                     "--estimator", "sc", "--grid=-2:2:9", "--out", str(out)]) == 0
+        panel = read_panel_csv(fixture_csv, t0=12, treated="rhode")
+        entry = sc.pointwise_ci(panel, 13, sc.EstimatorSpec.sc(), grid=np.linspace(-2, 2, 9))
+        interval = json.loads((out / "result.json").read_text())["intervals"][0]
+        assert interval["iterations"] == entry.iterations > 0
+        assert interval["nonconverged"] == entry.nonconverged == 0
+
     def test_estimator_named_by_label(self, fixture_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["ci", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",

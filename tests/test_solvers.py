@@ -221,6 +221,69 @@ class TestSimplexLS:
         assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
 
 
+class TestWarmStart:
+    def test_cold_steps_are_unchanged(self):
+        # Step counts of cold solves, frozen from before warm starts existed:
+        # a cold start begins at the best vertex (simplex) or at zero.
+        steps = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((31, 50) if seed % 2 else (15, 10))
+            y = X[:, :3].mean(axis=1) + rng.standard_normal(X.shape[0])
+            steps.append((simplex_ls(X, y, X.shape[1])[1].iterations,
+                          simplex_ls(np.hstack([X, -X]), y - y.mean(), 2 * X.shape[1])[1].iterations,
+                          penalized_ls(X, y, ElasticNetPenalty(0.5, 0.7))[2].iterations))
+        assert steps == [(4, 2, 9), (4, 4, 43), (2, 3, 7), (7, 11, 45),
+                         (5, 8, 9), (8, 10, 43), (2, 4, 8), (2, 3, 50)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(3, 15),
+        n_cols=st.integers(1, 20),
+        n_free=st.integers(0, 2),
+        shift=st.floats(-5.0, 5.0),
+        kind=st.sampled_from(["sc", "signed", "lasso", "elastic_net"]),
+        lam=st.floats(0.01, 5.0),
+    )
+    def test_warm_start_from_neighbouring_response(self, seed, n_rows, n_cols, n_free, shift, kind, lam):
+        # As in a test inversion: the same design, and a response whose last
+        # entry moved.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_rows, n_cols + n_free))
+        y = X[:, : min(3, n_cols)].mean(axis=1) + rng.standard_normal(n_rows)
+        moved = y.copy()
+        moved[-1] -= shift
+        if kind in ("sc", "signed"):
+            design = X if kind == "sc" else np.hstack([X[:, :n_cols], -X[:, :n_cols], X[:, n_cols:]])
+            m = n_cols if kind == "sc" else 2 * n_cols
+            w_prev, _ = simplex_ls(design, y, m)
+            (w, report), (_, cold) = simplex_ls(design, moved, m, start=w_prev[:m]), simplex_ls(design, moved, m)
+            assert (w[:m] >= 0.0).all() and abs(w[:m].sum() - 1.0) <= 1e-12
+            gap, free, scale = _oracles.constrained_gap(design, moved, w, m)
+            assert gap <= SolverConfig().tol * scale and free <= 1e-10
+        else:
+            penalty = LassoPenalty(lam) if kind == "lasso" else ElasticNetPenalty(lam, 0.5)
+            weights = np.ones(n_cols + n_free)
+            weights[n_cols:] = 0.0
+            _, w_prev, _ = penalized_ls(X, y, penalty, penalty_weights=weights)
+            mu, w, report = penalized_ls(X, moved, penalty, penalty_weights=weights, start=w_prev)
+            cold = penalized_ls(X, moved, penalty, penalty_weights=weights)[2]
+            l1, l2 = penalty.l1 * weights, penalty.l2 * weights
+            kkt = _oracles.penalized_kkt_violation(X, moved, mu, w, l1, l2)
+            assert kkt <= TestCoordinateDescent.kkt_bound(X, moved)
+        assert report.converged
+        f, f_cold = report.final_objective, cold.final_objective
+        assert abs(f - f_cold) <= 1e-9 * (1.0 + abs(f_cold))
+
+    def test_start_of_wrong_length_is_refused(self, rng):
+        X = rng.standard_normal((8, 3))
+        with pytest.raises(DimensionError):
+            simplex_ls(X, rng.standard_normal(8), 3, start=np.ones(4))
+        with pytest.raises(DimensionError):
+            penalized_ls(X, rng.standard_normal(8), LassoPenalty(1.0), start=np.ones(2))
+
+
 class TestCoordinateDescent:
     def test_unpenalized_limit_is_ols(self, rng):
         X = rng.standard_normal((40, 3))
