@@ -25,7 +25,6 @@ from .inference import (
     Statistic,
     TestResult,
     confidence_band,
-    default_ci_grid,
     p_value,
     placebo_test,
     pointwise_ci,
@@ -88,7 +87,7 @@ __all__ = [
     # inference
     "PermutationScheme", "Statistic", "TestResult", "CiEntry", "ConfidenceBand",
     "statistic_sq", "statistic_mean", "p_value",
-    "test_sharp_null", "pointwise_ci", "confidence_band", "default_ci_grid",
+    "test_sharp_null", "pointwise_ci", "confidence_band",
     "test_average_effect", "test_multi_unit", "placebo_test",
     # simulation
     "DgpSpec", "ExperimentResult", "dgp_weights", "simulate_panel",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import _ESTIMATORS, _REQUIRED, EstimatorSpec
+from .estimators import EstimatorSpec, parse_estimator
 from .exceptions import SynthconfError
 from .inference import (
     PermutationScheme,
@@ -31,56 +31,6 @@ from .panel import EffectTrajectory
 from .simulation import DgpSpec, run_size_experiment
 
 __all__ = ["main", "cmd_test", "cmd_ci", "cmd_placebo", "cmd_simulate", "parse_estimator"]
-
-
-def parse_estimator(text: str) -> EstimatorSpec:
-    """Build an estimator spec from its CLI notation, e.g. ``classo:K=2``.
-
-    The notation is a kind, with ``-`` for ``_`` (``elastic-net``), then
-    optionally ``:`` and comma-separated ``key=value`` parameters; the
-    estimator table in :mod:`synthconf.estimators` lists each kind's keys.
-    A parameter that is itself an estimator (the base of ``fused``) takes
-    every key its own kind does not have, so
-    ``fused:base=elastic-net:lam=1,alpha=0.5,lags=1`` gives the base both
-    ``lam`` and ``alpha``.  Any other unknown key is an error.
-    """
-    name, _, param_text = text.partition(":")
-    kind = name.strip().lower().replace("-", "_")
-    params = {}
-    if param_text:
-        for item in param_text.split(","):
-            if "=" not in item:
-                raise SynthconfError(f"malformed estimator parameter {item!r} in {text!r}")
-            key, _, value = item.partition("=")
-            params[key.strip()] = value.strip()
-    if kind not in _ESTIMATORS:
-        raise SynthconfError(f"unknown estimator {name.strip()!r}")
-    row = _ESTIMATORS[kind]
-    keys = [key for key, _, _, _ in row.params]
-    unknown = [key for key in params if key not in keys]
-    nested = next((key for key, _, convert, _ in row.params if convert is EstimatorSpec), None)
-    if unknown and nested in params:
-        base = params[nested]
-        extra = ",".join(f"{key}={params.pop(key)}" for key in unknown)
-        params[nested] = f"{base},{extra}" if ":" in base else f"{base}:{extra}"
-    elif unknown:
-        raise SynthconfError(
-            f"estimator {text!r} has unknown parameter {unknown[0]!r}; "
-            f"valid parameters: {', '.join(keys) if keys else 'none'}"
-        )
-    fields = {}
-    try:
-        for key, field, convert, default in row.params:
-            if key in params:
-                raw = params[key]
-                fields[field] = parse_estimator(raw) if convert is EstimatorSpec else convert(raw)
-            elif default is _REQUIRED:
-                raise SynthconfError(f"estimator {text!r} is missing parameter {key!r}")
-            else:
-                fields[field] = default
-        return getattr(EstimatorSpec, kind)(**fields)
-    except ValueError as exc:
-        raise SynthconfError(f"invalid estimator specification {text!r}: {exc}") from None
 
 
 #: Permutation-scheme kind of each ``--permutations`` value.

@@ -11,12 +11,12 @@ fitted window instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, SynthconfError
 from .panel import PanelData
 from .solvers import (
     ElasticNetPenalty,
@@ -32,7 +32,7 @@ from .solvers import (
     simplex_ls,
 )
 
-__all__ = ["ProxyFit", "EstimatorSpec", "fit", "default_nuclear_radius"]
+__all__ = ["ProxyFit", "EstimatorSpec", "fit", "parse_estimator", "default_nuclear_radius"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,8 @@ class EstimatorSpec:
                 raise ValueError("fused estimators need n_lags >= 1")
         if self.kind == "ar" and (self.n_lags is None or self.n_lags < 1):
             raise ValueError("ar estimators need n_lags >= 1")
+        if self.kind in ("lasso", "elastic_net"):
+            ElasticNetPenalty(self.lam, 1.0 if self.kind == "lasso" else self.alpha)  # checks lam, alpha
         if self.ar_fitter is not None and self.kind != "ar":
             raise ValueError("ar_fitter is only meaningful for kind='ar'")
 
@@ -135,8 +137,8 @@ class EstimatorSpec:
         return cls("interactive_fe", n_factors=n_factors, solver=solver or SolverConfig())
 
     @classmethod
-    def matrix_completion(cls, radius: float | None = None, solver: SolverConfig | None = None) -> "EstimatorSpec":
-        return cls("matrix_completion", radius=radius, solver=solver or SolverConfig())
+    def matrix_completion(cls, radius: float | None = None) -> "EstimatorSpec":
+        return cls("matrix_completion", radius=radius)
 
     @classmethod
     def ar(cls, n_lags: int, fitter: Callable | None = None) -> "EstimatorSpec":
@@ -225,6 +227,11 @@ def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | N
     )
 
 
+def _closed_form(objective: float, note: str = "") -> SolveReport:
+    """The report of a fit solved in closed form: one step, exact, converged."""
+    return SolveReport(iterations=1, final_objective=objective, converged=True, kkt_residual=0.0, note=note)
+
+
 def fit_did(panel: PanelData) -> ProxyFit:
     """Difference-in-differences: equal control weights plus a level shift.
 
@@ -301,12 +308,7 @@ def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig(),
 def fit_factor(panel: PanelData, n_factors: int) -> ProxyFit:
     """Pure factor model: principal components of the full outcome matrix."""
     factors, loadings = pca_factors(panel.outcomes, n_factors)
-    report = SolveReport(
-        iterations=1,
-        final_objective=float(((panel.outcomes - factors @ loadings.T) ** 2).sum()),
-        converged=True,
-        kkt_residual=0.0,
-    )
+    report = _closed_form(float(((panel.outcomes - factors @ loadings.T) ** 2).sum()))
     return _panel_fit(panel, factors @ loadings[0], report, treated_loading=loadings[0])
 
 
@@ -345,29 +347,18 @@ def default_nuclear_radius(matrix: np.ndarray) -> float:
     return 1.5 * float(s[:rank].sum())
 
 
-def fit_matrix_completion(
-    panel: PanelData, radius: float | None = None, cfg: SolverConfig = SolverConfig()
-) -> ProxyFit:
+def fit_matrix_completion(panel: PanelData, radius: float | None = None) -> ProxyFit:
     """Least squares over the nuclear-norm ball on the full outcome matrix.
 
     With every entry observed the minimizer of ``sum((Y - A)^2)`` subject
     to ``||A||_* <= radius`` is the Euclidean projection of the outcome
-    matrix onto the ball, so the projected-gradient recursion lands on the
-    solution in a single step; the reported KKT residual is the gradient
-    map evaluated at that point.
+    matrix onto the ball, so the fit is exact in one step.
     """
     matrix = panel.outcomes.T  # units x time
     if radius is None:
         radius = default_nuclear_radius(matrix)
     fitted = project_nuclear_ball(matrix, radius)
-    grad = 2.0 * (fitted - matrix)
-    kkt = float(np.abs(fitted - project_nuclear_ball(fitted - 0.5 * grad, radius)).max())
-    report = SolveReport(
-        iterations=1,
-        final_objective=float(((matrix - fitted) ** 2).sum()),
-        converged=kkt <= cfg.tol * (1.0 + float(np.abs(matrix).max())),
-        kkt_residual=kkt,
-    )
+    report = _closed_form(float(((matrix - fitted) ** 2).sum()))
     return _panel_fit(panel, fitted[0], report, radius=radius)
 
 
@@ -377,57 +368,68 @@ def _lag_matrix(series: np.ndarray, n_lags: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
+                   fitter: Callable | None = None) -> ProxyFit:
+    """Least squares of ``series`` on its own ``n_lags`` lags, from period ``n_lags + 1``.
+
+    The proxy is the predicted series and ``params["coefficients"]`` the
+    fitted coefficients.  With ``intercept`` the design leads with a
+    constant column, and lag columns that do not vary (a constant series)
+    are dropped: they carry no signal and would be collinear with it, so
+    their coefficients are 0.  Without it, a series that does not vary
+    leaves no second moment to fit, so every lag coefficient is 0 and the
+    report says so.  ``fitter`` replaces the least squares (see :func:`fit_ar`).
+    """
+    if n_lags < 1:
+        raise DimensionError(f"n_lags must be >= 1; got {n_lags}")
+    if series.shape[0] <= n_lags + 1:
+        raise DimensionError(f"{what} of length {series.shape[0]} is too short for {n_lags} lags")
+    lags = _lag_matrix(series, n_lags)
+    target = series[n_lags:]
+    params, note = {}, ""
+    if fitter is not None:
+        predicted = np.asarray(fitter(lags, target)(lags), dtype=float)
+    elif intercept:
+        keep = np.ptp(lags, axis=0) > 0
+        design = np.column_stack([np.ones(target.shape[0]), lags[:, keep]])
+        coef = ols(design, target)
+        predicted = design @ coef
+        params["coefficients"] = np.zeros(n_lags + 1)
+        params["coefficients"][np.r_[True, keep]] = coef
+    else:
+        if np.ptp(series) <= 0:
+            coef = np.zeros(n_lags)
+            note = "degenerate second stage: constant first-stage residuals; lag coefficients set to 0"
+        else:
+            coef = ols(lags, target)
+        predicted = lags @ coef
+        params["coefficients"] = coef
+    residuals = target - predicted
+    return ProxyFit(
+        proxy=predicted,
+        residuals=residuals,
+        start=n_lags + 1,
+        permutation_invariant=False,
+        diagnostics=None if fitter is not None else _closed_form(float((residuals ** 2).sum()), note),
+        params=params,
+    )
+
+
 def fit_ar(panel: PanelData, n_lags: int, fitter: Callable | None = None) -> ProxyFit:
     """Autoregression of the treated series on its own lags (with intercept).
 
     Only the treated unit is used, so panels without controls are
     accepted.  The first ``n_lags`` periods are consumed to build the lag
     design, and the fitted window starts at period ``n_lags + 1``.
+    ``params["coefficients"]`` holds the intercept, then one coefficient
+    per lag.
 
     An optional ``fitter(lags, response) -> predict`` callable replaces
     the built-in linear least squares with a user-supplied (possibly
     nonlinear) lag model; ``predict`` must map a lag matrix to fitted
     values.
     """
-    if n_lags < 1:
-        raise DimensionError(f"n_lags must be >= 1; got {n_lags}")
-    y = panel.treated
-    if y.shape[0] <= n_lags + 1:
-        raise DimensionError(
-            f"series of length {y.shape[0]} is too short for {n_lags} lags"
-        )
-    lags = _lag_matrix(y, n_lags)
-    target = y[n_lags:]
-    params = {}
-    if fitter is not None:
-        predict = fitter(lags, target)
-        proxy = np.asarray(predict(lags), dtype=float)
-        diagnostics = None
-    else:
-        # Zero-variance lag columns (constant series) carry no signal and
-        # would make the design collinear with the intercept; drop them.
-        keep = np.ptp(lags, axis=0) > 0
-        design = np.column_stack([np.ones(target.shape[0]), lags[:, keep]])
-        coef = ols(design, target)
-        proxy = design @ coef
-        full = np.zeros(n_lags + 1)
-        full[0] = coef[0]
-        full[1 + np.nonzero(keep)[0]] = coef[1:]
-        params["coefficients"] = full
-        diagnostics = SolveReport(
-            iterations=1,
-            final_objective=float(((target - proxy) ** 2).sum()),
-            converged=True,
-            kkt_residual=0.0,
-        )
-    return ProxyFit(
-        proxy=proxy,
-        residuals=target - proxy,
-        start=n_lags + 1,
-        permutation_invariant=False,
-        diagnostics=diagnostics,
-        params=params,
-    )
+    return _autoregression(panel.treated, n_lags, "series", intercept=True, fitter=fitter)
 
 
 def fit_fused(panel: PanelData, base: EstimatorSpec, n_lags: int) -> ProxyFit:
@@ -444,38 +446,13 @@ def fit_fused(panel: PanelData, base: EstimatorSpec, n_lags: int) -> ProxyFit:
     """
     if base.kind not in _PANEL_KINDS:
         raise ValueError(f"fused base must be a panel estimator; got {base.kind!r}")
-    if n_lags < 1:
-        raise DimensionError(f"n_lags must be >= 1; got {n_lags}")
     stage1 = fit(panel, base)
-    eps = stage1.residuals
-    if eps.shape[0] <= n_lags + 1:
-        raise DimensionError(
-            f"residual series of length {eps.shape[0]} is too short for {n_lags} lags"
-        )
-    lags = _lag_matrix(eps, n_lags)
-    target = eps[n_lags:]
-    note = ""
-    if np.ptp(eps) <= 0:
-        rho = np.zeros(n_lags)
-        note = "degenerate second stage: constant first-stage residuals; lag coefficients set to 0"
-    else:
-        rho = ols(lags, target)
-    predicted = lags @ rho
-    proxy = stage1.proxy[n_lags:] + predicted
-    diagnostics = SolveReport(
-        iterations=1,
-        final_objective=float(((target - predicted) ** 2).sum()),
-        converged=True,
-        kkt_residual=0.0,
-        note=note,
-    )
-    return ProxyFit(
-        proxy=proxy,
-        residuals=target - predicted,
-        start=n_lags + 1,
-        permutation_invariant=False,
-        diagnostics=diagnostics,
-        params={"rho": rho, "base": stage1.estimator_id, "base_params": stage1.params},
+    stage2 = _autoregression(stage1.residuals, n_lags, "residual series", intercept=False)
+    return replace(
+        stage2,
+        proxy=stage1.proxy[n_lags:] + stage2.proxy,
+        params={"rho": stage2.params["coefficients"], "base": stage1.estimator_id,
+                "base_params": stage1.params},
     )
 
 
@@ -532,7 +509,7 @@ _ESTIMATORS = {
     ),
     "matrix_completion": _Kind(
         (("K", "radius", float, None),),
-        lambda panel, spec, start: fit_matrix_completion(panel, spec.radius, spec.solver),
+        lambda panel, spec, start: fit_matrix_completion(panel, spec.radius),
     ),
     "ar": _Kind(
         (("lags", "n_lags", int, _REQUIRED),),
@@ -548,3 +525,53 @@ _ESTIMATORS = {
 }
 _KINDS = tuple(_ESTIMATORS)
 _PANEL_KINDS = tuple(kind for kind, row in _ESTIMATORS.items() if row.fused_base)
+
+
+def parse_estimator(text: str) -> EstimatorSpec:
+    """Build an estimator spec from its CLI notation, e.g. ``classo:K=2``.
+
+    The notation is a kind, with ``-`` for ``_`` (``elastic-net``), then
+    optionally ``:`` and comma-separated ``key=value`` parameters; the
+    table ``_ESTIMATORS`` above lists each kind's keys.
+    A parameter that is itself an estimator (the base of ``fused``) takes
+    every key its own kind does not have, so
+    ``fused:base=elastic-net:lam=1,alpha=0.5,lags=1`` gives the base both
+    ``lam`` and ``alpha``.  Any other unknown key is an error.
+    """
+    name, _, param_text = text.partition(":")
+    kind = name.strip().lower().replace("-", "_")
+    params = {}
+    if param_text:
+        for item in param_text.split(","):
+            if "=" not in item:
+                raise SynthconfError(f"malformed estimator parameter {item!r} in {text!r}")
+            key, _, value = item.partition("=")
+            params[key.strip()] = value.strip()
+    if kind not in _ESTIMATORS:
+        raise SynthconfError(f"unknown estimator {name.strip()!r}")
+    row = _ESTIMATORS[kind]
+    keys = [key for key, _, _, _ in row.params]
+    unknown = [key for key in params if key not in keys]
+    nested = next((key for key, _, convert, _ in row.params if convert is EstimatorSpec), None)
+    if unknown and nested in params:
+        base = params[nested]
+        extra = ",".join(f"{key}={params.pop(key)}" for key in unknown)
+        params[nested] = f"{base},{extra}" if ":" in base else f"{base}:{extra}"
+    elif unknown:
+        raise SynthconfError(
+            f"estimator {text!r} has unknown parameter {unknown[0]!r}; "
+            f"valid parameters: {', '.join(keys) if keys else 'none'}"
+        )
+    fields = {}
+    try:
+        for key, attr, convert, default in row.params:
+            if key in params:
+                raw = params[key]
+                fields[attr] = parse_estimator(raw) if convert is EstimatorSpec else convert(raw)
+            elif default is _REQUIRED:
+                raise SynthconfError(f"estimator {text!r} is missing parameter {key!r}")
+            else:
+                fields[attr] = default
+        return getattr(EstimatorSpec, kind)(**fields)
+    except ValueError as exc:
+        raise SynthconfError(f"invalid estimator specification {text!r}: {exc}") from None

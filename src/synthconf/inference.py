@@ -48,7 +48,6 @@ __all__ = [
     "test_average_effect",
     "test_multi_unit",
     "placebo_test",
-    "default_ci_grid",
 ]
 
 #: Full enumeration of all permutations is refused above this length.
@@ -324,18 +323,12 @@ def test_sharp_null(
     )
 
 
-def default_ci_grid(
-    panel: PanelData,
-    t: int,
-    spec: EstimatorSpec,
-    n_points: int = 41,
-    width: float = 5.0,
-) -> np.ndarray:
-    """Candidate-effect grid centered on the zero-null point estimate.
+def _default_ci_grid(panel: PanelData, t: int, spec: EstimatorSpec) -> np.ndarray:
+    """41 candidate effects centred on the zero-null point estimate.
 
-    The grid spans ``width`` robust standard deviations (1.4826 * median
-    absolute deviation of the pre-treatment residuals) on each side of the
-    point estimate ``Y_t - proxy_t`` from a zero-effect fit.
+    The grid spans 5 robust standard deviations (1.4826 * median absolute
+    deviation of the pre-treatment residuals) on each side of the point
+    estimate ``Y_t - proxy_t`` from a zero-effect fit.
     """
     sub = pointwise_slice(panel, t)
     fitted = fit(adjust_under_null(sub, [0.0]), spec)
@@ -344,7 +337,7 @@ def default_ci_grid(
     spread = 1.4826 * float(np.median(np.abs(pre - np.median(pre))))
     if spread <= 0:
         spread = max(float(pre.std()), 1e-8)
-    return np.linspace(point - width * spread, point + width * spread, n_points)
+    return np.linspace(point - 5.0 * spread, point + 5.0 * spread, 41)
 
 
 @dataclass(frozen=True)
@@ -405,7 +398,7 @@ def pointwise_ci(
         raise ValueError(f"level must lie in (0, 1); got {level}")
     scheme = scheme or PermutationScheme.moving_block()
     if grid is None:
-        grid = default_ci_grid(panel, t, spec)
+        grid = _default_ci_grid(panel, t, spec)
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DimensionError(f"the candidate grid for period {t} is empty")

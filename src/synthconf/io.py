@@ -52,6 +52,9 @@ def _as_treated_list(treated) -> list[str]:
     out = list(treated)
     if not out:
         raise ParseError("treated unit name(s) must be supplied")
+    repeated = next((name for i, name in enumerate(out) if name in out[:i]), None)
+    if repeated is not None:
+        raise ParseError(f"treated unit {repeated!r} is named more than once")
     return out
 
 
@@ -78,8 +81,8 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
     ------
     ParseError
         On a file that cannot be read (the message names it), ragged rows,
-        non-numeric cells, duplicate or missing observations, or unknown
-        treated units; messages carry the offending line number.
+        non-numeric cells, duplicate or missing observations, or unknown or
+        repeated treated units; messages carry the offending line number.
     """
     if layout not in ("wide", "long"):
         raise ParseError(f"unknown layout {layout!r}; expected 'wide' or 'long'")

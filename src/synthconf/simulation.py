@@ -20,7 +20,7 @@ import numpy as np
 from .estimators import EstimatorSpec
 from .inference import PermutationScheme, Statistic, p_value, test_sharp_null
 from .panel import EffectTrajectory, PanelData
-from .solvers import SolverConfig, simplex_ls
+from .solvers import simplex_ls
 
 __all__ = [
     "DgpSpec",
@@ -237,7 +237,7 @@ def _simulate_iid_controls_panel(
     return PanelData(np.column_stack([treated, controls]), t0=t0)
 
 
-def _pre_only_sc_pvalue(panel: PanelData, cfg: SolverConfig, statistic: Statistic) -> float:
+def _pre_only_sc_pvalue(panel: PanelData, statistic: Statistic) -> float:
     """Synthetic-control test that fits the weights on pre-treatment rows only.
 
     This is the comparison baseline: residuals over the full sample come
@@ -247,7 +247,7 @@ def _pre_only_sc_pvalue(panel: PanelData, cfg: SolverConfig, statistic: Statisti
     """
     y = panel.treated
     X = panel.controls
-    w, _ = simplex_ls(X[: panel.t0], y[: panel.t0], X.shape[1], cfg)
+    w, _ = simplex_ls(X[: panel.t0], y[: panel.t0], X.shape[1])
     residuals = y - X @ w
     result = p_value(
         residuals, PermutationScheme.moving_block(), statistic, slice(panel.t0, None)
@@ -262,7 +262,6 @@ def reproduce_figure_null_vs_pre(
     n_controls: int = 50,
     n_reps: int = 2000,
     level: float = 0.1,
-    solver: SolverConfig | None = None,
 ) -> list[dict]:
     """Rejection rates of full-sample versus pre-only synthetic-control tests.
 
@@ -272,8 +271,7 @@ def reproduce_figure_null_vs_pre(
     the weights on the adjusted full sample, and fitting them on the
     pre-treatment rows only.  Returns one row per (rho, mode) pair.
     """
-    solver = solver or SolverConfig()
-    estimator = EstimatorSpec.sc(solver=solver)
+    estimator = EstimatorSpec.sc()
     statistic = Statistic()
     zero = EffectTrajectory.zero(1)
     rows = []
@@ -285,7 +283,7 @@ def reproduce_figure_null_vs_pre(
             rng = np.random.default_rng(seq)
             panel = _simulate_iid_controls_panel(t0, n_controls, rho, rng)
             p_null = test_sharp_null(panel, zero, estimator, statistic=statistic).p_value
-            p_pre = _pre_only_sc_pvalue(panel, solver, statistic)
+            p_pre = _pre_only_sc_pvalue(panel, statistic)
             reject_null += p_null <= level
             reject_pre += p_pre <= level
         rows.append(

@@ -84,28 +84,6 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class LassoPenalty:
-    """l1 penalty ``lam * ||w||_1``."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0; got {self.lam}")
-
-    @property
-    def l1(self) -> float:
-        return self.lam
-
-    @property
-    def l2(self) -> float:
-        return 0.0
-
-    def value(self, w: np.ndarray) -> float:
-        return self.lam * np.abs(w).sum()
-
-
-@dataclass(frozen=True)
 class ElasticNetPenalty:
     """Mixed penalty ``lam * ((1 - alpha) * ||w||_2^2 + alpha * ||w||_1)``."""
 
@@ -113,8 +91,8 @@ class ElasticNetPenalty:
     alpha: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0; got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0; got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1]; got {self.alpha}")
 
@@ -128,6 +106,11 @@ class ElasticNetPenalty:
 
     def value(self, w: np.ndarray) -> float:
         return self.l2 * float(w @ w) + self.l1 * np.abs(w).sum()
+
+
+def LassoPenalty(lam: float) -> ElasticNetPenalty:
+    """l1 penalty ``lam * ||w||_1``: the elastic net at ``alpha = 1``."""
+    return ElasticNetPenalty(lam, 1.0)
 
 
 def _l1_threshold(magnitudes: np.ndarray, radius: float) -> float:
@@ -361,7 +344,9 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), sta
     gram, xty, scale, free_coefs = _project_free(X[:, :m], X[:, m:], y)
     # The sum-to-one row is scaled like the Gram matrix (by the largest
     # squared column norm), which keeps the KKT system balanced in any units.
-    pad = float(np.sqrt(np.diag(gram).max())) ** 2
+    # Constrained columns in the span of the free ones project to exactly
+    # zero; any simplex point then fits alike, and the row must not vanish.
+    pad = float(np.sqrt(np.diag(gram).max())) ** 2 or 1.0
     w0 = np.zeros(m) if start is None else _warm(start, m)
     support = np.flatnonzero(w0 > 0.0)
     if support.size:
@@ -380,7 +365,7 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), sta
 def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None, start=None):
     """Minimize sum((y - mu - X w)^2) + P(w) with a free intercept ``mu``.
 
-    ``penalty`` is a :class:`LassoPenalty` or :class:`ElasticNetPenalty`;
+    ``penalty`` is an :class:`ElasticNetPenalty` (:func:`LassoPenalty` for a lasso);
     ``penalty_weights`` optionally scales the penalty per column (0 leaves
     a column unpenalized).  ``start`` is an optional warm start, one weight
     per column, such as the ``w`` of an earlier solve on the same ``X``.

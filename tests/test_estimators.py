@@ -47,7 +47,9 @@ ALL_SPECS = [
     EstimatorSpec.matrix_completion(3.0),
     EstimatorSpec.matrix_completion(),
     EstimatorSpec.ar(1),
+    EstimatorSpec.ar(3),
     EstimatorSpec.fused(EstimatorSpec.did(), 1),
+    EstimatorSpec.fused(EstimatorSpec.sc(), 2),
     EstimatorSpec.fused(EstimatorSpec.matrix_completion(), 1),
 ]
 
@@ -120,6 +122,18 @@ class TestEstimatorSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             EstimatorSpec("ridge")
+
+    @pytest.mark.parametrize("make", [
+        lambda: EstimatorSpec.lasso(-1.0),
+        lambda: EstimatorSpec.lasso(float("inf")),
+        lambda: EstimatorSpec.elastic_net(0.5, 1.5),
+        lambda: EstimatorSpec.elastic_net(float("nan"), 0.5),
+    ], ids=["negative", "infinite", "alpha_above_one", "nan"])
+    def test_bad_penalty_rejected_when_built(self, make):
+        # Regression: the penalty was checked only at fit time, so the CLI
+        # ended in a ValueError traceback for lasso:lam=-1.
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestReconstructionIdentity:
@@ -473,10 +487,11 @@ class TestFused:
     def test_degenerate_stage_two(self, rng):
         controls = rng.standard_normal((12, 3))
         treated = controls.mean(axis=1) + 2.0
-        fitted = fit_fused(make_panel(treated, controls, t0=10), EstimatorSpec.did(), 1)
-        np.testing.assert_array_equal(fitted.params["rho"], [0.0])
-        np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
-        assert "degenerate" in fitted.diagnostics.note
+        for n_lags in (1, 2):
+            fitted = fit_fused(make_panel(treated, controls, t0=10), EstimatorSpec.did(), n_lags)
+            np.testing.assert_array_equal(fitted.params["rho"], np.zeros(n_lags))
+            np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
+            assert "degenerate" in fitted.diagnostics.note
 
     def test_ar1_error_structure_recovered(self):
         rng = np.random.default_rng(0)

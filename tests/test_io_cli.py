@@ -80,6 +80,17 @@ class TestReadWide:
         with pytest.raises(ParseError, match="duplicate unit names"):
             read_panel_csv(path, t0=1, treated="a")
 
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    def test_repeated_treated_unit_rejected(self, tmp_path, layout):
+        # Regression: treated=["a", "a"] built a panel with column a twice.
+        path = tmp_path / "panel.csv"
+        if layout == "wide":
+            write_lines(path, ["time,a,b,c,d", "1,1,2,3,4", "2,5,6,7,8", "3,9,1,2,3"])
+        else:
+            write_lines(path, ["unit,time,outcome", *(f"{u},{t},{t}" for u in "abcd" for t in (1, 2, 3))])
+        with pytest.raises(ParseError, match="'a' is named more than once"):
+            read_panel_csv(path, layout=layout, t0=2, treated=["a", "a"])
+
 
 class TestReadLong:
     def test_row_order_irrelevant(self, tmp_path):
@@ -409,12 +420,21 @@ class TestBadValues:
         ["test", "--permutations", "iid-sampled", "--n-perm", "0"],
         ["ci", "--alpha", "1.5"],
         ["ci", "--grid=-1:1:0"],
-    ], ids=["iid_too_long", "q_below_one", "no_samples", "alpha_above_one", "empty_grid"])
+        ["test", "--estimator", "lasso:lam=-1"],
+        ["test", "--estimator", "elastic-net:lam=inf,alpha=0.5"],
+    ], ids=["iid_too_long", "q_below_one", "no_samples", "alpha_above_one", "empty_grid",
+            "negative_lam", "infinite_lam"])
     def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
         rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "synthconf: error:" in capsys.readouterr().err
+
+    def test_repeated_treated_unit(self, wide_csv, tmp_path, capsys):
+        rc = main(["test", "--data", str(wide_csv), "--t0", "20", "--treated", "treated,treated",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "named more than once" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"

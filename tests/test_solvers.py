@@ -170,6 +170,18 @@ class TestSimplexLS:
         assert report.iterations == 1
         assert report.kkt_residual > SolverConfig().tol
 
+    def test_constrained_columns_in_the_free_span_keep_the_simplex(self):
+        # Regression: a constrained column equal to a free one projects to
+        # exactly zero, which scaled the sum-to-one row by 0; the solver
+        # then returned w = 0, reporting convergence.
+        rng = np.random.default_rng(37)
+        X = rng.standard_normal((3, 2))
+        X[:, 0] = X[:, 1]
+        y = rng.standard_normal(3)
+        w, report = simplex_ls(X, y, 1)
+        assert w[0] == 1.0 and report.converged
+        np.testing.assert_allclose(X @ w, X[:, 1] * (X[:, 1] @ y) / (X[:, 1] @ X[:, 1]), atol=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
