@@ -36,7 +36,6 @@ from .inference import (
 )
 from .io import RunConfig, read_panel_csv, write_panel_csv
 from .panel import (
-    EffectTrajectory,
     PanelData,
     adjust_under_null,
     aggregate_time_blocks,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # panel
-    "PanelData", "EffectTrajectory",
+    "PanelData",
     "adjust_under_null", "aggregate_time_blocks", "aggregate_units",
     "pre_treatment_slice", "pointwise_slice",
     # solvers

@@ -27,7 +27,6 @@ from .inference import (
     test_sharp_null,
 )
 from .io import RunConfig, _coerce, default_seed, read_panel_csv, write_json_result
-from .panel import EffectTrajectory
 from .simulation import DgpSpec, run_size_experiment
 
 __all__ = ["main", "cmd_test", "cmd_ci", "cmd_placebo", "cmd_simulate", "parse_estimator"]
@@ -127,11 +126,7 @@ def cmd_test(cfg: RunConfig) -> int:
     """Test a sharp null trajectory (zero by default) on a panel CSV."""
     estimator, scheme, statistic = _method(cfg)
     panel, names = _load_panel(cfg)
-    alpha0 = (
-        EffectTrajectory(np.asarray(cfg.alpha0, dtype=float))
-        if cfg.alpha0 is not None
-        else EffectTrajectory.zero(panel.n_post)
-    )
+    alpha0 = cfg.alpha0 if cfg.alpha0 is not None else np.zeros(panel.n_post)
     result = test_sharp_null(panel, alpha0, estimator, scheme, statistic)
     _write_test_result(cfg, result, statistic, names[: panel.n_treated])
     print(f"p-value: {result.p_value:.4f}  (statistic {result.statistic:.6g}, "

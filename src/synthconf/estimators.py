@@ -11,7 +11,7 @@ fitted window instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,7 +77,9 @@ class EstimatorSpec:
 
     Build instances through the classmethod constructors (``did()``,
     ``sc()``, ``classo(radius=1)``, ...); the ``kind`` string and the
-    parameter fields are what the fitting dispatcher interprets.
+    parameter fields are what the fitting dispatcher interprets.  A field
+    that the kind's fitter does not read must keep its default, so two
+    specs that fit alike compare equal.
     """
 
     kind: str
@@ -93,6 +95,12 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {_KINDS}")
+        row = _ESTIMATORS[self.kind]
+        used = {"kind", *row.reads, *(name for _, name, _, _ in row.params)}
+        for unused in (spec_field for spec_field in fields(self) if spec_field.name not in used):
+            default = unused.default_factory() if unused.default is MISSING else unused.default
+            if getattr(self, unused.name) != default:
+                raise ValueError(f"{self.kind} estimators do not use {unused.name!r}")
         if self.kind == "classo" and not (self.radius is not None and self.radius > 0):
             raise ValueError(f"radius must be positive; got {self.radius}")
         if self.kind == "fused":
@@ -104,8 +112,6 @@ class EstimatorSpec:
             raise ValueError("ar estimators need n_lags >= 1")
         if self.kind in ("lasso", "elastic_net"):
             ElasticNetPenalty(self.lam, 1.0 if self.kind == "lasso" else self.alpha)  # checks lam, alpha
-        if self.ar_fitter is not None and self.kind != "ar":
-            raise ValueError("ar_fitter is only meaningful for kind='ar'")
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -378,11 +384,16 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     are dropped: they carry no signal and would be collinear with it, so
     their coefficients are 0.  Without it, a series that does not vary
     leaves no second moment to fit, so every lag coefficient is 0 and the
-    report says so.  ``fitter`` replaces the least squares (see :func:`fit_ar`).
+    report says so; as in ``solvers._centre``, a range within
+    ``series.size * eps * max|series|`` is rounding and counts as no
+    variation.  The least-squares design must have at least as many rows
+    as coefficients (and two rows), or the series is too short.
+    ``fitter`` replaces the least squares (see :func:`fit_ar`).
     """
     if n_lags < 1:
         raise DimensionError(f"n_lags must be >= 1; got {n_lags}")
-    if series.shape[0] <= n_lags + 1:
+    n_coefs = 0 if fitter is not None else n_lags + intercept
+    if series.shape[0] - n_lags < max(2, n_coefs):
         raise DimensionError(f"{what} of length {series.shape[0]} is too short for {n_lags} lags")
     lags = _lag_matrix(series, n_lags)
     target = series[n_lags:]
@@ -397,7 +408,7 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
         params["coefficients"] = np.zeros(n_lags + 1)
         params["coefficients"][np.r_[True, keep]] = coef
     else:
-        if np.ptp(series) <= 0:
+        if np.ptp(series) <= series.size * np.finfo(float).eps * np.abs(series).max():
             coef = np.zeros(n_lags)
             note = "degenerate second stage: constant first-stage residuals; lag coefficients set to 0"
         else:
@@ -440,9 +451,10 @@ def fit_fused(panel: PanelData, base: EstimatorSpec, n_lags: int) -> ProxyFit:
     The final proxy adds the predicted residual to the stage-one proxy,
     and the fitted window starts at period ``n_lags + 1``.
 
-    A zero-variance stage-one residual series (perfect first-stage fit)
-    makes stage two degenerate; the lag coefficients are then set to zero,
-    which reproduces the base proxy exactly, and the report is flagged.
+    A stage-one residual series that is constant up to rounding (a perfect
+    first-stage fit up to a level) makes stage two degenerate; the lag
+    coefficients are then set to zero, which reproduces the base proxy
+    exactly, and the report is flagged.
     """
     if base.kind not in _PANEL_KINDS:
         raise ValueError(f"fused base must be a panel estimator; got {base.kind!r}")
@@ -473,31 +485,36 @@ class _Kind(NamedTuple):
 
     ``params`` holds the CLI parameters as ``(key, spec field, type, default)``;
     one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
-    takes the panel, the spec and the warm start of :func:`fit`.  The CLI name
-    is the kind with ``-`` for ``_``; the spec comes from the classmethod of the
-    kind's name.
+    takes the panel, the spec and the warm start of :func:`fit`, and ``reads``
+    names the spec fields it uses besides ``params``; every other field must
+    keep its default.  The CLI name is the kind with ``-`` for ``_``; the spec
+    comes from the classmethod of the kind's name.
     """
 
     params: tuple
     fitter: Callable[[PanelData, EstimatorSpec, ProxyFit | None], ProxyFit]
+    reads: tuple = ()
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
 
 
 _ESTIMATORS = {
     "did": _Kind((), lambda panel, spec, start: fit_did(panel)),
-    "sc": _Kind((), lambda panel, spec, start: fit_sc(panel, spec.solver, start)),
+    "sc": _Kind((), lambda panel, spec, start: fit_sc(panel, spec.solver, start), ("solver",)),
     "classo": _Kind(
         (("K", "radius", float, 1.0),),
         lambda panel, spec, start: fit_classo(panel, spec.radius, spec.solver, start),
+        ("solver",),
     ),
     "lasso": _Kind(
         (("lam", "lam", float, _REQUIRED),),
         lambda panel, spec, start: fit_penalized(panel, LassoPenalty(spec.lam), spec.solver, start),
+        ("solver",),
     ),
     "elastic_net": _Kind(
         (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
         lambda panel, spec, start: fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver, start),
+        ("solver",),
     ),
     "factor": _Kind(
         (("k", "n_factors", int, _REQUIRED),),
@@ -506,6 +523,7 @@ _ESTIMATORS = {
     "interactive_fe": _Kind(
         (("k", "n_factors", int, _REQUIRED),),
         lambda panel, spec, start: fit_interactive_fe(panel, spec.n_factors, spec.solver),
+        ("solver",),
     ),
     "matrix_completion": _Kind(
         (("K", "radius", float, None),),
@@ -514,6 +532,7 @@ _ESTIMATORS = {
     "ar": _Kind(
         (("lags", "n_lags", int, _REQUIRED),),
         lambda panel, spec, start: fit_ar(panel, spec.n_lags, spec.ar_fitter),
+        ("ar_fitter",),
         fused_base=False,
     ),
     "fused": _Kind(

@@ -20,10 +20,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .estimators import EstimatorSpec, fit
+from .estimators import EstimatorSpec, ProxyFit, fit
 from .exceptions import DimensionError
 from .panel import (
-    EffectTrajectory,
     PanelData,
     adjust_under_null,
     aggregate_time_blocks,
@@ -305,8 +304,9 @@ def test_sharp_null(
     Parameters
     ----------
     panel : PanelData
-    alpha0 : EffectTrajectory or array-like
-        Hypothesized effects for the post-treatment periods.
+    alpha0 : array-like
+        Hypothesized effects for the post-treatment periods, as
+        :func:`~synthconf.panel.adjust_under_null` takes them.
     spec : EstimatorSpec
     scheme : PermutationScheme, default moving-block
     statistic : Statistic or callable
@@ -323,15 +323,14 @@ def test_sharp_null(
     )
 
 
-def _default_ci_grid(panel: PanelData, t: int, spec: EstimatorSpec) -> np.ndarray:
+def _default_ci_grid(fitted: ProxyFit) -> np.ndarray:
     """41 candidate effects centred on the zero-null point estimate.
 
-    The grid spans 5 robust standard deviations (1.4826 * median absolute
-    deviation of the pre-treatment residuals) on each side of the point
-    estimate ``Y_t - proxy_t`` from a zero-effect fit.
+    ``fitted`` is the zero-effect fit of a one-post-period panel.  The grid
+    spans 5 robust standard deviations (1.4826 * median absolute deviation
+    of the pre-treatment residuals) on each side of the point estimate
+    ``Y_t - proxy_t``.
     """
-    sub = pointwise_slice(panel, t)
-    fitted = fit(adjust_under_null(sub, [0.0]), spec)
     point = float(fitted.residuals[-1])
     pre = fitted.residuals[:-1]
     spread = 1.4826 * float(np.median(np.abs(pre - np.median(pre))))
@@ -390,6 +389,9 @@ def pointwise_ci(
     fitted in grid order, each from its neighbour's solution (see
     :func:`~synthconf.estimators.fit`), and all residual rows are ranked in
     one permutation pass; the p-values are those of :func:`test_sharp_null`.
+    Without a grid, the period is fitted once at a zero effect: the default
+    grid is read off that fit's residuals, and the first candidate starts
+    from it.
     The reported interval is the hull of the accepted set, with a flag when
     the set has interior gaps (and a warning when it is empty, which
     indicates a too-coarse grid or severe misfit).
@@ -397,15 +399,18 @@ def pointwise_ci(
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1); got {level}")
     scheme = scheme or PermutationScheme.moving_block()
+    sub = pointwise_slice(panel, t)
+    start = None
     if grid is None:
-        grid = _default_ci_grid(panel, t, spec)
+        # A zero effect leaves the panel as it is, so sub itself is the zero null.
+        start = fit(sub, spec)
+        grid = _default_ci_grid(start)
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DimensionError(f"the candidate grid for period {t} is empty")
-    sub = pointwise_slice(panel, t)
     fits = []
     for candidate in grid:
-        fits.append(fit(adjust_under_null(sub, [candidate]), spec, fits[-1] if fits else None))
+        fits.append(fit(adjust_under_null(sub, [candidate]), spec, fits[-1] if fits else start))
     rows = np.array([fitted.residuals for fitted in fits])
     _, pvals = _rank(rows, scheme, statistic, fits[0].post_slice(sub.t0))
     reports = [fitted.diagnostics for fitted in fits if fitted.diagnostics is not None]
@@ -512,7 +517,7 @@ def placebo_test(
     residual series for diagnostic plots.
     """
     sub = pre_treatment_slice(panel, tau)
-    result = test_sharp_null(sub, EffectTrajectory.zero(tau), spec, scheme, statistic)
+    result = test_sharp_null(sub, np.zeros(tau), spec, scheme, statistic)
     meta = dict(result.metadata)
     meta["tau"] = tau
     return replace(result, metadata=meta)

@@ -11,7 +11,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .exceptions import DimensionError
 
 __all__ = [
     "PanelData",
-    "EffectTrajectory",
     "adjust_under_null",
     "aggregate_time_blocks",
     "aggregate_units",
@@ -123,67 +122,55 @@ class PanelData:
         return self.outcomes[:, self.n_treated:]
 
 
-@dataclass(frozen=True)
-class EffectTrajectory:
-    """Hypothesized treatment-effect values over the post-treatment window."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if values.ndim != 1:
-            raise DimensionError("trajectory values must be a 1-D vector")
-        if not np.all(np.isfinite(values)):
-            raise DimensionError("trajectory values must be finite")
-        object.__setattr__(self, "values", _frozen_array(values))
-
-    @classmethod
-    def zero(cls, n_post: int) -> "EffectTrajectory":
-        return cls(np.zeros(n_post))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def _as_trajectory(alpha0, n_post: int) -> EffectTrajectory:
-    traj = alpha0 if isinstance(alpha0, EffectTrajectory) else EffectTrajectory(alpha0)
-    if len(traj) != n_post:
-        raise DimensionError(
-            f"trajectory has {len(traj)} values but the panel has {n_post} post-treatment periods"
-        )
-    return traj
-
-
 def adjust_under_null(panel: PanelData, alpha0) -> PanelData:
     """Subtract a hypothesized effect trajectory from the treated outcome.
+
+    This is the one place where a null is checked and applied.
 
     Parameters
     ----------
     panel : PanelData
         Panel with a single treated unit.
-    alpha0 : EffectTrajectory or array-like
-        Hypothesized effects for periods ``t0+1..T``.
+    alpha0 : array-like
+        Hypothesized effects for periods ``t0+1..T``: one finite value per
+        post-treatment period (a scalar counts as one value).
 
     Returns
     -------
     PanelData
         Copy of the panel with the post-treatment treated entries replaced
-        by ``Y_t - alpha0_t``.  Pre-treatment rows are untouched.
+        by ``Y_t - alpha0_t``.  Pre-treatment rows are untouched, and a zero
+        trajectory gives a copy equal to the panel bit for bit.
     """
     if panel.n_treated != 1:
         raise DimensionError(
             "adjust_under_null requires a single treated unit; use aggregate_units() "
             "to average multiple treated units first"
         )
-    traj = _as_trajectory(alpha0, panel.n_post)
+    values = np.atleast_1d(np.asarray(alpha0, dtype=float))
+    if values.ndim != 1:
+        raise DimensionError(f"the effect trajectory must be 1-D; got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise DimensionError("the effect trajectory must be finite")
+    if values.shape[0] != panel.n_post:
+        raise DimensionError(
+            f"the effect trajectory has {values.shape[0]} values but the panel has "
+            f"{panel.n_post} post-treatment periods"
+        )
     outcomes = panel.outcomes.copy()
-    outcomes[panel.t0:, 0] -= traj.values
-    return PanelData(
-        outcomes=outcomes,
-        t0=panel.t0,
-        n_treated=1,
-        covariates=panel.covariates,
-    )
+    outcomes[panel.t0:, 0] -= values
+    return replace(panel, outcomes=outcomes)
+
+
+def _mapped(panel: PanelData, transform, t0: int, n_treated: int) -> PanelData:
+    """The panel whose outcomes and covariates are ``transform`` of ``panel``'s.
+
+    ``transform`` maps an array whose leading axes are (period, unit) to
+    another such array, so one period and unit map serves the outcomes
+    ``(T, n_units)`` and the covariates ``(T, n_units, k)`` alike.
+    """
+    covariates = None if panel.covariates is None else transform(panel.covariates)
+    return PanelData(transform(panel.outcomes), t0=t0, n_treated=n_treated, covariates=covariates)
 
 
 def aggregate_time_blocks(panel: PanelData) -> PanelData:
@@ -209,12 +196,8 @@ def aggregate_time_blocks(panel: PanelData) -> PanelData:
             f"length {block}"
         )
     n_blocks = n_periods // block
-    outcomes = panel.outcomes.reshape(n_blocks, block, panel.n_units).mean(axis=1)
-    covariates = None
-    if panel.covariates is not None:
-        k = panel.covariates.shape[2]
-        covariates = panel.covariates.reshape(n_blocks, block, panel.n_units, k).mean(axis=1)
-    return PanelData(outcomes, t0=n_blocks - 1, n_treated=panel.n_treated, covariates=covariates)
+    return _mapped(panel, lambda a: a.reshape(n_blocks, block, *a.shape[1:]).mean(axis=1),
+                   t0=n_blocks - 1, n_treated=panel.n_treated)
 
 
 def aggregate_units(panel: PanelData) -> PanelData:
@@ -226,13 +209,10 @@ def aggregate_units(panel: PanelData) -> PanelData:
     n_treated = panel.n_treated
     if n_treated == 1:
         return panel
-    treated_mean = panel.outcomes[:, :n_treated].mean(axis=1, keepdims=True)
-    outcomes = np.hstack([treated_mean, panel.controls])
-    covariates = None
-    if panel.covariates is not None:
-        treated_cov = panel.covariates[:, :n_treated, :].mean(axis=1, keepdims=True)
-        covariates = np.concatenate([treated_cov, panel.covariates[:, n_treated:, :]], axis=1)
-    return PanelData(outcomes, t0=panel.t0, n_treated=1, covariates=covariates)
+    def average_treated(a):
+        return np.concatenate([a[:, :n_treated].mean(axis=1, keepdims=True), a[:, n_treated:]], axis=1)
+
+    return _mapped(panel, average_treated, t0=panel.t0, n_treated=1)
 
 
 def pre_treatment_slice(panel: PanelData, tau: int) -> PanelData:
@@ -253,9 +233,7 @@ def pre_treatment_slice(panel: PanelData, tau: int) -> PanelData:
         warnings.warn(
             "placebo slice leaves a single pre-treatment period", UserWarning, stacklevel=2
         )
-    outcomes = panel.outcomes[: panel.t0]
-    covariates = None if panel.covariates is None else panel.covariates[: panel.t0]
-    return PanelData(outcomes, t0=new_t0, n_treated=panel.n_treated, covariates=covariates)
+    return _mapped(panel, lambda a: a[: panel.t0], t0=new_t0, n_treated=panel.n_treated)
 
 
 def pointwise_slice(panel: PanelData, t: int) -> PanelData:
@@ -270,6 +248,4 @@ def pointwise_slice(panel: PanelData, t: int) -> PanelData:
             f"period t must lie in the post-treatment window {panel.t0 + 1}..{panel.n_periods}; got {t}"
         )
     rows = np.concatenate([np.arange(panel.t0), [t - 1]])
-    outcomes = panel.outcomes[rows]
-    covariates = None if panel.covariates is None else panel.covariates[rows]
-    return PanelData(outcomes, t0=panel.t0, n_treated=panel.n_treated, covariates=covariates)
+    return _mapped(panel, lambda a: a[rows], t0=panel.t0, n_treated=panel.n_treated)

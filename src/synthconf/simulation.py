@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import EstimatorSpec
 from .inference import PermutationScheme, Statistic, p_value, test_sharp_null
-from .panel import EffectTrajectory, PanelData
+from .panel import PanelData
 from .solvers import simplex_ls
 
 __all__ = [
@@ -171,7 +171,7 @@ def run_size_experiment(
     _check_level(level)
     scheme = scheme or PermutationScheme.moving_block()
     statistic = Statistic()
-    zero = EffectTrajectory.zero(1)
+    zero = np.zeros(1)
     seeds = np.random.SeedSequence(dgp.seed).spawn(n_reps)
     pvals = np.empty(n_reps)
     for i, seq in enumerate(seeds):
@@ -273,7 +273,7 @@ def reproduce_figure_null_vs_pre(
     """
     estimator = EstimatorSpec.sc()
     statistic = Statistic()
-    zero = EffectTrajectory.zero(1)
+    zero = np.zeros(1)
     rows = []
     for rho in rho_grid:
         seeds = np.random.SeedSequence((seed, int(round(1000 * rho)))).spawn(n_reps)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles
+import synthconf as sc
 from synthconf import (
     DimensionError,
     EstimatorSpec,
@@ -13,7 +14,9 @@ from synthconf import (
     fit,
 )
 from synthconf.estimators import (
+    _KINDS,
     default_nuclear_radius,
+    parse_estimator,
     fit_ar,
     fit_classo,
     fit_did,
@@ -122,6 +125,33 @@ class TestEstimatorSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             EstimatorSpec("ridge")
+
+    @pytest.mark.parametrize("make", [
+        lambda: EstimatorSpec("matrix_completion", solver=SolverConfig(max_iters=1)),
+        lambda: EstimatorSpec("did", radius=3.0),
+        lambda: EstimatorSpec("sc", ar_fitter=lambda lags, target: None),
+    ], ids=["solver", "radius", "ar_fitter"])
+    def test_field_the_fitter_never_reads_refused(self, make):
+        # Regression: such a field was accepted and ignored, so the spec fitted
+        # as the default one while comparing unequal to it.
+        with pytest.raises(ValueError, match="do not use"):
+            make()
+
+    def test_every_constructor_and_notation_builds(self):
+        tight = SolverConfig(max_iters=50)
+        built = [
+            EstimatorSpec.did(), EstimatorSpec.sc(tight), EstimatorSpec.classo(2.0, tight),
+            EstimatorSpec.lasso(1.0, tight), EstimatorSpec.elastic_net(1.0, 0.5, tight),
+            EstimatorSpec.factor(2), EstimatorSpec.interactive_fe(1, tight),
+            EstimatorSpec.matrix_completion(3.0), EstimatorSpec.ar(2, lambda lags, target: None),
+            EstimatorSpec.fused(EstimatorSpec.classo(2.0, tight), 2),
+        ]
+        assert [spec.kind for spec in built] == list(_KINDS)
+        for text in ("did", "sc", "classo:K=2", "lasso:lam=1", "elastic-net:lam=1,alpha=0.5",
+                     "factor:k=2", "interactive-fe:k=1", "matrix-completion", "matrix-completion:K=3",
+                     "ar:lags=2", "fused:base=sc,lags=1", "fused:base=elastic-net:lam=1,alpha=0.5,lags=1"):
+            parse_estimator(text)
+        assert EstimatorSpec("did") == EstimatorSpec.did()
 
     @pytest.mark.parametrize("make", [
         lambda: EstimatorSpec.lasso(-1.0),
@@ -465,6 +495,18 @@ class TestAr:
         with pytest.raises(DimensionError):
             fit_ar(PanelData(np.arange(3.0)[:, None], t0=2), 2)
 
+    def test_design_needs_a_row_per_coefficient(self, rng):
+        # Regression: ar(3) on 6 periods left 3 rows for 4 coefficients and
+        # failed as rank deficient instead of as too short.
+        for n_periods in range(3, 10):
+            panel = PanelData(rng.standard_normal((n_periods, 1)), t0=n_periods - 1)
+            for n_lags in (1, 2, 3):
+                if n_periods - n_lags >= n_lags + 1:
+                    assert fit_ar(panel, n_lags).start == n_lags + 1
+                else:
+                    with pytest.raises(DimensionError, match="too short"):
+                        fit_ar(panel, n_lags)
+
 
 class TestFused:
     def test_white_noise_errors_leave_small_rho(self, rng):
@@ -492,6 +534,20 @@ class TestFused:
             np.testing.assert_array_equal(fitted.params["rho"], np.zeros(n_lags))
             np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
             assert "degenerate" in fitted.diagnostics.note
+
+    def test_stage_one_residuals_constant_up_to_rounding(self):
+        # Regression: sc fits this panel exactly up to a level, leaving
+        # residuals that span 5.7e-14; with 2 or 3 lags their lag columns
+        # were collinear and the fit failed as rank deficient.
+        rng = np.random.default_rng(3)
+        control = 100 + 50 * rng.standard_normal(20)
+        panel = make_panel(control + 283.03, control[:, None], t0=18)
+        for n_lags in (1, 2, 3):
+            spec = EstimatorSpec.fused(EstimatorSpec.sc(), n_lags)
+            fitted = fit(panel, spec)
+            np.testing.assert_array_equal(fitted.params["rho"], np.zeros(n_lags))
+            assert "degenerate" in fitted.diagnostics.note
+            assert sc.test_sharp_null(panel, np.zeros(2), spec).p_value == 1.0
 
     def test_ar1_error_structure_recovered(self):
         rng = np.random.default_rng(0)

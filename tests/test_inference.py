@@ -357,21 +357,23 @@ class TestPointwiseCi:
         radius=st.floats(0.5, 3.0),
         lam=st.floats(0.01, 5.0),
         alpha=st.floats(0.0, 1.0),
+        default_grid=st.booleans(),
     )
     @pytest.mark.filterwarnings("ignore:no candidate effect accepted")
     def test_p_values_equal_per_candidate_tests(self, seed, t0, n_controls, grid, repeats, kind,
-                                                radius, lam, alpha):
-        # Candidates are fitted warm from their neighbour and ranked in one
-        # pass; each p-value must still be that of its own sharp-null test.
+                                                radius, lam, alpha, default_grid):
+        # Candidates are fitted warm from their neighbour (the first one, on
+        # the default grid, from the zero-effect fit) and ranked in one pass;
+        # each p-value must still be that of its own sharp-null test.
         rng = np.random.default_rng(seed)
         panel = random_panel(rng, t0 + 2, n_controls, t0=t0, noise=1.0)
         spec = {"did": EstimatorSpec.did(), "sc": EstimatorSpec.sc(),
                 "classo": EstimatorSpec.classo(radius), "lasso": EstimatorSpec.lasso(lam),
                 "elastic_net": EstimatorSpec.elastic_net(lam, alpha)}[kind]
-        grid = grid + grid[:repeats]
+        grid = None if default_grid else grid + grid[:repeats]
         entry = pointwise_ci(panel, t0 + 2, spec, grid=grid)
         sub = sc.pointwise_slice(panel, t0 + 2)
-        expected = [sharp_null(sub, [candidate], spec).p_value for candidate in sorted(grid)]
+        expected = [sharp_null(sub, [candidate], spec).p_value for candidate in entry.grid]
         np.testing.assert_array_equal(entry.p_values, expected)
 
     def test_reports_solver_steps_and_nonconverged_fits(self, rng):

@@ -5,7 +5,6 @@ import pytest
 
 from synthconf import (
     DimensionError,
-    EffectTrajectory,
     PanelData,
     adjust_under_null,
     aggregate_time_blocks,
@@ -54,7 +53,7 @@ class TestPanelData:
 
 class TestAdjustUnderNull:
     def test_zero_trajectory_is_identity(self, small_panel):
-        adjusted = adjust_under_null(small_panel, EffectTrajectory.zero(2))
+        adjusted = adjust_under_null(small_panel, np.zeros(2))
         np.testing.assert_array_equal(adjusted.outcomes, small_panel.outcomes)
 
     def test_subtraction_example(self):
@@ -76,8 +75,16 @@ class TestAdjustUnderNull:
         assert sub.t0 == 5 and sub.n_post == 1
 
     def test_length_mismatch_rejected(self, small_panel):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="trajectory has 3 values"):
             adjust_under_null(small_panel, [1.0, 2.0, 3.0])
+
+    def test_non_finite_trajectory_rejected(self, small_panel):
+        with pytest.raises(DimensionError, match="trajectory must be finite"):
+            adjust_under_null(small_panel, [0.0, np.nan])
+
+    def test_two_dimensional_trajectory_rejected(self, small_panel):
+        with pytest.raises(DimensionError, match="trajectory must be 1-D"):
+            adjust_under_null(small_panel, [[0.0, 1.0]])
 
     def test_requires_single_treated_unit(self, rng):
         panel = PanelData(rng.standard_normal((6, 4)), t0=4, n_treated=2)
@@ -180,8 +187,8 @@ class TestPreTreatmentSlice:
     def test_commutes_with_zero_adjustment(self, rng):
         panel = PanelData(rng.standard_normal((10, 4)), t0=8)
         tau = 2
-        left = pre_treatment_slice(adjust_under_null(panel, EffectTrajectory.zero(2)), tau)
-        right = adjust_under_null(pre_treatment_slice(panel, tau), EffectTrajectory.zero(tau))
+        left = pre_treatment_slice(adjust_under_null(panel, np.zeros(2)), tau)
+        right = adjust_under_null(pre_treatment_slice(panel, tau), np.zeros(tau))
         np.testing.assert_array_equal(left.outcomes, right.outcomes)
 
 
