@@ -24,6 +24,7 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     alternating_ls,
+    _EPS,
     _centre,
     ols,
     pca_factors,
@@ -191,6 +192,10 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
 
 
 def _require_controls(panel: PanelData, who: str) -> None:
+    """A panel estimator fits the one treated unit on at least one control."""
+    if panel.n_treated != 1:
+        raise DimensionError(f"{who} fits one treated unit; the panel has {panel.n_treated} "
+                             "(aggregate_units() first)")
     if panel.n_controls < 1:
         raise DimensionError(f"{who} requires at least one control unit")
 
@@ -220,12 +225,9 @@ def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | N
     controls as periods can fit them all), rounding noise would otherwise
     rank the permutations, and the p-value would depend on the units.
     """
-    residuals = panel.treated - proxy
-    floor = panel.outcomes.size * np.finfo(float).eps * np.abs(panel.outcomes).max()
-    residuals[np.abs(residuals) <= floor] = 0.0
     return ProxyFit(
         proxy=proxy,
-        residuals=residuals,
+        residuals=_zero_rounding(panel.treated - proxy, panel.outcomes),
         start=1,
         permutation_invariant=True,
         diagnostics=diagnostics,
@@ -233,9 +235,38 @@ def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | N
     )
 
 
+def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Set ``residuals`` within the rounding level of ``outcomes`` to zero, in place.
+
+    ``outcomes`` holds one panel (T, N), or panels along leading axes with
+    ``residuals`` (..., T) alongside; the level is that of :func:`_panel_fit`,
+    taken per panel.
+    """
+    # max|outcomes| without an outcome-sized copy: a Monte Carlo chunk is 1 MiB.
+    peak = np.maximum(outcomes.max(axis=(-2, -1)), -outcomes.min(axis=(-2, -1)))
+    floor = outcomes.shape[-2] * outcomes.shape[-1] * _EPS * peak
+    residuals[np.abs(residuals) <= floor[..., None]] = 0.0
+    return residuals
+
+
 def _closed_form(objective: float, note: str = "") -> SolveReport:
     """The report of a fit solved in closed form: one step, exact, converged."""
     return SolveReport(iterations=1, final_objective=objective, converged=True, kkt_residual=0.0, note=note)
+
+
+def _did(outcomes: np.ndarray):
+    """Difference-in-differences fits of panels along leading axes.
+
+    ``outcomes`` is (..., T, 1 + J), the treated unit first.  Returns the
+    level shifts (...), proxies (..., T) and residuals (..., T), the
+    residuals as :func:`_panel_fit` gives them.  Each panel's arithmetic is
+    that of a panel alone, so a batch fits bit for bit as its panels do.
+    """
+    treated = outcomes[..., 0]
+    control_mean = outcomes[..., 1:].mean(axis=-1)
+    mu = (treated - control_mean).mean(axis=-1)
+    proxy = mu[..., None] + control_mean
+    return mu, proxy, _zero_rounding(treated - proxy, outcomes)
 
 
 def fit_did(panel: PanelData) -> ProxyFit:
@@ -245,9 +276,9 @@ def fit_did(panel: PanelData) -> ProxyFit:
     differences, so the residuals sum to zero exactly.
     """
     _require_controls(panel, "difference-in-differences")
-    control_mean = panel.controls.mean(axis=1)
-    mu = float((panel.treated - control_mean).mean())
-    return _panel_fit(panel, mu + control_mean, None, mu=mu)
+    (mu,), (proxy,), (residuals,) = _did(panel.outcomes[None])
+    return ProxyFit(proxy=proxy, residuals=residuals, start=1, permutation_invariant=True,
+                    params={"mu": float(mu)})
 
 
 def _start_weights(start: ProxyFit | None):
@@ -384,10 +415,11 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     are dropped: they carry no signal and would be collinear with it, so
     their coefficients are 0.  Without it, a series that does not vary
     leaves no second moment to fit, so every lag coefficient is 0 and the
-    report says so; as in ``solvers._centre``, a range within
-    ``series.size * eps * max|series|`` is rounding and counts as no
-    variation.  The least-squares design must have at least as many rows
-    as coefficients (and two rows), or the series is too short.
+    report says so.  In both cases, as in ``solvers._centre``, a range
+    within ``n * eps * max|x|`` is rounding and counts as no variation,
+    ``x`` being the lag column (``n`` its rows) or the whole series.  The
+    least-squares design must have at least as many rows as coefficients
+    (and two rows), or the series is too short.
     ``fitter`` replaces the least squares (see :func:`fit_ar`).
     """
     if n_lags < 1:
@@ -401,7 +433,7 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     if fitter is not None:
         predicted = np.asarray(fitter(lags, target)(lags), dtype=float)
     elif intercept:
-        keep = np.ptp(lags, axis=0) > 0
+        keep = np.ptp(lags, axis=0) > lags.shape[0] * np.finfo(float).eps * np.abs(lags).max(axis=0)
         design = np.column_stack([np.ones(target.shape[0]), lags[:, keep]])
         coef = ols(design, target)
         predicted = design @ coef

@@ -344,9 +344,10 @@ class CiEntry:
     """Accepted candidate effects for one post-treatment period.
 
     ``lower`` and ``upper`` are NaN when no candidate is accepted.
-    ``iterations`` sums the solver steps of the candidate fits and
-    ``nonconverged`` counts the fits whose report says they did not
-    converge; a fit without a report counts 0 in both.
+    ``iterations`` sums the solver steps of the period's fits, the
+    candidates and, without a given grid, the zero-effect fit that set the
+    grid; ``nonconverged`` counts those fits whose report says they did not
+    converge.  A fit without a report counts 0 in both.
     """
 
     period: int
@@ -413,7 +414,8 @@ def pointwise_ci(
         fits.append(fit(adjust_under_null(sub, [candidate]), spec, fits[-1] if fits else start))
     rows = np.array([fitted.residuals for fitted in fits])
     _, pvals = _rank(rows, scheme, statistic, fits[0].post_slice(sub.t0))
-    reports = [fitted.diagnostics for fitted in fits if fitted.diagnostics is not None]
+    period_fits = fits if start is None else [start, *fits]
+    reports = [fitted.diagnostics for fitted in period_fits if fitted.diagnostics is not None]
     alpha = 1.0 - level
     # Strict inequality; the slack absorbs float error in 1 - level so that
     # p-values exactly on the boundary grid k/|Pi| = alpha are rejected.

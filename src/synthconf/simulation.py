@@ -7,6 +7,15 @@ noise.  All AR processes are initialized at their stationary N(0, 1)
 distribution so finite samples are exactly stationary.  Replications draw
 independent seeds from a spawned seed sequence, so results are identical
 whether replications run serially or are distributed by index.
+
+Replications run in chunks whose outcome block fits a fixed memory budget
+(``_CHUNK_DOUBLES``, 1 MiB).  Each replication makes its draws from its
+own generator in a fixed order; the chunk then runs the AR(1) recurrences,
+the ``did`` fit and the permutation ranking for all its panels at once,
+with the elementwise arithmetic of one panel alone.  So results do not
+depend on the chunking: :func:`simulate_panel` is a chunk of one, and an
+experiment's p-values equal those of :func:`~synthconf.inference.test_sharp_null`
+on each replication's panel, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EstimatorSpec
-from .inference import PermutationScheme, Statistic, p_value, test_sharp_null
+from .estimators import EstimatorSpec, _did, fit
+from .inference import PermutationScheme, Statistic, _rank
 from .panel import PanelData
 from .solvers import simplex_ls
 
@@ -34,6 +43,10 @@ __all__ = [
 ]
 
 _WEIGHT_KINDS = ("DGP1", "DGP2", "DGP3", "DGP4")
+
+#: Doubles in the outcome block of one chunk of replications (1 MiB).  It
+#: bounds memory, not work: a chunk holds ``2**17 // (T * (1 + J))`` panels.
+_CHUNK_DOUBLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -111,43 +124,152 @@ def dgp_weights(kind: str, n_controls: int) -> np.ndarray:
     return w
 
 
+def _recur(path: np.ndarray, state: np.ndarray, rho: float | np.ndarray) -> np.ndarray:
+    """AR(1) recurrence along axis 1, in place: ``x_t = rho * x_(t-1) + e_t``.
+
+    ``path`` (B, T, ...) holds the innovations ``e_t`` and ``state`` (B, ...)
+    the values before the first period; ``rho`` is a scalar or broadcasts
+    against ``state``.
+    """
+    for row in np.moveaxis(path, 1, 0):
+        row += rho * state
+        state = row
+    return path
+
+
 def _ar1(rng: np.random.Generator, n: int, rho: float, size: int | None = None) -> np.ndarray:
     """Stationary AR(1) path(s) with unit marginal variance.
 
     The state starts from N(0, 1) and innovations have variance
-    ``1 - rho^2``, so every marginal is exactly N(0, 1).
+    ``1 - rho^2``, so every marginal is exactly N(0, 1).  The innovations
+    are drawn before the start, as in :func:`_simulate`.
     """
     shape = (n,) if size is None else (n, size)
-    innov = rng.standard_normal(shape) * np.sqrt(1.0 - rho**2)
-    state = rng.standard_normal(shape[1:] if size is not None else ())
-    out = np.empty(shape)
-    for t in range(n):
-        state = rho * state + innov[t]
-        out[t] = state
-    return out
+    innov = rng.standard_normal((1, *shape)) * np.sqrt(1.0 - rho**2)
+    return _recur(innov, rng.standard_normal((1, *shape[1:])), rho)[0]
+
+
+def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndarray,
+              iid_controls: bool = False) -> np.ndarray:
+    """Fill ``block`` (B, T, 1 + J) with one panel per generator, the treated unit first.
+
+    Each replication draws from its own generator, in this order: the
+    factors, the time effect, the noise innovations and starts, then the
+    shock innovations and start.  ``iid_controls`` draws standard normal
+    controls instead of the first four (the design of
+    :func:`reproduce_figure_null_vs_pre`).  The AR(1) paths, control sums
+    and weighted treated outcomes are then computed in the outcome block
+    itself.  ``spec.alpha_true`` is left for the caller to add.
+    """
+    n_reps, n_periods, J = block.shape[0], spec.t0 + 1, spec.n_controls
+    treated, controls = block[:, :, 0], block[:, :, 1:]
+    factors, time_effect = np.empty((n_reps, n_periods)), np.empty((n_reps, n_periods))
+    starts = np.empty((n_reps, 1 + J))  # AR(1) starts: the shock's, then each noise's
+    for b, rng in enumerate(rngs):
+        if iid_controls:
+            controls[b] = rng.standard_normal((n_periods, J))
+        else:
+            factors[b] = rng.standard_normal(n_periods)
+            time_effect[b] = rng.standard_normal(n_periods)
+            controls[b] = rng.standard_normal((n_periods, J))
+            starts[b, 1:] = rng.standard_normal(J)
+        treated[b] = rng.standard_normal(n_periods)  # shock innovations, later the treated outcome
+        starts[b, 0] = rng.standard_normal()
+
+    # One recurrence runs the shock in column 0 and, unless the controls are
+    # i.i.d., the noise in the others.  Innovation variance 1 - rho^2 makes
+    # every marginal N(0, 1).
+    treated *= np.sqrt(1.0 - spec.rho_u**2)
+    if iid_controls:
+        _recur(block[:, :, :1], starts[:, :1], spec.rho_u)
+    else:
+        controls *= np.sqrt(1.0 - spec.rho_eps**2)
+        rho = np.full(1 + J, spec.rho_eps)
+        rho[0] = spec.rho_u
+        _recur(block, starts, rho)
+        if spec.factor_trend == "trending":
+            factors += np.arange(1, n_periods + 1)
+        unit_effect = np.arange(1, J + 1) / J  # also the factor loadings
+        for b in range(n_reps):
+            controls[b] += unit_effect + time_effect[b][:, None] + unit_effect * factors[b][:, None]
+    weights = dgp_weights(spec.weights_kind, J)
+    for b in range(n_reps):
+        treated[b] += controls[b] @ weights
+    return block
+
+
+def _chunks(spec: DgpSpec, seeds: Sequence[np.random.SeedSequence], iid_controls: bool = False):
+    """Outcome blocks of :func:`_simulate` for consecutive chunks of the replication seeds.
+
+    A chunk holds as many panels as fit in ``_CHUNK_DOUBLES``, and at least
+    one.  Every chunk is simulated into the same memory, so a caller is done
+    with one block when it asks for the next.
+    """
+    size = max(1, _CHUNK_DOUBLES // ((spec.t0 + 1) * (spec.n_controls + 1)))
+    block = np.empty((min(size, len(seeds)), spec.t0 + 1, spec.n_controls + 1))
+    for first in range(0, len(seeds), size):
+        rngs = [np.random.default_rng(seq) for seq in seeds[first:first + size]]
+        yield _simulate(spec, rngs, block[:len(rngs)], iid_controls)
 
 
 def simulate_panel(spec: DgpSpec, rng: np.random.Generator | None = None) -> PanelData:
     """Draw one panel from the design; ``T = t0 + 1`` with a single post period."""
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    n_periods = spec.t0 + 1
-    J = spec.n_controls
-
-    factors = rng.standard_normal(n_periods)
-    if spec.factor_trend == "trending":
-        factors = factors + np.arange(1, n_periods + 1)
-    time_effect = rng.standard_normal(n_periods)
-    eps = _ar1(rng, n_periods, spec.rho_eps, size=J)
-    shock = _ar1(rng, n_periods, spec.rho_u)
-
-    unit_effect = np.arange(1, J + 1) / J
-    loadings = unit_effect
-    controls = unit_effect + time_effect[:, None] + loadings * factors[:, None] + eps
-
-    treated = controls @ dgp_weights(spec.weights_kind, J) + shock
-    treated[spec.t0:] += spec.alpha_true
-    outcomes = np.column_stack([treated, controls])
+    (outcomes,) = _simulate(spec, [rng], np.empty((1, spec.t0 + 1, spec.n_controls + 1)))
+    outcomes[spec.t0, 0] += spec.alpha_true
     return PanelData(outcomes=outcomes, t0=spec.t0)
+
+
+def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: PermutationScheme,
+             statistic: Statistic) -> np.ndarray:
+    """Zero-effect p-values of the panels of an outcome block.
+
+    They are those of :func:`~synthconf.inference.test_sharp_null`.  ``did``
+    is fitted over the whole block and any other estimator panel by panel;
+    all residual rows are then ranked in one permutation pass.
+    """
+    if estimator.kind == "did":
+        rows, window = _did(block)[2], slice(t0, None)
+    else:
+        fits = [fit(PanelData(outcomes, t0=t0), estimator) for outcomes in block]
+        rows, window = np.array([fitted.residuals for fitted in fits]), fits[0].post_slice(t0)
+    return _rank(rows, scheme, statistic, window)[1]
+
+
+def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpec,
+                 scheme: PermutationScheme | None, n_reps: int, level: float,
+                 keep_pvalues: bool) -> list[ExperimentResult]:
+    """One result per effect, for ``dgp`` with that ``alpha_true``.
+
+    Every effect sees the same replications: each chunk is simulated once,
+    and each effect is added to its post-period treated entries as
+    :func:`simulate_panel` adds it.
+    """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1; got {n_reps}")
+    _check_level(level)
+    scheme = scheme or PermutationScheme.moving_block()
+    statistic = Statistic()
+    pvals = np.empty((len(effects), n_reps))
+    done = 0
+    for block in _chunks(dgp, np.random.SeedSequence(dgp.seed).spawn(n_reps)):
+        post = block[:, dgp.t0, 0].copy()
+        for row, effect in zip(pvals, effects):
+            block[:, dgp.t0, 0] = post + effect
+            row[done:done + len(block)] = _pvalues(block, dgp.t0, estimator, scheme, statistic)
+        done += len(block)
+    return [
+        ExperimentResult(
+            rejection_rate=float((p <= level).mean()),
+            n_reps=n_reps,
+            dgp=replace(dgp, alpha_true=effect),
+            estimator_id=estimator.label,
+            scheme_kind=scheme.kind,
+            level=level,
+            p_values=p if keep_pvalues else None,
+        )
+        for p, effect in zip(pvals, effects)
+    ]
 
 
 def run_size_experiment(
@@ -163,29 +285,14 @@ def run_size_experiment(
     Each replication simulates a fresh panel (with ``dgp.alpha_true``
     added to the post period) and tests the null of no effect at the given
     level, so ``alpha_true=0`` measures size and ``alpha_true != 0``
-    measures power.  Replication seeds are spawned from ``dgp.seed``.
+    measures power.  Replication seeds are spawned from ``dgp.seed``, and
+    the p-values are those of :func:`~synthconf.inference.test_sharp_null`
+    on :func:`simulate_panel` with each seed's generator, whatever the
+    chunking.
     Raises ``ValueError`` for ``n_reps < 1`` or a level outside ``(0, 1)``.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1; got {n_reps}")
-    _check_level(level)
-    scheme = scheme or PermutationScheme.moving_block()
-    statistic = Statistic()
-    zero = np.zeros(1)
-    seeds = np.random.SeedSequence(dgp.seed).spawn(n_reps)
-    pvals = np.empty(n_reps)
-    for i, seq in enumerate(seeds):
-        panel = simulate_panel(dgp, rng=np.random.default_rng(seq))
-        pvals[i] = test_sharp_null(panel, zero, estimator, scheme, statistic).p_value
-    return ExperimentResult(
-        rejection_rate=float((pvals <= level).mean()),
-        n_reps=n_reps,
-        dgp=dgp,
-        estimator_id=estimator.label,
-        scheme_kind=scheme.kind,
-        level=level,
-        p_values=pvals if keep_pvalues else None,
-    )
+    (result,) = _experiments(dgp, [dgp.alpha_true], estimator, scheme, n_reps, level, keep_pvalues)
+    return result
 
 
 def run_power_curve(
@@ -198,13 +305,11 @@ def run_power_curve(
 ) -> list[ExperimentResult]:
     """Rejection rates along a grid of true effects (same seeds at every point).
 
-    The ``alpha_true = 0`` entry reproduces :func:`run_size_experiment`
-    exactly because the replication seeds depend only on ``dgp.seed``.
+    The panels are drawn once and every effect is added to them, so the
+    entry for ``a`` equals :func:`run_size_experiment` with
+    ``alpha_true = a`` exactly.
     """
-    return [
-        run_size_experiment(replace(dgp, alpha_true=float(a)), estimator, scheme, n_reps, level)
-        for a in alpha_grid
-    ]
+    return _experiments(dgp, [float(a) for a in alpha_grid], estimator, scheme, n_reps, level, False)
 
 
 def oracle_power_bound(dgp: DgpSpec, alpha_grid: Sequence[float], level: float = 0.1) -> np.ndarray:
@@ -224,35 +329,16 @@ def oracle_power_bound(dgp: DgpSpec, alpha_grid: Sequence[float], level: float =
     return cdf(a - z) + cdf(-a - z)
 
 
-def _simulate_iid_controls_panel(
-    t0: int, n_controls: int, rho_u: float, rng: np.random.Generator
-) -> PanelData:
-    """Single-post-period panel with i.i.d. N(0,1) controls and a sparse simplex weight."""
-    n_periods = t0 + 1
-    controls = rng.standard_normal((n_periods, n_controls))
-    shock = _ar1(rng, n_periods, rho_u)
-    w = np.zeros(n_controls)
-    w[:3] = 1.0 / 3.0
-    treated = controls @ w + shock
-    return PanelData(np.column_stack([treated, controls]), t0=t0)
-
-
-def _pre_only_sc_pvalue(panel: PanelData, statistic: Statistic) -> float:
-    """Synthetic-control test that fits the weights on pre-treatment rows only.
+def _pre_only_residuals(outcomes: np.ndarray, t0: int) -> np.ndarray:
+    """Residuals of synthetic-control weights fitted on pre-treatment rows only.
 
     This is the comparison baseline: residuals over the full sample come
-    from weights fitted to periods ``1..t0``, then the usual moving-block
-    p-value is computed.  It deliberately skips estimation on the adjusted
-    full sample.
+    from weights fitted to periods ``1..t0``.  It deliberately skips
+    estimation on the adjusted full sample.
     """
-    y = panel.treated
-    X = panel.controls
-    w, _ = simplex_ls(X[: panel.t0], y[: panel.t0], X.shape[1])
-    residuals = y - X @ w
-    result = p_value(
-        residuals, PermutationScheme.moving_block(), statistic, slice(panel.t0, None)
-    )
-    return result.p_value
+    y, X = outcomes[:, 0], outcomes[:, 1:]
+    w, _ = simplex_ls(X[:t0], y[:t0], X.shape[1])
+    return y - X @ w
 
 
 def reproduce_figure_null_vs_pre(
@@ -272,20 +358,18 @@ def reproduce_figure_null_vs_pre(
     pre-treatment rows only.  Returns one row per (rho, mode) pair.
     """
     estimator = EstimatorSpec.sc()
+    scheme = PermutationScheme.moving_block()
     statistic = Statistic()
-    zero = np.zeros(1)
     rows = []
     for rho in rho_grid:
+        design = DgpSpec(t0, n_controls, rho_u=rho, weights_kind="DGP2")
         seeds = np.random.SeedSequence((seed, int(round(1000 * rho)))).spawn(n_reps)
         reject_null = 0
         reject_pre = 0
-        for seq in seeds:
-            rng = np.random.default_rng(seq)
-            panel = _simulate_iid_controls_panel(t0, n_controls, rho, rng)
-            p_null = test_sharp_null(panel, zero, estimator, statistic=statistic).p_value
-            p_pre = _pre_only_sc_pvalue(panel, statistic)
-            reject_null += p_null <= level
-            reject_pre += p_pre <= level
+        for block in _chunks(design, seeds, iid_controls=True):
+            reject_null += int((_pvalues(block, t0, estimator, scheme, statistic) <= level).sum())
+            pre = np.array([_pre_only_residuals(outcomes, t0) for outcomes in block])
+            reject_pre += int((_rank(pre, scheme, statistic, slice(t0, None))[1] <= level).sum())
         rows.append(
             {"rho_u": float(rho), "mode": "under_null", "rejection_rate": reject_null / n_reps,
              "n_reps": n_reps, "t0": t0, "n_controls": n_controls}

@@ -507,6 +507,18 @@ class TestAr:
                     with pytest.raises(DimensionError, match="too short"):
                         fit_ar(panel, n_lags)
 
+    def test_series_constant_up_to_rounding(self):
+        # Regression: a lag column that varies only by rounding (0.1 + 0.2 is
+        # not 0.3) was kept beside the intercept and made the design rank
+        # deficient.
+        y = np.full(12, 0.3)
+        y[::3] = 0.1 + 0.2
+        panel = PanelData(y[:, None], t0=10)
+        for n_lags in (1, 2):
+            fitted = fit_ar(panel, n_lags)
+            np.testing.assert_allclose(fitted.params["coefficients"], [0.3] + [0.0] * n_lags, atol=1e-15)
+            np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-15)
+
 
 class TestFused:
     def test_white_noise_errors_leave_small_rho(self, rng):

@@ -392,6 +392,23 @@ class TestPointwiseCi:
         entry = pointwise_ci(panel, 12, EstimatorSpec.did(), grid=grid)
         assert (entry.iterations, entry.nonconverged) == (0, 0)
 
+    def test_default_grid_counts_its_zero_effect_fit(self):
+        # Regression: the zero-effect fit that sets the default grid was left
+        # out of the counts (nonconverged read 30 though that fit had not
+        # converged either).
+        panel = PanelData(np.random.default_rng(0).standard_normal((14, 5)), t0=12)
+        spec = EstimatorSpec.sc(sc.SolverConfig(max_iters=1))
+        entry = pointwise_ci(panel, 13, spec)
+        sub = sc.pointwise_slice(panel, 13)
+        fits = [sc.fit(sub, spec)]
+        for candidate in entry.grid:
+            fits.append(sc.fit(sc.adjust_under_null(sub, [candidate]), spec, fits[-1]))
+        reports = [fitted.diagnostics for fitted in fits]
+        assert not reports[0].converged
+        assert entry.iterations == sum(report.iterations for report in reports)
+        assert entry.nonconverged == sum(not report.converged for report in reports) == 31
+        np.testing.assert_array_equal(entry.p_values, pointwise_ci(panel, 13, spec, grid=entry.grid).p_values)
+
     def test_default_grid_has_41_points(self, rng):
         panel = random_panel(rng, 14, 3)
         entry = pointwise_ci(panel, 13, EstimatorSpec.did())

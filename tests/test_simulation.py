@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from synthconf import (
@@ -16,6 +18,7 @@ from synthconf import (
     run_size_experiment,
     simulate_panel,
 )
+from synthconf import inference, simulation
 from synthconf.simulation import _ar1
 
 
@@ -83,6 +86,76 @@ class TestSimulatePanel:
         assert drift[-1] > drift[0]  # loadings are positive, so trend shows up
 
 
+def _loop_panel(spec, rng):
+    """The outcomes of ``simulate_panel``, computed as one replication alone.
+
+    This is the reference: the design written out per period, with the
+    draws in the order the simulator makes them.
+    """
+    def ar1(n, rho, size=None):
+        shape = (n,) if size is None else (n, size)
+        innov = rng.standard_normal(shape) * np.sqrt(1.0 - rho**2)
+        state = rng.standard_normal(shape[1:])
+        out = np.empty(shape)
+        for t in range(n):
+            state = rho * state + innov[t]
+            out[t] = state
+        return out
+
+    n_periods, J = spec.t0 + 1, spec.n_controls
+    factors = rng.standard_normal(n_periods)
+    if spec.factor_trend == "trending":
+        factors = factors + np.arange(1, n_periods + 1)
+    time_effect = rng.standard_normal(n_periods)
+    eps = ar1(n_periods, spec.rho_eps, J)
+    shock = ar1(n_periods, spec.rho_u)
+    unit_effect = np.arange(1, J + 1) / J
+    controls = unit_effect + time_effect[:, None] + unit_effect * factors[:, None] + eps
+    treated = controls @ dgp_weights(spec.weights_kind, J) + shock
+    treated[spec.t0:] += spec.alpha_true
+    return np.column_stack([treated, controls])
+
+
+@st.composite
+def small_designs(draw):
+    n_controls = draw(st.integers(1, 6))
+    least = {"DGP1": 1, "DGP2": 3, "DGP3": 1, "DGP4": 2}
+    return DgpSpec(
+        t0=draw(st.integers(2, 12)),
+        n_controls=n_controls,
+        rho_u=draw(st.sampled_from((0.0, 0.6))),
+        rho_eps=draw(st.sampled_from((0.0, 0.6))),
+        weights_kind=draw(st.sampled_from([k for k, n in least.items() if n_controls >= n])),
+        factor_trend=draw(st.sampled_from(("stationary", "trending"))),
+        alpha_true=draw(st.sampled_from((0.0, 1.5))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestChunkedReplications:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dgp=small_designs(),
+        spec=st.sampled_from((EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.ar(1))),
+        chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_pvalues_equal_per_replication_tests(self, dgp, spec, chunk, data):
+        # Chunks of `chunk` panels; the replications end just before, on or
+        # after a chunk boundary, or one past the second chunk.
+        n_reps = data.draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1})))
+        budget = chunk * (dgp.t0 + 1) * (dgp.n_controls + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_CHUNK_DOUBLES", budget)
+            got = run_size_experiment(dgp, spec, n_reps=n_reps, keep_pvalues=True).p_values
+        expected = []
+        for seq in np.random.SeedSequence(dgp.seed).spawn(n_reps):
+            panel = simulate_panel(dgp, np.random.default_rng(seq))
+            np.testing.assert_array_equal(panel.outcomes, _loop_panel(dgp, np.random.default_rng(seq)))
+            expected.append(inference.test_sharp_null(panel, 0, spec).p_value)
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestRunSizeExperiment:
     def test_deterministic_given_seed(self):
         dgp = DgpSpec(t0=10, n_controls=4, seed=123)
@@ -126,6 +199,15 @@ class TestRunPowerCurve:
             dgp, EstimatorSpec.did(), alpha_grid=(0.0, 6.0), n_reps=200
         )
         assert curve[0].rejection_rate == size.rejection_rate
+
+    def test_every_point_equals_a_size_run(self):
+        dgp = DgpSpec(t0=12, n_controls=4, rho_u=0.6, rho_eps=0.6, weights_kind="DGP2", seed=79)
+        grid = (0.0, 0.5, 1.5, -2.0)
+        for spec in (EstimatorSpec.did(), EstimatorSpec.sc()):
+            curve = run_power_curve(dgp, spec, alpha_grid=grid, n_reps=80)
+            for a, point in zip(grid, curve):
+                size = run_size_experiment(dataclasses.replace(dgp, alpha_true=a), spec, n_reps=80)
+                assert point == size
 
     def test_large_effect_has_power(self):
         dgp = DgpSpec(t0=20, n_controls=4, seed=78)
