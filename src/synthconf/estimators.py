@@ -26,6 +26,7 @@ from .solvers import (
     alternating_ls,
     _EPS,
     _centre,
+    _simplex_ls,
     ols,
     pca_factors,
     penalized_ls,
@@ -181,14 +182,45 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
                 f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
             )
         return fitted
-    label = spec.label
-    if start is not None and start.estimator_id != label:
-        start = None
-    fitted = _ESTIMATORS[spec.kind].fitter(panel, spec, start)
-    # The fitter built this object a moment ago and nothing else holds it,
-    # so naming it in place saves a copy of every fit.
-    object.__setattr__(fitted, "estimator_id", label)
-    return fitted
+    return _labelled([_ESTIMATORS[spec.kind].fitter(panel, spec, _own(start, spec))], spec.label)[0]
+
+
+def _own(start: ProxyFit | None, spec: EstimatorSpec) -> ProxyFit | None:
+    """``start`` if it is a fit of ``spec``, else None: a warm start from
+    another spec is ignored."""
+    return start if start is not None and start.estimator_id == spec.label else None
+
+
+def _labelled(fits: list, label: str) -> list:
+    """``fits``, each with ``estimator_id`` set to ``label``."""
+    # The fitter built these objects a moment ago and nothing else holds
+    # them, so naming them in place saves a copy of every fit.
+    for fitted in fits:
+        object.__setattr__(fitted, "estimator_id", label)
+    return fits
+
+
+def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit | None = None) -> list:
+    """The fits of ``panel`` with its treated series replaced by each column of ``treated``.
+
+    ``treated`` is (T, G), such as the treated series under each candidate
+    of a test inversion.  The columns are fitted in order, each warm from
+    the one before and the first from ``start`` (see :func:`fit`).  ``sc``,
+    ``classo``, lasso and elastic net fit the columns as one block against
+    the fixed controls and covariates (:func:`~synthconf.solvers.simplex_ls`);
+    other kinds and custom callables fit one panel per column.  Each fit is
+    the one :func:`fit` gives on that column's panel with that start, bit
+    for bit when the columns are strided as a panel's treated series is.
+    """
+    block = _ESTIMATORS[spec.kind].block if isinstance(spec, EstimatorSpec) else None
+    if block is not None:
+        return _labelled(block(panel, treated, spec, _own(start, spec)), spec.label)
+    fits = [start]
+    for column in treated.T:
+        outcomes = panel.outcomes.copy()
+        outcomes[:, 0] = column
+        fits.append(fit(replace(panel, outcomes=outcomes), spec, fits[-1]))
+    return fits[1:]
 
 
 def _require_controls(panel: PanelData, who: str) -> None:
@@ -203,7 +235,7 @@ def _require_controls(panel: PanelData, who: str) -> None:
 def _design(panel: PanelData):
     """Control outcomes plus the treated unit's covariates as free columns.
 
-    Returns (y, X, n_constrained): the simplex / l1 constraint applies to
+    Returns (X, n_constrained): the simplex / l1 constraint applies to
     the first ``n_constrained`` columns only; covariate coefficients are
     unconstrained.
     """
@@ -211,7 +243,7 @@ def _design(panel: PanelData):
     n_constrained = X.shape[1]
     if panel.covariates is not None:
         X = np.hstack([X, panel.covariates[:, 0, :]])
-    return panel.treated, X, n_constrained
+    return X, n_constrained
 
 
 def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | None, **params) -> ProxyFit:
@@ -225,26 +257,39 @@ def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | N
     controls as periods can fit them all), rounding noise would otherwise
     rank the permutations, and the p-value would depend on the units.
     """
-    return ProxyFit(
-        proxy=proxy,
-        residuals=_zero_rounding(panel.treated - proxy, panel.outcomes),
-        start=1,
-        permutation_invariant=True,
-        diagnostics=diagnostics,
-        params=params,
-    )
+    return _panel_fits(panel, panel.treated[:, None], [proxy], [diagnostics], [params])[0]
 
 
-def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Set ``residuals`` within the rounding level of ``outcomes`` to zero, in place.
+def _panel_fits(panel: PanelData, treated: np.ndarray, proxies, reports, params) -> list:
+    """The fits of :func:`_panel_fit` on ``panel`` with its treated series
+    replaced by each column of ``treated`` (T, G).
+
+    ``proxies``, ``reports`` and ``params`` hold each column's proxy (T,),
+    report and parameters.  Each rounding level is that of the panel with
+    that treated series, bit for bit.
+    """
+    residuals = _zero_rounding(treated.T - np.array(proxies), panel.outcomes, treated.T)
+    return [ProxyFit(proxy, resid, 1, True, diagnostics=report, params=column_params)
+            for proxy, resid, report, column_params in zip(proxies, residuals, reports, params)]
+
+
+def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray, treated: np.ndarray | None = None) -> np.ndarray:
+    """Set ``residuals`` within the rounding level of their panels to zero, in place.
 
     ``outcomes`` holds one panel (T, N), or panels along leading axes with
-    ``residuals`` (..., T) alongside; the level is that of :func:`_panel_fit`,
-    taken per panel.
+    ``residuals`` (..., T) alongside; ``treated`` (..., T), if given, holds
+    each panel's treated series in place of the first column of
+    ``outcomes``.  The level is that of :func:`_panel_fit`,
+    ``outcomes.size * eps * max|outcomes|`` per panel.
     """
-    # max|outcomes| without an outcome-sized copy: a Monte Carlo chunk is 1 MiB.
-    peak = np.maximum(outcomes.max(axis=(-2, -1)), -outcomes.min(axis=(-2, -1)))
-    floor = outcomes.shape[-2] * outcomes.shape[-1] * _EPS * peak
+    def peak(x, axis):  # max|x| without an x-sized copy: a Monte Carlo chunk is 1 MiB
+        return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
+
+    if treated is None:
+        level = peak(outcomes, (-2, -1))
+    else:
+        level = np.maximum(peak(treated, -1), peak(outcomes[..., 1:], (-2, -1)))
+    floor = outcomes.shape[-2] * outcomes.shape[-1] * _EPS * level
     residuals[np.abs(residuals) <= floor[..., None]] = 0.0
     return residuals
 
@@ -291,10 +336,16 @@ def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig(), start: ProxyFit
 
     The solver starts from the weights of ``start``, if given (see :func:`fit`).
     """
+    return _sc_fits(panel, panel.treated[:, None], cfg, start)[0]
+
+
+def _sc_fits(panel, treated, cfg, start):
+    """:func:`fit_sc` of each treated series, a column of ``treated``, as one block."""
     _require_controls(panel, "synthetic control")
-    y, X, n_con = _design(panel)
-    w, report = simplex_ls(X, y, n_con, cfg, _start_weights(start))
-    return _panel_fit(panel, X @ w, report, weights=w[:n_con], covariate_coefs=w[n_con:])
+    X, n_con = _design(panel)
+    W, reports = simplex_ls(X, treated, n_con, cfg, _start_weights(start))
+    params = [{"weights": w[:n_con], "covariate_coefs": w[n_con:]} for w in W.T]
+    return _panel_fits(panel, treated, [X @ w for w in W.T], reports, params)
 
 
 def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = SolverConfig(),
@@ -313,16 +364,31 @@ def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = Solver
     from the weights ``w`` of ``start`` (see :func:`fit`) puts ``|w_j|`` on
     the sign of ``w_j`` and scales the split to sum to one.
     """
+    return _classo_fits(panel, panel.treated[:, None], radius, cfg, start)[0]
+
+
+def _classo_fits(panel, treated, radius, cfg, start):
+    """:func:`fit_classo` of each treated series, a column of ``treated``, as one block.
+
+    Each column after the first starts from its neighbour's weights, as
+    :func:`fit_classo` starts from a fit.
+    """
     _require_controls(panel, "constrained lasso")
-    y, X, n_con = _design(panel)
-    xc, yc, x_mean, y_mean = _centre(X, y)
+    X, n_con = _design(panel)
+    xc, ycs, x_mean, y_means = _centre(X, list(treated.T))
     head = radius * xc[:, :n_con]
+    signed = lambda w: np.concatenate([w, -w])
     w0 = _start_weights(start)
-    split = None if w0 is None else np.concatenate([w0, -w0])
-    v, report = simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), yc, 2 * n_con, cfg, split)
-    w = np.concatenate([radius * (v[:n_con] - v[n_con:2 * n_con]), v[2 * n_con:]])
-    mu = y_mean - float(x_mean @ w)
-    return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
+    V, reports = _simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), np.array(ycs).T, 2 * n_con, cfg,
+                             None if w0 is None else signed(w0),
+                             lambda v: signed(radius * (v[:n_con] - v[n_con:])))
+    proxies, params = [], []
+    for v, y_mean in zip(V.T, y_means):
+        w = np.concatenate([radius * (v[:n_con] - v[n_con:2 * n_con]), v[2 * n_con:]])
+        mu = y_mean - float(x_mean @ w)
+        proxies.append(mu + X @ w)
+        params.append({"mu": mu, "weights": w[:n_con], "covariate_coefs": w[n_con:]})
+    return _panel_fits(panel, treated, proxies, reports, params)
 
 
 def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig(),
@@ -331,15 +397,21 @@ def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig(),
 
     The solver starts from the weights of ``start``, if given (see :func:`fit`).
     """
+    return _penalized_fits(panel, panel.treated[:, None], penalty, cfg, start)[0]
+
+
+def _penalized_fits(panel, treated, penalty, cfg, start):
+    """:func:`fit_penalized` of each treated series, a column of ``treated``, as one block."""
     _require_controls(panel, "penalized regression")
-    y, X, n_con = _design(panel)
+    X, n_con = _design(panel)
     weights = np.zeros(X.shape[1])
     weights[:n_con] = 1.0
     w0 = _start_weights(start)
     if w0 is not None:
         w0 = np.concatenate([w0, start.params["covariate_coefs"]])
-    mu, w, report = penalized_ls(X, y, penalty, cfg, penalty_weights=weights, start=w0)
-    return _panel_fit(panel, mu + X @ w, report, mu=mu, weights=w[:n_con], covariate_coefs=w[n_con:])
+    mu, W, reports = penalized_ls(X, treated, penalty, cfg, penalty_weights=weights, start=w0)
+    params = [{"mu": float(mu_g), "weights": w[:n_con], "covariate_coefs": w[n_con:]} for mu_g, w in zip(mu, W.T)]
+    return _panel_fits(panel, treated, [mu_g + X @ w for mu_g, w in zip(mu, W.T)], reports, params)
 
 
 def fit_factor(panel: PanelData, n_factors: int) -> ProxyFit:
@@ -519,8 +591,10 @@ class _Kind(NamedTuple):
     one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
     takes the panel, the spec and the warm start of :func:`fit`, and ``reads``
     names the spec fields it uses besides ``params``; every other field must
-    keep its default.  The CLI name is the kind with ``-`` for ``_``; the spec
-    comes from the classmethod of the kind's name.
+    keep its default.  ``block``, for the kinds with an active-set solver,
+    fits a block of treated series (see :func:`_fit_candidates`).  The CLI
+    name is the kind with ``-`` for ``_``; the spec comes from the
+    classmethod of the kind's name.
     """
 
     params: tuple
@@ -528,25 +602,36 @@ class _Kind(NamedTuple):
     reads: tuple = ()
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
+    block: Callable[[PanelData, np.ndarray, EstimatorSpec, ProxyFit | None], list] | None = None
 
 
 _ESTIMATORS = {
     "did": _Kind((), lambda panel, spec, start: fit_did(panel)),
-    "sc": _Kind((), lambda panel, spec, start: fit_sc(panel, spec.solver, start), ("solver",)),
+    "sc": _Kind(
+        (),
+        lambda panel, spec, start: fit_sc(panel, spec.solver, start),
+        ("solver",),
+        block=lambda panel, treated, spec, start: _sc_fits(panel, treated, spec.solver, start),
+    ),
     "classo": _Kind(
         (("K", "radius", float, 1.0),),
         lambda panel, spec, start: fit_classo(panel, spec.radius, spec.solver, start),
         ("solver",),
+        block=lambda panel, treated, spec, start: _classo_fits(panel, treated, spec.radius, spec.solver, start),
     ),
     "lasso": _Kind(
         (("lam", "lam", float, _REQUIRED),),
         lambda panel, spec, start: fit_penalized(panel, LassoPenalty(spec.lam), spec.solver, start),
         ("solver",),
+        block=lambda panel, treated, spec, start: _penalized_fits(
+            panel, treated, LassoPenalty(spec.lam), spec.solver, start),
     ),
     "elastic_net": _Kind(
         (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
         lambda panel, spec, start: fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver, start),
         ("solver",),
+        block=lambda panel, treated, spec, start: _penalized_fits(
+            panel, treated, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver, start),
     ),
     "factor": _Kind(
         (("k", "n_factors", int, _REQUIRED),),

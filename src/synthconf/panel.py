@@ -125,8 +125,6 @@ class PanelData:
 def adjust_under_null(panel: PanelData, alpha0) -> PanelData:
     """Subtract a hypothesized effect trajectory from the treated outcome.
 
-    This is the one place where a null is checked and applied.
-
     Parameters
     ----------
     panel : PanelData
@@ -142,24 +140,43 @@ def adjust_under_null(panel: PanelData, alpha0) -> PanelData:
         by ``Y_t - alpha0_t``.  Pre-treatment rows are untouched, and a zero
         trajectory gives a copy equal to the panel bit for bit.
     """
+    values = np.atleast_1d(np.asarray(alpha0, dtype=float))
+    outcomes = panel.outcomes.copy()
+    outcomes[:, 0] = _treated_under_nulls(panel, values[None])[:, 0]
+    return replace(panel, outcomes=outcomes)
+
+
+def _treated_under_nulls(panel: PanelData, nulls) -> np.ndarray:
+    """The treated series under each of ``nulls``, one column per null.
+
+    This is the one place where a null is checked and applied.  ``nulls``
+    holds one effect trajectory per row, as :func:`adjust_under_null`
+    takes it; column ``g`` of the (T, G) result is the treated outcome with
+    ``nulls[g]`` subtracted from its post-treatment entries, as
+    :func:`adjust_under_null` subtracts it.
+    """
     if panel.n_treated != 1:
         raise DimensionError(
             "adjust_under_null requires a single treated unit; use aggregate_units() "
             "to average multiple treated units first"
         )
-    values = np.atleast_1d(np.asarray(alpha0, dtype=float))
-    if values.ndim != 1:
-        raise DimensionError(f"the effect trajectory must be 1-D; got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    nulls = np.asarray(nulls, dtype=float)
+    if nulls.ndim != 2:
+        raise DimensionError(f"the effect trajectory must be 1-D; got shape {nulls.shape[1:]}")
+    if not np.all(np.isfinite(nulls)):
         raise DimensionError("the effect trajectory must be finite")
-    if values.shape[0] != panel.n_post:
+    if nulls.shape[1] != panel.n_post:
         raise DimensionError(
-            f"the effect trajectory has {values.shape[0]} values but the panel has "
+            f"the effect trajectory has {nulls.shape[1]} values but the panel has "
             f"{panel.n_post} post-treatment periods"
         )
-    outcomes = panel.outcomes.copy()
-    outcomes[panel.t0:, 0] -= values
-    return replace(panel, outcomes=outcomes)
+    # At least two columns are allocated, so that each series is strided as
+    # a panel's treated unit is: BLAS sums a contiguous vector in another
+    # order, and a candidate must be fitted bit for bit as its own panel.
+    treated = np.empty((panel.n_periods, max(2, nulls.shape[0])))[:, :nulls.shape[0]]
+    treated[:] = panel.outcomes[:, :1]
+    treated[panel.t0:] -= nulls.T
+    return treated
 
 
 def _mapped(panel: PanelData, transform, t0: int, n_treated: int) -> PanelData:

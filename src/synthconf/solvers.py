@@ -169,19 +169,20 @@ def project_nuclear_ball(a, radius: float) -> np.ndarray:
     return (u * s_proj) @ vt
 
 
-def _centre(X, y):
-    """``(Xc, yc, x_mean, y_mean)``: the data less their column means.
+def _centre(X, ys):
+    """``(Xc, ycs, x_mean, y_means)``: the data less their column means.
 
-    A column that does not vary is set to exactly zero.  Centring leaves
-    rounding noise in it, which must not count as variation: a solver
-    would fit that noise with a coefficient of order 1e16.
+    ``ys`` is a sequence of responses, each centred on its own mean.  A
+    column of ``X`` that does not vary is set to exactly zero.  Centring
+    leaves rounding noise in it, which must not count as variation: a
+    solver would fit that noise with a coefficient of order 1e16.
     """
     x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
     xc = X - x_mean
     flat = np.abs(xc).max(axis=0, initial=0.0) <= X.shape[0] * _EPS * np.abs(X).max(axis=0, initial=0.0)
     xc[:, flat] = 0.0
-    return xc, y - y_mean, x_mean, y_mean
+    y_means = [float(y.mean()) for y in ys]
+    return xc, [y - y_mean for y, y_mean in zip(ys, y_means)], x_mean, y_means
 
 
 def _step_to_first_zero(x, d, limit):
@@ -202,16 +203,18 @@ def _step_to_first_zero(x, d, limit):
     return moved, k
 
 
-def _project_free(head, free, y):
-    """Project the span of the free columns out of ``head`` and ``y``.
+def _project_free(head, free, ys):
+    """Project the span of the free columns out of ``head`` and the responses ``ys``.
 
     The free coefficients are a least-squares fit to whatever the other
     columns leave over.  The span comes from an SVD with the rank cut-off
     of ``numpy.linalg.lstsq``, which copes with collinear free columns.
     Returns ``(gram, xty, scale, coefs)``: the Gram matrix of the projected
-    ``head``, its product with the projected ``y``, the certificate scale
-    ``c (||y|| + c)`` with ``c`` the largest projected column norm, and
-    ``coefs(rest)``, the free coefficients that best fit ``rest``.
+    ``head``, its product with each projected response (one column per
+    response), each response's certificate scale ``c (||y|| + c)`` with
+    ``c`` the largest projected column norm, and ``coefs(rest)``, the free
+    coefficients that best fit ``rest``.  The design work is done once;
+    each response gets the arithmetic it would get alone.
     """
     coefs = lambda rest: np.zeros(0)
     if free.shape[1]:
@@ -219,12 +222,16 @@ def _project_free(head, free, y):
         rank = int((s > max(free.shape) * _EPS * s[0]).sum())
         u, s, vt = u[:, :rank], s[:rank], vt[:rank]
         head = head - u @ (u.T @ head)
-        y = y - u @ (u.T @ y)
+        ys = [y - u @ (u.T @ y) for y in ys]
         coefs = lambda rest: vt.T @ ((u.T @ rest) / s)
     gram = head.T @ head
     col_max = float(np.sqrt(np.diag(gram).max(initial=0.0)))
-    scale = col_max * (float(np.linalg.norm(y)) + col_max)
-    return gram, head.T @ y, scale, coefs
+    xty = np.empty((head.shape[1], len(ys)))
+    scale = np.empty(len(ys))
+    for g, y in enumerate(ys):
+        xty[:, g] = head.T @ y
+        scale[g] = col_max * (float(np.linalg.norm(y)) + col_max)
+    return gram, xty, scale, coefs
 
 
 def _solve(system, rhs):
@@ -261,18 +268,21 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
     solves, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
     ``converged`` says the last solve was completed and ``kkt <= cfg.tol``.
     """
-    border = np.full(int(pad > 0), pad)  # the sum-to-one row, if any
+    border = int(pad > 0)  # the sum-to-one row, if any
 
     def solve_on(support):
         n = support.size
-        system = np.zeros((n + border.size, n + border.size))
-        system[:n, :n] = gram[np.ix_(support, support)]
+        system = np.zeros((n + border, n + border))
+        system[:n, :n] = gram[support[:, None], support]
         system[:n, n:] = system[n:, :n] = pad
-        return _solve(system, np.append(lin[support], border))[:n]
+        rhs = np.empty(n + border)
+        rhs[:n] = lin[support]
+        rhs[n:] = pad
+        return _solve(system, rhs)[:n]
 
     limit = cfg.tol * scale
     steps = 0
-    solved = support.size <= border.size
+    solved = support.size <= border
     while True:
         while not solved and steps < cfg.max_iters:
             steps += 1
@@ -305,6 +315,31 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
     return support, w_s, steps, solved and gap <= limit, kkt
 
 
+def _solve_columns(gram, lin, pad, scale, cfg, warm):
+    """Solve the problem of :func:`_active_set` for each column of ``lin``, in order.
+
+    ``lin`` (k, G) holds one linear term per response and ``scale`` (G,)
+    their certificate scales.  ``warm(g, v)`` is the start ``(support,
+    w_s)`` of column ``g`` from ``v``, the solution of column ``g - 1``
+    (None for the first column).
+
+    Returns ``(V, steps, converged, kkt)``: the solutions (k, G) and, per
+    column, what :func:`_active_set` returns for it.
+    """
+    k, n_cols = lin.shape
+    V = np.zeros((k, n_cols))
+    steps = np.zeros(n_cols, dtype=int)
+    converged = np.zeros(n_cols, dtype=bool)
+    kkt = np.zeros(n_cols)
+    v = None
+    for g in range(n_cols):
+        support, w_s, steps[g], converged[g], kkt[g] = _active_set(
+            gram, lin[:, g], pad, *warm(g, v), scale[g], cfg)
+        V[support, g] = w_s
+        v = V[:, g]
+    return V, steps, converged, kkt
+
+
 def _warm(start, n):
     """A warm start as an array of ``n`` weights."""
     start = np.asarray(start, dtype=float)
@@ -313,62 +348,104 @@ def _warm(start, n):
     return start
 
 
+def _responses(X, y):
+    """``(X, ys)``: the design as floats and the responses as a list of 1-D arrays.
+
+    A 1-D ``y`` is a block of one; the columns of an (n, G) ``y`` are the
+    block's responses, each used as it is laid out.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
+        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
+    return X, [y] if y.ndim == 1 else list(y.T)
+
+
 def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), start=None):
     """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1.
 
-    ``m`` is ``n_constrained``; the columns after the first ``m`` are free
-    and are projected out (:func:`_project_free`).  The rest is solved by
-    the active-set method of :func:`_active_set` with a sum-to-one row,
-    started at the best vertex, or warm at ``start``: weights of the ``m``
-    constrained columns, such as ``w[:m]`` of an earlier solve on the same
-    ``X``, whose positive part is scaled to sum to one (a start with no
-    positive weight is ignored).  A start changes the path, not the
-    certificate, so it saves steps when ``y`` moved little.
+    ``y`` is one response (n,) or a block of responses (n, G) that share
+    the design ``X``, such as the candidates of a test inversion.  ``m`` is
+    ``n_constrained``; the columns after the first ``m`` are free and are
+    projected out (:func:`_project_free`).  That design work is done once
+    per block.  The rest is solved by the active-set method of
+    :func:`_active_set` with a sum-to-one row, started at the best vertex,
+    or warm at ``start``: weights of the ``m`` constrained columns, such as
+    ``w[:m]`` of an earlier solve on the same ``X``, whose positive part is
+    scaled to sum to one (a start with no positive weight is ignored).  A
+    start changes the path, not the certificate, so it saves steps when
+    ``y`` moved little.
+
+    A block is solved in column order, ``start`` being the start of the
+    first column and each later column started from its neighbour's
+    solution (:func:`_solve_columns`).  Every column gets the arithmetic
+    of solving it alone, warm from its neighbour, so a block gives those
+    solutions and reports bit for bit, and a block of one is the solve of
+    its column.
 
     Returns
     -------
-    (w, report) : (ndarray, SolveReport)
+    (w, report) : (ndarray, SolveReport), or (W, reports) for a block
+        ``W`` is (p, G), one column and one report per response.
         ``report.kkt_residual`` is the certificate of :func:`_active_set`:
         the Frank-Wolfe duality gap of the constrained columns, which bounds
         the excess objective by twice itself, over ``c (||y|| + c)``.  It
         has no units: scaling ``X`` and ``y`` together changes neither it
         nor the steps.  ``report.iterations`` counts KKT solves.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
+    return _simplex_ls(X, y, n_constrained, cfg, start, lambda v: v)
+
+
+def _simplex_ls(X, y, n_constrained, cfg, start, restart):
+    """:func:`simplex_ls`, where a column after the first starts from ``restart(v)``.
+
+    ``v`` holds the constrained weights of its solved neighbour, and
+    ``restart(v)`` is a start as ``start`` takes it.
+    """
+    X, ys = _responses(X, y)
     m = n_constrained
     if not 1 <= m <= X.shape[1]:
         raise DimensionError(f"n_constrained must lie in 1..{X.shape[1]}; got {n_constrained}")
-    gram, xty, scale, free_coefs = _project_free(X[:, :m], X[:, m:], y)
+    w0 = np.zeros(m) if start is None else _warm(start, m)
+    gram, xty, scale, free_coefs = _project_free(X[:, :m], X[:, m:], ys)
     # The sum-to-one row is scaled like the Gram matrix (by the largest
     # squared column norm), which keeps the KKT system balanced in any units.
     # Constrained columns in the span of the free ones project to exactly
     # zero; any simplex point then fits alike, and the row must not vanish.
     pad = float(np.sqrt(np.diag(gram).max())) ** 2 or 1.0
-    w0 = np.zeros(m) if start is None else _warm(start, m)
-    support = np.flatnonzero(w0 > 0.0)
-    if support.size:
-        w_s = w0[support] / w0[support].sum()
-    else:
-        support, w_s = np.array([int(np.argmin(np.diag(gram) - 2.0 * xty))]), np.ones(1)
-    support, w_s, steps, converged, kkt = _active_set(gram, xty, pad, support, w_s, scale, cfg)
 
-    w = np.zeros(X.shape[1])
-    w[support] = w_s
-    w[m:] = free_coefs(y - X[:, :m] @ w[:m])
-    resid = y - X @ w
-    return w, SolveReport(steps, float(resid @ resid), converged, kkt, note="simplex active set")
+    def warm(g, v):
+        weights = w0 if v is None else restart(v)
+        support = np.flatnonzero(weights > 0.0)
+        if support.size:
+            return support, weights[support] / weights[support].sum()
+        return np.array([int(np.argmin(np.diag(gram) - 2.0 * xty[:, g]))]), np.ones(1)
+
+    V, steps, converged, kkt = _solve_columns(gram, xty, pad, scale, cfg, warm)
+    W = np.zeros((len(ys), X.shape[1]))  # one row per response, each laid out as a lone solve's
+    W[:, :m] = V.T
+    reports = []
+    for g, (response, w) in enumerate(zip(ys, W)):
+        if m < X.shape[1]:
+            w[m:] = free_coefs(response - X[:, :m] @ w[:m])
+        resid = response - X @ w
+        reports.append(SolveReport(int(steps[g]), float(resid @ resid), bool(converged[g]), float(kkt[g]),
+                                   note="simplex active set"))
+    return (W[0], reports[0]) if np.ndim(y) == 1 else (W.T, reports)
 
 
 def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None, start=None):
     """Minimize sum((y - mu - X w)^2) + P(w) with a free intercept ``mu``.
 
-    ``penalty`` is an :class:`ElasticNetPenalty` (:func:`LassoPenalty` for a lasso);
-    ``penalty_weights`` optionally scales the penalty per column (0 leaves
-    a column unpenalized).  ``start`` is an optional warm start, one weight
-    per column, such as the ``w`` of an earlier solve on the same ``X``.
+    ``y`` is one response (n,) or a block of responses (n, G) that share
+    ``X``, solved as :func:`simplex_ls` solves a block: the design work
+    once, ``start`` for the first column, each later column from its
+    neighbour's solution, and each column bit for bit as if solved alone
+    from its neighbour.  ``penalty`` is an :class:`ElasticNetPenalty`
+    (:func:`LassoPenalty` for a lasso); ``penalty_weights`` optionally
+    scales the penalty per column (0 leaves a column unpenalized).
+    ``start`` is an optional warm start, one weight per column, such as the
+    ``w`` of an earlier solve on the same ``X``.
 
     The intercept is concentrated out by centring, and the ridge part of
     the penalty is least squares on extra rows ``sqrt(l2_j) e_j`` with
@@ -382,51 +459,52 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
 
     Returns
     -------
-    (intercept, w, report)
-        The certificate is the gap ``max r - v'r`` of that quadratic, its
-        largest KKT violation once a support is solved, over the same
-        ``c (||y|| + c)`` as in :func:`simplex_ls`; it has no units when
-        ``lam`` is scaled with the squared units of the data.
+    (intercept, w, report), or (intercepts, W, reports) for a block
+        ``intercepts`` is (G,) and ``W`` (p, G).  The certificate is the
+        gap ``max r - v'r`` of that quadratic, its largest KKT violation
+        once a support is solved, over the same ``c (||y|| + c)`` as in
+        :func:`simplex_ls`; it has no units when ``lam`` is scaled with the
+        squared units of the data.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
+    X, ys = _responses(X, y)
     p = X.shape[1]
     weights = np.ones(p) if penalty_weights is None else np.asarray(penalty_weights, dtype=float)
     if weights.shape != (p,):
         raise DimensionError("penalty_weights must have one entry per column")
+    first = None if start is None else _warm(start, p)
 
-    xc, yc, x_mean, y_mean = _centre(X, y)
+    xc, ycs, x_mean, y_means = _centre(X, ys)
     l1 = penalty.l1 * weights
     l2 = penalty.l2 * weights
     xa = np.vstack([xc, np.diag(np.sqrt(l2))[l2 > 0.0]])
-    ya = np.append(yc, np.zeros(np.count_nonzero(l2)))
+    yas = [np.append(yc, np.zeros(np.count_nonzero(l2))) for yc in ycs]
     varies = xc.any(axis=0)
     split = np.flatnonzero(varies & (l1 > 0.0))
     free = np.flatnonzero(varies & (l1 == 0.0))
-    a, c, scale, free_coefs = _project_free(xa[:, split], xa[:, free], ya)
-    half = 0.5 * l1[split]
-    if start is None:
-        support, v_s = np.zeros(0, dtype=int), np.zeros(0)
-    else:
-        w0 = _warm(start, p)[split]
+    a, c, scale, free_coefs = _project_free(xa[:, split], xa[:, free], yas)
+    half = 0.5 * l1[split][:, None]
+
+    def warm(g, v):
+        if v is None and first is None:
+            return np.zeros(0, dtype=int), np.zeros(0)
+        w0 = first[split] if v is None else v[:split.size] - v[split.size:]
         v0 = np.concatenate([w0, -w0])
         support = np.flatnonzero(v0 > 0.0)
-        v_s = v0[support]
-    support, v_s, steps, converged, kkt = _active_set(
-        np.block([[a, -a], [-a, a]]), np.concatenate([c - half, -c - half]), 0.0,
-        support, v_s, scale, cfg)
+        return support, v0[support]
 
-    v = np.zeros(2 * split.size)
-    v[support] = v_s
-    w = np.zeros(p)
-    w[split] = v[:split.size] - v[split.size:]
-    w[free] = free_coefs(ya - xa[:, split] @ w[split])
-    r = yc - xc @ w
-    objective = float(r @ r) + float(l2 @ (w * w)) + float(l1 @ np.abs(w))
-    report = SolveReport(steps, objective, converged, kkt, note="signed active set")
-    return y_mean - float(x_mean @ w), w, report
+    V, steps, converged, kkt = _solve_columns(
+        np.block([[a, -a], [-a, a]]), np.concatenate([c - half, -c - half]), 0.0, scale, cfg, warm)
+    W = np.zeros((len(ys), p))  # one row per response, each laid out as a lone solve's
+    W[:, split] = (V[:split.size] - V[split.size:]).T
+    intercepts, reports = [], []
+    for g, (yc, ya, w) in enumerate(zip(ycs, yas, W)):
+        w[free] = free_coefs(ya - xa[:, split] @ w[split])
+        r = yc - xc @ w
+        objective = float(r @ r) + float(l2 @ (w * w)) + float(l1 @ np.abs(w))
+        intercepts.append(y_means[g] - float(x_mean @ w))
+        reports.append(SolveReport(int(steps[g]), objective, bool(converged[g]), float(kkt[g]),
+                                   note="signed active set"))
+    return (intercepts[0], W[0], reports[0]) if np.ndim(y) == 1 else (np.array(intercepts), W.T, reports)
 
 
 def pca_factors(Y, k: int):

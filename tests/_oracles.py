@@ -248,3 +248,44 @@ def constrained_gap(X: np.ndarray, y: np.ndarray, w: np.ndarray, n_constrained: 
     nonzero = norms[m:] > 0
     free = np.abs(g[m:][nonzero]) / (norms[m:][nonzero] * reach)
     return gap, float(free.max(initial=0.0)), c * reach
+
+
+def penalized_gap(X: np.ndarray, y: np.ndarray, mu: float, w: np.ndarray, l1: np.ndarray,
+                  l2: np.ndarray, penalized: np.ndarray):
+    """The duality gap of a lasso / elastic-net fit on the signed split, from the raw data.
+
+    With ``g_j = xc_j'(y - mu - Xw) - l2_j w_j`` over the ``penalized``
+    columns (``xc`` the centred columns), the split ``(w+, w-)`` has the
+    linear residuals ``r+ = g - l1/2`` and ``r- = -g - l1/2``; the gap is
+    ``max r - w+'r+ - w-'r-``, nonnegative and zero exactly at an optimum
+    when the unpenalized coefficients fit what the others leave over.
+    Returns ``(gap, scale)``, ``scale`` being ``c (||y - mean y|| + c)``
+    with ``c`` the largest norm of a penalized centred column with its
+    ridge row: no smaller than the scale of the solver's certificate.
+    """
+    xc = X[:, penalized] - X[:, penalized].mean(axis=0)
+    resid = y - mu - X @ w
+    wp = w[penalized]
+    g = xc.T @ resid - l2[penalized] * wp
+    r_plus, r_minus = g - l1[penalized] / 2.0, -g - l1[penalized] / 2.0
+    gap = float(np.concatenate([r_plus, r_minus]).max(initial=-np.inf)
+                - np.maximum(wp, 0.0) @ r_plus - np.maximum(-wp, 0.0) @ r_minus)
+    c = float(np.sqrt(((xc ** 2).sum(axis=0) + l2[penalized]).max(initial=0.0)))
+    return gap, c * (float(np.linalg.norm(y - y.mean())) + c)
+
+
+def warm_candidate_fits(sub, grid, spec, start=None):
+    """Test inversion one candidate at a time, as ``pointwise_ci`` fitted before it solved blocks.
+
+    ``sub`` is a one-post-period panel.  Each candidate of the sorted
+    ``grid`` gets its own adjusted panel and its own :func:`synthconf.fit`,
+    warm from the fit of the candidate before it (the first from
+    ``start``).  This is the reference for the block fit, so it goes
+    through the package's single-fit path on purpose.
+    """
+    import synthconf as sc
+
+    fits = [start]
+    for candidate in np.sort(np.asarray(grid, dtype=float)):
+        fits.append(sc.fit(sc.adjust_under_null(sub, [candidate]), spec, fits[-1]))
+    return fits[1:]

@@ -175,6 +175,16 @@ class TestReconstructionIdentity:
         np.testing.assert_allclose(fitted.proxy + fitted.residuals, treated_window, atol=1e-10)
         assert fitted.estimator_id == spec.label
 
+    def test_rounding_floor_counts_every_outcome(self):
+        # The floor is outcomes.size * eps * max|outcomes|, the largest
+        # outcome being a control's here; residuals within it are zero.
+        outcomes = np.column_stack([np.ones(6), np.full(6, 1e6), np.linspace(1.0, 2.0, 6)])
+        panel = PanelData(outcomes, t0=4)
+        floor = outcomes.size * np.finfo(float).eps * 1e6
+        gaps = np.array([0.5, 0.9, 1.1, -0.5, -1.1, 0.0]) * floor
+        fitted = sc.estimators._panel_fit(panel, panel.treated - gaps, None)
+        np.testing.assert_array_equal(fitted.residuals != 0.0, np.abs(gaps) > floor)
+
 
 class TestPermutationInvariance:
     INVARIANT_SPECS = [

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 import synthconf as sc
 from synthconf import (
     DimensionError,
     EstimatorSpec,
     PanelData,
     PermutationScheme,
+    SolverConfig,
     Statistic,
     p_value,
     placebo_test,
@@ -375,6 +377,84 @@ class TestPointwiseCi:
         sub = sc.pointwise_slice(panel, t0 + 2)
         expected = [sharp_null(sub, [candidate], spec).p_value for candidate in entry.grid]
         np.testing.assert_array_equal(entry.p_values, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t0=st.integers(3, 12),
+        n_controls=st.integers(1, 15),
+        kind=st.sampled_from(["sc", "classo", "lasso", "elastic_net"]),
+        radius=st.floats(0.5, 3.0),
+        lam=st.floats(0.01, 5.0),
+        alpha=st.floats(0.0, 1.0),
+        covariate=st.booleans(),
+        noise=st.sampled_from([1e-6, 1e-3, 1.0]),
+        exponent=st.floats(-3.0, 3.0),
+        grid=st.none() | st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12),
+        repeats=st.integers(0, 3),
+        max_iters=st.sampled_from([10_000, 1]),
+    )
+    @pytest.mark.filterwarnings("ignore:no candidate effect accepted")
+    def test_block_fit_equals_warm_candidate_loop(self, seed, t0, n_controls, kind, radius, lam, alpha,
+                                                  covariate, noise, exponent, grid, repeats, max_iters):
+        # The candidates of a period are solved as one block; each fit must be
+        # that of the candidate's own panel warm from its neighbour, bit for
+        # bit, so p-values and counts are too, and every converged candidate
+        # must pass its certificate, recomputed from the data.  Near-exact fits
+        # (noise 1e-6) are where a warm start can stop on another support.
+        rng = np.random.default_rng(seed)
+        c = 10.0 ** exponent
+        controls = c * rng.standard_normal((t0 + 2, n_controls))
+        treated = controls[:, :3].mean(axis=1) + noise * c * rng.standard_normal(t0 + 2)
+        covariates = c * rng.standard_normal((t0 + 2, n_controls + 1, 1)) if covariate else None
+        panel = PanelData(np.column_stack([treated, controls]), t0=t0, covariates=covariates)
+        cfg = SolverConfig(max_iters=max_iters)
+        spec = {"sc": EstimatorSpec.sc(cfg), "classo": EstimatorSpec.classo(radius, cfg),
+                "lasso": EstimatorSpec.lasso(lam * c**2, cfg),
+                "elastic_net": EstimatorSpec.elastic_net(lam * c**2, alpha, cfg)}[kind]
+        if grid is not None:
+            grid = [c * value for value in grid + grid[:repeats]]
+        entry = pointwise_ci(panel, t0 + 2, spec, grid=grid)
+
+        sub = sc.pointwise_slice(panel, t0 + 2)
+        start = sc.fit(sub, spec) if grid is None else None
+        fits = _oracles.warm_candidate_fits(sub, entry.grid, spec, start)
+        expected = [p_value(f.residuals, PermutationScheme.moving_block(), Statistic(),
+                            f.post_slice(t0)).p_value for f in fits]
+        np.testing.assert_array_equal(entry.p_values, expected)
+        reports = [f.diagnostics for f in ([start] if start else []) + fits]
+        assert entry.nonconverged == sum(not report.converged for report in reports)
+
+        X = controls[[*range(t0), t0 + 1]]
+        if covariate:
+            X = np.column_stack([X, covariates[[*range(t0), t0 + 1], 0]])
+        block = sc.estimators._fit_candidates(
+            sub, sc.panel._treated_under_nulls(sub, entry.grid[:, None]), spec, start)
+        for candidate, fitted, alone in zip(entry.grid, block, fits):
+            np.testing.assert_array_equal(fitted.residuals, alone.residuals)
+            assert fitted.diagnostics == alone.diagnostics
+            if not fitted.diagnostics.converged:
+                continue
+            y = sc.adjust_under_null(sub, [candidate]).treated
+            w = np.concatenate([fitted.params["weights"], fitted.params["covariate_coefs"]])
+            if kind in ("sc", "classo"):
+                ball = None if kind == "sc" else radius
+                ref_X, ref_y = (X, y) if kind == "sc" else (X - X.mean(axis=0), y - y.mean())
+                gap, free, scale = _oracles.constrained_gap(ref_X, ref_y, w, n_controls, ball)
+                assert free <= 1e-10
+            else:
+                penalty = spec.lam * (1.0 if kind == "lasso" else spec.alpha)
+                l1 = np.r_[np.full(n_controls, penalty), np.zeros(X.shape[1] - n_controls)]
+                l2 = np.r_[np.full(n_controls, spec.lam - penalty), np.zeros(X.shape[1] - n_controls)]
+                gap, scale = _oracles.penalized_gap(X, y, fitted.params["mu"], w, l1, l2, np.arange(n_controls))
+            assert gap <= cfg.tol * scale
+
+    @pytest.mark.parametrize("grid", [[math.nan, 1.0], [math.inf]], ids=["nan", "inf"])
+    @pytest.mark.parametrize("spec", [EstimatorSpec.sc(), EstimatorSpec.did()], ids=["sc", "did"])
+    def test_non_finite_candidate_refused(self, rng, spec, grid):
+        panel = random_panel(rng, 12, 3)
+        with pytest.raises(DimensionError, match="the effect trajectory must be finite"):
+            pointwise_ci(panel, 12, spec, grid=grid)
 
     def test_reports_solver_steps_and_nonconverged_fits(self, rng):
         panel = random_panel(rng, 12, 6, noise=1.0)

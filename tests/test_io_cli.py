@@ -422,8 +422,10 @@ class TestBadValues:
         ["ci", "--grid=-1:1:0"],
         ["test", "--estimator", "lasso:lam=-1"],
         ["test", "--estimator", "elastic-net:lam=inf,alpha=0.5"],
+        ["ci", "--grid", "nan:1:5"],
+        ["ci", "--estimator", "did", "--grid", "nan:1:5"],
     ], ids=["iid_too_long", "q_below_one", "no_samples", "alpha_above_one", "empty_grid",
-            "negative_lam", "infinite_lam"])
+            "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did"])
     def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
         rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",
                    "--out", str(tmp_path / "out")])

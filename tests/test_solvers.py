@@ -296,6 +296,41 @@ class TestWarmStart:
             penalized_ls(X, rng.standard_normal(8), LassoPenalty(1.0), start=np.ones(2))
 
 
+class TestBlockOfOne:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(3, 15),
+        n_cols=st.integers(1, 20),
+        n_free=st.integers(0, 2),
+        kind=st.sampled_from(["sc", "lasso", "elastic_net"]),
+        lam=st.floats(0.01, 5.0),
+        warm=st.booleans(),
+    )
+    def test_block_of_one_is_the_single_solve(self, seed, n_rows, n_cols, n_free, kind, lam, warm):
+        # A response of shape (n, 1) goes through the block path; its weights
+        # and report must be those of the 1-D response, bit for bit, with
+        # free (unpenalized) columns and from a warm start.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_rows, n_cols + n_free))
+        y = X[:, : min(3, n_cols)].mean(axis=1) + rng.standard_normal(n_rows)
+        neighbour = y + rng.standard_normal(n_rows)
+        if kind == "sc":
+            start = simplex_ls(X, neighbour, n_cols)[0][:n_cols] if warm else None
+            w, report = simplex_ls(X, y, n_cols, start=start)
+            W, reports = simplex_ls(X, y[:, None], n_cols, start=start)
+        else:
+            penalty = LassoPenalty(lam) if kind == "lasso" else ElasticNetPenalty(lam, 0.5)
+            weights = np.r_[np.ones(n_cols), np.zeros(n_free)]
+            start = penalized_ls(X, neighbour, penalty, penalty_weights=weights)[1] if warm else None
+            mu, w, report = penalized_ls(X, y, penalty, penalty_weights=weights, start=start)
+            intercepts, W, reports = penalized_ls(X, y[:, None], penalty, penalty_weights=weights, start=start)
+            assert intercepts.shape == (1,) and intercepts[0] == mu
+        assert W.shape == (X.shape[1], 1)
+        np.testing.assert_array_equal(W[:, 0], w)
+        assert reports == [report]
+
+
 class TestCoordinateDescent:
     def test_unpenalized_limit_is_ols(self, rng):
         X = rng.standard_normal((40, 3))
