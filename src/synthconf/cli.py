@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -236,6 +237,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 _COMMANDS = {"test": cmd_test, "ci": cmd_ci, "placebo": cmd_placebo, "simulate": cmd_simulate}
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synthconf",

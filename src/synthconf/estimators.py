@@ -20,12 +20,11 @@ from .exceptions import DimensionError, SynthconfError
 from .panel import PanelData
 from .solvers import (
     ElasticNetPenalty,
-    LassoPenalty,
     SolveReport,
     SolverConfig,
     alternating_ls,
-    _EPS,
     _centre,
+    _negligible,
     _simplex_ls,
     ols,
     pca_factors,
@@ -45,7 +44,7 @@ class ProxyFit:
     all periods (``start=1``) while models with ``K`` lags start at
     ``K+1``.  On the fitted window, ``proxy + residuals`` reconstructs the
     treated null-adjusted outcome exactly.  :func:`fit` sets
-    ``estimator_id`` to the spec's label; direct ``fit_*`` calls leave it empty.
+    ``estimator_id`` to the spec's label; a custom estimator sets its own.
     """
 
     proxy: np.ndarray
@@ -113,7 +112,7 @@ class EstimatorSpec:
         if self.kind == "ar" and (self.n_lags is None or self.n_lags < 1):
             raise ValueError("ar estimators need n_lags >= 1")
         if self.kind in ("lasso", "elastic_net"):
-            ElasticNetPenalty(self.lam, 1.0 if self.kind == "lasso" else self.alpha)  # checks lam, alpha
+            _penalty(self)  # checks lam, alpha
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -182,13 +181,9 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
                 f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
             )
         return fitted
-    return _labelled([_ESTIMATORS[spec.kind].fitter(panel, spec, _own(start, spec))], spec.label)[0]
-
-
-def _own(start: ProxyFit | None, spec: EstimatorSpec) -> ProxyFit | None:
-    """``start`` if it is a fit of ``spec``, else None: a warm start from
-    another spec is ignored."""
-    return start if start is not None and start.estimator_id == spec.label else None
+    if _ESTIMATORS[spec.kind].block:
+        return _fit_candidates(panel, panel.treated[:, None], spec, start)[0]
+    return _labelled([_ESTIMATORS[spec.kind].fitter(panel, spec)], spec.label)[0]
 
 
 def _labelled(fits: list, label: str) -> list:
@@ -212,9 +207,10 @@ def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit
     the one :func:`fit` gives on that column's panel with that start, bit
     for bit when the columns are strided as a panel's treated series is.
     """
-    block = _ESTIMATORS[spec.kind].block if isinstance(spec, EstimatorSpec) else None
-    if block is not None:
-        return _labelled(block(panel, treated, spec, _own(start, spec)), spec.label)
+    if isinstance(spec, EstimatorSpec) and _ESTIMATORS[spec.kind].block:
+        if start is not None and start.estimator_id != spec.label:
+            start = None  # a warm start from another spec is ignored
+        return _labelled(_ESTIMATORS[spec.kind].fitter(panel, treated, spec, start), spec.label)
     fits = [start]
     for column in treated.T:
         outcomes = panel.outcomes.copy()
@@ -289,8 +285,8 @@ def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray, treated: np.ndar
         level = peak(outcomes, (-2, -1))
     else:
         level = np.maximum(peak(treated, -1), peak(outcomes[..., 1:], (-2, -1)))
-    floor = outcomes.shape[-2] * outcomes.shape[-1] * _EPS * level
-    residuals[np.abs(residuals) <= floor[..., None]] = 0.0
+    n = outcomes.shape[-2] * outcomes.shape[-1]
+    residuals[_negligible(np.abs(residuals), n, level[..., None])] = 0.0
     return residuals
 
 
@@ -314,7 +310,7 @@ def _did(outcomes: np.ndarray):
     return mu, proxy, _zero_rounding(treated - proxy, outcomes)
 
 
-def fit_did(panel: PanelData) -> ProxyFit:
+def _did_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     """Difference-in-differences: equal control weights plus a level shift.
 
     The level shift is the full-sample mean of the treated-minus-control
@@ -331,25 +327,20 @@ def _start_weights(start: ProxyFit | None):
     return None if start is None else start.params.get("weights")
 
 
-def fit_sc(panel: PanelData, cfg: SolverConfig = SolverConfig(), start: ProxyFit | None = None) -> ProxyFit:
+def _sc_fits(panel, treated, spec, start):
     """Synthetic control: simplex-constrained least-squares weights on controls.
 
-    The solver starts from the weights of ``start``, if given (see :func:`fit`).
+    Fits each treated series, a column of ``treated``, as one block.  The
+    solver starts from the weights of ``start``, if given (see :func:`fit`).
     """
-    return _sc_fits(panel, panel.treated[:, None], cfg, start)[0]
-
-
-def _sc_fits(panel, treated, cfg, start):
-    """:func:`fit_sc` of each treated series, a column of ``treated``, as one block."""
     _require_controls(panel, "synthetic control")
     X, n_con = _design(panel)
-    W, reports = simplex_ls(X, treated, n_con, cfg, _start_weights(start))
+    W, reports = simplex_ls(X, treated, n_con, spec.solver, _start_weights(start))
     params = [{"weights": w[:n_con], "covariate_coefs": w[n_con:]} for w in W.T]
     return _panel_fits(panel, treated, [X @ w for w in W.T], reports, params)
 
 
-def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = SolverConfig(),
-               start: ProxyFit | None = None) -> ProxyFit:
+def _classo_fits(panel, treated, spec, start):
     """l1-ball-constrained least squares with a free intercept.
 
     Nests both difference-in-differences (equal weights are feasible) and
@@ -363,23 +354,18 @@ def fit_classo(panel: PanelData, radius: float = 1.0, cfg: SolverConfig = Solver
     an interior least-squares fit is found the same way.  A warm start
     from the weights ``w`` of ``start`` (see :func:`fit`) puts ``|w_j|`` on
     the sign of ``w_j`` and scales the split to sum to one.
-    """
-    return _classo_fits(panel, panel.treated[:, None], radius, cfg, start)[0]
 
-
-def _classo_fits(panel, treated, radius, cfg, start):
-    """:func:`fit_classo` of each treated series, a column of ``treated``, as one block.
-
-    Each column after the first starts from its neighbour's weights, as
-    :func:`fit_classo` starts from a fit.
+    Fits each treated series, a column of ``treated``, as one block; each
+    column after the first starts from its neighbour's weights.
     """
     _require_controls(panel, "constrained lasso")
+    radius = spec.radius
     X, n_con = _design(panel)
     xc, ycs, x_mean, y_means = _centre(X, list(treated.T))
     head = radius * xc[:, :n_con]
     signed = lambda w: np.concatenate([w, -w])
     w0 = _start_weights(start)
-    V, reports = _simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), np.array(ycs).T, 2 * n_con, cfg,
+    V, reports = _simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), np.array(ycs).T, 2 * n_con, spec.solver,
                              None if w0 is None else signed(w0),
                              lambda v: signed(radius * (v[:n_con] - v[n_con:])))
     proxies, params = [], []
@@ -391,17 +377,17 @@ def _classo_fits(panel, treated, radius, cfg, start):
     return _panel_fits(panel, treated, proxies, reports, params)
 
 
-def fit_penalized(panel: PanelData, penalty, cfg: SolverConfig = SolverConfig(),
-                  start: ProxyFit | None = None) -> ProxyFit:
+def _penalty(spec: EstimatorSpec) -> ElasticNetPenalty:
+    """The penalty of a lasso (the elastic net at ``alpha = 1``) or elastic-net spec."""
+    return ElasticNetPenalty(spec.lam, 1.0 if spec.kind == "lasso" else spec.alpha)
+
+
+def _penalized_fits(panel, treated, spec, start):
     """Penalized regression on control outcomes (lasso or elastic net).
 
-    The solver starts from the weights of ``start``, if given (see :func:`fit`).
+    Fits each treated series, a column of ``treated``, as one block.  The
+    solver starts from the weights of ``start``, if given (see :func:`fit`).
     """
-    return _penalized_fits(panel, panel.treated[:, None], penalty, cfg, start)[0]
-
-
-def _penalized_fits(panel, treated, penalty, cfg, start):
-    """:func:`fit_penalized` of each treated series, a column of ``treated``, as one block."""
     _require_controls(panel, "penalized regression")
     X, n_con = _design(panel)
     weights = np.zeros(X.shape[1])
@@ -409,19 +395,20 @@ def _penalized_fits(panel, treated, penalty, cfg, start):
     w0 = _start_weights(start)
     if w0 is not None:
         w0 = np.concatenate([w0, start.params["covariate_coefs"]])
-    mu, W, reports = penalized_ls(X, treated, penalty, cfg, penalty_weights=weights, start=w0)
+    mu, W, reports = penalized_ls(X, treated, _penalty(spec), spec.solver,
+                                  penalty_weights=weights, start=w0)
     params = [{"mu": float(mu_g), "weights": w[:n_con], "covariate_coefs": w[n_con:]} for mu_g, w in zip(mu, W.T)]
     return _panel_fits(panel, treated, [mu_g + X @ w for mu_g, w in zip(mu, W.T)], reports, params)
 
 
-def fit_factor(panel: PanelData, n_factors: int) -> ProxyFit:
+def _factor_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     """Pure factor model: principal components of the full outcome matrix."""
-    factors, loadings = pca_factors(panel.outcomes, n_factors)
+    factors, loadings = pca_factors(panel.outcomes, spec.n_factors)
     report = _closed_form(float(((panel.outcomes - factors @ loadings.T) ** 2).sum()))
     return _panel_fit(panel, factors @ loadings[0], report, treated_loading=loadings[0])
 
 
-def fit_interactive_fe(panel: PanelData, n_factors: int, cfg: SolverConfig = SolverConfig()) -> ProxyFit:
+def _interactive_fe_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     """Interactive fixed effects: latent factors plus observed covariates.
 
     Raises
@@ -437,7 +424,7 @@ def fit_interactive_fe(panel: PanelData, n_factors: int, cfg: SolverConfig = Sol
             "for the covariate-free model"
         )
     factors, loadings, beta, report = alternating_ls(
-        panel.outcomes, panel.covariates, n_factors, cfg
+        panel.outcomes, panel.covariates, spec.n_factors, spec.solver
     )
     proxy = factors @ loadings[0] + panel.covariates[:, 0, :] @ beta
     return _panel_fit(panel, proxy, report, treated_loading=loadings[0], beta=beta)
@@ -456,16 +443,16 @@ def default_nuclear_radius(matrix: np.ndarray) -> float:
     return 1.5 * float(s[:rank].sum())
 
 
-def fit_matrix_completion(panel: PanelData, radius: float | None = None) -> ProxyFit:
+def _matrix_completion_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     """Least squares over the nuclear-norm ball on the full outcome matrix.
 
     With every entry observed the minimizer of ``sum((Y - A)^2)`` subject
     to ``||A||_* <= radius`` is the Euclidean projection of the outcome
-    matrix onto the ball, so the fit is exact in one step.
+    matrix onto the ball, so the fit is exact in one step.  Without a
+    radius in the spec, :func:`default_nuclear_radius` sets it.
     """
     matrix = panel.outcomes.T  # units x time
-    if radius is None:
-        radius = default_nuclear_radius(matrix)
+    radius = default_nuclear_radius(matrix) if spec.radius is None else spec.radius
     fitted = project_nuclear_ball(matrix, radius)
     report = _closed_form(float(((matrix - fitted) ** 2).sum()))
     return _panel_fit(panel, fitted[0], report, radius=radius)
@@ -492,10 +479,8 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     ``x`` being the lag column (``n`` its rows) or the whole series.  The
     least-squares design must have at least as many rows as coefficients
     (and two rows), or the series is too short.
-    ``fitter`` replaces the least squares (see :func:`fit_ar`).
+    ``fitter`` replaces the least squares (see :func:`_ar_fit`).
     """
-    if n_lags < 1:
-        raise DimensionError(f"n_lags must be >= 1; got {n_lags}")
     n_coefs = 0 if fitter is not None else n_lags + intercept
     if series.shape[0] - n_lags < max(2, n_coefs):
         raise DimensionError(f"{what} of length {series.shape[0]} is too short for {n_lags} lags")
@@ -505,14 +490,14 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     if fitter is not None:
         predicted = np.asarray(fitter(lags, target)(lags), dtype=float)
     elif intercept:
-        keep = np.ptp(lags, axis=0) > lags.shape[0] * np.finfo(float).eps * np.abs(lags).max(axis=0)
+        keep = ~_negligible(np.ptp(lags, axis=0), lags.shape[0], np.abs(lags).max(axis=0))
         design = np.column_stack([np.ones(target.shape[0]), lags[:, keep]])
         coef = ols(design, target)
         predicted = design @ coef
         params["coefficients"] = np.zeros(n_lags + 1)
         params["coefficients"][np.r_[True, keep]] = coef
     else:
-        if np.ptp(series) <= series.size * np.finfo(float).eps * np.abs(series).max():
+        if _negligible(np.ptp(series), series.size, np.abs(series).max()):
             coef = np.zeros(n_lags)
             note = "degenerate second stage: constant first-stage residuals; lag coefficients set to 0"
         else:
@@ -530,7 +515,7 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     )
 
 
-def fit_ar(panel: PanelData, n_lags: int, fitter: Callable | None = None) -> ProxyFit:
+def _ar_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     """Autoregression of the treated series on its own lags (with intercept).
 
     Only the treated unit is used, so panels without controls are
@@ -539,34 +524,32 @@ def fit_ar(panel: PanelData, n_lags: int, fitter: Callable | None = None) -> Pro
     ``params["coefficients"]`` holds the intercept, then one coefficient
     per lag.
 
-    An optional ``fitter(lags, response) -> predict`` callable replaces
-    the built-in linear least squares with a user-supplied (possibly
-    nonlinear) lag model; ``predict`` must map a lag matrix to fitted
-    values.
+    An optional ``ar_fitter(lags, response) -> predict`` callable in the
+    spec replaces the built-in linear least squares with a user-supplied
+    (possibly nonlinear) lag model; ``predict`` must map a lag matrix to
+    fitted values.
     """
-    return _autoregression(panel.treated, n_lags, "series", intercept=True, fitter=fitter)
+    return _autoregression(panel.treated, spec.n_lags, "series", intercept=True, fitter=spec.ar_fitter)
 
 
-def fit_fused(panel: PanelData, base: EstimatorSpec, n_lags: int) -> ProxyFit:
+def _fused_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     """Two-stage fit: a panel proxy, then an autoregression on its residuals.
 
-    Stage one fits ``base`` on the full panel; stage two regresses the
-    stage-one residuals on their own ``n_lags`` lags without an intercept.
-    The final proxy adds the predicted residual to the stage-one proxy,
-    and the fitted window starts at period ``n_lags + 1``.
+    Stage one fits the spec's ``base`` on the full panel; stage two
+    regresses the stage-one residuals on their own ``n_lags`` lags without
+    an intercept.  The final proxy adds the predicted residual to the
+    stage-one proxy, and the fitted window starts at period ``n_lags + 1``.
 
     A stage-one residual series that is constant up to rounding (a perfect
     first-stage fit up to a level) makes stage two degenerate; the lag
     coefficients are then set to zero, which reproduces the base proxy
     exactly, and the report is flagged.
     """
-    if base.kind not in _PANEL_KINDS:
-        raise ValueError(f"fused base must be a panel estimator; got {base.kind!r}")
-    stage1 = fit(panel, base)
-    stage2 = _autoregression(stage1.residuals, n_lags, "residual series", intercept=False)
+    stage1 = fit(panel, spec.base)
+    stage2 = _autoregression(stage1.residuals, spec.n_lags, "residual series", intercept=False)
     return replace(
         stage2,
-        proxy=stage1.proxy[n_lags:] + stage2.proxy,
+        proxy=stage1.proxy[spec.n_lags:] + stage2.proxy,
         params={"rho": stage2.params["coefficients"], "base": stage1.estimator_id,
                 "base_params": stage1.params},
     )
@@ -589,72 +572,41 @@ class _Kind(NamedTuple):
 
     ``params`` holds the CLI parameters as ``(key, spec field, type, default)``;
     one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
-    takes the panel, the spec and the warm start of :func:`fit`, and ``reads``
-    names the spec fields it uses besides ``params``; every other field must
-    keep its default.  ``block``, for the kinds with an active-set solver,
-    fits a block of treated series (see :func:`_fit_candidates`).  The CLI
-    name is the kind with ``-`` for ``_``; the spec comes from the
-    classmethod of the kind's name.
+    is the kind's one fitter, and ``reads`` names the spec fields it uses
+    besides ``params``; every other field must keep its default.  A fitter
+    takes the panel and the spec, or with ``block`` (the kinds with an
+    active-set solver) the panel, a block of treated series (T, G), the spec
+    and the warm start of :func:`fit`, and returns one fit per column (see
+    :func:`_fit_candidates`).  The CLI name is the kind with ``-`` for
+    ``_``; the spec comes from the classmethod of the kind's name.
     """
 
     params: tuple
-    fitter: Callable[[PanelData, EstimatorSpec, ProxyFit | None], ProxyFit]
+    fitter: Callable[..., ProxyFit | list]
     reads: tuple = ()
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
-    block: Callable[[PanelData, np.ndarray, EstimatorSpec, ProxyFit | None], list] | None = None
+    block: bool = False
 
 
 _ESTIMATORS = {
-    "did": _Kind((), lambda panel, spec, start: fit_did(panel)),
-    "sc": _Kind(
-        (),
-        lambda panel, spec, start: fit_sc(panel, spec.solver, start),
-        ("solver",),
-        block=lambda panel, treated, spec, start: _sc_fits(panel, treated, spec.solver, start),
-    ),
-    "classo": _Kind(
-        (("K", "radius", float, 1.0),),
-        lambda panel, spec, start: fit_classo(panel, spec.radius, spec.solver, start),
-        ("solver",),
-        block=lambda panel, treated, spec, start: _classo_fits(panel, treated, spec.radius, spec.solver, start),
-    ),
-    "lasso": _Kind(
-        (("lam", "lam", float, _REQUIRED),),
-        lambda panel, spec, start: fit_penalized(panel, LassoPenalty(spec.lam), spec.solver, start),
-        ("solver",),
-        block=lambda panel, treated, spec, start: _penalized_fits(
-            panel, treated, LassoPenalty(spec.lam), spec.solver, start),
-    ),
+    "did": _Kind((), _did_fit),
+    "sc": _Kind((), _sc_fits, ("solver",), block=True),
+    "classo": _Kind((("K", "radius", float, 1.0),), _classo_fits, ("solver",), block=True),
+    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_fits, ("solver",), block=True),
     "elastic_net": _Kind(
         (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
-        lambda panel, spec, start: fit_penalized(panel, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver, start),
+        _penalized_fits,
         ("solver",),
-        block=lambda panel, treated, spec, start: _penalized_fits(
-            panel, treated, ElasticNetPenalty(spec.lam, spec.alpha), spec.solver, start),
+        block=True,
     ),
-    "factor": _Kind(
-        (("k", "n_factors", int, _REQUIRED),),
-        lambda panel, spec, start: fit_factor(panel, spec.n_factors),
-    ),
-    "interactive_fe": _Kind(
-        (("k", "n_factors", int, _REQUIRED),),
-        lambda panel, spec, start: fit_interactive_fe(panel, spec.n_factors, spec.solver),
-        ("solver",),
-    ),
-    "matrix_completion": _Kind(
-        (("K", "radius", float, None),),
-        lambda panel, spec, start: fit_matrix_completion(panel, spec.radius),
-    ),
-    "ar": _Kind(
-        (("lags", "n_lags", int, _REQUIRED),),
-        lambda panel, spec, start: fit_ar(panel, spec.n_lags, spec.ar_fitter),
-        ("ar_fitter",),
-        fused_base=False,
-    ),
+    "factor": _Kind((("k", "n_factors", int, _REQUIRED),), _factor_fit),
+    "interactive_fe": _Kind((("k", "n_factors", int, _REQUIRED),), _interactive_fe_fit, ("solver",)),
+    "matrix_completion": _Kind((("K", "radius", float, None),), _matrix_completion_fit),
+    "ar": _Kind((("lags", "n_lags", int, _REQUIRED),), _ar_fit, ("ar_fitter",), fused_base=False),
     "fused": _Kind(
         (("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)),
-        lambda panel, spec, start: fit_fused(panel, spec.base, spec.n_lags),
+        _fused_fit,
         label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})",
         fused_base=False,
     ),

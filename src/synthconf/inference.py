@@ -330,13 +330,19 @@ def _default_ci_grid(fitted: ProxyFit) -> np.ndarray:
     ``fitted`` is the zero-effect fit of a one-post-period panel.  The grid
     spans 5 robust standard deviations (1.4826 * median absolute deviation
     of the pre-treatment residuals) on each side of the point estimate
-    ``Y_t - proxy_t``.
+    ``Y_t - proxy_t``.  Where that spread is zero, the first positive one
+    of these takes its place: the standard deviation of the pre-treatment
+    residuals, that of the treated pre-treatment outcomes, the largest
+    treated outcome in magnitude, and 1 when every treated outcome is zero.
+    Each but the last is in the units of Y, so the grid scales with them.
     """
     point = float(fitted.residuals[-1])
     pre = fitted.residuals[:-1]
     spread = 1.4826 * float(np.median(np.abs(pre - np.median(pre))))
     if spread <= 0:
-        spread = max(float(pre.std()), 1e-8)
+        treated = fitted.proxy + fitted.residuals
+        spreads = (pre.std(), treated[:-1].std(), np.abs(treated).max())
+        spread = next((float(s) for s in spreads if s > 0), 1.0)
     return np.linspace(point - 5.0 * spread, point + 5.0 * spread, 41)
 
 

@@ -137,18 +137,6 @@ def _recur(path: np.ndarray, state: np.ndarray, rho: float | np.ndarray) -> np.n
     return path
 
 
-def _ar1(rng: np.random.Generator, n: int, rho: float, size: int | None = None) -> np.ndarray:
-    """Stationary AR(1) path(s) with unit marginal variance.
-
-    The state starts from N(0, 1) and innovations have variance
-    ``1 - rho^2``, so every marginal is exactly N(0, 1).  The innovations
-    are drawn before the start, as in :func:`_simulate`.
-    """
-    shape = (n,) if size is None else (n, size)
-    innov = rng.standard_normal((1, *shape)) * np.sqrt(1.0 - rho**2)
-    return _recur(innov, rng.standard_normal((1, *shape[1:])), rho)[0]
-
-
 def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndarray,
               iid_controls: bool = False) -> np.ndarray:
     """Fill ``block`` (B, T, 1 + J) with one panel per generator, the treated unit first.

@@ -169,6 +169,12 @@ def project_nuclear_ball(a, radius: float) -> np.ndarray:
     return (u * s_proj) @ vt
 
 
+def _negligible(value, n, scale):
+    """Whether ``value`` is rounding next to ``scale``, at most ``n * eps * scale``,
+    with ``n`` the terms whose rounding can add up in it (arrays broadcast)."""
+    return value <= n * _EPS * scale
+
+
 def _centre(X, ys):
     """``(Xc, ycs, x_mean, y_means)``: the data less their column means.
 
@@ -179,7 +185,7 @@ def _centre(X, ys):
     """
     x_mean = X.mean(axis=0)
     xc = X - x_mean
-    flat = np.abs(xc).max(axis=0, initial=0.0) <= X.shape[0] * _EPS * np.abs(X).max(axis=0, initial=0.0)
+    flat = _negligible(np.abs(xc).max(axis=0, initial=0.0), X.shape[0], np.abs(X).max(axis=0, initial=0.0))
     xc[:, flat] = 0.0
     y_means = [float(y.mean()) for y in ys]
     return xc, [y - y_mean for y, y_mean in zip(ys, y_means)], x_mean, y_means
@@ -219,7 +225,7 @@ def _project_free(head, free, ys):
     coefs = lambda rest: np.zeros(0)
     if free.shape[1]:
         u, s, vt = np.linalg.svd(free, full_matrices=False)
-        rank = int((s > max(free.shape) * _EPS * s[0]).sum())
+        rank = int((~_negligible(s, max(free.shape), s[0])).sum())
         u, s, vt = u[:, :rank], s[:rank], vt[:rank]
         head = head - u @ (u.T @ head)
         ys = [y - u @ (u.T @ y) for y in ys]
@@ -305,7 +311,7 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
         support, w_s = np.append(support, joining), np.append(w_s, 0.0)
         if not pad and old.size:
             a = _solve(gram[np.ix_(old, old)], gram[old, joining])
-            if gram[joining, joining] - gram[old, joining] @ a <= old.size * _EPS * gram[joining, joining]:
+            if _negligible(gram[joining, joining] - gram[old, joining] @ a, old.size, gram[joining, joining]):
                 w_s, k = _step_to_first_zero(w_s, np.append(-a, 1.0), np.inf)
                 if k is None:
                     break  # no descent along the span: rounding

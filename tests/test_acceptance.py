@@ -23,7 +23,6 @@ from synthconf import (
     reproduce_figure_null_vs_pre,
     run_size_experiment,
 )
-from synthconf.estimators import fit_classo, fit_sc
 from synthconf.solvers import (
     alternating_ls,
     pca_factors,
@@ -144,11 +143,11 @@ def test_criterion_06_solver_grid_oracles():
         y = X @ w + 0.4 * rng.standard_normal(n_periods) + 0.2
 
         panel = PanelData(np.column_stack([y, X]), t0=n_periods - 1)
-        sc_obj = float((fit_sc(panel).residuals ** 2).sum())
+        sc_obj = float((sc.fit(panel, EstimatorSpec.sc()).residuals ** 2).sum())
         sc_grid = _oracles.sc_objective_grid_search(X, y, step=1e-2)
         worst_sc = max(worst_sc, abs(sc_obj - sc_grid))
 
-        cl_obj = float((fit_classo(panel).residuals ** 2).sum())
+        cl_obj = float((sc.fit(panel, EstimatorSpec.classo()).residuals ** 2).sum())
         cl_grid = _oracles.classo_objective_grid_search(X, y, radius=1.0, step=1e-2)
         worst_classo = max(worst_classo, abs(cl_obj - cl_grid))
 

@@ -17,17 +17,7 @@ from synthconf.estimators import (
     _KINDS,
     default_nuclear_radius,
     parse_estimator,
-    fit_ar,
-    fit_classo,
-    fit_did,
-    fit_factor,
-    fit_fused,
-    fit_interactive_fe,
-    fit_matrix_completion,
-    fit_penalized,
-    fit_sc,
 )
-from synthconf.solvers import ElasticNetPenalty, LassoPenalty
 from conftest import random_panel
 
 
@@ -215,44 +205,44 @@ class TestDid:
     def test_exact_shift_recovered(self, rng):
         controls = rng.standard_normal((10, 3))
         treated = controls.mean(axis=1) + 2.5
-        fitted = fit_did(make_panel(treated, controls, t0=8))
+        fitted = fit(make_panel(treated, controls, t0=8), EstimatorSpec.did())
         assert abs(fitted.params["mu"] - 2.5) < 1e-12
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
 
     def test_single_control(self):
         control = np.array([1.0, 2.0, 3.0, 4.0])
-        fitted = fit_did(make_panel(control + 1.0, control[:, None], t0=3))
+        fitted = fit(make_panel(control + 1.0, control[:, None], t0=3), EstimatorSpec.did())
         assert abs(fitted.params["mu"] - 1.0) < 1e-12
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
 
     def test_residuals_sum_to_zero(self, rng):
         panel = random_panel(rng, 15, 5)
-        fitted = fit_did(panel)
+        fitted = fit(panel, EstimatorSpec.did())
         assert abs(fitted.residuals.sum()) < 1e-10
 
     def test_requires_controls(self):
         panel = PanelData(np.arange(6.0)[:, None], t0=4)
         with pytest.raises(DimensionError):
-            fit_did(panel)
+            fit(panel, EstimatorSpec.did())
 
 
 class TestSyntheticControl:
     def test_recovers_realizable_weights(self, rng):
         controls = rng.standard_normal((30, 4))
         treated = 0.5 * controls[:, 0] + 0.5 * controls[:, 1]
-        fitted = fit_sc(make_panel(treated, controls, t0=28))
+        fitted = fit(make_panel(treated, controls, t0=28), EstimatorSpec.sc())
         np.testing.assert_allclose(fitted.params["weights"], [0.5, 0.5, 0.0, 0.0], atol=1e-4)
 
     def test_single_control_forced_vertex(self, rng):
         controls = rng.standard_normal((8, 1))
-        fitted = fit_sc(make_panel(rng.standard_normal(8), controls, t0=6))
+        fitted = fit(make_panel(rng.standard_normal(8), controls, t0=6), EstimatorSpec.sc())
         np.testing.assert_allclose(fitted.params["weights"], [1.0], atol=1e-12)
         np.testing.assert_allclose(fitted.proxy, controls[:, 0], atol=1e-12)
 
     def test_matches_grid_oracle(self, rng):
         controls = rng.standard_normal((12, 2))
         treated = controls @ [0.6, 0.4] + 0.4 * rng.standard_normal(12)
-        fitted = fit_sc(make_panel(treated, controls, t0=10))
+        fitted = fit(make_panel(treated, controls, t0=10), EstimatorSpec.sc())
         grid_best = _oracles.sc_objective_grid_search(controls, treated, step=1e-4)
         assert abs(float((fitted.residuals**2).sum()) - grid_best) < 1e-4
 
@@ -262,8 +252,8 @@ class TestSyntheticControl:
         panel = random_panel(rng, 12, 3)
         bumped = panel.outcomes.copy()
         bumped[-1, 0] += 1.0
-        w0 = fit_sc(panel).params["weights"]
-        w1 = fit_sc(PanelData(bumped, t0=panel.t0)).params["weights"]
+        w0 = fit(panel, EstimatorSpec.sc()).params["weights"]
+        w1 = fit(PanelData(bumped, t0=panel.t0), EstimatorSpec.sc()).params["weights"]
         assert np.abs(w1 - w0).max() > 1e-6
 
 
@@ -272,22 +262,22 @@ class TestConstrainedLasso:
         controls = rng.standard_normal((40, 3))
         w_true = np.array([0.4, -0.3, 0.2])
         treated = controls @ w_true
-        fitted = fit_classo(make_panel(treated, controls, t0=38))
+        fitted = fit(make_panel(treated, controls, t0=38), EstimatorSpec.classo())
         np.testing.assert_allclose(fitted.params["weights"], w_true, atol=1e-4)
         assert abs(fitted.params["mu"]) < 1e-4
 
     def test_nests_did_and_sc(self, rng):
         panel = random_panel(rng, 16, 4)
         obj = lambda f: float((f.residuals**2).sum())
-        classo_obj = obj(fit_classo(panel))
-        assert classo_obj <= obj(fit_did(panel)) * (1 + 1e-9) + 1e-9
-        assert classo_obj <= obj(fit_sc(panel)) * (1 + 1e-9) + 1e-9
+        classo_obj = obj(fit(panel, EstimatorSpec.classo()))
+        assert classo_obj <= obj(fit(panel, EstimatorSpec.did())) * (1 + 1e-9) + 1e-9
+        assert classo_obj <= obj(fit(panel, EstimatorSpec.sc())) * (1 + 1e-9) + 1e-9
 
     def test_huge_radius_matches_ols(self, rng):
         controls = rng.standard_normal((12, 3))
         treated = controls @ [0.8, -0.5, 0.3] + 0.2 * rng.standard_normal(12) + 1.0
         panel = make_panel(treated, controls, t0=10)
-        fitted = fit_classo(panel, radius=1e6)
+        fitted = fit(panel, EstimatorSpec.classo(radius=1e6))
         design = np.column_stack([np.ones(12), controls])
         coef = _oracles.ols_via_qr(design, treated)
         np.testing.assert_allclose(fitted.proxy, design @ coef, atol=1e-6)
@@ -295,14 +285,14 @@ class TestConstrainedLasso:
     def test_matches_grid_oracle(self, rng):
         controls = rng.standard_normal((10, 3))
         treated = controls @ [0.5, -0.2, 0.0] + 0.3 * rng.standard_normal(10) + 0.4
-        fitted = fit_classo(make_panel(treated, controls, t0=8))
+        fitted = fit(make_panel(treated, controls, t0=8), EstimatorSpec.classo())
         grid_best = _oracles.classo_objective_grid_search(controls, treated, step=1e-2)
         assert abs(float((fitted.residuals**2).sum()) - grid_best) < 5e-3
 
 
 class TestUnitsOfY:
-    @pytest.mark.parametrize("fitter", [fit_sc, fit_classo])
-    def test_constrained_fits_do_not_depend_on_units(self, fitter):
+    @pytest.mark.parametrize("spec", [EstimatorSpec.sc(), EstimatorSpec.classo()], ids=lambda s: s.label)
+    def test_constrained_fits_do_not_depend_on_units(self, spec):
         # Regression: a stopping bound of tol * (1 + ||X'y||) let both fits
         # stop at their starting point, reporting convergence, once the
         # outcomes were scaled by 1e-6 or 1e6.
@@ -310,10 +300,10 @@ class TestUnitsOfY:
         controls = rng.standard_normal((20, 20))
         treated = controls[:, :3].mean(axis=1) + rng.standard_normal(20)
         outcomes = np.column_stack([treated, controls])
-        base = fitter(PanelData(outcomes, t0=19))
+        base = fit(PanelData(outcomes, t0=19), spec)
         assert base.diagnostics.converged and base.diagnostics.iterations > 0
         for c in (1e-6, 1e6):
-            scaled = fitter(PanelData(c * outcomes, t0=19))
+            scaled = fit(PanelData(c * outcomes, t0=19), spec)
             assert scaled.diagnostics.converged
             assert scaled.diagnostics.iterations == base.diagnostics.iterations
             np.testing.assert_allclose(scaled.params["weights"], base.params["weights"], atol=1e-12)
@@ -325,20 +315,20 @@ class TestPenalized:
         controls = rng.standard_normal((20, 3))
         treated = rng.standard_normal(20)
         panel = make_panel(treated, controls, t0=18)
-        fitted = fit_penalized(panel, LassoPenalty(0.0))
+        fitted = fit(panel, EstimatorSpec.lasso(0.0))
         design = np.column_stack([np.ones(20), controls])
         coef = _oracles.ols_via_qr(design, treated)
         np.testing.assert_allclose(fitted.proxy, design @ coef, atol=1e-7)
 
     def test_huge_penalty_gives_mean(self, rng):
         panel = random_panel(rng, 15, 3)
-        fitted = fit_penalized(panel, LassoPenalty(1e8))
+        fitted = fit(panel, EstimatorSpec.lasso(1e8))
         np.testing.assert_allclose(fitted.proxy, panel.treated.mean(), atol=1e-10)
 
     def test_elastic_net_alpha_one_equals_lasso(self, rng):
         panel = random_panel(rng, 15, 4)
-        lasso = fit_penalized(panel, LassoPenalty(0.8))
-        enet = fit_penalized(panel, ElasticNetPenalty(0.8, 1.0))
+        lasso = fit(panel, EstimatorSpec.lasso(0.8))
+        enet = fit(panel, EstimatorSpec.elastic_net(0.8, 1.0))
         np.testing.assert_allclose(lasso.proxy, enet.proxy, atol=1e-10)
 
 
@@ -348,18 +338,18 @@ class TestFactor:
         loadings = rng.standard_normal((6, 2))
         Y = factors @ loadings.T
         panel = PanelData(Y, t0=18)
-        fitted = fit_factor(panel, 2)
+        fitted = fit(panel, EstimatorSpec.factor(2))
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-6)
 
     def test_zero_factors_rejected(self, rng):
         with pytest.raises(DimensionError):
-            fit_factor(random_panel(rng, 10, 3), 0)
+            fit(random_panel(rng, 10, 3), EstimatorSpec.factor(0))
 
     def test_treated_row_matches_truncated_svd(self, rng):
         Y = rng.standard_normal((20, 10))
         Y[:, 0] += Y[:, 1:3].sum(axis=1)  # give the panel some structure
         panel = PanelData(Y, t0=18)
-        fitted = fit_factor(panel, 2)
+        fitted = fit(panel, EstimatorSpec.factor(2))
         u, s, vt = np.linalg.svd(Y, full_matrices=False)
         truncated = (u[:, :2] * s[:2]) @ vt[:2]
         np.testing.assert_allclose(fitted.proxy, truncated[:, 0], atol=1e-8)
@@ -368,7 +358,7 @@ class TestFactor:
 class TestInteractiveFe:
     def test_requires_covariates(self, rng):
         with pytest.raises(DimensionError):
-            fit_interactive_fe(random_panel(rng, 10, 3), 1)
+            fit(random_panel(rng, 10, 3), EstimatorSpec.interactive_fe(1))
 
     def test_beta_zero_agrees_with_factor(self, rng):
         factors = rng.standard_normal((18, 2))
@@ -376,8 +366,8 @@ class TestInteractiveFe:
         Y = factors @ loadings.T
         cov = rng.standard_normal((18, 5, 2))
         panel = PanelData(Y, t0=16, covariates=cov)
-        ife = fit_interactive_fe(panel, 2)
-        pure = fit_factor(PanelData(Y, t0=16), 2)
+        ife = fit(panel, EstimatorSpec.interactive_fe(2))
+        pure = fit(PanelData(Y, t0=16), EstimatorSpec.factor(2))
         np.testing.assert_allclose(ife.proxy, pure.proxy, atol=1e-8)
         np.testing.assert_allclose(ife.params["beta"], 0.0, atol=1e-8)
 
@@ -388,14 +378,14 @@ class TestInteractiveFe:
         beta = np.array([1.5, -0.5])
         Y = factors @ loadings.T + cov @ beta
         panel = PanelData(Y, t0=22, covariates=cov)
-        fitted = fit_interactive_fe(panel, 2, SolverConfig(tol=1e-12))
+        fitted = fit(panel, EstimatorSpec.interactive_fe(2, SolverConfig(tol=1e-12)))
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-5)
 
     def test_objective_trace_monotone(self, rng):
         Y = rng.standard_normal((16, 5))
         cov = rng.standard_normal((16, 5, 2))
         panel = PanelData(Y, t0=14, covariates=cov)
-        fitted = fit_interactive_fe(panel, 2)
+        fitted = fit(panel, EstimatorSpec.interactive_fe(2))
         trace = np.asarray(fitted.diagnostics.objective_trace)
         assert (np.diff(trace) <= 1e-10 * np.maximum(1.0, trace[:-1])).all()
 
@@ -404,18 +394,18 @@ class TestMatrixCompletion:
     def test_generous_budget_reproduces_data(self, rng):
         panel = random_panel(rng, 10, 4)
         budget = np.linalg.svd(panel.outcomes, compute_uv=False).sum()
-        fitted = fit_matrix_completion(panel, radius=budget * 1.01)
+        fitted = fit(panel, EstimatorSpec.matrix_completion(budget * 1.01))
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-10)
 
     def test_vanishing_budget_gives_zero_proxy(self, rng):
         panel = random_panel(rng, 10, 4)
-        fitted = fit_matrix_completion(panel, radius=1e-9)
+        fitted = fit(panel, EstimatorSpec.matrix_completion(1e-9))
         np.testing.assert_allclose(fitted.proxy, 0.0, atol=1e-9)
         np.testing.assert_allclose(fitted.residuals, panel.treated, atol=1e-9)
 
     def test_nuclear_norm_constraint_met(self, rng):
         panel = random_panel(rng, 12, 5)
-        fit_result = fit_matrix_completion(panel, radius=2.0)
+        fit_result = fit(panel, EstimatorSpec.matrix_completion(2.0))
         # reconstruct the full fitted matrix from the treated proxy route
         # by refitting; the constraint is on the whole matrix
         from synthconf.solvers import project_nuclear_ball
@@ -432,7 +422,7 @@ class TestMatrixCompletion:
         Y = signal + 0.05 * rng.standard_normal((15, 6))
         budget = float(np.linalg.svd(signal.T, compute_uv=False).sum())
         panel = PanelData(Y, t0=13)
-        fitted = fit_matrix_completion(panel, radius=budget)
+        fitted = fit(panel, EstimatorSpec.matrix_completion(budget))
 
         matrix = Y.T
         uu, s, vt = np.linalg.svd(matrix, full_matrices=False)
@@ -451,7 +441,7 @@ class TestMatrixCompletion:
         Y = signal + 0.01 * rng.standard_normal((12, 5))
         panel = PanelData(Y, t0=10)
         budget = 5.0
-        fitted = fit_matrix_completion(panel, radius=budget)
+        fitted = fit(panel, EstimatorSpec.matrix_completion(budget))
         matrix = Y.T
         uu, s, vt = np.linalg.svd(matrix, full_matrices=False)
         feasible = (uu[:, :1] * s[:1]) @ vt[:1] * (budget / s[0])
@@ -468,7 +458,7 @@ class TestAr:
     def test_deterministic_ar1_recovered(self):
         y = 0.5 ** np.arange(10)
         panel = PanelData(y[:, None], t0=8)
-        fitted = fit_ar(panel, 1)
+        fitted = fit(panel, EstimatorSpec.ar(1))
         coef = fitted.params["coefficients"]
         assert abs(coef[1] - 0.5) < 1e-10
         assert abs(coef[0]) < 1e-10
@@ -477,7 +467,7 @@ class TestAr:
 
     def test_constant_series_intercept_only(self):
         panel = PanelData(np.full((9, 1), 3.0), t0=7)
-        fitted = fit_ar(panel, 2)
+        fitted = fit(panel, EstimatorSpec.ar(2))
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
         np.testing.assert_allclose(fitted.params["coefficients"], [3.0, 0.0, 0.0], atol=1e-12)
 
@@ -488,7 +478,7 @@ class TestAr:
         for t in range(2, 600):
             y[t] = rho[0] * y[t - 1] + rho[1] * y[t - 2] + noise[t]
         panel = PanelData(y[100:, None], t0=498)
-        fitted = fit_ar(panel, 2)
+        fitted = fit(panel, EstimatorSpec.ar(2))
         np.testing.assert_allclose(fitted.params["coefficients"][1:], rho, atol=0.1)
 
     def test_custom_fitter_hook(self, rng):
@@ -498,12 +488,12 @@ class TestAr:
             level = target.mean()
             return lambda L: np.full(L.shape[0], level)
 
-        fitted = fit_ar(panel, 1, fitter=mean_fitter)
+        fitted = fit(panel, EstimatorSpec.ar(1, fitter=mean_fitter))
         np.testing.assert_allclose(fitted.proxy, panel.treated[1:].mean(), atol=1e-12)
 
     def test_too_short_series(self):
         with pytest.raises(DimensionError):
-            fit_ar(PanelData(np.arange(3.0)[:, None], t0=2), 2)
+            fit(PanelData(np.arange(3.0)[:, None], t0=2), EstimatorSpec.ar(2))
 
     def test_design_needs_a_row_per_coefficient(self, rng):
         # Regression: ar(3) on 6 periods left 3 rows for 4 coefficients and
@@ -512,10 +502,10 @@ class TestAr:
             panel = PanelData(rng.standard_normal((n_periods, 1)), t0=n_periods - 1)
             for n_lags in (1, 2, 3):
                 if n_periods - n_lags >= n_lags + 1:
-                    assert fit_ar(panel, n_lags).start == n_lags + 1
+                    assert fit(panel, EstimatorSpec.ar(n_lags)).start == n_lags + 1
                 else:
                     with pytest.raises(DimensionError, match="too short"):
-                        fit_ar(panel, n_lags)
+                        fit(panel, EstimatorSpec.ar(n_lags))
 
     def test_series_constant_up_to_rounding(self):
         # Regression: a lag column that varies only by rounding (0.1 + 0.2 is
@@ -525,7 +515,7 @@ class TestAr:
         y[::3] = 0.1 + 0.2
         panel = PanelData(y[:, None], t0=10)
         for n_lags in (1, 2):
-            fitted = fit_ar(panel, n_lags)
+            fitted = fit(panel, EstimatorSpec.ar(n_lags))
             np.testing.assert_allclose(fitted.params["coefficients"], [0.3] + [0.0] * n_lags, atol=1e-15)
             np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-15)
 
@@ -536,13 +526,11 @@ class TestFused:
         eps = rng.standard_normal(400)
         treated = controls.mean(axis=1) + 1.0 + eps
         panel = make_panel(treated, controls, t0=398)
-        fitted = fit_fused(panel, EstimatorSpec.did(), 1)
+        fitted = fit(panel, EstimatorSpec.fused(EstimatorSpec.did(), 1))
         rho = fitted.params["rho"]
         assert abs(rho[0]) < 0.15
         # exact two-stage identity: residuals + predicted lag part = stage-1 residuals
-        from synthconf.estimators import fit_did
-
-        stage1 = fit_did(panel)
+        stage1 = fit(panel, EstimatorSpec.did())
         lagged = stage1.residuals[:-1]
         np.testing.assert_allclose(
             fitted.residuals + rho[0] * lagged, stage1.residuals[1:], atol=1e-8
@@ -552,7 +540,7 @@ class TestFused:
         controls = rng.standard_normal((12, 3))
         treated = controls.mean(axis=1) + 2.0
         for n_lags in (1, 2):
-            fitted = fit_fused(make_panel(treated, controls, t0=10), EstimatorSpec.did(), n_lags)
+            fitted = fit(make_panel(treated, controls, t0=10), EstimatorSpec.fused(EstimatorSpec.did(), n_lags))
             np.testing.assert_array_equal(fitted.params["rho"], np.zeros(n_lags))
             np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-12)
             assert "degenerate" in fitted.diagnostics.note
@@ -580,5 +568,5 @@ class TestFused:
         for t in range(1, n):
             eps[t] = 0.6 * eps[t - 1] + innov[t]
         treated = controls.mean(axis=1) + eps
-        fitted = fit_fused(make_panel(treated, controls, t0=n - 2), EstimatorSpec.did(), 1)
+        fitted = fit(make_panel(treated, controls, t0=n - 2), EstimatorSpec.fused(EstimatorSpec.did(), 1))
         assert abs(fitted.params["rho"][0] - 0.6) < 0.1

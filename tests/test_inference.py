@@ -286,6 +286,50 @@ class TestSharpNull:
             assert sharp_null(scaled, alpha0, scaled_spec).p_value == sharp_null(panel, alpha0, spec).p_value
 
 
+class TestOrbitExactness:
+    ORBIT_SPECS = [
+        EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.classo(), EstimatorSpec.lasso(0.5),
+        EstimatorSpec.elastic_net(0.5, 0.5), EstimatorSpec.factor(1),
+        EstimatorSpec.matrix_completion(), EstimatorSpec.matrix_completion(3.0),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_periods=st.integers(5, 7),
+        n_controls=st.integers(1, 4),
+        n_post=st.integers(1, 2),
+        exponent=st.floats(-3.0, 3.0),
+        spec=st.sampled_from(ORBIT_SPECS),
+        iid=st.booleans(),
+    )
+    def test_orbit_share_of_rejections_is_at_most_alpha(self, seed, n_periods, n_controls, n_post,
+                                                         exponent, spec, iid):
+        # Exactness without sampling: permute the rows of one dataset by each
+        # pi of a permutation group.  For an estimator whose residuals permute
+        # with the rows, the share of the orbit with p <= alpha is at most
+        # alpha, whatever the data.  Three panels in ten are near-exact fits,
+        # the treated unit the control mean plus noise of 1e-10 to 1e-6 (or
+        # none); noise within a few multiples of the rounding floor is left
+        # out, since the refit of a permuted panel rounds its residuals
+        # differently there.
+        rng = np.random.default_rng(seed)
+        controls = rng.standard_normal((n_periods, n_controls))
+        near_exact = rng.random() < 0.3
+        noise = rng.choice([0.0, 10.0 ** rng.uniform(-10.0, -6.0)]) if near_exact else 1.0
+        treated = controls.mean(axis=1) + noise * rng.standard_normal(n_periods)
+        outcomes = 10.0**exponent * np.column_stack([treated, controls])
+        scheme = PermutationScheme.iid_all() if iid and n_periods <= 6 else PermutationScheme.moving_block()
+        t0 = n_periods - n_post
+        fits = [sc.fit(PanelData(outcomes[pi], t0=t0), spec) for pi in scheme.iter_permutations(n_periods)]
+        assert all(fitted.permutation_invariant for fitted in fits)
+        rows = np.array([fitted.residuals for fitted in fits])
+        for statistic in (Statistic("sq", 1.0), Statistic("sq", 2.0), Statistic("mean")):
+            _, pvals = sc.inference._rank(rows, scheme, statistic, slice(t0, None))
+            for alpha in np.unique(pvals):
+                assert (pvals <= alpha).mean() <= alpha + 1e-12, (statistic.label, alpha)
+
+
 class TestPointwiseCi:
     def test_contains_truth_in_noise_free_model(self, rng):
         # Noise-free realizable model (closed-form fit leaves exact zeros at
@@ -493,6 +537,20 @@ class TestPointwiseCi:
         panel = random_panel(rng, 14, 3)
         entry = pointwise_ci(panel, 13, EstimatorSpec.did())
         assert entry.grid.shape == (41,)
+
+    def test_default_grid_of_exact_pre_fit_does_not_depend_on_units(self):
+        # Regression: with every pre-treatment residual zero the grid fell
+        # back to a spread of 1e-8 in the units of Y, so it was 0.1 wide
+        # over c at c = 1e-6 and 1e-13 at c = 1e6, where every p-value was 1.
+        rng = np.random.default_rng(0)
+        controls = rng.standard_normal((8, 12))
+        outcomes = np.column_stack([controls[:, :3].mean(axis=1), controls])
+        base = pointwise_ci(PanelData(outcomes, t0=7), 8, EstimatorSpec.sc())
+        assert base.grid[-1] - base.grid[0] > 1.0
+        for c in (1e-6, 2.0**-20, 2.0**20, 1e6):
+            entry = pointwise_ci(PanelData(c * outcomes, t0=7), 8, EstimatorSpec.sc())
+            np.testing.assert_allclose(entry.grid / c, base.grid, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(entry.p_values, base.p_values)
 
     def test_lag_consuming_estimator_supported(self, rng):
         # The one-post-period panel has t0+1 rows; an AR(1) proxy consumes

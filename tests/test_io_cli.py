@@ -9,7 +9,7 @@ import pytest
 
 import synthconf as sc
 from synthconf import DgpSpec, PanelData, ParseError, RunConfig, read_panel_csv, write_panel_csv
-from synthconf import estimators
+from synthconf import estimators, inference
 from synthconf.cli import main, parse_estimator
 from synthconf.io import SEED_ENV_VAR
 
@@ -257,8 +257,8 @@ class TestCmdTest:
 
     def test_fits_once_and_reports_that_fit(self, fixture_csv, tmp_path, monkeypatch):
         calls = []
-        fit_sc = estimators.fit_sc
-        monkeypatch.setattr(estimators, "fit_sc", lambda *a: calls.append(a) or fit_sc(*a))
+        fit = inference.fit
+        monkeypatch.setattr(inference, "fit", lambda *a: calls.append(a) or fit(*a))
         out = tmp_path / "out"
         rc = main([
             "test", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
@@ -286,6 +286,36 @@ class TestCmdTest:
         second = (tmp_path / "out" / "result.json").read_bytes()
         strip = lambda raw: re.sub(rb'"timestamp": "[^"]*"', b"", raw)
         assert strip(first) == strip(second)
+
+    def test_parser_survives_a_rejected_flag(self, fixture_csv, tmp_path, monkeypatch):
+        # One process keeps one parser: a good command, a flag argparse
+        # rejects, then the good command again must write what a fresh
+        # process writes.
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        args = ["ci", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                "--estimator", "sc", "--seed", "0", "--out", "out"]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(reused)
+        assert main(args) == 0
+        with pytest.raises(SystemExit) as rejected:
+            main([*args, "--no-such-flag"])
+        assert rejected.value.code == 2
+        assert main(args) == 0
+        src = str(Path(sc.__file__).parents[1])
+        subprocess.run([sys.executable, "-m", "synthconf.cli", *args], cwd=fresh, check=True,
+                       capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        strip = lambda raw: re.sub(rb'"timestamp": "[^"]*"', b"", raw)
+        names = sorted(path.name for path in (reused / "out").iterdir())
+        assert names == sorted(path.name for path in (fresh / "out").iterdir())
+        for name in names:
+            assert strip((reused / "out" / name).read_bytes()) == strip((fresh / "out" / name).read_bytes())
 
     def test_alpha0_flag(self, fixture_csv, tmp_path):
         rc = main([

@@ -19,7 +19,6 @@ from synthconf import (
     simulate_panel,
 )
 from synthconf import inference, simulation
-from synthconf.simulation import _ar1
 
 
 class TestDgpWeights:
@@ -44,6 +43,15 @@ class TestDgpWeights:
             DgpSpec(t0=10, n_controls=5, factor_trend="quadratic")
 
 
+def _shocks(spec, n_reps):
+    """The treated unit's shocks ``treated - controls @ weights`` in ``n_reps``
+    replications of the simulator, one row each."""
+    weights = dgp_weights(spec.weights_kind, spec.n_controls)
+    seeds = np.random.SeedSequence(spec.seed).spawn(n_reps)
+    return np.concatenate([block[:, :, 0] - block[:, :, 1:] @ weights
+                           for block in simulation._chunks(spec, seeds)])
+
+
 class TestSimulatePanel:
     def test_shapes_and_seed_determinism(self):
         spec = DgpSpec(t0=20, n_controls=7, seed=42)
@@ -60,22 +68,25 @@ class TestSimulatePanel:
         assert b.treated[15] == pytest.approx(a.treated[15] + 3.0)
 
     def test_ar0_shocks_are_iid_standard_normal(self):
-        rng = np.random.default_rng(0)
-        draws = _ar1(rng, 4, 0.0, size=50_000)
-        assert draws[-1].std() == pytest.approx(1.0, abs=0.02)
-        # lag-1 autocorrelation across independent columns
-        corr = np.corrcoef(draws[-1], draws[-2])[0, 1]
-        assert abs(corr) < 0.02
+        # 20,000 independent replications; tolerances of four Monte Carlo
+        # standard errors: sqrt(1/(2n)) for the standard deviation and
+        # sqrt(1/n) for the correlation of independent N(0,1) pairs.
+        n = 20_000
+        draws = _shocks(DgpSpec(t0=3, n_controls=1, rho_u=0.0), n)
+        assert draws[:, -1].std() == pytest.approx(1.0, abs=4.0 * np.sqrt(0.5 / n))
+        # lag-1 autocorrelation across independent replications
+        corr = np.corrcoef(draws[:, -1], draws[:, -2])[0, 1]
+        assert abs(corr) < 4.0 * np.sqrt(1.0 / n)
 
     def test_stationary_marginal_variance(self):
-        # Unit marginal variance for any autocorrelation; 1e5 independent
-        # paths, tolerance three Monte Carlo standard errors of the
-        # variance estimate (sqrt(2/n) for N(0,1) data).
-        rng = np.random.default_rng(1)
-        tol = 3.0 * np.sqrt(2.0 / 100_000)
+        # Unit marginal variance for any autocorrelation; 10,000 independent
+        # replications per rho, tolerance three Monte Carlo standard errors
+        # of the variance estimate (sqrt(2/n) for N(0,1) data).
+        n = 10_000
+        tol = 3.0 * np.sqrt(2.0 / n)
         for rho in (0.0, 0.6, 0.9):
-            draws = _ar1(rng, 6, rho, size=100_000)
-            assert draws[-1].var() == pytest.approx(1.0, abs=tol)
+            draws = _shocks(DgpSpec(t0=5, n_controls=1, rho_u=rho, seed=1), n)
+            assert draws[:, -1].var() == pytest.approx(1.0, abs=tol)
 
     def test_trending_factor_shifts_controls(self):
         flat = simulate_panel(DgpSpec(t0=30, n_controls=5, seed=3))

@@ -11,11 +11,13 @@ import _oracles
 from synthconf import (
     DimensionError,
     ElasticNetPenalty,
+    EstimatorSpec,
     LassoPenalty,
     PanelData,
     RankDeficiencyError,
     SolverConfig,
     alternating_ls,
+    fit,
     ols,
     pca_factors,
     penalized_ls,
@@ -24,7 +26,6 @@ from synthconf import (
     project_simplex,
     simplex_ls,
 )
-from synthconf.estimators import fit_classo
 
 
 class TestProjectSimplex:
@@ -213,7 +214,7 @@ class TestSimplexLS:
         else:
             covariates = None if n_free == 0 else np.repeat(X[:, None, n_cols:], n_cols + 1, axis=1)
             panel = PanelData(np.column_stack([y, X[:, :n_cols]]), t0=n_rows - 1, covariates=covariates)
-            fitted = fit_classo(panel, radius)
+            fitted = fit(panel, EstimatorSpec.classo(radius))
             report = fitted.diagnostics
             w = np.concatenate([fitted.params["weights"], fitted.params["covariate_coefs"]])
             f = float(fitted.residuals @ fitted.residuals)
