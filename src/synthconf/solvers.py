@@ -12,6 +12,7 @@ everywhere.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,13 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
+        # A bool is an int to Python, and a float cap would run its ceiling.
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer; got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive; got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite; got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class SolveReport:
 
     ``converged`` is True only when ``kkt_residual`` met the documented
     threshold for the routine that produced the report.  ``iterations``
-    counts the routine's own steps (KKT solves, alternations)
+    counts the routine's own steps (KKT steps, alternations)
     and ``note`` names the method or how the solve ended.  Alternating
     least squares keeps its objective trace (one value per iteration) for
     monotonicity diagnostics.
@@ -258,21 +262,26 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
     support; any other start (say the solution of an earlier problem with
     the same ``G``) is first solved on its support as below, so a cold
     start takes the same steps whether or not warm starts exist.
-    Each step solves the KKT system on the support.  If a weight of the
-    solution is not positive, the iterate moves toward it until the first
-    weight reaches zero and drops that one; else it takes the solution and
-    the largest violation of ``r = lin - G v`` joins (the first of ties).
-    A joining column is never an affine combination of the support, so with
-    the sum-to-one row the system stays nonsingular.  Without it the column
-    can lie in the span of the support (a lasso on more columns than rows;
-    its Schur complement is at the rounding level).  Along ``(-a, 1)``, with
-    ``a`` the column in terms of the support, the fit is fixed and the
+    Each step takes the solution of the KKT system on the support.  If a
+    weight of it is not positive, the iterate moves toward it until the
+    first weight reaches zero and drops that one; else it takes the
+    solution and the largest violation of ``r = lin - G v`` joins (the
+    first of ties).  A joining column is never an affine combination of
+    the support, so with the sum-to-one row the system stays nonsingular,
+    and the step solves it.  Without that row (a lasso or elastic net) the
+    column ``j`` can lie in the span of the support ``S`` (more columns than
+    rows), so a join first solves ``a = G_SS^-1 g_Sj``, the column in terms
+    of the support, and takes the Schur complement ``s = g_jj - g_Sj'a``.
+    At the rounding level, the fit is fixed along ``d = (-a, 1)`` and the
     objective falls at rate ``r_j``: the iterate moves that way until a
-    weight reaches zero, and that weight leaves.
+    weight reaches zero, that weight leaves, and the step solves afresh.
+    Otherwise the join borders the solution ``w_S`` just found on ``S``
+    (Lawson and Hanson, ch. 24): the KKT solution on the grown support is
+    ``(w_S, 0) + (r_j / s) d``, so that step reuses the test's solve.
 
     Returns ``(support, w_s, steps, converged, kkt)``.  ``steps`` counts KKT
-    solves, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
-    ``converged`` says the last solve was completed and ``kkt <= cfg.tol``.
+    steps, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
+    ``converged`` says the last step was completed and ``kkt <= cfg.tol``.
     """
     border = int(pad > 0)  # the sum-to-one row, if any
 
@@ -289,33 +298,55 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
     limit = cfg.tol * scale
     steps = 0
     solved = support.size <= border
+    z = None  # the KKT solution on the support, when its join bordered it
+    # The support by index: ``support`` is ``index[:n]`` after each join,
+    # ``member`` its indicator; both are set up at the first join, which
+    # most warm starts never reach.
+    index = member = None
     while True:
         while not solved and steps < cfg.max_iters:
             steps += 1
-            z = solve_on(support)
+            if z is None:
+                z = solve_on(support)
             solved = bool((z > 0.0).all())
             if solved:
                 w_s = z
             else:
                 w_s, _ = _step_to_first_zero(w_s, z - w_s, 1.0)
                 keep = w_s > 0.0
+                if member is not None:
+                    member[support[~keep]] = False
                 support, w_s = support[keep], w_s[keep]
+            z = None
         r = lin - gram[:, support] @ w_s
         gap = float(r.max(initial=-np.inf) - w_s @ r[support])
         if gap <= limit or steps >= cfg.max_iters:
             break
         joining = int(np.argmax(r))
-        if (support == joining).any():
+        if member is None:
+            index, member = np.empty(lin.size, dtype=np.intp), np.zeros(lin.size, dtype=bool)
+            member[support] = True
+        if member[joining]:
             break  # the gap is rounding on the support itself
-        old = support
-        support, w_s = np.append(support, joining), np.append(w_s, 0.0)
-        if not pad and old.size:
-            a = _solve(gram[np.ix_(old, old)], gram[old, joining])
-            if _negligible(gram[joining, joining] - gram[old, joining] @ a, old.size, gram[joining, joining]):
-                w_s, k = _step_to_first_zero(w_s, np.append(-a, 1.0), np.inf)
+        n = support.size
+        index[:n] = support
+        index[n] = joining
+        member[joining] = True
+        support, w_s = index[:n + 1], np.append(w_s, 0.0)
+        if not pad and n:
+            g_sj = gram[support[:n], joining]
+            a = _solve(gram[support[:n, None], support[:n]], g_sj)
+            d = np.append(-a, 1.0)
+            schur = gram[joining, joining] - g_sj @ a
+            if not _negligible(schur, n, gram[joining, joining]):
+                z = w_s + r[joining] / schur * d
+            else:
+                w_s, k = _step_to_first_zero(w_s, d, np.inf)
                 if k is None:
                     break  # no descent along the span: rounding
-                support, w_s = np.delete(support, k), np.delete(w_s, k)
+                member[support[k]] = False
+                index[k:n] = index[k + 1:n + 1]
+                support, w_s = index[:n], np.delete(w_s, k)
         solved = False
     kkt = max(gap, 0.0) / scale if scale > 0 else 0.0
     return support, w_s, steps, solved and gap <= limit, kkt
@@ -397,7 +428,7 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), sta
         the Frank-Wolfe duality gap of the constrained columns, which bounds
         the excess objective by twice itself, over ``c (||y|| + c)``.  It
         has no units: scaling ``X`` and ``y`` together changes neither it
-        nor the steps.  ``report.iterations`` counts KKT solves.
+        nor the steps.  ``report.iterations`` counts KKT steps.
     """
     return _simplex_ls(X, y, n_constrained, cfg, start, lambda v: v)
 
@@ -470,7 +501,9 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
         gap ``max r - v'r`` of that quadratic, its largest KKT violation
         once a support is solved, over the same ``c (||y|| + c)`` as in
         :func:`simplex_ls`; it has no units when ``lam`` is scaled with the
-        squared units of the data.
+        squared units of the data.  ``report.iterations`` counts KKT steps;
+        a join borders the previous solution, so a step costs one linear
+        solve, two where the joining column lies in the span of the support.
     """
     X, ys = _responses(X, y)
     p = X.shape[1]

@@ -289,3 +289,71 @@ def warm_candidate_fits(sub, grid, spec, start=None):
     for candidate in np.sort(np.asarray(grid, dtype=float)):
         fits.append(sc.fit(sc.adjust_under_null(sub, [candidate]), spec, fits[-1]))
     return fits[1:]
+
+
+def signed_active_set_reference(gram, lin, support, w_s, scale, cfg):
+    """The active set of ``solvers._active_set`` without a sum-to-one row, solving afresh at every step.
+
+    A reference copy of the loop as it was before joins were bordered:
+    after a join passes the span test, the KKT system on the grown support
+    is built and solved again.  The same joins, drops and span moves follow
+    in exact arithmetic, so the package's bordered steps must reach the
+    same supports in the same number of steps.  Returns ``(support, w_s,
+    steps, converged, kkt)`` as ``_active_set`` does.
+    """
+
+    def solve(system, rhs):
+        try:
+            return np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+    def step_to_first_zero(x, d, limit):
+        toward = np.flatnonzero(x * d < 0.0)
+        ratios = -x[toward] / d[toward]
+        if ratios.size and ratios.min() < limit:
+            k = int(toward[ratios.argmin()])
+            moved = x + ratios.min() * d
+            moved[k] = 0.0
+        elif np.isfinite(limit):
+            k = None
+            moved = x + limit * d
+        else:
+            return x, None
+        moved[moved * x < 0.0] = 0.0
+        return moved, k
+
+    eps = np.finfo(float).eps
+    limit = cfg.tol * scale
+    steps = 0
+    solved = support.size == 0
+    while True:
+        while not solved and steps < cfg.max_iters:
+            steps += 1
+            z = solve(gram[np.ix_(support, support)], lin[support])
+            solved = bool((z > 0.0).all())
+            if solved:
+                w_s = z
+            else:
+                w_s, _ = step_to_first_zero(w_s, z - w_s, 1.0)
+                keep = w_s > 0.0
+                support, w_s = support[keep], w_s[keep]
+        r = lin - gram[:, support] @ w_s
+        gap = float(r.max(initial=-np.inf) - w_s @ r[support])
+        if gap <= limit or steps >= cfg.max_iters:
+            break
+        joining = int(np.argmax(r))
+        if (support == joining).any():
+            break
+        old = support
+        support, w_s = np.append(support, joining), np.append(w_s, 0.0)
+        if old.size:
+            a = solve(gram[np.ix_(old, old)], gram[old, joining])
+            if gram[joining, joining] - gram[old, joining] @ a <= old.size * eps * gram[joining, joining]:
+                w_s, k = step_to_first_zero(w_s, np.append(-a, 1.0), np.inf)
+                if k is None:
+                    break
+                support, w_s = np.delete(support, k), np.delete(w_s, k)
+        solved = False
+    kkt = max(gap, 0.0) / scale if scale > 0 else 0.0
+    return support, w_s, steps, solved and gap <= limit, kkt

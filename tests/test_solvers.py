@@ -2,6 +2,8 @@
 penalized least squares, principal components, alternating least squares,
 and OLS."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,7 @@ from synthconf import (
     project_nuclear_ball,
     project_simplex,
     simplex_ls,
+    solvers,
 )
 
 
@@ -439,6 +442,88 @@ class TestCoordinateDescent:
             LassoPenalty(-1.0)
         with pytest.raises(ValueError):
             ElasticNetPenalty(1.0, 1.5)
+
+
+class TestBorderedJoin:
+    @pytest.mark.parametrize("shape, penalty, cold_steps", [
+        ((23, 50), ElasticNetPenalty(0.5, 0.5), 43),
+        ((30, 8), LassoPenalty(0.1), 8),
+    ], ids=["elastic_net_23x50", "lasso_30x8"])
+    def test_one_linear_solve_per_step(self, monkeypatch, shape, penalty, cold_steps):
+        # A join that passes the span test borders the solution on the old
+        # support with that test's solve, so every step makes one solve; the
+        # 23 x 50 elastic net made 78 for its 43 steps when each join solved
+        # afresh.  A lasso with more columns than rows keeps one more solve
+        # per join whose column lies in the span of the support: 62 solves
+        # for the 51 steps of test_lasso_more_columns_than_rows_converges.
+        calls = []
+        solve = solvers._solve
+        monkeypatch.setattr(solvers, "_solve", lambda *args: calls.append(args) or solve(*args))
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal(shape)
+        y = X[:, :3].mean(axis=1) + rng.standard_normal(shape[0])
+        _, w, report = penalized_ls(X, y, penalty)
+        assert report.converged and report.iterations == cold_steps
+        assert len(calls) == report.iterations
+        calls.clear()
+        moved = y.copy()
+        moved[-1] -= 1.0
+        _, _, warm = penalized_ls(X, moved, penalty, start=w)
+        assert warm.converged and warm.iterations > 0
+        assert len(calls) == warm.iterations
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(3, 12),
+        n_cols=st.integers(1, 30),
+        n_free=st.integers(0, 2),
+        lam=st.floats(0.01, 10.0),
+        alpha=st.sampled_from([1.0, 0.5]) | st.floats(0.0, 1.0),
+        duplicate=st.booleans(),
+        max_iters=st.sampled_from([10_000, 3]),
+        warm=st.booleans(),
+    )
+    def test_bordered_joins_follow_the_loop_that_solves_afresh(self, seed, n_rows, n_cols, n_free, lam, alpha,
+                                                               duplicate, max_iters, warm):
+        # The bordered KKT solution differs from a fresh solve by rounding
+        # only: the same supports in the same steps, with weights within
+        # 1e-10 of the largest.  More columns than rows and a duplicated
+        # column send joins through the span branch as well.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_rows, n_cols + n_free))
+        if duplicate and n_cols > 1:
+            X[:, 1] = X[:, 0]
+        y = X[:, : min(3, n_cols)].mean(axis=1) + rng.standard_normal(n_rows)
+        penalty = ElasticNetPenalty(lam, alpha)
+        weights = np.r_[np.ones(n_cols), np.zeros(n_free)]
+        start = penalized_ls(X, y + rng.standard_normal(n_rows), penalty, penalty_weights=weights)[1] if warm else None
+        cfg = SolverConfig(max_iters=max_iters)
+        _, w, report = penalized_ls(X, y, penalty, cfg, weights, start)
+
+        def reference(gram, lin, pad, support, w_s, scale, cfg):
+            return _oracles.signed_active_set_reference(gram, lin, support, w_s, scale, cfg)
+
+        with mock.patch.object(solvers, "_active_set", reference):
+            _, w_ref, ref = penalized_ls(X, y, penalty, cfg, weights, start)
+        np.testing.assert_array_equal(w != 0.0, w_ref != 0.0)
+        assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
+        assert np.abs(w - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", 3.0), ("max_iters", True), ("max_iters", 0),
+        ("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+    ])
+    def test_bad_value_refused(self, field, value):
+        # A cap of 2.5 ran 3 steps, True ran 1, and an infinite tol let every
+        # fit stop converged at its first gap.
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integer_cap_accepted(self):
+        assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 class TestPcaFactors:
