@@ -25,12 +25,11 @@ from .solvers import (
     alternating_ls,
     _centre,
     _negligible,
-    _simplex_ls,
+    _penalized_block,
+    _simplex_block,
     ols,
     pca_factors,
-    penalized_ls,
     project_nuclear_ball,
-    simplex_ls,
 )
 
 __all__ = ["ProxyFit", "EstimatorSpec", "fit", "parse_estimator", "default_nuclear_radius"]
@@ -181,42 +180,99 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
                 f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
             )
         return fitted
-    if _ESTIMATORS[spec.kind].block:
-        return _fit_candidates(panel, panel.treated[:, None], spec, start)[0]
-    return _labelled([_ESTIMATORS[spec.kind].fitter(panel, spec)], spec.label)[0]
+    if _ESTIMATORS[spec.kind].core:
+        return _fit_block(panel, panel.treated[:, None], spec, start).fit(0, spec.label)
+    fitted = _ESTIMATORS[spec.kind].fitter(panel, spec)
+    # The fitter built this object a moment ago and nothing else holds it,
+    # so naming it in place saves a copy of every fit.
+    object.__setattr__(fitted, "estimator_id", spec.label)
+    return fitted
 
 
-def _labelled(fits: list, label: str) -> list:
-    """``fits``, each with ``estimator_id`` set to ``label``."""
-    # The fitter built these objects a moment ago and nothing else holds
-    # them, so naming them in place saves a copy of every fit.
-    for fitted in fits:
-        object.__setattr__(fitted, "estimator_id", label)
-    return fits
+class _Block(NamedTuple):
+    """The fits of one panel's controls to each column of a block of treated series (T, G).
+
+    Row or entry ``g`` of each array belongs to column ``g``: ``residuals``
+    and ``proxies`` (G, T), the residuals as :func:`_panel_fit` gives them;
+    ``mu`` (G,), the intercepts (None for ``sc``); ``weights`` (G, J) and
+    ``coefs`` (G, k), the control weights and covariate coefficients; and
+    ``steps``, ``converged`` and ``kkt``, what the solver reports.
+    ``report(g)`` builds the :class:`SolveReport` of column ``g``, final
+    objective included, and :meth:`fit` its :class:`ProxyFit`; neither is
+    built until asked for.
+    """
+
+    residuals: np.ndarray
+    proxies: np.ndarray
+    mu: np.ndarray | None
+    weights: np.ndarray
+    coefs: np.ndarray
+    steps: np.ndarray
+    converged: np.ndarray
+    kkt: np.ndarray
+    report: Callable[[int], SolveReport]
+
+    def fit(self, g: int, label: str) -> ProxyFit:
+        """The :class:`ProxyFit` of column ``g``, named ``label``."""
+        params = {"weights": self.weights[g], "covariate_coefs": self.coefs[g]}
+        if self.mu is not None:
+            params = {"mu": float(self.mu[g]), **params}
+        return ProxyFit(self.proxies[g], self.residuals[g], 1, True, label, self.report(g), params)
 
 
-def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit | None = None) -> list:
+def _block_of(outcomes, treated, proxies, mu, W, n_con, solved) -> _Block:
+    """The :class:`_Block` of the proxies (one per column of ``treated``), the
+    intercepts ``mu``, the weights ``W`` (G, p) whose first ``n_con`` are the
+    control weights, and ``solved``, the ``(steps, converged, kkt, report)``
+    of the solver; ``outcomes`` is the panel's, the treated unit first."""
+    proxies = np.array(proxies)
+    residuals = _zero_rounding(treated.T - proxies, outcomes, treated.T)
+    return _Block(residuals, proxies, mu, W[:, :n_con], W[:, n_con:], *solved)
+
+
+def _fit_block(panel: PanelData, treated: np.ndarray, spec: EstimatorSpec,
+               start: ProxyFit | None = None) -> _Block:
     """The fits of ``panel`` with its treated series replaced by each column of ``treated``.
 
-    ``treated`` is (T, G), such as the treated series under each candidate
-    of a test inversion.  The columns are fitted in order, each warm from
-    the one before and the first from ``start`` (see :func:`fit`).  ``sc``,
-    ``classo``, lasso and elastic net fit the columns as one block against
-    the fixed controls and covariates (:func:`~synthconf.solvers.simplex_ls`);
-    other kinds and custom callables fit one panel per column.  Each fit is
-    the one :func:`fit` gives on that column's panel with that start, bit
-    for bit when the columns are strided as a panel's treated series is.
+    ``spec`` is of a kind with an array core (``sc``, ``classo``, lasso,
+    elastic net), and ``treated`` is (T, G), such as the treated series
+    under each candidate of a test inversion.  The columns are fitted in
+    order as one block against the fixed controls and covariates, each warm
+    from the one before and the first from ``start`` (see :func:`fit`).
+    Column ``g`` is the fit :func:`fit` gives on that column's panel with
+    that start, bit for bit when the columns are strided as a panel's
+    treated series is.
     """
-    if isinstance(spec, EstimatorSpec) and _ESTIMATORS[spec.kind].block:
-        if start is not None and start.estimator_id != spec.label:
-            start = None  # a warm start from another spec is ignored
-        return _labelled(_ESTIMATORS[spec.kind].fitter(panel, treated, spec, start), spec.label)
-    fits = [start]
+    _require_controls(panel, spec.label)
+    if start is not None and start.estimator_id != spec.label:
+        start = None  # a warm start from another spec is ignored
+    covariates = None if panel.covariates is None else panel.covariates[:, 0, :]
+    return _ESTIMATORS[spec.kind].fitter(panel.outcomes, covariates, treated, spec,
+                                         None if start is None else start.params)
+
+
+def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit | None = None):
+    """``(residuals, window, steps, nonconverged)`` of the fits of ``panel`` with
+    its treated series replaced by each column of ``treated`` (T, G).
+
+    ``residuals`` (G, n) holds one residual row per column, ``window`` the
+    positions of the post-treatment periods in a row, ``steps`` the sum of
+    the fits' solver steps and ``nonconverged`` the count of fits that did
+    not converge; a fit without a report counts 0 in both.  Kinds with an
+    array core fit the block (:func:`_fit_block`, warm from ``start``);
+    other kinds and custom callables fit one panel per column.
+    """
+    if isinstance(spec, EstimatorSpec) and _ESTIMATORS[spec.kind].core:
+        block = _fit_block(panel, treated, spec, start)
+        return block.residuals, slice(panel.t0, None), int(block.steps.sum()), int((~block.converged).sum())
+    fits = []
     for column in treated.T:
         outcomes = panel.outcomes.copy()
         outcomes[:, 0] = column
-        fits.append(fit(replace(panel, outcomes=outcomes), spec, fits[-1]))
-    return fits[1:]
+        fits.append(fit(replace(panel, outcomes=outcomes), spec))
+    reports = [fitted.diagnostics for fitted in fits if fitted.diagnostics is not None]
+    return (np.array([fitted.residuals for fitted in fits]), fits[0].post_slice(panel.t0),
+            sum(report.iterations for report in reports), sum(not report.converged for report in reports))
 
 
 def _require_controls(panel: PanelData, who: str) -> None:
@@ -228,17 +284,19 @@ def _require_controls(panel: PanelData, who: str) -> None:
         raise DimensionError(f"{who} requires at least one control unit")
 
 
-def _design(panel: PanelData):
+def _design(outcomes: np.ndarray, covariates: np.ndarray | None):
     """Control outcomes plus the treated unit's covariates as free columns.
 
-    Returns (X, n_constrained): the simplex / l1 constraint applies to
-    the first ``n_constrained`` columns only; covariate coefficients are
+    ``outcomes`` is a panel's (T, 1 + J), the treated unit first, and
+    ``covariates`` the treated unit's (T, k) or None.  Returns (X,
+    n_constrained): the simplex / l1 constraint applies to the first
+    ``n_constrained`` columns only; covariate coefficients are
     unconstrained.
     """
-    X = panel.controls
+    X = outcomes[:, 1:]
     n_constrained = X.shape[1]
-    if panel.covariates is not None:
-        X = np.hstack([X, panel.covariates[:, 0, :]])
+    if covariates is not None:
+        X = np.hstack([X, covariates])
     return X, n_constrained
 
 
@@ -253,20 +311,8 @@ def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | N
     controls as periods can fit them all), rounding noise would otherwise
     rank the permutations, and the p-value would depend on the units.
     """
-    return _panel_fits(panel, panel.treated[:, None], [proxy], [diagnostics], [params])[0]
-
-
-def _panel_fits(panel: PanelData, treated: np.ndarray, proxies, reports, params) -> list:
-    """The fits of :func:`_panel_fit` on ``panel`` with its treated series
-    replaced by each column of ``treated`` (T, G).
-
-    ``proxies``, ``reports`` and ``params`` hold each column's proxy (T,),
-    report and parameters.  Each rounding level is that of the panel with
-    that treated series, bit for bit.
-    """
-    residuals = _zero_rounding(treated.T - np.array(proxies), panel.outcomes, treated.T)
-    return [ProxyFit(proxy, resid, 1, True, diagnostics=report, params=column_params)
-            for proxy, resid, report, column_params in zip(proxies, residuals, reports, params)]
+    residuals = _zero_rounding(panel.treated - proxy, panel.outcomes)
+    return ProxyFit(proxy, residuals, 1, True, diagnostics=diagnostics, params=params)
 
 
 def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray, treated: np.ndarray | None = None) -> np.ndarray:
@@ -322,26 +368,24 @@ def _did_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
                     params={"mu": float(mu)})
 
 
-def _start_weights(start: ProxyFit | None):
-    """The control weights of a warm-start fit, or None."""
-    return None if start is None else start.params.get("weights")
-
-
-def _sc_fits(panel, treated, spec, start):
+def _sc_core(outcomes, covariates, treated, spec, start) -> _Block:
     """Synthetic control: simplex-constrained least-squares weights on controls.
 
-    Fits each treated series, a column of ``treated``, as one block.  The
-    solver starts from the weights of ``start``, if given (see :func:`fit`).
+    The array core of ``sc``, as every active-set kind has one: it fits
+    each treated series, a column of ``treated`` (T, G), against the
+    controls of ``outcomes`` (T, 1 + J, the treated unit first) and the
+    treated unit's ``covariates`` (T, k, or None), as one block.  The
+    solver starts from ``start``, the params of an earlier fit, if given
+    (see :func:`fit`).  Nothing here builds a fit or a report.
     """
-    _require_controls(panel, "synthetic control")
-    X, n_con = _design(panel)
-    W, reports = simplex_ls(X, treated, n_con, spec.solver, _start_weights(start))
-    params = [{"weights": w[:n_con], "covariate_coefs": w[n_con:]} for w in W.T]
-    return _panel_fits(panel, treated, [X @ w for w in W.T], reports, params)
+    X, n_con = _design(outcomes, covariates)
+    W, *solved = _simplex_block(X, list(treated.T), n_con, spec.solver,
+                               None if start is None else start["weights"], lambda v: v)
+    return _block_of(outcomes, treated, [X @ w for w in W], None, W, n_con, solved)
 
 
-def _classo_fits(panel, treated, spec, start):
-    """l1-ball-constrained least squares with a free intercept.
+def _classo_core(outcomes, covariates, treated, spec, start) -> _Block:
+    """l1-ball-constrained least squares with a free intercept (array core as :func:`_sc_core`).
 
     Nests both difference-in-differences (equal weights are feasible) and
     synthetic control (simplex weights are feasible for ``radius >= 1``).
@@ -353,28 +397,27 @@ def _classo_fits(panel, treated, spec, start):
     the image of one (put the unused budget on both signs of a column), so
     an interior least-squares fit is found the same way.  A warm start
     from the weights ``w`` of ``start`` (see :func:`fit`) puts ``|w_j|`` on
-    the sign of ``w_j`` and scales the split to sum to one.
-
-    Fits each treated series, a column of ``treated``, as one block; each
-    column after the first starts from its neighbour's weights.
+    the sign of ``w_j`` and scales the split to sum to one; each column
+    after the first starts from its neighbour's weights.
     """
-    _require_controls(panel, "constrained lasso")
     radius = spec.radius
-    X, n_con = _design(panel)
+    X, n_con = _design(outcomes, covariates)
     xc, ycs, x_mean, y_means = _centre(X, list(treated.T))
     head = radius * xc[:, :n_con]
     signed = lambda w: np.concatenate([w, -w])
-    w0 = _start_weights(start)
-    V, reports = _simplex_ls(np.hstack([head, -head, xc[:, n_con:]]), np.array(ycs).T, 2 * n_con, spec.solver,
-                             None if w0 is None else signed(w0),
-                             lambda v: signed(radius * (v[:n_con] - v[n_con:])))
-    proxies, params = [], []
-    for v, y_mean in zip(V.T, y_means):
-        w = np.concatenate([radius * (v[:n_con] - v[n_con:2 * n_con]), v[2 * n_con:]])
-        mu = y_mean - float(x_mean @ w)
-        proxies.append(mu + X @ w)
-        params.append({"mu": mu, "weights": w[:n_con], "covariate_coefs": w[n_con:]})
-    return _panel_fits(panel, treated, proxies, reports, params)
+    V, *solved = _simplex_block(np.hstack([head, -head, xc[:, n_con:]]), ycs, 2 * n_con, spec.solver,
+                               None if start is None else signed(start["weights"]),
+                               lambda v: signed(radius * (v[:n_con] - v[n_con:])))
+    W = np.empty((len(ycs), X.shape[1]))
+    mu = np.empty(len(ycs))
+    proxies = []
+    for g, (v, y_mean) in enumerate(zip(V, y_means)):
+        w = W[g]
+        w[:n_con] = radius * (v[:n_con] - v[n_con:2 * n_con])
+        w[n_con:] = v[2 * n_con:]
+        mu[g] = y_mean - float(x_mean @ w)
+        proxies.append(mu[g] + X @ w)
+    return _block_of(outcomes, treated, proxies, mu, W, n_con, solved)
 
 
 def _penalty(spec: EstimatorSpec) -> ElasticNetPenalty:
@@ -382,23 +425,15 @@ def _penalty(spec: EstimatorSpec) -> ElasticNetPenalty:
     return ElasticNetPenalty(spec.lam, 1.0 if spec.kind == "lasso" else spec.alpha)
 
 
-def _penalized_fits(panel, treated, spec, start):
-    """Penalized regression on control outcomes (lasso or elastic net).
-
-    Fits each treated series, a column of ``treated``, as one block.  The
-    solver starts from the weights of ``start``, if given (see :func:`fit`).
-    """
-    _require_controls(panel, "penalized regression")
-    X, n_con = _design(panel)
+def _penalized_core(outcomes, covariates, treated, spec, start) -> _Block:
+    """Penalized regression on control outcomes, lasso or elastic net (array core
+    as :func:`_sc_core`); the covariate coefficients are not penalized."""
+    X, n_con = _design(outcomes, covariates)
     weights = np.zeros(X.shape[1])
     weights[:n_con] = 1.0
-    w0 = _start_weights(start)
-    if w0 is not None:
-        w0 = np.concatenate([w0, start.params["covariate_coefs"]])
-    mu, W, reports = penalized_ls(X, treated, _penalty(spec), spec.solver,
-                                  penalty_weights=weights, start=w0)
-    params = [{"mu": float(mu_g), "weights": w[:n_con], "covariate_coefs": w[n_con:]} for mu_g, w in zip(mu, W.T)]
-    return _panel_fits(panel, treated, [mu_g + X @ w for mu_g, w in zip(mu, W.T)], reports, params)
+    w0 = None if start is None else np.concatenate([start["weights"], start["covariate_coefs"]])
+    mu, W, *solved = _penalized_block(X, list(treated.T), _penalty(spec), spec.solver, weights, w0)
+    return _block_of(outcomes, treated, [mu_g + X @ w for mu_g, w in zip(mu, W)], mu, W, n_con, solved)
 
 
 def _factor_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
@@ -574,31 +609,31 @@ class _Kind(NamedTuple):
     one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
     is the kind's one fitter, and ``reads`` names the spec fields it uses
     besides ``params``; every other field must keep its default.  A fitter
-    takes the panel and the spec, or with ``block`` (the kinds with an
-    active-set solver) the panel, a block of treated series (T, G), the spec
-    and the warm start of :func:`fit`, and returns one fit per column (see
-    :func:`_fit_candidates`).  The CLI name is the kind with ``-`` for
-    ``_``; the spec comes from the classmethod of the kind's name.
+    takes the panel and the spec and returns a :class:`ProxyFit`; with
+    ``core`` (the kinds with an active-set solver) it is the kind's array
+    core instead, as :func:`_sc_core` documents, which :func:`fit`, test
+    inversion and Monte Carlo all reach.  The CLI name is the kind with
+    ``-`` for ``_``; the spec comes from the classmethod of the kind's name.
     """
 
     params: tuple
-    fitter: Callable[..., ProxyFit | list]
+    fitter: Callable[..., ProxyFit | _Block]
     reads: tuple = ()
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
-    block: bool = False
+    core: bool = False
 
 
 _ESTIMATORS = {
     "did": _Kind((), _did_fit),
-    "sc": _Kind((), _sc_fits, ("solver",), block=True),
-    "classo": _Kind((("K", "radius", float, 1.0),), _classo_fits, ("solver",), block=True),
-    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_fits, ("solver",), block=True),
+    "sc": _Kind((), _sc_core, ("solver",), core=True),
+    "classo": _Kind((("K", "radius", float, 1.0),), _classo_core, ("solver",), core=True),
+    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_core, ("solver",), core=True),
     "elastic_net": _Kind(
         (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
-        _penalized_fits,
+        _penalized_core,
         ("solver",),
-        block=True,
+        core=True,
     ),
     "factor": _Kind((("k", "n_factors", int, _REQUIRED),), _factor_fit),
     "interactive_fe": _Kind((("k", "n_factors", int, _REQUIRED),), _interactive_fe_fit, ("solver",)),

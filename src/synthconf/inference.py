@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -86,8 +87,12 @@ class PermutationScheme:
     def __post_init__(self):
         if self.kind not in ("moving_block", "iid_all", "iid_sampled"):
             raise ValueError(f"unknown permutation scheme {self.kind!r}")
-        if self.kind == "iid_sampled" and self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1; got {self.n_samples}")
+        if self.kind == "iid_sampled":
+            # A bool is an int to Python, and a float count fails inside numpy.
+            if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral):
+                raise ValueError(f"n_samples must be an integer; got {self.n_samples!r}")
+            if self.n_samples < 1:
+                raise ValueError(f"n_samples must be >= 1; got {self.n_samples}")
 
     @classmethod
     def moving_block(cls) -> "PermutationScheme":
@@ -157,6 +162,16 @@ def _post_values(residuals, post_window) -> np.ndarray:
     return u
 
 
+def _check_order(q) -> None:
+    """Refuse an order ``q`` of :func:`statistic_sq` that is below 1 or not finite.
+
+    A NaN order makes every statistic NaN, which no permutation ties, and
+    an infinite one makes every statistic 1.
+    """
+    if not 1 <= q < np.inf:
+        raise ValueError(f"statistic order q must be finite and >= 1; got {q}")
+
+
 def statistic_sq(residuals, post_window, q: float = 1.0):
     """Scaled lq aggregate of the post-treatment residuals.
 
@@ -165,8 +180,7 @@ def statistic_sq(residuals, post_window, q: float = 1.0):
     indicate evidence against the null.  The window indexes the last axis,
     so a matrix of residual rows gives one statistic per row.
     """
-    if q < 1:
-        raise ValueError(f"statistic order q must be >= 1; got {q}")
+    _check_order(q)
     u = _post_values(residuals, post_window)
     return ((np.abs(u) ** q).sum(axis=-1) / np.sqrt(u.shape[-1])) ** (1.0 / q)
 
@@ -190,8 +204,8 @@ class Statistic:
     def __post_init__(self):
         if self.kind not in ("sq", "mean"):
             raise ValueError(f"unknown statistic kind {self.kind!r}")
-        if self.kind == "sq" and self.q < 1:
-            raise ValueError(f"statistic order q must be >= 1; got {self.q}")
+        if self.kind == "sq":
+            _check_order(self.q)
 
     @property
     def label(self):
@@ -403,18 +417,21 @@ def pointwise_ci(
     The candidates share their design and differ only in the last treated
     entry, so the period is fitted as one block of treated series, in grid
     order, each candidate warm from its neighbour's solution.  For ``sc``,
-    ``classo``, lasso and elastic net the design is set up once per period,
-    and each candidate gets its own active-set run and certificate (see
-    :func:`~synthconf.solvers.simplex_ls`).  Other kinds, and custom
-    callables, fit one panel per candidate.  Either way a candidate's fit
-    is, bit for bit, :func:`~synthconf.fit` of its own panel warm from its
-    neighbour's fit, and all residual rows are ranked in one permutation
-    pass.  A p-value is the one :func:`test_sharp_null` gives unless the
-    proxy fits almost exactly: a warm start can then stop on another
-    support whose certificate also passes, and the p-value can differ from
-    that of a cold fit (for ``sc`` on a 9-period panel with 10 controls
-    and the treated unit a mean of three of them plus noise of 1e-6, 263 of
-    8,200 default-grid candidates over 200 seeds).
+    ``classo``, lasso and elastic net the kind's array core fits the block:
+    the design is set up once per period, each candidate gets its own
+    active-set run and certificate (see :func:`~synthconf.solvers.simplex_ls`),
+    and the core returns the residual matrix and the step and convergence
+    counts, with no fit object or report per candidate.  Other kinds, and
+    custom callables, fit one panel per candidate.  Either way a
+    candidate's residuals and counts are, bit for bit, those of
+    :func:`~synthconf.fit` of its own panel warm from its neighbour's fit,
+    and all residual rows are ranked in one permutation pass.  A p-value
+    is the one :func:`test_sharp_null` gives unless the proxy fits almost
+    exactly: a warm start can then stop on another support whose
+    certificate also passes, and the p-value can differ from that of a
+    cold fit (for ``sc`` on a 9-period panel with 10 controls and the
+    treated unit a mean of three of them plus noise of 1e-6, 263 of 8,200
+    default-grid candidates over 200 seeds).
 
     The reported interval is the hull of the accepted set, with a flag when
     the set has interior gaps (and a warning when it is empty, which
@@ -425,18 +442,19 @@ def pointwise_ci(
     scheme = scheme or PermutationScheme.moving_block()
     sub = pointwise_slice(panel, t)
     start = None
+    steps = nonconverged = 0
     if grid is None:
         # A zero effect leaves the panel as it is, so sub itself is the zero null.
         start = fit(sub, spec)
         grid = _default_ci_grid(start)
+        if start.diagnostics is not None:
+            steps, nonconverged = start.diagnostics.iterations, int(not start.diagnostics.converged)
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DimensionError(f"the candidate grid for period {t} is empty")
-    fits = _fit_candidates(sub, _treated_under_nulls(sub, grid[:, None]), spec, start)
-    rows = np.array([fitted.residuals for fitted in fits])
-    _, pvals = _rank(rows, scheme, statistic, fits[0].post_slice(sub.t0))
-    period_fits = fits if start is None else [start, *fits]
-    reports = [fitted.diagnostics for fitted in period_fits if fitted.diagnostics is not None]
+    rows, window, block_steps, block_nonconverged = _fit_candidates(
+        sub, _treated_under_nulls(sub, grid[:, None]), spec, start)
+    _, pvals = _rank(rows, scheme, statistic, window)
     alpha = 1.0 - level
     # Strict inequality; the slack absorbs float error in 1 - level so that
     # p-values exactly on the boundary grid k/|Pi| = alpha are rejected.
@@ -465,8 +483,8 @@ def pointwise_ci(
         upper=upper,
         has_gaps=has_gaps,
         is_empty=is_empty,
-        iterations=sum(report.iterations for report in reports),
-        nonconverged=sum(not report.converged for report in reports),
+        iterations=steps + block_steps,
+        nonconverged=nonconverged + block_nonconverged,
     )
 
 

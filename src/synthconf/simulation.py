@@ -10,12 +10,16 @@ whether replications run serially or are distributed by index.
 
 Replications run in chunks whose outcome block fits a fixed memory budget
 (``_CHUNK_DOUBLES``, 1 MiB).  Each replication makes its draws from its
-own generator in a fixed order; the chunk then runs the AR(1) recurrences,
-the ``did`` fit and the permutation ranking for all its panels at once,
-with the elementwise arithmetic of one panel alone.  So results do not
-depend on the chunking: :func:`simulate_panel` is a chunk of one, and an
-experiment's p-values equal those of :func:`~synthconf.inference.test_sharp_null`
-on each replication's panel, bit for bit.
+own generator in a fixed order; the chunk then runs the AR(1) recurrences
+(only of the processes whose rho is not 0), the ``did`` fit and the
+permutation ranking for all its panels at once, with the elementwise
+arithmetic of one panel alone.  ``sc``, ``classo``, lasso and elastic net
+take each panel's residual row from the estimator's array core, without
+building a panel, a fit or a solver report per replication; other
+estimators are fitted panel by panel.  So results do not depend on the
+chunking: :func:`simulate_panel` is a chunk of one, and an experiment's
+p-values equal those of :func:`~synthconf.inference.test_sharp_null` on
+each replication's panel, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EstimatorSpec, _did, fit
+from .estimators import _ESTIMATORS, EstimatorSpec, _did, fit
 from .inference import PermutationScheme, Statistic, _rank
 from .panel import PanelData
 from .solvers import simplex_ls
@@ -166,15 +170,19 @@ def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndar
 
     # One recurrence runs the shock in column 0 and, unless the controls are
     # i.i.d., the noise in the others.  Innovation variance 1 - rho^2 makes
-    # every marginal N(0, 1).
-    treated *= np.sqrt(1.0 - spec.rho_u**2)
-    if iid_controls:
-        _recur(block[:, :, :1], starts[:, :1], spec.rho_u)
-    else:
+    # every marginal N(0, 1).  A process with rho = 0 is its innovations, so
+    # its columns are left out: for finite draws, x * 1.0 and x + 0 * y are x.
+    rho = np.full(1 + J, 0.0 if iid_controls else spec.rho_eps)
+    rho[0] = spec.rho_u
+    if spec.rho_u:
+        treated *= np.sqrt(1.0 - spec.rho_u**2)
+    if rho[1:].any():
         controls *= np.sqrt(1.0 - spec.rho_eps**2)
-        rho = np.full(1 + J, spec.rho_eps)
-        rho[0] = spec.rho_u
-        _recur(block, starts, rho)
+    moving = np.flatnonzero(rho)  # column 0, the controls or all: one range
+    if moving.size:
+        cols = slice(moving[0], moving[-1] + 1)
+        _recur(block[:, :, cols], starts[:, cols], rho[cols])
+    if not iid_controls:
         if spec.factor_trend == "trending":
             factors += np.arange(1, n_periods + 1)
         unit_effect = np.arange(1, J + 1) / J  # also the factor loadings
@@ -213,11 +221,19 @@ def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: Permu
     """Zero-effect p-values of the panels of an outcome block.
 
     They are those of :func:`~synthconf.inference.test_sharp_null`.  ``did``
-    is fitted over the whole block and any other estimator panel by panel;
-    all residual rows are then ranked in one permutation pass.
+    is fitted over the whole block.  ``sc``, ``classo``, lasso and elastic
+    net give each panel's residual row straight from the kind's array core,
+    with no panel object, fit or report per replication; any other
+    estimator is fitted panel by panel.  All residual rows are then ranked
+    in one permutation pass.
     """
+    window = slice(t0, None)
     if estimator.kind == "did":
-        rows, window = _did(block)[2], slice(t0, None)
+        rows = _did(block)[2]
+    elif _ESTIMATORS[estimator.kind].core:
+        core = _ESTIMATORS[estimator.kind].fitter
+        rows = np.concatenate([core(outcomes, None, outcomes[:, :1], estimator, None).residuals
+                               for outcomes in block])
     else:
         fits = [fit(PanelData(outcomes, t0=t0), estimator) for outcomes in block]
         rows, window = np.array([fitted.residuals for fitted in fits]), fits[0].post_slice(t0)

@@ -63,6 +63,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer; got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number; got {self.tol!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite; got {self.tol}")
 
@@ -430,16 +432,23 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), sta
         has no units: scaling ``X`` and ``y`` together changes neither it
         nor the steps.  ``report.iterations`` counts KKT steps.
     """
-    return _simplex_ls(X, y, n_constrained, cfg, start, lambda v: v)
+    X, ys = _responses(X, y)
+    W, *_, report = _simplex_block(X, ys, n_constrained, cfg, start, lambda v: v)
+    reports = [report(g) for g in range(len(ys))]
+    return (W[0], reports[0]) if np.ndim(y) == 1 else (W.T, reports)
 
 
-def _simplex_ls(X, y, n_constrained, cfg, start, restart):
-    """:func:`simplex_ls`, where a column after the first starts from ``restart(v)``.
+def _simplex_block(X, ys, n_constrained, cfg, start, restart):
+    """:func:`simplex_ls` of the float design ``X`` and the list of responses ``ys``,
+    where a column after the first starts from ``restart(v)``.
 
     ``v`` holds the constrained weights of its solved neighbour, and
-    ``restart(v)`` is a start as ``start`` takes it.
+    ``restart(v)`` is a start as ``start`` takes it.  Returns ``(W, steps,
+    converged, kkt, report)``: the weights (G, p), one row per response,
+    what :func:`_active_set` returns for each response, and ``report(g)``,
+    the :class:`SolveReport` of response ``g``, whose objective is only
+    computed when asked for.
     """
-    X, ys = _responses(X, y)
     m = n_constrained
     if not 1 <= m <= X.shape[1]:
         raise DimensionError(f"n_constrained must lie in 1..{X.shape[1]}; got {n_constrained}")
@@ -461,14 +470,16 @@ def _simplex_ls(X, y, n_constrained, cfg, start, restart):
     V, steps, converged, kkt = _solve_columns(gram, xty, pad, scale, cfg, warm)
     W = np.zeros((len(ys), X.shape[1]))  # one row per response, each laid out as a lone solve's
     W[:, :m] = V.T
-    reports = []
-    for g, (response, w) in enumerate(zip(ys, W)):
-        if m < X.shape[1]:
+    if m < X.shape[1]:
+        for response, w in zip(ys, W):
             w[m:] = free_coefs(response - X[:, :m] @ w[:m])
-        resid = response - X @ w
-        reports.append(SolveReport(int(steps[g]), float(resid @ resid), bool(converged[g]), float(kkt[g]),
-                                   note="simplex active set"))
-    return (W[0], reports[0]) if np.ndim(y) == 1 else (W.T, reports)
+
+    def report(g):
+        resid = ys[g] - X @ W[g]
+        return SolveReport(int(steps[g]), float(resid @ resid), bool(converged[g]), float(kkt[g]),
+                           note="simplex active set")
+
+    return W, steps, converged, kkt, report
 
 
 def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None, start=None):
@@ -510,8 +521,23 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
     weights = np.ones(p) if penalty_weights is None else np.asarray(penalty_weights, dtype=float)
     if weights.shape != (p,):
         raise DimensionError("penalty_weights must have one entry per column")
-    first = None if start is None else _warm(start, p)
+    intercepts, W, *_, report = _penalized_block(X, ys, penalty, cfg, weights, start)
+    reports = [report(g) for g in range(len(ys))]
+    if np.ndim(y) == 1:
+        return float(intercepts[0]), W[0], reports[0]
+    return intercepts, W.T, reports
 
+
+def _penalized_block(X, ys, penalty, cfg, weights, start):
+    """:func:`penalized_ls` of the float design ``X``, the list of responses ``ys``
+    and the penalty weights ``weights`` (p,).
+
+    Returns ``(intercepts, W, steps, converged, kkt, report)``: the
+    intercepts (G,) and weights (G, p), one row per response, then as
+    :func:`_simplex_block` returns them.
+    """
+    p = X.shape[1]
+    first = None if start is None else _warm(start, p)
     xc, ycs, x_mean, y_means = _centre(X, ys)
     l1 = penalty.l1 * weights
     l2 = penalty.l2 * weights
@@ -535,15 +561,18 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
         np.block([[a, -a], [-a, a]]), np.concatenate([c - half, -c - half]), 0.0, scale, cfg, warm)
     W = np.zeros((len(ys), p))  # one row per response, each laid out as a lone solve's
     W[:, split] = (V[:split.size] - V[split.size:]).T
-    intercepts, reports = [], []
-    for g, (yc, ya, w) in enumerate(zip(ycs, yas, W)):
+    intercepts = np.empty(len(ys))
+    for g, (ya, w) in enumerate(zip(yas, W)):
         w[free] = free_coefs(ya - xa[:, split] @ w[split])
-        r = yc - xc @ w
+        intercepts[g] = y_means[g] - float(x_mean @ w)
+
+    def report(g):
+        w = W[g]
+        r = ycs[g] - xc @ w
         objective = float(r @ r) + float(l2 @ (w * w)) + float(l1 @ np.abs(w))
-        intercepts.append(y_means[g] - float(x_mean @ w))
-        reports.append(SolveReport(int(steps[g]), objective, bool(converged[g]), float(kkt[g]),
-                                   note="signed active set"))
-    return (intercepts[0], W[0], reports[0]) if np.ndim(y) == 1 else (np.array(intercepts), W.T, reports)
+        return SolveReport(int(steps[g]), objective, bool(converged[g]), float(kkt[g]), note="signed active set")
+
+    return intercepts, W, steps, converged, kkt, report
 
 
 def pca_factors(Y, k: int):

@@ -101,6 +101,34 @@ class TestWarmStart:
             assert warm.diagnostics == cold.diagnostics
 
 
+class TestArrayCore:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("covariate", [False, True], ids=["controls", "covariate"])
+    @pytest.mark.parametrize("spec", TestWarmStart.WARM_SPECS, ids=lambda spec: spec.label)
+    def test_fit_is_column_zero_of_the_core(self, rng, spec, covariate, warm):
+        # fit builds its ProxyFit from column 0 of the kind's array core; the
+        # other columns (later candidates) must not change it.
+        panel = random_panel(rng, 14, 6, noise=1.0)
+        if covariate:
+            panel = PanelData(panel.outcomes, t0=panel.t0, covariates=rng.standard_normal((14, 7, 1)))
+        start = fit(adjust_under_null(panel, [0.5, -0.5]), spec) if warm else None
+        fitted = fit(panel, spec, start)
+        treated = sc.panel._treated_under_nulls(panel, [[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
+        core = sc.estimators._ESTIMATORS[spec.kind].fitter
+        block = core(panel.outcomes, None if panel.covariates is None else panel.covariates[:, 0, :],
+                     treated, spec, None if start is None else start.params)
+        np.testing.assert_array_equal(block.proxies[0], fitted.proxy)
+        np.testing.assert_array_equal(block.residuals[0], fitted.residuals)
+        np.testing.assert_array_equal(block.weights[0], fitted.params["weights"])
+        np.testing.assert_array_equal(block.coefs[0], fitted.params["covariate_coefs"])
+        assert set(fitted.params) == {"weights", "covariate_coefs"} | ({"mu"} if spec.kind != "sc" else set())
+        if spec.kind != "sc":
+            assert block.mu[0] == fitted.params["mu"]
+        assert block.report(0) == fitted.diagnostics
+        assert (block.steps[0], block.converged[0], block.kkt[0]) == (
+            fitted.diagnostics.iterations, fitted.diagnostics.converged, fitted.diagnostics.kkt_residual)
+
+
 class TestEstimatorSpec:
     def test_labels(self):
         assert EstimatorSpec.classo(2.0).label == "classo(K=2)"

@@ -62,6 +62,15 @@ class TestStatistics:
         with pytest.raises(ValueError):
             Statistic("sq", q=0.5)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_refused(self, q):
+        # A NaN order gave p = 0, below the 1/|Pi| floor (no statistic ties
+        # NaN), and an infinite one made every statistic 1, so p = 1.
+        with pytest.raises(ValueError, match="finite"):
+            statistic_sq(np.ones(4), slice(2, None), q=q)
+        with pytest.raises(ValueError, match="finite"):
+            Statistic("sq", q=q)
+
 
 class TestPermutationScheme:
     def test_moving_block_enumerates_t_shifts(self):
@@ -119,6 +128,16 @@ class TestPermutationScheme:
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
         assert not scheme.is_group
+
+    @pytest.mark.parametrize("n_samples", [2.5, 3.0, True, 0])
+    def test_iid_sampled_count_refused(self, n_samples):
+        # 2.5 and True were accepted, then failed inside numpy at the first test.
+        with pytest.raises(ValueError, match="n_samples"):
+            PermutationScheme.iid_sampled(n_samples=n_samples)
+
+    def test_iid_sampled_numpy_integer_count_accepted(self):
+        scheme = PermutationScheme.iid_sampled(n_samples=np.int64(7))
+        assert len(list(scheme.iter_permutations(5))) == 7
 
 
 class TestPValue:
@@ -472,8 +491,9 @@ class TestPointwiseCi:
         X = controls[[*range(t0), t0 + 1]]
         if covariate:
             X = np.column_stack([X, covariates[[*range(t0), t0 + 1], 0]])
-        block = sc.estimators._fit_candidates(
+        core = sc.estimators._fit_block(
             sub, sc.panel._treated_under_nulls(sub, entry.grid[:, None]), spec, start)
+        block = [core.fit(g, spec.label) for g in range(entry.grid.size)]
         for candidate, fitted, alone in zip(entry.grid, block, fits):
             np.testing.assert_array_equal(fitted.residuals, alone.residuals)
             assert fitted.diagnostics == alone.diagnostics

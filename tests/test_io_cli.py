@@ -447,6 +447,8 @@ class TestBadValues:
     @pytest.mark.parametrize("argv", [
         ["test", "--permutations", "iid"],
         ["test", "--q", "0.5"],
+        ["test", "--q", "nan"],
+        ["test", "--q", "inf"],
         ["test", "--permutations", "iid-sampled", "--n-perm", "0"],
         ["ci", "--alpha", "1.5"],
         ["ci", "--grid=-1:1:0"],
@@ -454,7 +456,7 @@ class TestBadValues:
         ["test", "--estimator", "elastic-net:lam=inf,alpha=0.5"],
         ["ci", "--grid", "nan:1:5"],
         ["ci", "--estimator", "did", "--grid", "nan:1:5"],
-    ], ids=["iid_too_long", "q_below_one", "no_samples", "alpha_above_one", "empty_grid",
+    ], ids=["iid_too_long", "q_below_one", "q_nan", "q_inf", "no_samples", "alpha_above_one", "empty_grid",
             "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did"])
     def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
         rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",

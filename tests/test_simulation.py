@@ -144,16 +144,22 @@ def small_designs(draw):
 
 
 class TestChunkedReplications:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         dgp=small_designs(),
-        spec=st.sampled_from((EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.ar(1))),
+        spec=st.sampled_from((
+            EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.ar(1),
+            EstimatorSpec.classo(0.5), EstimatorSpec.classo(1.0), EstimatorSpec.classo(2.0),
+            EstimatorSpec.lasso(0.5), EstimatorSpec.elastic_net(0.5, 0.5),
+        )),
         chunk=st.integers(1, 3),
         data=st.data(),
     )
     def test_pvalues_equal_per_replication_tests(self, dgp, spec, chunk, data):
         # Chunks of `chunk` panels; the replications end just before, on or
-        # after a chunk boundary, or one past the second chunk.
+        # after a chunk boundary, or one past the second chunk.  `sc`,
+        # `classo`, lasso and elastic net take their rows from the array core;
+        # rho_u and rho_eps of 0 or 0.6 skip none, one or both recurrences.
         n_reps = data.draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1})))
         budget = chunk * (dgp.t0 + 1) * (dgp.n_controls + 1)
         with pytest.MonkeyPatch.context() as mp:

@@ -514,11 +514,12 @@ class TestBorderedJoin:
 class TestSolverConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 2.5), ("max_iters", 3.0), ("max_iters", True), ("max_iters", 0),
-        ("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+        ("tol", np.inf), ("tol", np.nan), ("tol", 0.0), ("tol", True), ("tol", "1e-8"),
     ])
     def test_bad_value_refused(self, field, value):
         # A cap of 2.5 ran 3 steps, True ran 1, and an infinite tol let every
-        # fit stop converged at its first gap.
+        # fit stop converged at its first gap.  A tol of True was read as 1.0,
+        # and a string one failed with a bare TypeError.
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
