@@ -299,7 +299,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if cfg.command != args.command:
             cfg = replace(cfg, command=args.command)
     else:
-        cfg = RunConfig(command=args.command, seed=default_seed())
+        cfg = RunConfig(command=args.command, seed=default_seed() if args.seed is None else args.seed)
     overrides = {}
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:

@@ -88,11 +88,13 @@ class PermutationScheme:
         if self.kind not in ("moving_block", "iid_all", "iid_sampled"):
             raise ValueError(f"unknown permutation scheme {self.kind!r}")
         if self.kind == "iid_sampled":
-            # A bool is an int to Python, and a float count fails inside numpy.
-            if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral):
-                raise ValueError(f"n_samples must be an integer; got {self.n_samples!r}")
-            if self.n_samples < 1:
-                raise ValueError(f"n_samples must be >= 1; got {self.n_samples}")
+            # A bool is an int to Python, and a float count or seed fails inside numpy.
+            for name, least in (("n_samples", 1), ("seed", 0)):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer; got {value!r}")
+                if value < least:
+                    raise ValueError(f"{name} must be >= {least}; got {value}")
 
     @classmethod
     def moving_block(cls) -> "PermutationScheme":
@@ -338,6 +340,20 @@ def test_sharp_null(
     )
 
 
+def _median(x: np.ndarray):
+    """``np.median(x)`` of a non-empty 1-D ``x`` by one sort, bit for bit.
+
+    ``np.median`` takes the mean of the middle value or the two middle
+    values, a sum that starts from ``0.0`` (so ``-0.0`` comes out ``0.0``)
+    divided by the count.  A NaN sorts last and makes the median NaN.
+    """
+    s = np.sort(x)
+    mid = s.size // 2
+    if s[-1] != s[-1]:
+        return s[-1]
+    return 0.0 + s[mid] if s.size % 2 else (0.0 + s[mid - 1] + s[mid]) / 2.0
+
+
 def _default_ci_grid(fitted: ProxyFit) -> np.ndarray:
     """41 candidate effects centred on the zero-null point estimate.
 
@@ -352,7 +368,7 @@ def _default_ci_grid(fitted: ProxyFit) -> np.ndarray:
     """
     point = float(fitted.residuals[-1])
     pre = fitted.residuals[:-1]
-    spread = 1.4826 * float(np.median(np.abs(pre - np.median(pre))))
+    spread = 1.4826 * float(_median(np.abs(pre - _median(pre))))
     if spread <= 0:
         treated = fitted.proxy + fitted.residuals
         spreads = (pre.std(), treated[:-1].std(), np.abs(treated).max())

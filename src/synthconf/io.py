@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -42,6 +43,14 @@ def _parse_float(cell: str, lineno: int, column: str) -> float:
         raise ParseError(
             f"line {lineno}: non-numeric value {cell!r} in column {column!r}"
         ) from None
+
+
+def _parse_time(cell: str, lineno: int, column: str) -> float:
+    """A time period: a finite number, so that it sorts and compares as a period."""
+    time = _parse_float(cell, lineno, column)
+    if not math.isfinite(time):
+        raise ParseError(f"line {lineno}: time period {cell!r} is not finite")
+    return time
 
 
 def _as_treated_list(treated) -> list[str]:
@@ -81,8 +90,9 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
     ------
     ParseError
         On a file that cannot be read (the message names it), ragged rows,
-        non-numeric cells, duplicate or missing observations, or unknown or
-        repeated treated units; messages carry the offending line number.
+        non-numeric cells, a time period that is not finite (``nan``,
+        ``inf``), duplicate or missing observations, or unknown or repeated
+        treated units; messages carry the offending line number.
     """
     if layout not in ("wide", "long"):
         raise ParseError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
@@ -125,7 +135,7 @@ def _read_wide(path, t0: int, treated_names: list[str]):
     for lineno, row in rows[1:]:
         if len(row) != n_fields:
             raise ParseError(f"line {lineno}: expected {n_fields} fields, got {len(row)}")
-        time = _parse_float(row[0], lineno, header[0])
+        time = _parse_time(row[0], lineno, header[0])
         if time in seen_times:
             raise ParseError(f"line {lineno}: duplicate time period {row[0]!r}")
         seen_times.add(time)
@@ -155,7 +165,7 @@ def _read_long(path, t0: int, treated_names: list[str]):
         if len(row) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         unit = row[0].strip()
-        time = _parse_float(row[1], lineno, header[1])
+        time = _parse_time(row[1], lineno, header[1])
         key = (unit, time)
         if key in records:
             raise ParseError(f"line {lineno}: duplicate observation for unit {unit!r} at time {row[1]!r}")
@@ -214,8 +224,15 @@ def write_json_result(path, payload: dict) -> None:
 
 
 def default_seed() -> int:
-    """Seed used when none is given; overridable via the environment."""
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    """Seed used when none is given; overridable via the environment.
+
+    Raises ``ParseError`` naming the variable when its value is not an integer.
+    """
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{SEED_ENV_VAR}={text!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

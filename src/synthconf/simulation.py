@@ -142,7 +142,7 @@ def _recur(path: np.ndarray, state: np.ndarray, rho: float | np.ndarray) -> np.n
 
 
 def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndarray,
-              iid_controls: bool = False) -> np.ndarray:
+              scratch: np.ndarray, iid_controls: bool = False) -> np.ndarray:
     """Fill ``block`` (B, T, 1 + J) with one panel per generator, the treated unit first.
 
     Each replication draws from its own generator, in this order: the
@@ -151,19 +151,22 @@ def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndar
     controls instead of the first four (the design of
     :func:`reproduce_figure_null_vs_pre`).  The AR(1) paths, control sums
     and weighted treated outcomes are then computed in the outcome block
-    itself.  ``spec.alpha_true`` is left for the caller to add.
+    itself.  ``scratch`` (2, T, J, C-contiguous, see :func:`_scratch`) takes
+    one panel's control draws and factor terms, so a panel allocates no
+    (T, J) array.  ``spec.alpha_true`` is left for the caller to add.
     """
     n_reps, n_periods, J = block.shape[0], spec.t0 + 1, spec.n_controls
     treated, controls = block[:, :, 0], block[:, :, 1:]
     factors, time_effect = np.empty((n_reps, n_periods)), np.empty((n_reps, n_periods))
     starts = np.empty((n_reps, 1 + J))  # AR(1) starts: the shock's, then each noise's
+    draws, term = scratch
     for b, rng in enumerate(rngs):
         if iid_controls:
-            controls[b] = rng.standard_normal((n_periods, J))
+            controls[b] = rng.standard_normal(out=draws)
         else:
             factors[b] = rng.standard_normal(n_periods)
             time_effect[b] = rng.standard_normal(n_periods)
-            controls[b] = rng.standard_normal((n_periods, J))
+            controls[b] = rng.standard_normal(out=draws)
             starts[b, 1:] = rng.standard_normal(J)
         treated[b] = rng.standard_normal(n_periods)  # shock innovations, later the treated outcome
         starts[b, 0] = rng.standard_normal()
@@ -187,31 +190,40 @@ def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndar
             factors += np.arange(1, n_periods + 1)
         unit_effect = np.arange(1, J + 1) / J  # also the factor loadings
         for b in range(n_reps):
-            controls[b] += unit_effect + time_effect[b][:, None] + unit_effect * factors[b][:, None]
+            # unit_effect + time_effect + unit_effect * factors, summed in that order
+            np.add(unit_effect, time_effect[b][:, None], out=draws)
+            np.multiply(unit_effect, factors[b][:, None], out=term)
+            controls[b] += np.add(draws, term, out=draws)
     weights = dgp_weights(spec.weights_kind, J)
     for b in range(n_reps):
         treated[b] += controls[b] @ weights
     return block
 
 
+def _scratch(spec: DgpSpec) -> np.ndarray:
+    """The scratch of :func:`_simulate`: two (T, J) arrays, allocated once per experiment."""
+    return np.empty((2, spec.t0 + 1, spec.n_controls))
+
+
 def _chunks(spec: DgpSpec, seeds: Sequence[np.random.SeedSequence], iid_controls: bool = False):
     """Outcome blocks of :func:`_simulate` for consecutive chunks of the replication seeds.
 
     A chunk holds as many panels as fit in ``_CHUNK_DOUBLES``, and at least
-    one.  Every chunk is simulated into the same memory, so a caller is done
-    with one block when it asks for the next.
+    one.  Every chunk is simulated into the same memory, with the same
+    scratch, so a caller is done with one block when it asks for the next.
     """
     size = max(1, _CHUNK_DOUBLES // ((spec.t0 + 1) * (spec.n_controls + 1)))
     block = np.empty((min(size, len(seeds)), spec.t0 + 1, spec.n_controls + 1))
+    scratch = _scratch(spec)
     for first in range(0, len(seeds), size):
         rngs = [np.random.default_rng(seq) for seq in seeds[first:first + size]]
-        yield _simulate(spec, rngs, block[:len(rngs)], iid_controls)
+        yield _simulate(spec, rngs, block[:len(rngs)], scratch, iid_controls)
 
 
 def simulate_panel(spec: DgpSpec, rng: np.random.Generator | None = None) -> PanelData:
     """Draw one panel from the design; ``T = t0 + 1`` with a single post period."""
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    (outcomes,) = _simulate(spec, [rng], np.empty((1, spec.t0 + 1, spec.n_controls + 1)))
+    (outcomes,) = _simulate(spec, [rng], np.empty((1, spec.t0 + 1, spec.n_controls + 1)), _scratch(spec))
     outcomes[spec.t0, 0] += spec.alpha_true
     return PanelData(outcomes=outcomes, t0=spec.t0)
 

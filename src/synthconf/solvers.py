@@ -12,10 +12,12 @@ everywhere.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs behind numpy.linalg
 
 from .exceptions import DimensionError, NumericalError, RankDeficiencyError
 
@@ -200,7 +202,7 @@ def _centre(X, ys):
 def _step_to_first_zero(x, d, limit):
     """``(x + t d, k)`` for the largest ``t <= limit`` at which no entry of ``x``
     has changed sign: ``k`` is the entry set to zero, or None if none is."""
-    toward = np.flatnonzero(x * d < 0.0)
+    toward = (x * d < 0.0).nonzero()[0]
     ratios = -x[toward] / d[toward]
     if ratios.size and ratios.min() < limit:
         k = int(toward[ratios.argmin()])
@@ -242,23 +244,38 @@ def _project_free(head, free, ys):
     scale = np.empty(len(ys))
     for g, y in enumerate(ys):
         xty[:, g] = head.T @ y
-        scale[g] = col_max * (float(np.linalg.norm(y)) + col_max)
+        flat = y.ravel(order="K")  # the sum numpy.linalg.norm(y) takes, in its order
+        scale[g] = col_max * (math.sqrt(flat.dot(flat)) + col_max)
     return gram, xty, scale, coefs
 
 
 def _solve(system, rhs):
-    """``system \\ rhs``, by least squares if rounding made ``system`` singular."""
-    try:
-        return np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
+    """``system \\ rhs``, by least squares if rounding made ``system`` singular.
+
+    ``system`` is a square float array and ``rhs`` a float vector.  The
+    solve is one call of LAPACK's gesv through ``solve1``, the gufunc that
+    :func:`numpy.linalg.solve` itself calls for a vector right-hand side, so
+    it gives that function's result bit for bit without its wrapper.  A
+    singular system comes back filled with NaN and raises the floating-point
+    invalid flag; the caller holds ``np.errstate(invalid="ignore")`` around
+    its solves, as :func:`_solve_columns` does for a whole block.
+    """
+    x = _umath_linalg.solve1(system, rhs)
+    if x.size and x[0] != x[0]:
         return np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return x
 
 
-def _active_set(gram, lin, pad, support, w_s, scale, cfg):
+def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
     """Minimize ``v'Gv / 2 - lin'v`` over ``v >= 0`` from ``v[support] = w_s``.
 
     NNLS of Lawson and Hanson (1974, ch. 23) on the Gram matrix ``G``; with
     ``pad > 0`` the weights also sum to one, a KKT row scaled by ``pad``.
+    ``system`` and ``rhs`` are ``G`` and ``lin`` bordered by that row (last,
+    with a zero corner), or ``G`` and ``lin`` without it: built once per
+    block by :func:`_solve_columns`, so a step gathers its KKT system (the
+    rows, then the columns, of the support and the border) and solves it
+    with one gesv (:func:`_solve`).
     The start is feasible: ``w_s > 0``, summing to one with that row.  The
     empty support, or one vertex with that row, is the solution on its
     support; any other start (say the solution of an earlier problem with
@@ -280,37 +297,35 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
     Otherwise the join borders the solution ``w_S`` just found on ``S``
     (Lawson and Hanson, ch. 24): the KKT solution on the grown support is
     ``(w_S, 0) + (r_j / s) d``, so that step reuses the test's solve.
+    ``G`` must be exactly symmetric, as ``X'X`` is: ``r`` takes the rows
+    ``G[S]`` for the columns ``G[:, S]``.
 
     Returns ``(support, w_s, steps, converged, kkt)``.  ``steps`` counts KKT
     steps, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
     ``converged`` says the last step was completed and ``kkt <= cfg.tol``.
     """
     border = int(pad > 0)  # the sum-to-one row, if any
-
-    def solve_on(support):
-        n = support.size
-        system = np.zeros((n + border, n + border))
-        system[:n, :n] = gram[support[:, None], support]
-        system[:n, n:] = system[n:, :n] = pad
-        rhs = np.empty(n + border)
-        rhs[:n] = lin[support]
-        rhs[n:] = pad
-        return _solve(system, rhs)[:n]
-
     limit = cfg.tol * scale
     steps = 0
-    solved = support.size <= border
+    # The support by index: ``support`` is ``index[:n]``, and ``index[n]``
+    # is the border's row of ``system`` when a step gathers its KKT system.
+    # ``member``, the support's indicator, is set up at the first join,
+    # which most warm starts never reach.
+    n = support.size
+    index = np.empty(lin.size + 1, dtype=np.intp)
+    index[:n] = support
+    support = index[:n]
+    member = None
+    solved = n <= border
     z = None  # the KKT solution on the support, when its join bordered it
-    # The support by index: ``support`` is ``index[:n]`` after each join,
-    # ``member`` its indicator; both are set up at the first join, which
-    # most warm starts never reach.
-    index = member = None
     while True:
         while not solved and steps < cfg.max_iters:
             steps += 1
             if z is None:
-                z = solve_on(support)
-            solved = bool((z > 0.0).all())
+                index[n] = lin.size
+                ext = index[:n + border]
+                z = _solve(system.take(ext, 0).take(ext, 1), rhs[ext])[:n]
+            solved = bool(not n or z.min() > 0.0)
             if solved:
                 w_s = z
             else:
@@ -318,20 +333,21 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
                 keep = w_s > 0.0
                 if member is not None:
                     member[support[~keep]] = False
-                support, w_s = support[keep], w_s[keep]
+                kept = support[keep]
+                n = kept.size
+                index[:n] = kept
+                support, w_s = index[:n], w_s[keep]
             z = None
-        r = lin - gram[:, support] @ w_s
+        r = lin - gram.take(support, 0).T @ w_s
         gap = float(r.max(initial=-np.inf) - w_s @ r[support])
         if gap <= limit or steps >= cfg.max_iters:
             break
-        joining = int(np.argmax(r))
+        joining = int(r.argmax())
         if member is None:
-            index, member = np.empty(lin.size, dtype=np.intp), np.zeros(lin.size, dtype=bool)
+            member = np.zeros(lin.size, dtype=bool)
             member[support] = True
         if member[joining]:
             break  # the gap is rounding on the support itself
-        n = support.size
-        index[:n] = support
         index[n] = joining
         member[joining] = True
         support, w_s = index[:n + 1], np.append(w_s, 0.0)
@@ -349,6 +365,8 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg):
                 member[support[k]] = False
                 index[k:n] = index[k + 1:n + 1]
                 support, w_s = index[:n], np.delete(w_s, k)
+                n -= 1
+        n += 1
         solved = False
     kkt = max(gap, 0.0) / scale if scale > 0 else 0.0
     return support, w_s, steps, solved and gap <= limit, kkt
@@ -360,22 +378,35 @@ def _solve_columns(gram, lin, pad, scale, cfg, warm):
     ``lin`` (k, G) holds one linear term per response and ``scale`` (G,)
     their certificate scales.  ``warm(g, v)`` is the start ``(support,
     w_s)`` of column ``g`` from ``v``, the solution of column ``g - 1``
-    (None for the first column).
+    (None for the first column).  The bordered KKT matrix and linear terms
+    of :func:`_active_set` are built here, once per block, and the block's
+    solves run under one ``np.errstate(invalid="ignore")``, which
+    :func:`_solve` needs to see a singular system as NaN and not warn.
 
     Returns ``(V, steps, converged, kkt)``: the solutions (k, G) and, per
     column, what :func:`_active_set` returns for it.
     """
     k, n_cols = lin.shape
+    if pad:
+        system = np.zeros((k + 1, k + 1))
+        system[:k, :k] = gram
+        system[:k, k] = system[k, :k] = pad
+        rhs = np.empty((n_cols, k + 1))
+        rhs[:, :k] = lin.T
+        rhs[:, k] = pad
+    else:
+        system, rhs = gram, lin.T
     V = np.zeros((k, n_cols))
     steps = np.zeros(n_cols, dtype=int)
     converged = np.zeros(n_cols, dtype=bool)
     kkt = np.zeros(n_cols)
     v = None
-    for g in range(n_cols):
-        support, w_s, steps[g], converged[g], kkt[g] = _active_set(
-            gram, lin[:, g], pad, *warm(g, v), scale[g], cfg)
-        V[support, g] = w_s
-        v = V[:, g]
+    with np.errstate(invalid="ignore"):
+        for g in range(n_cols):
+            support, w_s, steps[g], converged[g], kkt[g] = _active_set(
+                gram, lin[:, g], pad, *warm(g, v), scale[g], cfg, system, rhs[g])
+            V[support, g] = w_s
+            v = V[:, g]
     return V, steps, converged, kkt
 
 
@@ -462,9 +493,10 @@ def _simplex_block(X, ys, n_constrained, cfg, start, restart):
 
     def warm(g, v):
         weights = w0 if v is None else restart(v)
-        support = np.flatnonzero(weights > 0.0)
+        support = (weights > 0.0).nonzero()[0]
         if support.size:
-            return support, weights[support] / weights[support].sum()
+            w_s = weights[support]
+            return support, w_s / w_s.sum()
         return np.array([int(np.argmin(np.diag(gram) - 2.0 * xty[:, g]))]), np.ones(1)
 
     V, steps, converged, kkt = _solve_columns(gram, xty, pad, scale, cfg, warm)
@@ -554,7 +586,7 @@ def _penalized_block(X, ys, penalty, cfg, weights, start):
             return np.zeros(0, dtype=int), np.zeros(0)
         w0 = first[split] if v is None else v[:split.size] - v[split.size:]
         v0 = np.concatenate([w0, -w0])
-        support = np.flatnonzero(v0 > 0.0)
+        support = (v0 > 0.0).nonzero()[0]
         return support, v0[support]
 
     V, steps, converged, kkt = _solve_columns(

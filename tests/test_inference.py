@@ -23,6 +23,7 @@ from synthconf import (
     statistic_mean,
     statistic_sq,
 )
+from synthconf.inference import _median
 from conftest import random_panel
 
 # module-qualified aliases: bare imports of these would be collected by pytest
@@ -138,6 +139,33 @@ class TestPermutationScheme:
     def test_iid_sampled_numpy_integer_count_accepted(self):
         scheme = PermutationScheme.iid_sampled(n_samples=np.int64(7))
         assert len(list(scheme.iter_permutations(5))) == 7
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, True, -1])
+    def test_iid_sampled_seed_refused(self, seed):
+        # 1.5 constructed and raised TypeError at the first test; True was
+        # used as 1, and -1 failed inside numpy.
+        with pytest.raises(ValueError, match="seed"):
+            PermutationScheme.iid_sampled(seed=seed)
+
+    def test_iid_sampled_numpy_integer_seed_accepted(self):
+        scheme = PermutationScheme.iid_sampled(n_samples=5, seed=np.int64(3))
+        same = PermutationScheme.iid_sampled(n_samples=5, seed=3)
+        for a, b in zip(scheme.iter_permutations(6), same.iter_permutations(6)):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestSortMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64, allow_infinity=False), min_size=1, max_size=60)
+           | st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=12))
+    def test_equals_numpy_median(self, values):
+        # The default grid's spread takes two medians; one sort each must give
+        # np.median's value, ties, signed zeros and NaN included.
+        x = np.array(values)
+        with np.errstate(all="ignore"):
+            got, want = _median(x), np.median(x)
+        assert type(got) is type(want)
+        assert np.isnan(got) if np.isnan(want) else got.tobytes() == want.tobytes()
 
 
 class TestPValue:

@@ -57,6 +57,15 @@ class TestReadWide:
         with pytest.raises(ParseError, match="duplicate"):
             read_panel_csv(path, t0=1, treated="a")
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, tmp_path, time):
+        # nan rows were never flagged as duplicates and kept whatever place the
+        # sort left them in; inf sorted last and became a post-treatment period.
+        path = tmp_path / "panel.csv"
+        write_lines(path, ["time,a,b", "1,1,2", f"{time},3,4", f"{time},5,6"])
+        with pytest.raises(ParseError, match=f"line 3: time period '{time}' is not finite"):
+            read_panel_csv(path, t0=1, treated="a")
+
     def test_unknown_treated_unit(self, tmp_path):
         path = tmp_path / "panel.csv"
         write_lines(path, ["time,a,b", "1,1,2", "2,3,4"])
@@ -111,6 +120,13 @@ class TestReadLong:
         path = tmp_path / "dup.csv"
         write_lines(path, ["unit,time,outcome", "a,1,1.0", "a,1,2.0", "b,1,0.0"])
         with pytest.raises(ParseError, match="line 3.*duplicate"):
+            read_panel_csv(path, layout="long", t0=1, treated="a")
+
+    def test_non_finite_time_rejected(self, tmp_path):
+        # A balanced panel with nan times was reported as "panel is unbalanced".
+        path = tmp_path / "nan.csv"
+        write_lines(path, ["unit,time,outcome", "a,1,1.0", "b,1,0.0", "a,nan,2.0", "b,nan,3.0"])
+        with pytest.raises(ParseError, match="line 4: time period 'nan' is not finite"):
             read_panel_csv(path, layout="long", t0=1, treated="a")
 
     def test_unbalanced_panel_rejected(self, tmp_path):
@@ -456,8 +472,9 @@ class TestBadValues:
         ["test", "--estimator", "elastic-net:lam=inf,alpha=0.5"],
         ["ci", "--grid", "nan:1:5"],
         ["ci", "--estimator", "did", "--grid", "nan:1:5"],
+        ["test", "--permutations", "iid-sampled", "--seed", "-1"],
     ], ids=["iid_too_long", "q_below_one", "q_nan", "q_inf", "no_samples", "alpha_above_one", "empty_grid",
-            "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did"])
+            "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did", "negative_seed"])
     def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
         rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",
                    "--out", str(tmp_path / "out")])
@@ -574,6 +591,23 @@ class TestSeedEnvVar:
               "--estimator", "did", "--out", str(out)])
         doc = json.loads((out / "result.json").read_text())
         assert doc["config"]["seed"] == 99
+
+    def test_env_seed_not_an_integer(self, fixture_csv, tmp_path, monkeypatch, capsys):
+        # int() of the variable raised out of main() as a traceback.
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        rc = main(["test", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                   "--estimator", "did", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("synthconf: error:") and SEED_ENV_VAR in err
+
+    def test_seed_flag_overrides_a_bad_env_seed(self, fixture_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        out = tmp_path / "out"
+        rc = main(["test", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                   "--estimator", "did", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "result.json").read_text())["config"]["seed"] == 5
 
 
 class TestEmpiricalShapeSmoke:

@@ -2,6 +2,7 @@
 penalized least squares, principal components, alternating least squares,
 and OLS."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -501,7 +502,7 @@ class TestBorderedJoin:
         cfg = SolverConfig(max_iters=max_iters)
         _, w, report = penalized_ls(X, y, penalty, cfg, weights, start)
 
-        def reference(gram, lin, pad, support, w_s, scale, cfg):
+        def reference(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
             return _oracles.signed_active_set_reference(gram, lin, support, w_s, scale, cfg)
 
         with mock.patch.object(solvers, "_active_set", reference):
@@ -509,6 +510,69 @@ class TestBorderedJoin:
         np.testing.assert_array_equal(w != 0.0, w_ref != 0.0)
         assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
         assert np.abs(w - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
+
+
+class TestKktSolve:
+    """Invariants the active-set steps rest on: ``_solve`` is numpy's solve bit for
+    bit, a singular system falls back to least squares without a warning, and
+    every Gram matrix is exactly symmetric (a step gathers rows for columns)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), log_cond=st.floats(0.0, 15.0),
+           symmetric=st.booleans())
+    def test_solve_is_numpy_solve_bit_for_bit(self, seed, n, log_cond, symmetric):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v = u if symmetric else np.linalg.qr(rng.standard_normal((n, n)))[0]
+        system = (u * np.logspace(0, -log_cond, n)) @ v.T  # condition number up to 1e15
+        rhs = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3)
+        expected = np.linalg.solve(system, rhs)
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("the wrapper ran")):
+            with np.errstate(invalid="ignore"):  # as _solve_columns holds it
+                x = solvers._solve(system, rhs)
+        assert x.dtype == expected.dtype and x.tobytes() == expected.tobytes()
+
+    def test_singular_system_takes_least_squares_quietly(self):
+        # Two equal columns with the sum-to-one border: exactly singular.
+        system = np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
+        rhs = np.array([1.0, 3.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(system, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                x = solvers._solve(system, rhs)
+        np.testing.assert_array_equal(x, np.linalg.lstsq(system, rhs, rcond=None)[0])
+
+    def test_singular_step_of_a_fit_raises_no_warning(self):
+        # A warm start on two equal columns makes the first KKT system exactly
+        # singular (integer data, so every Gram entry is exact).
+        X = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]])
+        y = np.array([1.0, 2.0, 2.0, 1.0])
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w, report = simplex_ls(X, y, 3, start=np.array([0.5, 0.5, 0.0]))
+        assert lstsq.called
+        assert report.converged and w.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("covariates", [False, True], ids=["plain", "covariates"])
+    @pytest.mark.parametrize("spec", [
+        EstimatorSpec.sc(), EstimatorSpec.classo(1.0), EstimatorSpec.lasso(0.1), EstimatorSpec.elastic_net(0.5, 0.5),
+    ], ids=lambda spec: spec.label)
+    def test_every_gram_is_exactly_symmetric(self, monkeypatch, spec, covariates):
+        grams = []
+        columns = solvers._solve_columns
+        monkeypatch.setattr(solvers, "_solve_columns", lambda gram, *rest: grams.append(gram) or columns(gram, *rest))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n_periods, n_controls = int(rng.integers(4, 30)), int(rng.integers(2, 40))
+            outcomes = rng.standard_normal((n_periods, 1 + n_controls)) * 10 ** rng.uniform(-3, 3)
+            cov = rng.standard_normal((n_periods, 1 + n_controls, 2)) if covariates else None
+            fit(PanelData(outcomes, t0=n_periods - 1, covariates=cov), spec)
+        assert len(grams) == 20
+        for gram in grams:
+            assert np.array_equal(gram, gram.T)
 
 
 class TestSolverConfig:
