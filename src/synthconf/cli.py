@@ -13,7 +13,7 @@ import argparse
 import csv
 import functools
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _fields(instance) -> dict:
+    """The fields of a dataclass of scalars and tuples, as ``asdict`` gives them
+    without its deep copy."""
+    return {f.name: getattr(instance, f.name) for f in fields(instance)}
+
+
 def _diagnostics_payload(diagnostics):
     if diagnostics is None:
         return None
@@ -111,13 +117,13 @@ def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_uni
         "n_permutations": result.n_permutations,
         "estimator": result.estimator_id,
         "estimator_diagnostics": _diagnostics_payload(result.diagnostics),
-        "scheme": asdict(result.scheme),
+        "scheme": _fields(result.scheme),
         "statistic_kind": statistic.label,
         "alpha": cfg.alpha,
         "reject": result.p_value <= cfg.alpha,
         "window": list(result.window),
         "treated_units": treated_units,
-        "config": asdict(cfg),
+        "config": _fields(cfg),
     }
     write_json_result(out / "result.json", payload)
     _write_residuals_csv(out / "residuals.csv", result.window[0], result.residuals)
@@ -171,7 +177,7 @@ def cmd_ci(cfg: RunConfig) -> int:
             for entry in band.entries
         ],
         "treated_units": names[: panel.n_treated],
-        "config": asdict(cfg),
+        "config": _fields(cfg),
     }
     write_json_result(out / "result.json", payload)
     for entry in band.entries:
@@ -229,7 +235,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         writer.writeheader()
         writer.writerow(row)
     write_json_result(out / "result.json", {"command": "simulate", **row,
-                                            "config": asdict(cfg)})
+                                            "config": _fields(cfg)})
     print(f"rejection rate: {result.rejection_rate:.4f} ({cfg.reps} reps)")
     return 0
 

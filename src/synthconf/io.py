@@ -139,7 +139,10 @@ def _read_wide(path, t0: int, treated_names: list[str]):
         if time in seen_times:
             raise ParseError(f"line {lineno}: duplicate time period {row[0]!r}")
         seen_times.add(time)
-        values = [_parse_float(cell, lineno, units[j]) for j, cell in enumerate(row[1:])]
+        try:
+            values = list(map(float, row[1:]))
+        except ValueError:  # name the first bad cell
+            values = [_parse_float(cell, lineno, units[j]) for j, cell in enumerate(row[1:])]
         records.append((time, values))
     records.sort(key=lambda item: item[0])
     outcomes = np.array([values for _, values in records])
@@ -147,8 +150,9 @@ def _read_wide(path, t0: int, treated_names: list[str]):
     missing = [name for name in treated_names if name not in units]
     if missing:
         raise ParseError(f"treated unit(s) {missing} not found among columns {units}")
-    order = treated_names + [name for name in units if name not in treated_names]
-    col = [units.index(name) for name in order]
+    rest = [j for j, name in enumerate(units) if name not in treated_names]
+    order = treated_names + [units[j] for j in rest]
+    col = [units.index(name) for name in treated_names] + rest
     panel = PanelData(outcomes[:, col], t0=t0, n_treated=len(treated_names))
     return panel, order
 
@@ -214,13 +218,16 @@ def write_panel_csv(panel: PanelData, path, unit_names=None) -> None:
 
 
 def write_json_result(path, payload: dict) -> None:
-    """Serialize a result document; key order is fixed so reruns are comparable."""
+    """Serialize a result document; key order is fixed so reruns are comparable.
+
+    The document is encoded in one ``json.dumps`` call and written at once.
+    """
     document = {"schema_version": SCHEMA_VERSION,
                 "timestamp": datetime.now(timezone.utc).isoformat()}
     document.update(payload)
+    text = json.dumps(document, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def default_seed() -> int:

@@ -24,6 +24,8 @@ each replication's panel, bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Sequence
@@ -63,6 +65,9 @@ class DgpSpec:
     weights (DGP3, feasible only for the l1-constrained model), and a
     +1/-1 contrast (DGP4, outside every fitted model class).
     ``alpha_true`` is the effect added to the single post-treatment period.
+    ``t0``, ``n_controls`` and ``seed`` must be integers (numpy integers
+    too, but not bools), ``seed`` at least 0, and ``alpha_true`` finite;
+    any other value raises ``ValueError``.
     """
 
     t0: int
@@ -75,8 +80,17 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # A bool is an int to Python, and a float count or seed fails inside numpy.
+        for name in ("t0", "n_controls", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
         if self.t0 < 2:
             raise ValueError(f"t0 must be >= 2; got {self.t0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
+        if not math.isfinite(self.alpha_true):
+            raise ValueError(f"alpha_true must be finite; got {self.alpha_true}")
         for name, rho in (("rho_u", self.rho_u), ("rho_eps", self.rho_eps)):
             if not 0.0 <= rho < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1); got {rho}")

@@ -39,7 +39,10 @@ __all__ = [
 #: Condition-number ceiling above which normal equations are refused.
 MAX_CONDITION = 1e12
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+# The entries a join appends: the joining weight, and its term of a direction.
+_ZERO = np.zeros(1)
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,10 @@ def _step_to_first_zero(x, d, limit):
     has changed sign: ``k`` is the entry set to zero, or None if none is."""
     toward = (x * d < 0.0).nonzero()[0]
     ratios = -x[toward] / d[toward]
-    if ratios.size and ratios.min() < limit:
-        k = int(toward[ratios.argmin()])
-        moved = x + ratios.min() * d
+    first = ratios.argmin() if ratios.size else None
+    if first is not None and ratios[first] < limit:
+        k = int(toward[first])
+        moved = x + ratios[first] * d
         moved[k] = 0.0
     elif np.isfinite(limit):
         k = None
@@ -298,7 +302,11 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
     (Lawson and Hanson, ch. 24): the KKT solution on the grown support is
     ``(w_S, 0) + (r_j / s) d``, so that step reuses the test's solve.
     ``G`` must be exactly symmetric, as ``X'X`` is: ``r`` takes the rows
-    ``G[S]`` for the columns ``G[:, S]``.
+    ``G[S]`` for the columns ``G[:, S]``, and a join the row ``G[j, S]``
+    for the column ``g_Sj``.  A join gathers ``G_SS`` with ``take`` (two
+    one-axis gathers), its vectors by index, and keeps its scalars
+    (``g_jj``, ``s``, ``r_j / s``) in Python floats, which round as numpy's
+    scalars do, so it costs its arithmetic and little more.
 
     Returns ``(support, w_s, steps, converged, kkt)``.  ``steps`` counts KKT
     steps, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
@@ -325,7 +333,7 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
                 index[n] = lin.size
                 ext = index[:n + border]
                 z = _solve(system.take(ext, 0).take(ext, 1), rhs[ext])[:n]
-            solved = bool(not n or z.min() > 0.0)
+            solved = not n or bool(np.minimum.reduce(z) > 0.0)
             if solved:
                 w_s = z
             else:
@@ -339,10 +347,16 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
                 support, w_s = index[:n], w_s[keep]
             z = None
         r = lin - gram.take(support, 0).T @ w_s
-        gap = float(r.max(initial=-np.inf) - w_s @ r[support])
+        if r.size:
+            # The first of ties, or the first NaN.  r[joining] is r.max() unless a
+            # -0.0 ties a 0.0, and sums started at +0, as r's terms are, give no -0.0.
+            joining = int(r.argmax())
+            r_j = float(r[joining])
+            gap = float(r_j - w_s @ r[support])
+        else:
+            gap = -np.inf
         if gap <= limit or steps >= cfg.max_iters:
             break
-        joining = int(r.argmax())
         if member is None:
             member = np.zeros(lin.size, dtype=bool)
             member[support] = True
@@ -350,14 +364,16 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
             break  # the gap is rounding on the support itself
         index[n] = joining
         member[joining] = True
-        support, w_s = index[:n + 1], np.append(w_s, 0.0)
+        support, w_s = index[:n + 1], np.concatenate((w_s, _ZERO))
         if not pad and n:
-            g_sj = gram[support[:n], joining]
-            a = _solve(gram[support[:n, None], support[:n]], g_sj)
-            d = np.append(-a, 1.0)
-            schur = gram[joining, joining] - g_sj @ a
-            if not _negligible(schur, n, gram[joining, joining]):
-                z = w_s + r[joining] / schur * d
+            on = support[:n]
+            g_sj = gram[joining][on]  # the row: G is symmetric
+            a = _solve(gram.take(on, 0).take(on, 1), g_sj)
+            d = np.concatenate((-a, _ONE))
+            g_jj = float(gram[joining, joining])
+            schur = g_jj - float(g_sj @ a)
+            if not _negligible(schur, n, g_jj):
+                z = w_s + r_j / schur * d
             else:
                 w_s, k = _step_to_first_zero(w_s, d, np.inf)
                 if k is None:
@@ -408,6 +424,17 @@ def _solve_columns(gram, lin, pad, scale, cfg, warm):
             V[support, g] = w_s
             v = V[:, g]
     return V, steps, converged, kkt
+
+
+def _signed_gram(a):
+    """``[[a, -a], [-a, a]]``, the Gram matrix of the signed split ``(w+, w-)``,
+    written block by block (negation is exact)."""
+    k = a.shape[0]
+    gram = np.empty((2 * k, 2 * k))
+    gram[:k, :k] = gram[k:, k:] = a
+    np.negative(a, out=gram[:k, k:])
+    np.negative(a, out=gram[k:, :k])
+    return gram
 
 
 def _warm(start, n):
@@ -590,7 +617,7 @@ def _penalized_block(X, ys, penalty, cfg, weights, start):
         return support, v0[support]
 
     V, steps, converged, kkt = _solve_columns(
-        np.block([[a, -a], [-a, a]]), np.concatenate([c - half, -c - half]), 0.0, scale, cfg, warm)
+        _signed_gram(a), np.concatenate([c - half, -c - half]), 0.0, scale, cfg, warm)
     W = np.zeros((len(ys), p))  # one row per response, each laid out as a lone solve's
     W[:, split] = (V[:split.size] - V[split.size:]).T
     intercepts = np.empty(len(ys))

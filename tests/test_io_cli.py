@@ -1,17 +1,21 @@
 """Tests for CSV ingestion, config round-trips, and the command-line surface."""
 
 import csv
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthconf as sc
-from synthconf import DgpSpec, PanelData, ParseError, RunConfig, read_panel_csv, write_panel_csv
-from synthconf import estimators, inference
+from synthconf import DgpSpec, DimensionError, PanelData, ParseError, RunConfig, read_panel_csv, write_panel_csv
+from synthconf import cli, estimators, inference
 from synthconf.cli import main, parse_estimator
-from synthconf.io import SEED_ENV_VAR
+from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR
 
 
 def write_lines(path, lines):
@@ -99,6 +103,57 @@ class TestReadWide:
             write_lines(path, ["unit,time,outcome", *(f"{u},{t},{t}" for u in "abcd" for t in (1, 2, 3))])
         with pytest.raises(ParseError, match="'a' is named more than once"):
             read_panel_csv(path, layout=layout, t0=2, treated=["a", "a"])
+
+
+def _cells():
+    """Value cells that ``float`` accepts: exponents, underscores, signed zeros
+    and surrounding whitespace."""
+    numbers = st.one_of(
+        st.floats(-1e300, 1e300).flatmap(
+            lambda x: st.sampled_from([repr(x), f"{x:e}", f"{x:.3E}", f"{x:+.17g}"])),
+        st.integers(0, 10**9).map(lambda n: format(n, "_d")),
+        st.sampled_from(["-0.0", "0", "+0", "-0", ".5", "5.", "1e3", "-2E-3", "1_0.2_5e1_0"]),
+    )
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    return st.tuples(space, numbers, space).map("".join)
+
+
+class TestReadWideCells:
+    """The wide reader parses a row with one ``float`` call per cell, as the
+    per-cell loop did; a bad row is parsed cell by cell to name the bad cell."""
+
+    @staticmethod
+    def _write(path, rows):
+        write_lines(path, ["time,a,b,c", *(f"{t},{','.join(row)}" for t, row in enumerate(rows, 1))])
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(_cells(), min_size=3, max_size=3), min_size=2, max_size=6))
+    def test_equals_per_cell_float(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("cells") / "panel.csv"
+        self._write(path, rows)
+        panel = read_panel_csv(path, t0=1, treated="a")
+        expected = np.array([[float(cell) for cell in row] for row in rows])
+        assert panel.outcomes.tobytes() == expected.tobytes()  # signed zeros included
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(_cells(), min_size=3, max_size=3), min_size=2, max_size=5),
+           where=st.tuples(st.integers(0, 4), st.integers(0, 2)),
+           bad=st.sampled_from(["oops", "1..2", "", " ", "1 2", "0x10", "1__0", "e5", "--1"]))
+    def test_bad_cell_named(self, tmp_path_factory, rows, where, bad):
+        row, col = where[0] % len(rows), where[1]
+        rows[row][col] = bad
+        path = tmp_path_factory.mktemp("cells") / "panel.csv"
+        self._write(path, rows)
+        message = f"line {row + 2}: non-numeric value {bad!r} in column {'abc'[col]!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_panel_csv(path, t0=1, treated="a")
+
+    @pytest.mark.parametrize("cell", ["nan", " NaN", "inf", "-Infinity "])
+    def test_non_finite_value_refused(self, tmp_path, cell):
+        path = tmp_path / "panel.csv"
+        self._write(path, [["1", "2", "3"], ["4", cell, "6"]])
+        with pytest.raises(DimensionError, match="non-finite"):
+            read_panel_csv(path, t0=1, treated="a")
 
 
 class TestReadLong:
@@ -510,6 +565,54 @@ class TestBadValues:
         assert rc == 1
         assert capsys.readouterr().err.startswith("synthconf: error:")
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed must be >= 0; got -1"),
+        (["--alpha-true", "nan"], "alpha_true must be finite; got nan"),
+        (["--alpha-true", "inf"], "alpha_true must be finite; got inf"),
+        (["--alpha-true=-inf"], "alpha_true must be finite; got -inf"),
+    ], ids=["negative_seed", "nan_effect", "inf_effect", "minus_inf_effect"])
+    def test_simulate_design_value(self, tmp_path, capsys, flags, message):
+        # A negative seed failed inside numpy with a message that did not name
+        # it, and a NaN effect exited 0 and wrote a result.json that is not JSON.
+        out = tmp_path / "out"
+        rc = main(["simulate", "--estimator", "did", "--sim-t0", "5", "--controls", "3",
+                   "--reps", "5", *flags, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"synthconf: error: invalid simulation design: {message}\n"
+        assert not (out / "result.json").exists()
+
+
+class TestResultDocument:
+    """``result.json`` holds the bytes that ``asdict`` and ``json.dump`` gave,
+    apart from its timestamp."""
+
+    @staticmethod
+    def _dump(path, payload):
+        document = {"schema_version": SCHEMA_VERSION, "timestamp": ""}
+        document.update(payload)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--estimator", "elastic-net:lam=0.5,alpha=0.5", "--alpha0", "0.5"],
+        ["placebo", "--tau", "2", "--permutations", "iid-sampled", "--n-perm", "50", "--seed", "4"],
+        ["ci", "--grid=-1:1:5", "--estimator", "lasso:lam=0.1"],
+        ["simulate", "--sim-t0", "6", "--controls", "3", "--reps", "4", "--alpha-true", "0.25"],
+    ], ids=["test", "placebo", "ci", "simulate"])
+    def test_bytes_equal_the_asdict_form(self, fixture_csv, tmp_path, monkeypatch, argv):
+        if argv[0] != "simulate":
+            argv = [*argv, "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode"]
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        new = (tmp_path / "out" / "result.json").read_bytes()
+        monkeypatch.setattr(cli, "_fields", dataclasses.asdict)
+        monkeypatch.setattr(cli, "write_json_result", self._dump)
+        assert main(argv) == 0
+        old = (tmp_path / "out" / "result.json").read_bytes()
+        strip = lambda raw: re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', raw)
+        assert b'"config": {' in new and strip(new) == strip(old)
 
 
 class TestIidWithLags:

@@ -42,6 +42,23 @@ class TestDgpWeights:
         with pytest.raises(ValueError):
             DgpSpec(t0=10, n_controls=5, factor_trend="quadratic")
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", 3.0), ("seed", True), ("seed", -1),
+        ("t0", 2.5), ("t0", 10.0), ("t0", True), ("n_controls", 3.0), ("n_controls", True),
+        ("alpha_true", np.nan), ("alpha_true", np.inf), ("alpha_true", -np.inf),
+    ])
+    def test_bad_value_refused(self, field, value):
+        # A seed of 1.5 constructed and failed at the first replication with
+        # a TypeError, True ran as seed 1, and a t0 of 2.5 failed in numpy; a
+        # NaN effect rejected in every replication and was written as NaN.
+        with pytest.raises(ValueError, match=field):
+            DgpSpec(**{"t0": 10, "n_controls": 5, field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = DgpSpec(t0=np.int64(10), n_controls=np.int32(5), seed=np.uint64(3))
+        np.testing.assert_array_equal(simulate_panel(spec).outcomes,
+                                      simulate_panel(DgpSpec(10, 5, seed=3)).outcomes)
+
 
 def _shocks(spec, n_reps):
     """The treated unit's shocks ``treated - controls @ weights`` in ``n_reps``

@@ -574,6 +574,23 @@ class TestKktSolve:
         for gram in grams:
             assert np.array_equal(gram, gram.T)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 25), st.integers(0, 2**32 - 1))
+    def test_signed_gram_is_the_block_matrix(self, k, seed):
+        # The signed split's Gram matrix is written block by block; negation
+        # is exact, so it is np.block's matrix bit for bit, signed zeros included.
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3, 3, (k, k))
+        b[rng.random((k, k)) < 0.2] = 0.0
+        b[rng.random((k, k)) < 0.1] = -0.0
+        a = b + b.T  # exactly symmetric, as every Gram matrix here is
+        for matrix, symmetric in ((b, False), (a, True)):
+            signed = solvers._signed_gram(matrix)
+            expected = np.block([[matrix, -matrix], [-matrix, matrix]])
+            assert signed.shape == expected.shape and signed.tobytes() == expected.tobytes()
+            if symmetric:
+                assert signed.tobytes() == np.ascontiguousarray(signed.T).tobytes()
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize("field, value", [
