@@ -40,6 +40,10 @@ __all__ = [
 MAX_CONDITION = 1e12
 
 _EPS = float(np.finfo(float).eps)
+# A step to the first zero sets to zero each weight it leaves within this
+# share of where it started: the rounding of a KKT solve, well below any
+# real gap between two weights' distances to zero.
+_TIE = math.sqrt(_EPS)
 # The entries a join appends: the joining weight, and its term of a direction.
 _ZERO = np.zeros(1)
 _ONE = np.ones(1)
@@ -204,7 +208,11 @@ def _centre(X, ys):
 
 def _step_to_first_zero(x, d, limit):
     """``(x + t d, k)`` for the largest ``t <= limit`` at which no entry of ``x``
-    has changed sign: ``k`` is the entry set to zero, or None if none is."""
+    has changed sign: ``k`` is the entry set to zero, or None if none is.
+    An entry that the step leaves within ``_TIE`` of its start reaches zero
+    with ``k``, as tied entries (equal columns) do in exact arithmetic, and
+    is set to zero too: else which of them drops first, and whether they drop
+    in one step or two, is up to the rounding of the solve."""
     toward = (x * d < 0.0).nonzero()[0]
     ratios = -x[toward] / d[toward]
     first = ratios.argmin() if ratios.size else None
@@ -212,6 +220,7 @@ def _step_to_first_zero(x, d, limit):
         k = int(toward[first])
         moved = x + ratios[first] * d
         moved[k] = 0.0
+        moved[np.abs(moved) <= _TIE * x] = 0.0
     elif np.isfinite(limit):
         k = None
         moved = x + limit * d
@@ -287,7 +296,8 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
     start takes the same steps whether or not warm starts exist.
     Each step takes the solution of the KKT system on the support.  If a
     weight of it is not positive, the iterate moves toward it until the
-    first weight reaches zero and drops that one; else it takes the
+    first weight reaches zero and drops that one (with any weight tied to
+    it up to rounding, see :func:`_step_to_first_zero`); else it takes the
     solution and the largest violation of ``r = lin - G v`` joins (the
     first of ties).  A joining column is never an affine combination of
     the support, so with the sum-to-one row the system stays nonsingular,

@@ -315,6 +315,7 @@ def signed_active_set_reference(gram, lin, support, w_s, scale, cfg):
             k = int(toward[ratios.argmin()])
             moved = x + ratios.min() * d
             moved[k] = 0.0
+            moved[np.abs(moved) <= np.sqrt(eps) * x] = 0.0
         elif np.isfinite(limit):
             k = None
             moved = x + limit * d

@@ -485,6 +485,12 @@ class TestBorderedJoin:
         max_iters=st.sampled_from([10_000, 3]),
         warm=st.booleans(),
     )
+    # Two equal columns leave one step with two weights that reach zero
+    # together; rounding alone used to decide whether both dropped at once.
+    @example(seed=131, n_rows=3, n_cols=3, n_free=0, lam=0.03125, alpha=0.03125, duplicate=True,
+             max_iters=10_000, warm=True)
+    @example(seed=131, n_rows=3, n_cols=3, n_free=0, lam=0.03125, alpha=0.5, duplicate=True,
+             max_iters=3, warm=True)
     def test_bordered_joins_follow_the_loop_that_solves_afresh(self, seed, n_rows, n_cols, n_free, lam, alpha,
                                                                duplicate, max_iters, warm):
         # The bordered KKT solution differs from a fresh solve by rounding
