@@ -327,10 +327,17 @@ def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray, treated: np.ndar
     def peak(x, axis):  # max|x| without an x-sized copy: a Monte Carlo chunk is 1 MiB
         return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
 
+    def panel_peak(x):
+        if x.ndim == 2:
+            return peak(x, (-2, -1))
+        # A stack of panels is reduced periods first: a Monte Carlo chunk is
+        # time-major, so each period row of all its panels is contiguous.
+        return np.maximum(peak(np.maximum.reduce(x, axis=-2), -1), peak(np.minimum.reduce(x, axis=-2), -1))
+
     if treated is None:
-        level = peak(outcomes, (-2, -1))
+        level = panel_peak(outcomes)
     else:
-        level = np.maximum(peak(treated, -1), peak(outcomes[..., 1:], (-2, -1)))
+        level = np.maximum(peak(treated, -1), panel_peak(outcomes[..., 1:]))
     n = outcomes.shape[-2] * outcomes.shape[-1]
     residuals[_negligible(np.abs(residuals), n, level[..., None])] = 0.0
     return residuals
@@ -344,14 +351,17 @@ def _closed_form(objective: float, note: str = "") -> SolveReport:
 def _did(outcomes: np.ndarray):
     """Difference-in-differences fits of panels along leading axes.
 
-    ``outcomes`` is (..., T, 1 + J), the treated unit first.  Returns the
-    level shifts (...), proxies (..., T) and residuals (..., T), the
-    residuals as :func:`_panel_fit` gives them.  Each panel's arithmetic is
-    that of a panel alone, so a batch fits bit for bit as its panels do.
+    ``outcomes`` is (..., T, 1 + J), one panel or a stack of them, the
+    treated unit first.  Returns the level shifts (...), proxies (..., T)
+    and residuals (..., T), the residuals as :func:`_panel_fit` gives them.
+    Each panel's arithmetic is that of a panel alone, so a batch fits bit
+    for bit as its panels do; ``outcomes`` may be a strided view, such as a
+    time-major Monte Carlo chunk, since the level shift is summed over a
+    C-ordered copy of the differences.
     """
     treated = outcomes[..., 0]
     control_mean = outcomes[..., 1:].mean(axis=-1)
-    mu = (treated - control_mean).mean(axis=-1)
+    mu = np.subtract(treated, control_mean, order="C").mean(axis=-1)  # a strided mean is not summed pairwise
     proxy = mu[..., None] + control_mean
     return mu, proxy, _zero_rounding(treated - proxy, outcomes)
 
@@ -363,7 +373,7 @@ def _did_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     differences, so the residuals sum to zero exactly.
     """
     _require_controls(panel, "difference-in-differences")
-    (mu,), (proxy,), (residuals,) = _did(panel.outcomes[None])
+    mu, proxy, residuals = _did(panel.outcomes)
     return ProxyFit(proxy=proxy, residuals=residuals, start=1, permutation_invariant=True,
                     params={"mu": float(mu)})
 

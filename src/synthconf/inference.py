@@ -135,25 +135,29 @@ class PermutationScheme:
         for chunk in self._iter_chunks(n):
             yield from chunk
 
-    def _iter_chunks(self, n: int) -> Iterable[np.ndarray]:
-        """Yield (m, n) matrices of permutation rows, identity in the first row."""
+    def _iter_chunks(self, n: int, cols: slice | np.ndarray = slice(None)) -> Iterable[np.ndarray]:
+        """Yield (m, n) matrices of permutation rows, identity in the first row.
+
+        With ``cols``, only those columns of each matrix are yielded; a
+        moving block then builds no more than those columns.
+        """
         base = np.arange(n)
         if self.kind == "moving_block":
-            yield (base[None, :] + base[:, None]) % n
+            yield (base[:, None] + base[cols]) % n
         elif self.kind == "iid_all":
             source = itertools.permutations(range(n))
             while True:
                 block = list(itertools.islice(source, _CHUNK))
                 if not block:
                     return
-                yield np.asarray(block, dtype=np.intp)
+                yield np.asarray(block, dtype=np.intp)[:, cols]
         else:
             rng = np.random.default_rng(self.seed)
             remaining = self.n_samples - 1
-            yield base[None, :]
+            yield base[None, cols]
             while remaining > 0:
                 m = min(remaining, _CHUNK)
-                yield rng.permuted(np.tile(base, (m, 1)), axis=1)
+                yield rng.permuted(np.tile(base, (m, 1)), axis=1)[:, cols]
                 remaining -= m
 
 
@@ -291,11 +295,11 @@ def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, post_window):
     """
     n = rows.shape[1]
     stats = np.empty((rows.shape[0], scheme.size(n)))  # size() also refuses a too-long iid_all window
-    post_idx = np.arange(n)[post_window]
+    builtin = isinstance(statistic, Statistic)  # it reads the post-window columns only
     offset = 0
-    for chunk in scheme._iter_chunks(n):
-        if isinstance(statistic, Statistic):
-            values = statistic(rows.take(chunk[:, post_idx], axis=1), slice(None))
+    for chunk in scheme._iter_chunks(n, np.arange(n)[post_window] if builtin else slice(None)):
+        if builtin:
+            values = statistic(rows.take(chunk, axis=1), slice(None))
         else:
             values = [[statistic(row[pi], post_window) for pi in chunk] for row in rows]
         stats[:, offset: offset + chunk.shape[0]] = values

@@ -53,6 +53,22 @@ def _parse_time(cell: str, lineno: int, column: str) -> float:
     return time
 
 
+def _refuse_non_finite(rows, first: int, columns: list[str], *values: np.ndarray | None) -> None:
+    """Raise ``ParseError`` naming the first non-finite value cell (``nan``,
+    ``inf``, or an overflow such as ``1e999``), if ``values`` hold one.
+
+    ``values`` are the arrays of parsed value cells (``None`` for none);
+    the value cells of each row start at field ``first``, under
+    ``columns``.  The rows are read again only when a value is not finite.
+    """
+    if all(v is None or np.isfinite(v).all() for v in values):
+        return
+    for lineno, row in rows[1:]:
+        for column, cell in zip(columns, row[first:]):
+            if not math.isfinite(float(cell)):
+                raise ParseError(f"line {lineno}: non-finite value {cell!r} in column {column!r}")
+
+
 def _as_treated_list(treated) -> list[str]:
     if treated is None:
         raise ParseError("treated unit name(s) must be supplied")
@@ -90,9 +106,10 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
     ------
     ParseError
         On a file that cannot be read (the message names it), ragged rows,
-        non-numeric cells, a time period that is not finite (``nan``,
-        ``inf``), duplicate or missing observations, or unknown or repeated
-        treated units; messages carry the offending line number.
+        non-numeric cells, a time period or value that is not finite
+        (``nan``, ``inf``, or an overflow such as ``1e999``), duplicate or
+        missing observations, or unknown or repeated treated units;
+        messages carry the offending line number.
     """
     if layout not in ("wide", "long"):
         raise ParseError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
@@ -146,6 +163,7 @@ def _read_wide(path, t0: int, treated_names: list[str]):
         records.append((time, values))
     records.sort(key=lambda item: item[0])
     outcomes = np.array([values for _, values in records])
+    _refuse_non_finite(rows, 1, units, outcomes)
 
     missing = [name for name in treated_names if name not in units]
     if missing:
@@ -197,6 +215,7 @@ def _read_long(path, t0: int, treated_names: list[str]):
             outcomes[i, j] = outcome
             if covariates is not None:
                 covariates[i, j] = covs
+    _refuse_non_finite(rows, 2, [header[2], *cov_names], outcomes, covariates)
     panel = PanelData(outcomes, t0=t0, n_treated=len(treated_names), covariates=covariates)
     return panel, order
 

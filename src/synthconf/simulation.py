@@ -9,17 +9,21 @@ independent seeds from a spawned seed sequence, so results are identical
 whether replications run serially or are distributed by index.
 
 Replications run in chunks whose outcome block fits a fixed memory budget
-(``_CHUNK_DOUBLES``, 1 MiB).  Each replication makes its draws from its
-own generator in a fixed order; the chunk then runs the AR(1) recurrences
-(only of the processes whose rho is not 0), the ``did`` fit and the
-permutation ranking for all its panels at once, with the elementwise
-arithmetic of one panel alone.  ``sc``, ``classo``, lasso and elastic net
-take each panel's residual row from the estimator's array core, without
-building a panel, a fit or a solver report per replication; other
-estimators are fitted panel by panel.  So results do not depend on the
-chunking: :func:`simulate_panel` is a chunk of one, and an experiment's
-p-values equal those of :func:`~synthconf.inference.test_sharp_null` on
-each replication's panel, bit for bit.
+(``_CHUNK_DOUBLES``, 1 MiB), allocated once per experiment.  The block is
+time-major, (T, B, 1 + J): one period of all B panels is one contiguous
+row.  Each replication makes its draws from its own generator in a fixed
+order, and its noise innovations are scaled as they are stored; the chunk
+then runs the AR(1) recurrences one period row at a time (only of the
+processes whose rho is not 0), the ``did`` fit and the permutation ranking
+for all its panels at once, with the elementwise arithmetic of one panel
+alone.  ``sc``, ``classo``, lasso and elastic net take each panel's
+residual row from the estimator's array core, without building a panel, a
+fit or a solver report per replication; other estimators are fitted panel
+by panel.  Both get a contiguous copy of the panel.  So results do not
+depend on the chunking or the layout: :func:`simulate_panel` is a chunk
+of one, and an experiment's p-values equal those of
+:func:`~synthconf.inference.test_sharp_null` on each replication's panel,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -143,13 +147,13 @@ def dgp_weights(kind: str, n_controls: int) -> np.ndarray:
 
 
 def _recur(path: np.ndarray, state: np.ndarray, rho: float | np.ndarray) -> np.ndarray:
-    """AR(1) recurrence along axis 1, in place: ``x_t = rho * x_(t-1) + e_t``.
+    """AR(1) recurrence along axis 0, in place: ``x_t = rho * x_(t-1) + e_t``.
 
-    ``path`` (B, T, ...) holds the innovations ``e_t`` and ``state`` (B, ...)
-    the values before the first period; ``rho`` is a scalar or broadcasts
+    ``path`` (T, ...) holds the innovations ``e_t`` and ``state`` (...) the
+    values before the first period; ``rho`` is a scalar or broadcasts
     against ``state``.
     """
-    for row in np.moveaxis(path, 1, 0):
+    for row in path:
         row += rho * state
         state = row
     return path
@@ -157,48 +161,57 @@ def _recur(path: np.ndarray, state: np.ndarray, rho: float | np.ndarray) -> np.n
 
 def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndarray,
               scratch: np.ndarray, iid_controls: bool = False) -> np.ndarray:
-    """Fill ``block`` (B, T, 1 + J) with one panel per generator, the treated unit first.
+    """Fill ``block`` (T, B, 1 + J) with one panel per generator, the treated unit first.
 
-    Each replication draws from its own generator, in this order: the
-    factors, the time effect, the noise innovations and starts, then the
-    shock innovations and start.  ``iid_controls`` draws standard normal
-    controls instead of the first four (the design of
-    :func:`reproduce_figure_null_vs_pre`).  The AR(1) paths, control sums
-    and weighted treated outcomes are then computed in the outcome block
-    itself.  ``scratch`` (2, T, J, C-contiguous, see :func:`_scratch`) takes
-    one panel's control draws and factor terms, so a panel allocates no
-    (T, J) array.  ``spec.alpha_true`` is left for the caller to add.
+    The block is time-major: period ``t`` of all B panels is one contiguous
+    row, so each step of the AR(1) recurrences runs over one row, and panel
+    ``b`` is the strided view ``block[:, b]``.  Each replication draws from
+    its own generator, in this order: the factors, the time effect, the
+    noise innovations and starts, then the shock innovations and start.
+    ``iid_controls`` draws standard normal controls instead of the first
+    four (the design of :func:`reproduce_figure_null_vs_pre`).  The noise
+    innovations are scaled by ``sqrt(1 - rho^2)`` as they are stored, the
+    shock's in one pass over column 0; the AR(1) paths, control sums and
+    weighted treated outcomes are then computed in the outcome block
+    itself.  ``scratch`` (2, T, J, C-contiguous, see
+    :func:`_scratch`) takes one panel's control draws and factor terms, so a
+    panel allocates no (T, J) array.  ``spec.alpha_true`` is left for the
+    caller to add.
     """
-    n_reps, n_periods, J = block.shape[0], spec.t0 + 1, spec.n_controls
-    treated, controls = block[:, :, 0], block[:, :, 1:]
+    n_periods, n_reps, J = block.shape[0], block.shape[1], spec.n_controls
     factors, time_effect = np.empty((n_reps, n_periods)), np.empty((n_reps, n_periods))
     starts = np.empty((n_reps, 1 + J))  # AR(1) starts: the shock's, then each noise's
     draws, term = scratch
+    # Innovation variance 1 - rho^2 makes every marginal N(0, 1).  A process
+    # with rho = 0 is its innovations, so it is neither scaled nor run
+    # through the recurrence: for finite draws, x * 1.0 and x + 0 * y are x.
+    rho_u, rho_eps = spec.rho_u, 0.0 if iid_controls else spec.rho_eps
+    scale_eps = np.sqrt(1.0 - rho_eps**2)
     for b, rng in enumerate(rngs):
-        if iid_controls:
-            controls[b] = rng.standard_normal(out=draws)
-        else:
+        if not iid_controls:
             factors[b] = rng.standard_normal(n_periods)
             time_effect[b] = rng.standard_normal(n_periods)
-            controls[b] = rng.standard_normal(out=draws)
+        if rho_eps:  # scaled as stored: a pass over the strided controls costs more
+            np.multiply(rng.standard_normal(out=draws), scale_eps, out=block[:, b, 1:])
+        else:
+            block[:, b, 1:] = rng.standard_normal(out=draws)
+        if not iid_controls:
             starts[b, 1:] = rng.standard_normal(J)
-        treated[b] = rng.standard_normal(n_periods)  # shock innovations, later the treated outcome
+        block[:, b, 0] = rng.standard_normal(n_periods)  # shock innovations, later the treated outcome
         starts[b, 0] = rng.standard_normal()
+    if rho_u:
+        block[:, :, 0] *= np.sqrt(1.0 - rho_u**2)
 
-    # One recurrence runs the shock in column 0 and, unless the controls are
-    # i.i.d., the noise in the others.  Innovation variance 1 - rho^2 makes
-    # every marginal N(0, 1).  A process with rho = 0 is its innovations, so
-    # its columns are left out: for finite draws, x * 1.0 and x + 0 * y are x.
-    rho = np.full(1 + J, 0.0 if iid_controls else spec.rho_eps)
-    rho[0] = spec.rho_u
-    if spec.rho_u:
-        treated *= np.sqrt(1.0 - spec.rho_u**2)
-    if rho[1:].any():
-        controls *= np.sqrt(1.0 - spec.rho_eps**2)
-    moving = np.flatnonzero(rho)  # column 0, the controls or all: one range
-    if moving.size:
-        cols = slice(moving[0], moving[-1] + 1)
-        _recur(block[:, :, cols], starts[:, cols], rho[cols])
+    # One recurrence runs the shock in column 0 and the noise in the others,
+    # leaving out a process whose rho is 0; rho is an array only where the
+    # two processes move at different rates.
+    if rho_u or rho_eps:
+        cols = slice(0 if rho_u else 1, 1 + J if rho_eps else 1)
+        rho = rho_u or rho_eps
+        if rho_u and rho_eps and rho_u != rho_eps:
+            rho = np.full(1 + J, rho_eps)
+            rho[0] = rho_u
+        _recur(block[:, :, cols], starts[:, cols], rho)
     if not iid_controls:
         if spec.factor_trend == "trending":
             factors += np.arange(1, n_periods + 1)
@@ -207,10 +220,10 @@ def _simulate(spec: DgpSpec, rngs: Sequence[np.random.Generator], block: np.ndar
             # unit_effect + time_effect + unit_effect * factors, summed in that order
             np.add(unit_effect, time_effect[b][:, None], out=draws)
             np.multiply(unit_effect, factors[b][:, None], out=term)
-            controls[b] += np.add(draws, term, out=draws)
+            block[:, b, 1:] += np.add(draws, term, out=draws)
     weights = dgp_weights(spec.weights_kind, J)
     for b in range(n_reps):
-        treated[b] += controls[b] @ weights
+        block[:, b, 0] += block[:, b, 1:] @ weights
     return block
 
 
@@ -223,21 +236,25 @@ def _chunks(spec: DgpSpec, seeds: Sequence[np.random.SeedSequence], iid_controls
     """Outcome blocks of :func:`_simulate` for consecutive chunks of the replication seeds.
 
     A chunk holds as many panels as fit in ``_CHUNK_DOUBLES``, and at least
-    one.  Every chunk is simulated into the same memory, with the same
-    scratch, so a caller is done with one block when it asks for the next.
+    one.  Every chunk is simulated into the same time-major memory, with the
+    same scratch, so a caller is done with one block when it asks for the
+    next.  Each is yielded as the panel-major view (B, T, 1 + J), so
+    ``block[b]`` is panel ``b``; its rows are strided, so a consumer that
+    hands a panel to BLAS copies it first.
     """
     size = max(1, _CHUNK_DOUBLES // ((spec.t0 + 1) * (spec.n_controls + 1)))
-    block = np.empty((min(size, len(seeds)), spec.t0 + 1, spec.n_controls + 1))
+    block = np.empty((spec.t0 + 1, min(size, len(seeds)), spec.n_controls + 1))
     scratch = _scratch(spec)
     for first in range(0, len(seeds), size):
         rngs = [np.random.default_rng(seq) for seq in seeds[first:first + size]]
-        yield _simulate(spec, rngs, block[:len(rngs)], scratch, iid_controls)
+        yield _simulate(spec, rngs, block[:, :len(rngs)], scratch, iid_controls).transpose(1, 0, 2)
 
 
 def simulate_panel(spec: DgpSpec, rng: np.random.Generator | None = None) -> PanelData:
     """Draw one panel from the design; ``T = t0 + 1`` with a single post period."""
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    (outcomes,) = _simulate(spec, [rng], np.empty((1, spec.t0 + 1, spec.n_controls + 1)), _scratch(spec))
+    block = _simulate(spec, [rng], np.empty((spec.t0 + 1, 1, spec.n_controls + 1)), _scratch(spec))
+    outcomes = block[:, 0]
     outcomes[spec.t0, 0] += spec.alpha_true
     return PanelData(outcomes=outcomes, t0=spec.t0)
 
@@ -250,8 +267,9 @@ def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: Permu
     is fitted over the whole block.  ``sc``, ``classo``, lasso and elastic
     net give each panel's residual row straight from the kind's array core,
     with no panel object, fit or report per replication; any other
-    estimator is fitted panel by panel.  All residual rows are then ranked
-    in one permutation pass.
+    estimator is fitted panel by panel.  A core or a panel gets a
+    contiguous copy of its panel, so its BLAS calls see the layout of a
+    panel alone.  All residual rows are then ranked in one permutation pass.
     """
     window = slice(t0, None)
     if estimator.kind == "did":
@@ -259,7 +277,7 @@ def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: Permu
     elif _ESTIMATORS[estimator.kind].core:
         core = _ESTIMATORS[estimator.kind].fitter
         rows = np.concatenate([core(outcomes, None, outcomes[:, :1], estimator, None).residuals
-                               for outcomes in block])
+                               for outcomes in map(np.ascontiguousarray, block)])
     else:
         fits = [fit(PanelData(outcomes, t0=t0), estimator) for outcomes in block]
         rows, window = np.array([fitted.residuals for fitted in fits]), fits[0].post_slice(t0)
@@ -273,11 +291,13 @@ def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpe
 
     Every effect sees the same replications: each chunk is simulated once,
     and each effect is added to its post-period treated entries as
-    :func:`simulate_panel` adds it.
+    :func:`simulate_panel` adds it.  Each effect's design is built, and so
+    validated, before the first replication.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1; got {n_reps}")
     _check_level(level)
+    designs = [replace(dgp, alpha_true=effect) for effect in effects]
     scheme = scheme or PermutationScheme.moving_block()
     statistic = Statistic()
     pvals = np.empty((len(effects), n_reps))
@@ -292,13 +312,13 @@ def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpe
         ExperimentResult(
             rejection_rate=float((p <= level).mean()),
             n_reps=n_reps,
-            dgp=replace(dgp, alpha_true=effect),
+            dgp=design,
             estimator_id=estimator.label,
             scheme_kind=scheme.kind,
             level=level,
             p_values=p if keep_pvalues else None,
         )
-        for p, effect in zip(pvals, effects)
+        for p, design in zip(pvals, designs)
     ]
 
 
@@ -398,7 +418,7 @@ def reproduce_figure_null_vs_pre(
         reject_pre = 0
         for block in _chunks(design, seeds, iid_controls=True):
             reject_null += int((_pvalues(block, t0, estimator, scheme, statistic) <= level).sum())
-            pre = np.array([_pre_only_residuals(outcomes, t0) for outcomes in block])
+            pre = np.array([_pre_only_residuals(np.ascontiguousarray(outcomes), t0) for outcomes in block])
             reject_pre += int((_rank(pre, scheme, statistic, slice(t0, None))[1] <= level).sum())
         rows.append(
             {"rho_u": float(rho), "mode": "under_null", "rejection_rate": reject_null / n_reps,

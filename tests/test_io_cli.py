@@ -148,11 +148,13 @@ class TestReadWideCells:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read_panel_csv(path, t0=1, treated="a")
 
-    @pytest.mark.parametrize("cell", ["nan", " NaN", "inf", "-Infinity "])
+    @pytest.mark.parametrize("cell", ["nan", " NaN", "inf", "-Infinity ", "1.8e308"])
     def test_non_finite_value_refused(self, tmp_path, cell):
+        # PanelData refused these with a message naming no cell and blaming balance.
         path = tmp_path / "panel.csv"
-        self._write(path, [["1", "2", "3"], ["4", cell, "6"]])
-        with pytest.raises(DimensionError, match="non-finite"):
+        self._write(path, [["1", "2", "3"], ["4", cell, "6"], ["nan", "8", "9"]])
+        message = f"line 3: non-finite value {cell!r} in column 'b'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read_panel_csv(path, t0=1, treated="a")
 
 
@@ -182,6 +184,19 @@ class TestReadLong:
         path = tmp_path / "nan.csv"
         write_lines(path, ["unit,time,outcome", "a,1,1.0", "b,1,0.0", "a,nan,2.0", "b,nan,3.0"])
         with pytest.raises(ParseError, match="line 4: time period 'nan' is not finite"):
+            read_panel_csv(path, layout="long", t0=1, treated="a")
+
+    @pytest.mark.parametrize("lines, message", [
+        (["a,1,1.0,0.5", "a,2,nan,0.6", "b,1,4.0,-inf", "b,2,5.0,0.8"],
+         "line 3: non-finite value 'nan' in column 'outcome'"),
+        (["a,1,1.0,0.5", "a,2,2.0,0.6", "b,1,4.0, -inf", "b,2,1e999,0.8"],
+         "line 4: non-finite value ' -inf' in column 'x1'"),
+    ])
+    def test_non_finite_value_refused(self, tmp_path, lines, message):
+        # PanelData refused these with a message naming no cell and blaming balance.
+        path = tmp_path / "nan.csv"
+        write_lines(path, ["unit,time,outcome,x1", *lines])
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read_panel_csv(path, layout="long", t0=1, treated="a")
 
     def test_unbalanced_panel_rejected(self, tmp_path):

@@ -11,7 +11,9 @@ from scipy import stats as sps
 from synthconf import (
     DgpSpec,
     EstimatorSpec,
+    PanelData,
     dgp_weights,
+    fit,
     oracle_power_bound,
     reproduce_figure_null_vs_pre,
     run_power_curve,
@@ -151,8 +153,8 @@ def small_designs(draw):
     return DgpSpec(
         t0=draw(st.integers(2, 12)),
         n_controls=n_controls,
-        rho_u=draw(st.sampled_from((0.0, 0.6))),
-        rho_eps=draw(st.sampled_from((0.0, 0.6))),
+        rho_u=draw(st.sampled_from((0.0, 0.3, 0.6))),
+        rho_eps=draw(st.sampled_from((0.0, 0.3, 0.6))),
         weights_kind=draw(st.sampled_from([k for k, n in least.items() if n_controls >= n])),
         factor_trend=draw(st.sampled_from(("stationary", "trending"))),
         alpha_true=draw(st.sampled_from((0.0, 1.5))),
@@ -176,7 +178,8 @@ class TestChunkedReplications:
         # Chunks of `chunk` panels; the replications end just before, on or
         # after a chunk boundary, or one past the second chunk.  `sc`,
         # `classo`, lasso and elastic net take their rows from the array core;
-        # rho_u and rho_eps of 0 or 0.6 skip none, one or both recurrences.
+        # rho_u and rho_eps of 0, 0.3 or 0.6 skip none, one or both
+        # recurrences, and run them with one rho or with two.
         n_reps = data.draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1})))
         budget = chunk * (dgp.t0 + 1) * (dgp.n_controls + 1)
         with pytest.MonkeyPatch.context() as mp:
@@ -188,6 +191,34 @@ class TestChunkedReplications:
             np.testing.assert_array_equal(panel.outcomes, _loop_panel(dgp, np.random.default_rng(seq)))
             expected.append(inference.test_sharp_null(panel, 0, spec).p_value)
         np.testing.assert_array_equal(got, expected)
+
+
+class TestWideDesign:
+    """The design of the ``mc_did_wide`` benchmark at full size: in a chunk,
+    each panel's rows are strided 12 panels apart, and 13 replications fill
+    one default chunk of 12 and start a second."""
+
+    dgp = DgpSpec(t0=100, n_controls=100, rho_u=0.6, rho_eps=0.6, weights_kind="DGP1", seed=11)
+    n_reps = 13
+
+    def test_chunk_panels_equal_the_loop(self):
+        seeds = np.random.SeedSequence(self.dgp.seed).spawn(self.n_reps)
+        blocks = [block.copy() for block in simulation._chunks(self.dgp, seeds)]  # one memory for all
+        assert [len(block) for block in blocks] == [12, 1]
+        for outcomes, seq in zip(np.concatenate(blocks), seeds):
+            np.testing.assert_array_equal(outcomes, _loop_panel(self.dgp, np.random.default_rng(seq)))
+
+    @pytest.mark.parametrize("spec", [EstimatorSpec.did(), EstimatorSpec.sc()], ids=["did", "sc"])
+    def test_pvalues_equal_per_replication_tests(self, monkeypatch, spec):
+        # The ranked residual rows, not only the p-values, must equal those of
+        # a fit of each panel alone.
+        rows = []
+        monkeypatch.setattr(simulation, "_rank", lambda r, *args: rows.append(r.copy()) or inference._rank(r, *args))
+        got = run_size_experiment(self.dgp, spec, n_reps=self.n_reps, keep_pvalues=True).p_values
+        panels = [simulate_panel(self.dgp, np.random.default_rng(seq))
+                  for seq in np.random.SeedSequence(self.dgp.seed).spawn(self.n_reps)]
+        np.testing.assert_array_equal(np.concatenate(rows), [fit(panel, spec).residuals for panel in panels])
+        np.testing.assert_array_equal(got, [inference.test_sharp_null(panel, 0, spec).p_value for panel in panels])
 
 
 class TestRunSizeExperiment:
@@ -243,6 +274,16 @@ class TestRunPowerCurve:
                 size = run_size_experiment(dataclasses.replace(dgp, alpha_true=a), spec, n_reps=80)
                 assert point == size
 
+    def test_non_finite_effect_refused_before_any_replication(self, monkeypatch):
+        # The effect was checked when the results were built, after all
+        # 4,000 replications had been simulated and fitted for every effect.
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulation, "_chunks", no_chunks)
+        with pytest.raises(ValueError, match="alpha_true must be finite"):
+            run_power_curve(DgpSpec(20, 10), EstimatorSpec.sc(), alpha_grid=(0.0, np.nan), n_reps=4000)
+
     def test_large_effect_has_power(self):
         dgp = DgpSpec(t0=20, n_controls=4, seed=78)
         curve = run_power_curve(
@@ -288,6 +329,35 @@ class TestFigureNullVsPre:
         again = reproduce_figure_null_vs_pre(rho_grid=(0.0,), seed=4, n_reps=40)
         assert [r["rejection_rate"] for r in rows] == [r["rejection_rate"] for r in again]
         assert {r["mode"] for r in rows} == {"under_null", "pre_only"}
+
+    def test_rates_equal_per_replication_tests(self, monkeypatch):
+        # The design written out per replication: i.i.d. standard normal
+        # controls, then the shock innovations and start, and a sparse
+        # simplex weight; 16 replications in chunks of 7, 7 and 2.
+        t0, n_controls, n_reps, level = 12, 8, 16, 0.1
+        monkeypatch.setattr(simulation, "_CHUNK_DOUBLES", 7 * (t0 + 1) * (n_controls + 1))
+        rows = reproduce_figure_null_vs_pre(rho_grid=(0.0, 0.3, 0.6), seed=5, t0=t0,
+                                            n_controls=n_controls, n_reps=n_reps, level=level)
+        weights = dgp_weights("DGP2", n_controls)
+        scheme = inference.PermutationScheme.moving_block()
+        for rho in (0.0, 0.3, 0.6):
+            reject_null = reject_pre = 0
+            for seq in np.random.SeedSequence((5, int(round(1000 * rho)))).spawn(n_reps):
+                rng = np.random.default_rng(seq)
+                controls = rng.standard_normal((t0 + 1, n_controls))
+                innov = rng.standard_normal(t0 + 1) * np.sqrt(1.0 - rho**2)
+                state = rng.standard_normal()
+                shock = np.empty(t0 + 1)
+                for t in range(t0 + 1):
+                    state = rho * state + innov[t]
+                    shock[t] = state
+                outcomes = np.column_stack([controls @ weights + shock, controls])
+                panel = PanelData(outcomes, t0=t0)
+                reject_null += inference.test_sharp_null(panel, 0, EstimatorSpec.sc()).p_value <= level
+                pre = simulation._pre_only_residuals(outcomes, t0)
+                reject_pre += inference.p_value(pre, scheme, inference.Statistic(), slice(t0, None)).p_value <= level
+            rates = {r["mode"]: r["rejection_rate"] for r in rows if r["rho_u"] == rho}
+            assert rates == {"under_null": reject_null / n_reps, "pre_only": reject_pre / n_reps}
 
     def test_pre_only_overrejects(self):
         # Overfitting 50 weights on 19 points shrinks the in-sample
