@@ -99,8 +99,7 @@ def _write_residuals_csv(path, start: int, residuals: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "residual"])
-        for i, value in enumerate(residuals):
-            writer.writerow([start + i, format(value, ".17g")])
+        writer.writerows([start + i, format(value, ".17g")] for i, value in enumerate(residuals.tolist()))
 
 
 def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_units) -> None:
@@ -154,11 +153,9 @@ def cmd_ci(cfg: RunConfig) -> int:
     with open(out / "ci.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["period", "candidate", "p_value", "accepted"])
-        for entry in band.entries:
-            for candidate, pv, acc in zip(entry.grid, entry.p_values, entry.accepted):
-                writer.writerow(
-                    [entry.period, format(candidate, ".17g"), format(pv, ".17g"), int(acc)]
-                )
+        writer.writerows([entry.period, format(candidate, ".17g"), format(pv, ".17g"), int(acc)]
+                         for entry in band.entries for candidate, pv, acc in
+                         zip(entry.grid.tolist(), entry.p_values.tolist(), entry.accepted.tolist()))
     payload = {
         "command": "ci",
         "level": band.level,

@@ -24,6 +24,8 @@ from .solvers import (
     SolverConfig,
     alternating_ls,
     _centre,
+    _dots,
+    _matvecs,
     _negligible,
     _penalized_block,
     _simplex_block,
@@ -192,14 +194,14 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
 class _Block(NamedTuple):
     """The fits of one panel's controls to each column of a block of treated series (T, G).
 
-    Row or entry ``g`` of each array belongs to column ``g``: ``residuals``
-    and ``proxies`` (G, T), the residuals as :func:`_panel_fit` gives them;
-    ``mu`` (G,), the intercepts (None for ``sc``); ``weights`` (G, J) and
-    ``coefs`` (G, k), the control weights and covariate coefficients; and
-    ``steps``, ``converged`` and ``kkt``, what the solver reports.
-    ``report(g)`` builds the :class:`SolveReport` of column ``g``, final
-    objective included, and :meth:`fit` its :class:`ProxyFit`; neither is
-    built until asked for.
+    Row or entry ``g`` of each array belongs to column ``g``, with the bits
+    of that column fitted alone: ``residuals`` and ``proxies`` (G, T), the
+    residuals as :func:`_panel_fit` gives them; ``mu`` (G,), the intercepts
+    (None for ``sc``); ``weights`` (G, J) and ``coefs`` (G, k), the control
+    weights and covariate coefficients; and ``steps``, ``converged`` and
+    ``kkt``, what the solver reports.  ``report(g)`` builds the
+    :class:`SolveReport` of column ``g``, final objective included, and
+    :meth:`fit` its :class:`ProxyFit`; neither is built until asked for.
     """
 
     residuals: np.ndarray
@@ -221,11 +223,10 @@ class _Block(NamedTuple):
 
 
 def _block_of(outcomes, treated, proxies, mu, W, n_con, solved) -> _Block:
-    """The :class:`_Block` of the proxies (one per column of ``treated``), the
-    intercepts ``mu``, the weights ``W`` (G, p) whose first ``n_con`` are the
+    """The :class:`_Block` of the proxies (G, T), one row per column of ``treated``,
+    the intercepts ``mu``, the weights ``W`` (G, p) whose first ``n_con`` are the
     control weights, and ``solved``, the ``(steps, converged, kkt, report)``
     of the solver; ``outcomes`` is the panel's, the treated unit first."""
-    proxies = np.array(proxies)
     residuals = _zero_rounding(treated.T - proxies, outcomes, treated.T)
     return _Block(residuals, proxies, mu, W[:, :n_con], W[:, n_con:], *solved)
 
@@ -389,9 +390,9 @@ def _sc_core(outcomes, covariates, treated, spec, start) -> _Block:
     (see :func:`fit`).  Nothing here builds a fit or a report.
     """
     X, n_con = _design(outcomes, covariates)
-    W, *solved = _simplex_block(X, list(treated.T), n_con, spec.solver,
+    W, *solved = _simplex_block(X, treated.T, n_con, spec.solver,
                                None if start is None else start["weights"], lambda v: v)
-    return _block_of(outcomes, treated, [X @ w for w in W], None, W, n_con, solved)
+    return _block_of(outcomes, treated, _matvecs(X, W), None, W, n_con, solved)
 
 
 def _classo_core(outcomes, covariates, treated, spec, start) -> _Block:
@@ -412,22 +413,15 @@ def _classo_core(outcomes, covariates, treated, spec, start) -> _Block:
     """
     radius = spec.radius
     X, n_con = _design(outcomes, covariates)
-    xc, ycs, x_mean, y_means = _centre(X, list(treated.T))
+    xc, Yc, x_mean, y_means = _centre(X, treated.T)
     head = radius * xc[:, :n_con]
     signed = lambda w: np.concatenate([w, -w])
-    V, *solved = _simplex_block(np.hstack([head, -head, xc[:, n_con:]]), ycs, 2 * n_con, spec.solver,
+    V, *solved = _simplex_block(np.hstack([head, -head, xc[:, n_con:]]), Yc, 2 * n_con, spec.solver,
                                None if start is None else signed(start["weights"]),
                                lambda v: signed(radius * (v[:n_con] - v[n_con:])))
-    W = np.empty((len(ycs), X.shape[1]))
-    mu = np.empty(len(ycs))
-    proxies = []
-    for g, (v, y_mean) in enumerate(zip(V, y_means)):
-        w = W[g]
-        w[:n_con] = radius * (v[:n_con] - v[n_con:2 * n_con])
-        w[n_con:] = v[2 * n_con:]
-        mu[g] = y_mean - float(x_mean @ w)
-        proxies.append(mu[g] + X @ w)
-    return _block_of(outcomes, treated, proxies, mu, W, n_con, solved)
+    W = np.hstack([radius * (V[:, :n_con] - V[:, n_con:2 * n_con]), V[:, 2 * n_con:]])
+    mu = y_means - _dots(W, x_mean)
+    return _block_of(outcomes, treated, mu[:, None] + _matvecs(X, W), mu, W, n_con, solved)
 
 
 def _penalty(spec: EstimatorSpec) -> ElasticNetPenalty:
@@ -442,8 +436,8 @@ def _penalized_core(outcomes, covariates, treated, spec, start) -> _Block:
     weights = np.zeros(X.shape[1])
     weights[:n_con] = 1.0
     w0 = None if start is None else np.concatenate([start["weights"], start["covariate_coefs"]])
-    mu, W, *solved = _penalized_block(X, list(treated.T), _penalty(spec), spec.solver, weights, w0)
-    return _block_of(outcomes, treated, [mu_g + X @ w for mu_g, w in zip(mu, W)], mu, W, n_con, solved)
+    mu, W, *solved = _penalized_block(X, treated.T, _penalty(spec), spec.solver, weights, w0)
+    return _block_of(outcomes, treated, mu[:, None] + _matvecs(X, W), mu, W, n_con, solved)
 
 
 def _factor_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:

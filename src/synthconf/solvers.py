@@ -190,20 +190,35 @@ def _negligible(value, n, scale):
     return value <= n * _EPS * scale
 
 
-def _centre(X, ys):
-    """``(Xc, ycs, x_mean, y_means)``: the data less their column means.
+def _centre(X, Y):
+    """``(Xc, Yc, x_mean, y_means)``: the data less their column means.
 
-    ``ys`` is a sequence of responses, each centred on its own mean.  A
-    column of ``X`` that does not vary is set to exactly zero.  Centring
-    leaves rounding noise in it, which must not count as variation: a
-    solver would fit that noise with a coefficient of order 1e16.
+    ``Y`` holds one response per row, each centred on its own mean; ``Yc``
+    is C-ordered.  A column of ``X`` that does not vary is set to exactly
+    zero.  Centring leaves rounding noise in it, which must not count as
+    variation: a solver would fit that noise with a coefficient of order 1e16.
     """
     x_mean = X.mean(axis=0)
     xc = X - x_mean
     flat = _negligible(np.abs(xc).max(axis=0, initial=0.0), X.shape[0], np.abs(X).max(axis=0, initial=0.0))
     xc[:, flat] = 0.0
-    y_means = [float(y.mean()) for y in ys]
-    return xc, [y - y_mean for y, y_mean in zip(ys, y_means)], x_mean, y_means
+    Y = np.ascontiguousarray(Y)  # rows of a strided block are not summed pairwise
+    y_means = np.add.reduce(Y, axis=1) / Y.shape[1]  # Y.mean(axis=1) without its wrapper
+    return xc, Y - y_means[:, None], x_mean, y_means
+
+
+def _stacked_matvec(a, Y):
+    return np.matmul(a, Y[..., None])[..., 0]
+
+
+def _stacked_vecdot(A, B):
+    return np.matmul(A[..., None, :], B[..., None])[..., 0, 0]
+
+
+# a @ y for each row y of Y, and a @ b for each pair of rows: one gemv or dot per row, as a lone
+# product makes it (one gemm over the rows rounds otherwise); matmul where numpy lacks the gufunc.
+_matvecs = getattr(np, "matvec", _stacked_matvec)
+_dots = getattr(np, "vecdot", _stacked_vecdot)
 
 
 def _step_to_first_zero(x, d, limit):
@@ -230,9 +245,10 @@ def _step_to_first_zero(x, d, limit):
     return moved, k
 
 
-def _project_free(head, free, ys):
-    """Project the span of the free columns out of ``head`` and the responses ``ys``.
+def _project_free(head, free, Y):
+    """Project the span of the free columns out of ``head`` and the responses ``Y``.
 
+    ``Y`` (G, n) holds one response per row, each used as it is laid out.
     The free coefficients are a least-squares fit to whatever the other
     columns leave over.  The span comes from an SVD with the rank cut-off
     of ``numpy.linalg.lstsq``, which copes with collinear free columns.
@@ -240,26 +256,23 @@ def _project_free(head, free, ys):
     ``head``, its product with each projected response (one column per
     response), each response's certificate scale ``c (||y|| + c)`` with
     ``c`` the largest projected column norm, and ``coefs(rest)``, the free
-    coefficients that best fit ``rest``.  The design work is done once;
-    each response gets the arithmetic it would get alone.
+    coefficients that best fit each row of ``rest`` (one row each).  The
+    design work is done once, and each per-response product is one stacked
+    call that gives each response the bits it would get alone.
     """
-    coefs = lambda rest: np.zeros(0)
+    coefs = lambda rest: np.zeros((rest.shape[0], 0))
     if free.shape[1]:
         u, s, vt = np.linalg.svd(free, full_matrices=False)
         rank = int((~_negligible(s, max(free.shape), s[0])).sum())
         u, s, vt = u[:, :rank], s[:rank], vt[:rank]
         head = head - u @ (u.T @ head)
-        ys = [y - u @ (u.T @ y) for y in ys]
-        coefs = lambda rest: vt.T @ ((u.T @ rest) / s)
+        Y = np.subtract(Y, _matvecs(u, _matvecs(u.T, Y)), order="C")  # contiguous rows, as alone
+        coefs = lambda rest: _matvecs(vt.T, _matvecs(u.T, rest) / s)
     gram = head.T @ head
     col_max = float(np.sqrt(np.diag(gram).max(initial=0.0)))
-    xty = np.empty((head.shape[1], len(ys)))
-    scale = np.empty(len(ys))
-    for g, y in enumerate(ys):
-        xty[:, g] = head.T @ y
-        flat = y.ravel(order="K")  # the sum numpy.linalg.norm(y) takes, in its order
-        scale[g] = col_max * (math.sqrt(flat.dot(flat)) + col_max)
-    return gram, xty, scale, coefs
+    flat = np.ascontiguousarray(Y)  # the sums numpy.linalg.norm(y) takes, in their order
+    scale = col_max * (np.sqrt(_dots(flat, flat)) + col_max)
+    return gram, _matvecs(head.T, Y).T, scale, coefs
 
 
 def _solve(system, rhs):
@@ -456,16 +469,16 @@ def _warm(start, n):
 
 
 def _responses(X, y):
-    """``(X, ys)``: the design as floats and the responses as a list of 1-D arrays.
+    """``(X, Y)``: the design as floats and the responses as the rows of ``Y`` (G, n).
 
     A 1-D ``y`` is a block of one; the columns of an (n, G) ``y`` are the
-    block's responses, each used as it is laid out.
+    block's responses, each used as it is laid out (``Y`` is ``y.T``).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
         raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
-    return X, [y] if y.ndim == 1 else list(y.T)
+    return X, y[None] if y.ndim == 1 else y.T
 
 
 def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), start=None):
@@ -500,15 +513,15 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), sta
         has no units: scaling ``X`` and ``y`` together changes neither it
         nor the steps.  ``report.iterations`` counts KKT steps.
     """
-    X, ys = _responses(X, y)
-    W, *_, report = _simplex_block(X, ys, n_constrained, cfg, start, lambda v: v)
-    reports = [report(g) for g in range(len(ys))]
+    X, Y = _responses(X, y)
+    W, *_, report = _simplex_block(X, Y, n_constrained, cfg, start, lambda v: v)
+    reports = [report(g) for g in range(len(Y))]
     return (W[0], reports[0]) if np.ndim(y) == 1 else (W.T, reports)
 
 
-def _simplex_block(X, ys, n_constrained, cfg, start, restart):
-    """:func:`simplex_ls` of the float design ``X`` and the list of responses ``ys``,
-    where a column after the first starts from ``restart(v)``.
+def _simplex_block(X, Y, n_constrained, cfg, start, restart):
+    """:func:`simplex_ls` of the float design ``X`` and the responses ``Y`` (G, n),
+    one per row, where a response after the first starts from ``restart(v)``.
 
     ``v`` holds the constrained weights of its solved neighbour, and
     ``restart(v)`` is a start as ``start`` takes it.  Returns ``(W, steps,
@@ -521,7 +534,7 @@ def _simplex_block(X, ys, n_constrained, cfg, start, restart):
     if not 1 <= m <= X.shape[1]:
         raise DimensionError(f"n_constrained must lie in 1..{X.shape[1]}; got {n_constrained}")
     w0 = np.zeros(m) if start is None else _warm(start, m)
-    gram, xty, scale, free_coefs = _project_free(X[:, :m], X[:, m:], ys)
+    gram, xty, scale, free_coefs = _project_free(X[:, :m], X[:, m:], Y)
     # The sum-to-one row is scaled like the Gram matrix (by the largest
     # squared column norm), which keeps the KKT system balanced in any units.
     # Constrained columns in the span of the free ones project to exactly
@@ -537,14 +550,13 @@ def _simplex_block(X, ys, n_constrained, cfg, start, restart):
         return np.array([int(np.argmin(np.diag(gram) - 2.0 * xty[:, g]))]), np.ones(1)
 
     V, steps, converged, kkt = _solve_columns(gram, xty, pad, scale, cfg, warm)
-    W = np.zeros((len(ys), X.shape[1]))  # one row per response, each laid out as a lone solve's
+    W = np.zeros((len(Y), X.shape[1]))  # one row per response, each laid out as a lone solve's
     W[:, :m] = V.T
     if m < X.shape[1]:
-        for response, w in zip(ys, W):
-            w[m:] = free_coefs(response - X[:, :m] @ w[:m])
+        W[:, m:] = free_coefs(np.subtract(Y, _matvecs(X[:, :m], W[:, :m]), order="C"))  # as alone
 
     def report(g):
-        resid = ys[g] - X @ W[g]
+        resid = Y[g] - X @ W[g]
         return SolveReport(int(steps[g]), float(resid @ resid), bool(converged[g]), float(kkt[g]),
                            note="simplex active set")
 
@@ -585,21 +597,21 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
         a join borders the previous solution, so a step costs one linear
         solve, two where the joining column lies in the span of the support.
     """
-    X, ys = _responses(X, y)
+    X, Y = _responses(X, y)
     p = X.shape[1]
     weights = np.ones(p) if penalty_weights is None else np.asarray(penalty_weights, dtype=float)
     if weights.shape != (p,):
         raise DimensionError("penalty_weights must have one entry per column")
-    intercepts, W, *_, report = _penalized_block(X, ys, penalty, cfg, weights, start)
-    reports = [report(g) for g in range(len(ys))]
+    intercepts, W, *_, report = _penalized_block(X, Y, penalty, cfg, weights, start)
+    reports = [report(g) for g in range(len(Y))]
     if np.ndim(y) == 1:
         return float(intercepts[0]), W[0], reports[0]
     return intercepts, W.T, reports
 
 
-def _penalized_block(X, ys, penalty, cfg, weights, start):
-    """:func:`penalized_ls` of the float design ``X``, the list of responses ``ys``
-    and the penalty weights ``weights`` (p,).
+def _penalized_block(X, Y, penalty, cfg, weights, start):
+    """:func:`penalized_ls` of the float design ``X``, the responses ``Y`` (G, n),
+    one per row, and the penalty weights ``weights`` (p,).
 
     Returns ``(intercepts, W, steps, converged, kkt, report)``: the
     intercepts (G,) and weights (G, p), one row per response, then as
@@ -607,15 +619,15 @@ def _penalized_block(X, ys, penalty, cfg, weights, start):
     """
     p = X.shape[1]
     first = None if start is None else _warm(start, p)
-    xc, ycs, x_mean, y_means = _centre(X, ys)
+    xc, Yc, x_mean, y_means = _centre(X, Y)
     l1 = penalty.l1 * weights
     l2 = penalty.l2 * weights
     xa = np.vstack([xc, np.diag(np.sqrt(l2))[l2 > 0.0]])
-    yas = [np.append(yc, np.zeros(np.count_nonzero(l2))) for yc in ycs]
+    Ya = np.hstack([Yc, np.zeros((len(Yc), np.count_nonzero(l2)))])
     varies = xc.any(axis=0)
     split = np.flatnonzero(varies & (l1 > 0.0))
     free = np.flatnonzero(varies & (l1 == 0.0))
-    a, c, scale, free_coefs = _project_free(xa[:, split], xa[:, free], yas)
+    a, c, scale, free_coefs = _project_free(xa[:, split], xa[:, free], Ya)
     half = 0.5 * l1[split][:, None]
 
     def warm(g, v):
@@ -628,16 +640,14 @@ def _penalized_block(X, ys, penalty, cfg, weights, start):
 
     V, steps, converged, kkt = _solve_columns(
         _signed_gram(a), np.concatenate([c - half, -c - half]), 0.0, scale, cfg, warm)
-    W = np.zeros((len(ys), p))  # one row per response, each laid out as a lone solve's
-    W[:, split] = (V[:split.size] - V[split.size:]).T
-    intercepts = np.empty(len(ys))
-    for g, (ya, w) in enumerate(zip(yas, W)):
-        w[free] = free_coefs(ya - xa[:, split] @ w[split])
-        intercepts[g] = y_means[g] - float(x_mean @ w)
+    W = np.zeros((len(Y), p))  # one row per response, each laid out as a lone solve's
+    W[:, split] = W_split = np.ascontiguousarray((V[:split.size] - V[split.size:]).T)  # as a lone w[split]
+    W[:, free] = free_coefs(Ya - _matvecs(xa[:, split], W_split))
+    intercepts = y_means - _dots(W, x_mean)
 
     def report(g):
         w = W[g]
-        r = ycs[g] - xc @ w
+        r = Yc[g] - xc @ w
         objective = float(r @ r) + float(l2 @ (w * w)) + float(l1 @ np.abs(w))
         return SolveReport(int(steps[g]), objective, bool(converged[g]), float(kkt[g]), note="signed active set")
 

@@ -486,6 +486,24 @@ class TestCmdCi:
                      "--estimator", "classo", "--grid=-1:1:3", "--out", str(out)]) == 0
         assert json.loads((out / "result.json").read_text())["estimator"] == "classo(K=1)"
 
+    def test_lines_format_the_numpy_scalars(self, fixture_csv, tmp_path, monkeypatch):
+        # The writers format Python floats (tolist), which must give the bytes
+        # that formatting each numpy scalar gives: ci.csv and residuals.csv.
+        kept = {}
+        for name in ("confidence_band", "test_sharp_null"):
+            monkeypatch.setattr(cli, name, lambda *a, run=getattr(cli, name), name=name, **k:
+                                kept.setdefault(name, run(*a, **k)))
+        common = ["--data", str(fixture_csv), "--t0", "12", "--treated", "rhode", "--estimator", "sc"]
+        assert main(["ci", *common, "--out", str(tmp_path / "ci")]) == 0
+        assert main(["test", *common, "--out", str(tmp_path / "test")]) == 0
+        band, result = kept["confidence_band"], kept["test_sharp_null"]
+        assert (tmp_path / "ci" / "ci.csv").read_text().splitlines() == ["period,candidate,p_value,accepted"] + [
+            f"{entry.period},{format(c, '.17g')},{format(p, '.17g')},{int(a)}"
+            for entry in band.entries for c, p, a in zip(entry.grid, entry.p_values, entry.accepted)]
+        assert (tmp_path / "test" / "residuals.csv").read_text().splitlines() == ["period,residual"] + [
+            f"{result.window[0] + i},{format(value, '.17g')}" for i, value in enumerate(result.residuals)]
+        assert isinstance(result.residuals[0], np.float64)
+
 
 class TestCmdPlacebo:
     def test_runs_and_writes_residuals(self, fixture_csv, tmp_path):

@@ -335,6 +335,33 @@ class TestBlockOfOne:
         np.testing.assert_array_equal(W[:, 0], w)
         assert reports == [report]
 
+    @pytest.mark.parametrize("products", ["numpy", "stacked_matmul"])
+    @pytest.mark.parametrize("n_responses", [1, 4])
+    def test_projection_of_a_block_is_each_response_alone(self, monkeypatch, rng, n_responses, products):
+        # _project_free makes each per-response product in one stacked call,
+        # which must give every response the bits it gets alone: responses
+        # strided as a test inversion lays them out, and two collinear free
+        # columns, so the rank cut-off drops one.
+        head = rng.standard_normal((41, 30))
+        free = rng.standard_normal((41, 2))
+        free[:, 1] = 2.0 * free[:, 0]
+        assert np.linalg.matrix_rank(free) == 1
+        Y = np.empty((41, max(2, n_responses)))[:, :n_responses].T
+        Y[:] = rng.standard_normal(Y.shape)
+        rest = rng.standard_normal((n_responses, 41))
+        if products == "stacked_matmul":  # what a numpy without np.matvec runs
+            monkeypatch.setattr(solvers, "_matvecs", solvers._stacked_matvec)
+            monkeypatch.setattr(solvers, "_dots", solvers._stacked_vecdot)
+        gram, xty, scale, coefs = solvers._project_free(head, free, Y)
+        fitted = coefs(rest)
+        assert xty.shape == (30, n_responses) and fitted.shape == (n_responses, 2)
+        monkeypatch.undo()
+        for g in range(n_responses):
+            gram_g, xty_g, scale_g, coefs_g = solvers._project_free(head, free, Y[g:g + 1])
+            for got, want in ((gram, gram_g), (xty[:, g], xty_g[:, 0]), (scale[g], scale_g[0]),
+                              (fitted[g], coefs_g(rest[g:g + 1])[0])):
+                assert got.tobytes() == want.tobytes()
+
 
 class TestCoordinateDescent:
     def test_unpenalized_limit_is_ols(self, rng):
@@ -491,12 +518,18 @@ class TestBorderedJoin:
              max_iters=10_000, warm=True)
     @example(seed=131, n_rows=3, n_cols=3, n_free=0, lam=0.03125, alpha=0.5, duplicate=True,
              max_iters=3, warm=True)
+    # A duplicated column with a ridge of 7.5e-6: the final support's KKT
+    # matrix has condition number about 2e6, and the weights differ by 1.04e-10.
+    @example(seed=0, n_rows=7, n_cols=2, n_free=1, lam=0.75, alpha=0.99999, duplicate=True,
+             max_iters=10_000, warm=False)
     def test_bordered_joins_follow_the_loop_that_solves_afresh(self, seed, n_rows, n_cols, n_free, lam, alpha,
                                                                duplicate, max_iters, warm):
         # The bordered KKT solution differs from a fresh solve by rounding
         # only: the same supports in the same steps, with weights within
-        # 1e-10 of the largest.  More columns than rows and a duplicated
-        # column send joins through the span branch as well.
+        # 1e-10 of the largest where the final support's KKT matrix has a
+        # condition number up to 1e6, and in proportion to it above that.
+        # More columns than rows and a duplicated column send joins through
+        # the span branch as well.
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n_rows, n_cols + n_free))
         if duplicate and n_cols > 1:
@@ -515,7 +548,14 @@ class TestBorderedJoin:
             _, w_ref, ref = penalized_ls(X, y, penalty, cfg, weights, start)
         np.testing.assert_array_equal(w != 0.0, w_ref != 0.0)
         assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
-        assert np.abs(w - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
+        # That matrix is the Gram matrix of the support's centred columns,
+        # with their ridge rows and the free columns projected out.
+        xc = X - X.mean(axis=0)
+        xa = np.vstack([xc, np.diag(np.sqrt(penalty.l2 * weights))[penalty.l2 * weights > 0.0]])
+        on = np.flatnonzero((w_ref != 0.0) & (penalty.l1 * weights > 0.0))
+        gram = solvers._project_free(xa[:, on], xa[:, n_cols:], np.zeros((1, xa.shape[0])))[0]
+        cond = np.linalg.cond(gram) if on.size else 1.0
+        assert np.abs(w - w_ref).max() <= 1e-10 * max(1.0, cond / 1e6) * np.abs(w_ref).max()
 
 
 class TestKktSolve:
