@@ -207,18 +207,14 @@ def _centre(X, Y):
     return xc, Y - y_means[:, None], x_mean, y_means
 
 
-def _stacked_matvec(a, Y):
+# a @ y for each row y of Y, and a @ b for each pair of rows: matmul on a stack makes one gemv or
+# dot per row, as a lone product makes it (one gemm over the rows rounds otherwise).
+def _matvecs(a, Y):
     return np.matmul(a, Y[..., None])[..., 0]
 
 
-def _stacked_vecdot(A, B):
+def _dots(A, B):
     return np.matmul(A[..., None, :], B[..., None])[..., 0, 0]
-
-
-# a @ y for each row y of Y, and a @ b for each pair of rows: one gemv or dot per row, as a lone
-# product makes it (one gemm over the rows rounds otherwise); matmul where numpy lacks the gufunc.
-_matvecs = getattr(np, "matvec", _stacked_matvec)
-_dots = getattr(np, "vecdot", _stacked_vecdot)
 
 
 def _step_to_first_zero(x, d, limit):

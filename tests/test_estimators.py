@@ -128,11 +128,10 @@ class TestArrayCore:
         assert (block.steps[0], block.converged[0], block.kkt[0]) == (
             fitted.diagnostics.iterations, fitted.diagnostics.converged, fitted.diagnostics.kkt_residual)
 
-    @pytest.mark.parametrize("products", ["numpy", "stacked_matmul"])
     @pytest.mark.parametrize("n_candidates", [1, 5])
     @pytest.mark.parametrize("covariates", [False, True], ids=["controls", "collinear_covariates"])
     @pytest.mark.parametrize("spec", TestWarmStart.WARM_SPECS, ids=lambda spec: spec.label)
-    def test_block_is_its_columns_fitted_alone(self, monkeypatch, rng, spec, covariates, n_candidates, products):
+    def test_block_is_its_columns_fitted_alone(self, rng, spec, covariates, n_candidates):
         # Each per-column product of a block is one stacked call that makes
         # the BLAS call of a lone column, so column g of a block is, bit for
         # bit, the block of one of that column warm from column g - 1.  The
@@ -149,10 +148,6 @@ class TestArrayCore:
         for g in range(n_candidates):
             alone.append(core(panel.outcomes, cov, treated[:, g:g + 1], spec, start))
             start = {"weights": alone[-1].weights[0], "covariate_coefs": alone[-1].coefs[0]}
-        if products == "stacked_matmul":  # what a numpy without np.matvec runs
-            for module in (sc.solvers, sc.estimators):
-                monkeypatch.setattr(module, "_matvecs", sc.solvers._stacked_matvec)
-                monkeypatch.setattr(module, "_dots", sc.solvers._stacked_vecdot)
         block = core(panel.outcomes, cov, treated, spec, None)
         assert (block.mu is None) == (spec.kind == "sc")
         for field in ("residuals", "proxies", "mu", "weights", "coefs", "steps", "converged", "kkt"):

@@ -335,9 +335,24 @@ class TestBlockOfOne:
         np.testing.assert_array_equal(W[:, 0], w)
         assert reports == [report]
 
-    @pytest.mark.parametrize("products", ["numpy", "stacked_matmul"])
+    def test_stacked_products_are_lone_products(self, rng):
+        # _matvecs and _dots make, for each row, the BLAS call of the lone
+        # product: C-ordered and strided rows, a transposed design, G = 1.
+        for _ in range(50):
+            T, n, G = rng.integers(1, 60, size=3)
+            a = rng.standard_normal((n, T)) if rng.random() < 0.5 else rng.standard_normal((T, n)).T
+            strided = np.empty((T, G + 1))[:, :G].T
+            strided[:] = rng.standard_normal((G, T))
+            x = rng.standard_normal(T)
+            for Y in (rng.standard_normal((G, T)), strided):
+                got, dots, with_x = solvers._matvecs(a, Y), solvers._dots(Y, Y[::-1]), solvers._dots(Y, x)
+                for g in range(G):
+                    assert got[g].tobytes() == (a @ Y[g]).tobytes()
+                    assert dots[g].tobytes() == (Y[g] @ Y[G - 1 - g]).tobytes()
+                    assert with_x[g].tobytes() == (Y[g] @ x).tobytes()
+
     @pytest.mark.parametrize("n_responses", [1, 4])
-    def test_projection_of_a_block_is_each_response_alone(self, monkeypatch, rng, n_responses, products):
+    def test_projection_of_a_block_is_each_response_alone(self, rng, n_responses):
         # _project_free makes each per-response product in one stacked call,
         # which must give every response the bits it gets alone: responses
         # strided as a test inversion lays them out, and two collinear free
@@ -349,13 +364,9 @@ class TestBlockOfOne:
         Y = np.empty((41, max(2, n_responses)))[:, :n_responses].T
         Y[:] = rng.standard_normal(Y.shape)
         rest = rng.standard_normal((n_responses, 41))
-        if products == "stacked_matmul":  # what a numpy without np.matvec runs
-            monkeypatch.setattr(solvers, "_matvecs", solvers._stacked_matvec)
-            monkeypatch.setattr(solvers, "_dots", solvers._stacked_vecdot)
         gram, xty, scale, coefs = solvers._project_free(head, free, Y)
         fitted = coefs(rest)
         assert xty.shape == (30, n_responses) and fitted.shape == (n_responses, 2)
-        monkeypatch.undo()
         for g in range(n_responses):
             gram_g, xty_g, scale_g, coefs_g = solvers._project_free(head, free, Y[g:g + 1])
             for got, want in ((gram, gram_g), (xty[:, g], xty_g[:, 0]), (scale[g], scale_g[0]),
@@ -553,8 +564,10 @@ class TestBorderedJoin:
         xc = X - X.mean(axis=0)
         xa = np.vstack([xc, np.diag(np.sqrt(penalty.l2 * weights))[penalty.l2 * weights > 0.0]])
         on = np.flatnonzero((w_ref != 0.0) & (penalty.l1 * weights > 0.0))
-        gram = solvers._project_free(xa[:, on], xa[:, n_cols:], np.zeros((1, xa.shape[0])))[0]
-        cond = np.linalg.cond(gram) if on.size else 1.0
+        head, free = xa[:, on], xa[:, n_cols:]
+        if free.shape[1]:
+            head = head - free @ np.linalg.lstsq(free, head, rcond=None)[0]
+        cond = np.linalg.cond(head.T @ head) if on.size else 1.0
         assert np.abs(w - w_ref).max() <= 1e-10 * max(1.0, cond / 1e6) * np.abs(w_ref).max()
 
 
