@@ -11,6 +11,8 @@ fitted window instead.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
@@ -103,15 +105,17 @@ class EstimatorSpec:
             default = unused.default_factory() if unused.default is MISSING else unused.default
             if getattr(self, unused.name) != default:
                 raise ValueError(f"{self.kind} estimators do not use {unused.name!r}")
-        if self.kind == "classo" and not (self.radius is not None and self.radius > 0):
+        # A classo fit over an unbounded ball is all NaN; inf is matrix completion's unconstrained fit.
+        if self.kind == "classo" and not (self.radius is not None and 0 < self.radius < math.inf):
+            raise ValueError(f"radius must be positive and finite; got {self.radius}")
+        if self.kind == "matrix_completion" and self.radius is not None and not self.radius > 0:
             raise ValueError(f"radius must be positive; got {self.radius}")
-        if self.kind == "fused":
-            if self.base is None or self.base.kind not in _PANEL_KINDS:
-                raise ValueError("fused estimators need a panel-model base (not 'ar'/'fused')")
-            if self.n_lags is None or self.n_lags < 1:
-                raise ValueError("fused estimators need n_lags >= 1")
-        if self.kind == "ar" and (self.n_lags is None or self.n_lags < 1):
-            raise ValueError("ar estimators need n_lags >= 1")
+        for _, name, convert, _ in row.params:
+            count = getattr(self, name)  # a bool is an int to Python; a float count fails inside numpy
+            if convert is int and (isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1):
+                raise ValueError(f"{self.kind} estimators need an integer {name} >= 1; got {count!r}")
+        if self.kind == "fused" and (self.base is None or self.base.kind not in _PANEL_KINDS):
+            raise ValueError("fused estimators need a panel-model base (not 'ar'/'fused')")
         if self.kind in ("lasso", "elastic_net"):
             _penalty(self)  # checks lam, alpha
 
@@ -166,14 +170,17 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
 
     ``spec`` is an :class:`EstimatorSpec` or, for user-supplied estimators,
     any callable mapping a panel to a :class:`ProxyFit`; custom fits are
-    responsible for setting their own ``permutation_invariant`` flag.
+    responsible for setting their own ``permutation_invariant`` flag.  A
+    spec's fit is column 0 of its kind's array core (see :class:`_Kind`)
+    run on the panel's own treated series.
 
     ``start`` is an earlier fit of the same spec on a panel with the same
     controls, such as the neighbouring candidate of a test inversion.  The
     ``sc``, ``classo``, lasso and elastic-net fitters start their solver
     from its weights, which changes the steps taken but not the solution
-    the certificate accepts; other kinds, custom callables, and a start
-    from another spec ignore it.
+    the certificate accepts, and a fused fit hands its base's params to
+    its base; other kinds, custom callables, and a start from another
+    spec ignore it.
     """
     if callable(spec) and not isinstance(spec, EstimatorSpec):
         fitted = spec(panel)
@@ -182,73 +189,66 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
                 f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
             )
         return fitted
-    if _ESTIMATORS[spec.kind].core:
-        return _fit_block(panel, panel.treated[:, None], spec, start).fit(0, spec.label)
-    fitted = _ESTIMATORS[spec.kind].fitter(panel, spec)
-    # The fitter built this object a moment ago and nothing else holds it,
-    # so naming it in place saves a copy of every fit.
-    object.__setattr__(fitted, "estimator_id", spec.label)
-    return fitted
+    return _fit_block(panel, None, spec, start).fit(0, spec.label)
 
 
 class _Block(NamedTuple):
     """The fits of one panel's controls to each column of a block of treated series (T, G).
 
     Row or entry ``g`` of each array belongs to column ``g``, with the bits
-    of that column fitted alone: ``residuals`` and ``proxies`` (G, T), the
-    residuals as :func:`_panel_fit` gives them; ``mu`` (G,), the intercepts
-    (None for ``sc``); ``weights`` (G, J) and ``coefs`` (G, k), the control
-    weights and covariate coefficients; and ``steps``, ``converged`` and
-    ``kkt``, what the solver reports.  ``report(g)`` builds the
-    :class:`SolveReport` of column ``g``, final objective included, and
-    :meth:`fit` its :class:`ProxyFit`; neither is built until asked for.
+    of that column fitted alone: ``residuals`` and ``proxies`` (G, n), on
+    the fitted window that begins at period ``start``; and ``steps`` and
+    ``converged`` (G,), what the solver reports (0 steps and converged for
+    a fit without a report).  ``params(g)`` and ``report(g)`` build the
+    kind's params and :class:`SolveReport` (or None) of column ``g``, and
+    :meth:`fit` its :class:`ProxyFit`; none is built until asked for.  A
+    ``did`` core run on a stack of panels keeps their leading axes.
     """
 
     residuals: np.ndarray
     proxies: np.ndarray
-    mu: np.ndarray | None
-    weights: np.ndarray
-    coefs: np.ndarray
     steps: np.ndarray
     converged: np.ndarray
-    kkt: np.ndarray
-    report: Callable[[int], SolveReport]
+    params: Callable[[int], dict]
+    report: Callable[[int], SolveReport | None]
+    start: int = 1
+
+    n_fitted = property(lambda self: self.residuals.shape[-1])
+    post_slice = ProxyFit.post_slice  # the post-treatment positions in each residual row
 
     def fit(self, g: int, label: str) -> ProxyFit:
         """The :class:`ProxyFit` of column ``g``, named ``label``."""
-        params = {"weights": self.weights[g], "covariate_coefs": self.coefs[g]}
-        if self.mu is not None:
-            params = {"mu": float(self.mu[g]), **params}
-        return ProxyFit(self.proxies[g], self.residuals[g], 1, True, label, self.report(g), params)
+        # Only the lag kinds start after period 1, and their residuals do not permute with the rows.
+        return ProxyFit(self.proxies[g], self.residuals[g], self.start, self.start == 1, label,
+                        self.report(g), self.params(g))
 
 
-def _block_of(outcomes, treated, proxies, mu, W, n_con, solved) -> _Block:
-    """The :class:`_Block` of the proxies (G, T), one row per column of ``treated``,
-    the intercepts ``mu``, the weights ``W`` (G, p) whose first ``n_con`` are the
-    control weights, and ``solved``, the ``(steps, converged, kkt, report)``
-    of the solver; ``outcomes`` is the panel's, the treated unit first."""
-    residuals = _zero_rounding(treated.T - proxies, outcomes, treated.T)
-    return _Block(residuals, proxies, mu, W[:, :n_con], W[:, n_con:], *solved)
+def _panels(outcomes: np.ndarray, treated: np.ndarray):
+    """A C-ordered copy of ``outcomes`` with its treated series replaced by each column of ``treated``."""
+    for column in treated.T:
+        panel = outcomes.copy()
+        panel[:, 0] = column
+        yield panel
 
 
-def _fit_block(panel: PanelData, treated: np.ndarray, spec: EstimatorSpec,
+def _fit_block(panel: PanelData, treated: np.ndarray | None, spec: EstimatorSpec,
                start: ProxyFit | None = None) -> _Block:
     """The fits of ``panel`` with its treated series replaced by each column of ``treated``.
 
-    ``spec`` is of a kind with an array core (``sc``, ``classo``, lasso,
-    elastic net), and ``treated`` is (T, G), such as the treated series
-    under each candidate of a test inversion.  The columns are fitted in
-    order as one block against the fixed controls and covariates, each warm
-    from the one before and the first from ``start`` (see :func:`fit`).
-    Column ``g`` is the fit :func:`fit` gives on that column's panel with
-    that start, bit for bit when the columns are strided as a panel's
-    treated series is.
+    ``treated`` is (T, G), such as the treated series under each candidate
+    of a test inversion, or None for the panel's own.  The kind's array
+    core fits the columns in order as one block against the fixed controls
+    and covariates, the active-set kinds each warm from the one before and
+    the first from ``start`` (see :func:`fit`).  Column ``g`` is the fit
+    :func:`fit` gives on that column's panel with that start, bit for bit
+    when the columns are strided as a panel's treated series is.
     """
-    _require_controls(panel, spec.label)
+    _require_controls(panel, spec)
+    if treated is None:
+        treated = panel.treated[:, None]
     if start is not None and start.estimator_id != spec.label:
         start = None  # a warm start from another spec is ignored
-    covariates = None if panel.covariates is None else panel.covariates[:, 0, :]
-    return _ESTIMATORS[spec.kind].fitter(panel.outcomes, covariates, treated, spec,
+    return _ESTIMATORS[spec.kind].fitter(panel.outcomes, panel.covariates, treated, spec,
                                          None if start is None else start.params)
 
 
@@ -259,25 +259,25 @@ def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit
     ``residuals`` (G, n) holds one residual row per column, ``window`` the
     positions of the post-treatment periods in a row, ``steps`` the sum of
     the fits' solver steps and ``nonconverged`` the count of fits that did
-    not converge; a fit without a report counts 0 in both.  Kinds with an
-    array core fit the block (:func:`_fit_block`, warm from ``start``);
-    other kinds and custom callables fit one panel per column.
+    not converge; a fit without a report counts 0 in both.  A spec fits
+    the block (:func:`_fit_block`, warm from ``start``); a custom callable
+    fits one panel per column.
     """
-    if isinstance(spec, EstimatorSpec) and _ESTIMATORS[spec.kind].core:
+    if isinstance(spec, EstimatorSpec):
         block = _fit_block(panel, treated, spec, start)
-        return block.residuals, slice(panel.t0, None), int(block.steps.sum()), int((~block.converged).sum())
-    fits = []
-    for column in treated.T:
-        outcomes = panel.outcomes.copy()
-        outcomes[:, 0] = column
-        fits.append(fit(replace(panel, outcomes=outcomes), spec))
-    reports = [fitted.diagnostics for fitted in fits if fitted.diagnostics is not None]
-    return (np.array([fitted.residuals for fitted in fits]), fits[0].post_slice(panel.t0),
-            sum(report.iterations for report in reports), sum(not report.converged for report in reports))
+    else:
+        fits = [fit(replace(panel, outcomes=outcomes), spec) for outcomes in _panels(panel.outcomes, treated)]
+        block = _stacked(((f.proxy, f.residuals, f.params, f.diagnostics) for f in fits), fits[0].start)
+    return block.residuals, block.post_slice(panel.t0), int(block.steps.sum()), int((~block.converged).sum())
 
 
-def _require_controls(panel: PanelData, who: str) -> None:
-    """A panel estimator fits the one treated unit on at least one control."""
+def _require_controls(panel: PanelData, spec: EstimatorSpec) -> None:
+    """A ``did`` or active-set fit, a fused fit's base included, fits the one
+    treated unit on at least one control."""
+    spec = spec.base if spec.kind == "fused" else spec
+    if spec.kind not in ("did", "sc", "classo", "lasso", "elastic_net"):
+        return
+    who = "difference-in-differences" if spec.kind == "did" else spec.label
     if panel.n_treated != 1:
         raise DimensionError(f"{who} fits one treated unit; the panel has {panel.n_treated} "
                              "(aggregate_units() first)")
@@ -289,7 +289,7 @@ def _design(outcomes: np.ndarray, covariates: np.ndarray | None):
     """Control outcomes plus the treated unit's covariates as free columns.
 
     ``outcomes`` is a panel's (T, 1 + J), the treated unit first, and
-    ``covariates`` the treated unit's (T, k) or None.  Returns (X,
+    ``covariates`` the panel's (T, 1 + J, k) or None.  Returns (X,
     n_constrained): the simplex / l1 constraint applies to the first
     ``n_constrained`` columns only; covariate coefficients are
     unconstrained.
@@ -297,48 +297,37 @@ def _design(outcomes: np.ndarray, covariates: np.ndarray | None):
     X = outcomes[:, 1:]
     n_constrained = X.shape[1]
     if covariates is not None:
-        X = np.hstack([X, covariates])
+        X = np.hstack([X, covariates[:, 0, :]])
     return X, n_constrained
 
 
-def _panel_fit(panel: PanelData, proxy: np.ndarray, diagnostics: SolveReport | None, **params) -> ProxyFit:
-    """The fit of a panel estimator: every period fitted, residuals ``treated - proxy``.
+def _residuals(series: np.ndarray, proxies: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """``series - proxies``, each residual within the rounding level of its panel set to zero.
 
-    Panel estimators treat the periods as exchangeable rows, so their
-    residuals permute with the data and the fit is permutation-invariant.
-    A residual no larger than the rounding level of the outcomes,
-    ``outcomes.size * eps * max|outcomes|``, is set to zero: where the
-    proxy fits a period exactly (``sc`` or ``classo`` with at least as many
-    controls as periods can fit them all), rounding noise would otherwise
-    rank the permutations, and the p-value would depend on the units.
-    """
-    residuals = _zero_rounding(panel.treated - proxy, panel.outcomes)
-    return ProxyFit(proxy, residuals, 1, True, diagnostics=diagnostics, params=params)
-
-
-def _zero_rounding(residuals: np.ndarray, outcomes: np.ndarray, treated: np.ndarray | None = None) -> np.ndarray:
-    """Set ``residuals`` within the rounding level of their panels to zero, in place.
-
-    ``outcomes`` holds one panel (T, N), or panels along leading axes with
-    ``residuals`` (..., T) alongside; ``treated`` (..., T), if given, holds
-    each panel's treated series in place of the first column of
-    ``outcomes``.  The level is that of :func:`_panel_fit`,
-    ``outcomes.size * eps * max|outcomes|`` per panel.
+    ``outcomes`` holds one panel (T, N), with ``series`` and ``proxies``
+    (T,) or (G, T), or panels along leading axes, with them (..., G, T): the
+    treated series that take the place of its first column and their
+    proxies.  A panel with a row of ``series`` for its treated series has
+    the rounding level ``outcomes.size * eps * max|outcomes|``.  Panel
+    estimators treat the periods as exchangeable rows, so their residuals
+    permute with the data, and so must this floor: where the proxy fits a
+    period exactly (``sc`` or ``classo`` with at least as many controls as
+    periods can fit them all), rounding noise would otherwise rank the
+    permutations, and the p-value would depend on the units.
     """
     def peak(x, axis):  # max|x| without an x-sized copy: a Monte Carlo chunk is 1 MiB
         return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
 
-    def panel_peak(x):
-        if x.ndim == 2:
-            return peak(x, (-2, -1))
-        # A stack of panels is reduced periods first: a Monte Carlo chunk is
-        # time-major, so each period row of all its panels is contiguous.
-        return np.maximum(peak(np.maximum.reduce(x, axis=-2), -1), peak(np.minimum.reduce(x, axis=-2), -1))
-
-    if treated is None:
-        level = panel_peak(outcomes)
+    if outcomes.ndim == 2:
+        level = peak(outcomes[:, 1:], (-2, -1))
     else:
-        level = np.maximum(peak(treated, -1), panel_peak(outcomes[..., 1:]))
+        # Whole period rows are reduced first, and the treated column dropped
+        # after: a Monte Carlo chunk is time-major, so each period row of all
+        # its panels is contiguous, and a column slice of it is not.
+        top, bottom = np.maximum.reduce(outcomes, axis=-2)[..., 1:], np.minimum.reduce(outcomes, axis=-2)[..., 1:]
+        level = np.maximum(peak(top, -1), peak(bottom, -1))[..., None]
+    level = np.maximum(peak(series, -1), level)
+    residuals = series - proxies
     n = outcomes.shape[-2] * outcomes.shape[-1]
     residuals[_negligible(np.abs(residuals), n, level[..., None])] = 0.0
     return residuals
@@ -349,45 +338,50 @@ def _closed_form(objective: float, note: str = "") -> SolveReport:
     return SolveReport(iterations=1, final_objective=objective, converged=True, kkt_residual=0.0, note=note)
 
 
-def _did(outcomes: np.ndarray):
-    """Difference-in-differences fits of panels along leading axes.
+def _did_core(outcomes, covariates, treated, spec, start) -> _Block:
+    """Difference-in-differences: equal control weights plus a level shift
+    (array core as :func:`_sc_core`).
 
-    ``outcomes`` is (..., T, 1 + J), one panel or a stack of them, the
-    treated unit first.  Returns the level shifts (...), proxies (..., T)
-    and residuals (..., T), the residuals as :func:`_panel_fit` gives them.
-    Each panel's arithmetic is that of a panel alone, so a batch fits bit
-    for bit as its panels do; ``outcomes`` may be a strided view, such as a
-    time-major Monte Carlo chunk, since the level shift is summed over a
-    C-ordered copy of the differences.
+    The level shift ``params["mu"]`` is the full-sample mean of the
+    treated-minus-control differences, so the residuals sum to zero
+    exactly.  ``outcomes`` (..., T, 1 + J) may be a stack of panels, even a
+    strided one such as a time-major Monte Carlo chunk, with ``treated``
+    (..., T, G) alongside; the block keeps the leading axes, and each
+    panel's arithmetic is that of a panel alone, so a stack fits bit for
+    bit as its panels do.
     """
-    treated = outcomes[..., 0]
-    control_mean = outcomes[..., 1:].mean(axis=-1)
-    mu = np.subtract(treated, control_mean, order="C").mean(axis=-1)  # a strided mean is not summed pairwise
-    proxy = mu[..., None] + control_mean
-    return mu, proxy, _zero_rounding(treated - proxy, outcomes)
+    control_mean = outcomes[..., 1:].mean(axis=-1)[..., None, :]
+    series = np.swapaxes(treated, -1, -2).copy()  # a chunk's treated column is strided: one pass to read it
+    mu = (series - control_mean).mean(axis=-1)  # over C-ordered rows: a strided mean is not summed pairwise
+    proxies = mu[..., None] + control_mean
+    return _Block(_residuals(series, proxies, outcomes), proxies, np.zeros(mu.shape, dtype=int),
+                  np.ones(mu.shape, dtype=bool), lambda g: {"mu": float(mu[g])}, lambda g: None)
 
 
-def _did_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
-    """Difference-in-differences: equal control weights plus a level shift.
+def _block_of(outcomes, treated, proxies, mu, W, n_con, solved) -> _Block:
+    """The :class:`_Block` of an active-set core: the proxies (G, T), one row per
+    column of ``treated``, the intercepts ``mu`` (None for ``sc``), the weights
+    ``W`` (G, p) whose first ``n_con`` are the control weights and the rest
+    the covariate coefficients, and ``solved``, the ``(steps, converged, kkt,
+    report)`` of the solver; ``outcomes`` is the panel's, the treated unit first."""
+    steps, converged, _, report = solved
 
-    The level shift is the full-sample mean of the treated-minus-control
-    differences, so the residuals sum to zero exactly.
-    """
-    _require_controls(panel, "difference-in-differences")
-    mu, proxy, residuals = _did(panel.outcomes)
-    return ProxyFit(proxy=proxy, residuals=residuals, start=1, permutation_invariant=True,
-                    params={"mu": float(mu)})
+    def params(g):
+        weights = {"weights": W[g, :n_con], "covariate_coefs": W[g, n_con:]}
+        return weights if mu is None else {"mu": float(mu[g]), **weights}
+
+    return _Block(_residuals(treated.T, proxies, outcomes), proxies, steps, converged, params, report)
 
 
 def _sc_core(outcomes, covariates, treated, spec, start) -> _Block:
     """Synthetic control: simplex-constrained least-squares weights on controls.
 
-    The array core of ``sc``, as every active-set kind has one: it fits
-    each treated series, a column of ``treated`` (T, G), against the
-    controls of ``outcomes`` (T, 1 + J, the treated unit first) and the
-    treated unit's ``covariates`` (T, k, or None), as one block.  The
-    solver starts from ``start``, the params of an earlier fit, if given
-    (see :func:`fit`).  Nothing here builds a fit or a report.
+    The array core of ``sc``, as every kind has one: it fits each treated
+    series, a column of ``treated`` (T, G), against the controls of
+    ``outcomes`` (T, 1 + J, the treated unit first) and the treated unit's
+    part of the panel's ``covariates`` (T, 1 + J, k, or None), as one
+    block.  The solver starts from ``start``, the params of an earlier fit,
+    if given (see :func:`fit`).  Nothing here builds a fit or a report.
     """
     X, n_con = _design(outcomes, covariates)
     W, *solved = _simplex_block(X, treated.T, n_con, spec.solver,
@@ -440,14 +434,27 @@ def _penalized_core(outcomes, covariates, treated, spec, start) -> _Block:
     return _block_of(outcomes, treated, mu[:, None] + _matvecs(X, W), mu, W, n_con, solved)
 
 
-def _factor_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
+def _stacked(fits, start: int = 1) -> _Block:
+    """The :class:`_Block` of per-column fits, each ``(proxy, residuals, params, report)``."""
+    proxies, residuals, params, reports = zip(*fits)
+    steps = np.array([0 if report is None else report.iterations for report in reports], dtype=int)
+    converged = np.array([report is None or report.converged for report in reports])
+    return _Block(np.array(residuals), np.array(proxies), steps, converged,
+                  params.__getitem__, reports.__getitem__, start)
+
+
+def _factor_core(outcomes, covariates, treated, spec, start) -> _Block:
     """Pure factor model: principal components of the full outcome matrix."""
-    factors, loadings = pca_factors(panel.outcomes, spec.n_factors)
-    report = _closed_form(float(((panel.outcomes - factors @ loadings.T) ** 2).sum()))
-    return _panel_fit(panel, factors @ loadings[0], report, treated_loading=loadings[0])
+    def fit_one(panel):
+        factors, loadings = pca_factors(panel, spec.n_factors)
+        proxy = factors @ loadings[0]
+        report = _closed_form(float(((panel - factors @ loadings.T) ** 2).sum()))
+        return proxy, _residuals(panel[:, 0], proxy, panel), {"treated_loading": loadings[0]}, report
+
+    return _stacked(map(fit_one, _panels(outcomes, treated)))
 
 
-def _interactive_fe_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
+def _interactive_fe_core(outcomes, covariates, treated, spec, start) -> _Block:
     """Interactive fixed effects: latent factors plus observed covariates.
 
     Raises
@@ -457,16 +464,18 @@ def _interactive_fe_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
         to the pure factor model: a missing covariate block almost always
         indicates a misconfigured pipeline.
     """
-    if panel.covariates is None:
+    if covariates is None:
         raise DimensionError(
             "interactive fixed effects requires covariates; use a factor spec "
             "for the covariate-free model"
         )
-    factors, loadings, beta, report = alternating_ls(
-        panel.outcomes, panel.covariates, spec.n_factors, spec.solver
-    )
-    proxy = factors @ loadings[0] + panel.covariates[:, 0, :] @ beta
-    return _panel_fit(panel, proxy, report, treated_loading=loadings[0], beta=beta)
+
+    def fit_one(panel):
+        factors, loadings, beta, report = alternating_ls(panel, covariates, spec.n_factors, spec.solver)
+        proxy = factors @ loadings[0] + covariates[:, 0, :] @ beta
+        return proxy, _residuals(panel[:, 0], proxy, panel), {"treated_loading": loadings[0], "beta": beta}, report
+
+    return _stacked(map(fit_one, _panels(outcomes, treated)))
 
 
 def default_nuclear_radius(matrix: np.ndarray) -> float:
@@ -482,7 +491,7 @@ def default_nuclear_radius(matrix: np.ndarray) -> float:
     return 1.5 * float(s[:rank].sum())
 
 
-def _matrix_completion_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
+def _matrix_completion_core(outcomes, covariates, treated, spec, start) -> _Block:
     """Least squares over the nuclear-norm ball on the full outcome matrix.
 
     With every entry observed the minimizer of ``sum((Y - A)^2)`` subject
@@ -490,40 +499,37 @@ def _matrix_completion_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     matrix onto the ball, so the fit is exact in one step.  Without a
     radius in the spec, :func:`default_nuclear_radius` sets it.
     """
-    matrix = panel.outcomes.T  # units x time
-    radius = default_nuclear_radius(matrix) if spec.radius is None else spec.radius
-    fitted = project_nuclear_ball(matrix, radius)
-    report = _closed_form(float(((matrix - fitted) ** 2).sum()))
-    return _panel_fit(panel, fitted[0], report, radius=radius)
+    def fit_one(panel):
+        matrix = panel.T  # units x time
+        radius = default_nuclear_radius(matrix) if spec.radius is None else spec.radius
+        fitted = project_nuclear_ball(matrix, radius)
+        report = _closed_form(float(((matrix - fitted) ** 2).sum()))
+        return fitted[0], _residuals(panel[:, 0], fitted[0], panel), {"radius": radius}, report
 
-
-def _lag_matrix(series: np.ndarray, n_lags: int) -> np.ndarray:
-    """Rows t = n_lags+1..T of (y_{t-1}, ..., y_{t-n_lags})."""
-    cols = [series[n_lags - m - 1: series.shape[0] - m - 1] for m in range(n_lags)]
-    return np.column_stack(cols)
+    return _stacked(map(fit_one, _panels(outcomes, treated)))
 
 
 def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
-                   fitter: Callable | None = None) -> ProxyFit:
+                   fitter: Callable | None = None):
     """Least squares of ``series`` on its own ``n_lags`` lags, from period ``n_lags + 1``.
 
-    The proxy is the predicted series and ``params["coefficients"]`` the
-    fitted coefficients.  With ``intercept`` the design leads with a
-    constant column, and lag columns that do not vary (a constant series)
-    are dropped: they carry no signal and would be collinear with it, so
-    their coefficients are 0.  Without it, a series that does not vary
-    leaves no second moment to fit, so every lag coefficient is 0 and the
-    report says so.  In both cases, as in ``solvers._centre``, a range
-    within ``n * eps * max|x|`` is rounding and counts as no variation,
-    ``x`` being the lag column (``n`` its rows) or the whole series.  The
-    least-squares design must have at least as many rows as coefficients
-    (and two rows), or the series is too short.
-    ``fitter`` replaces the least squares (see :func:`_ar_fit`).
+    Returns the predicted series, ``series`` minus it, the params (the
+    fitted ``"coefficients"``) and the closed-form report.  With
+    ``intercept`` the design leads with a constant column, and lag columns
+    that do not vary (a constant series) are dropped: they carry no signal
+    and would be collinear with it, so their coefficients are 0.  Without
+    it, a series that does not vary leaves no second moment to fit, so every
+    lag coefficient is 0 and the report says so.  In both cases, as in
+    ``solvers._centre``, a range within ``n * eps * max|x|`` is rounding and
+    counts as no variation, ``x`` being the lag column (``n`` its rows) or
+    the whole series.  The least-squares design must have at least as many
+    rows as coefficients (and two rows), or the series is too short.
+    ``fitter`` replaces the least squares (see :func:`_ar_core`), with no params or report.
     """
     n_coefs = 0 if fitter is not None else n_lags + intercept
     if series.shape[0] - n_lags < max(2, n_coefs):
         raise DimensionError(f"{what} of length {series.shape[0]} is too short for {n_lags} lags")
-    lags = _lag_matrix(series, n_lags)
+    lags = np.column_stack([series[n_lags - m - 1: series.shape[0] - m - 1] for m in range(n_lags)])  # y_{t-1}, ...
     target = series[n_lags:]
     params, note = {}, ""
     if fitter is not None:
@@ -544,18 +550,13 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
         predicted = lags @ coef
         params["coefficients"] = coef
     residuals = target - predicted
-    return ProxyFit(
-        proxy=predicted,
-        residuals=residuals,
-        start=n_lags + 1,
-        permutation_invariant=False,
-        diagnostics=None if fitter is not None else _closed_form(float((residuals ** 2).sum()), note),
-        params=params,
-    )
+    report = None if fitter is not None else _closed_form(float((residuals ** 2).sum()), note)
+    return predicted, residuals, params, report
 
 
-def _ar_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
-    """Autoregression of the treated series on its own lags (with intercept).
+def _ar_core(outcomes, covariates, treated, spec, start) -> _Block:
+    """Autoregression of the treated series on its own lags, with intercept
+    (array core as :func:`_sc_core`, one column at a time).
 
     Only the treated unit is used, so panels without controls are
     accepted.  The first ``n_lags`` periods are consumed to build the lag
@@ -568,29 +569,35 @@ def _ar_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
     (possibly nonlinear) lag model; ``predict`` must map a lag matrix to
     fitted values.
     """
-    return _autoregression(panel.treated, spec.n_lags, "series", intercept=True, fitter=spec.ar_fitter)
+    fits = (_autoregression(panel[:, 0], spec.n_lags, "series", True, spec.ar_fitter)
+            for panel in _panels(outcomes, treated))
+    return _stacked(fits, spec.n_lags + 1)
 
 
-def _fused_fit(panel: PanelData, spec: EstimatorSpec) -> ProxyFit:
-    """Two-stage fit: a panel proxy, then an autoregression on its residuals.
+def _fused_core(outcomes, covariates, treated, spec, start) -> _Block:
+    """Two-stage fit: a panel proxy, then an autoregression on its residuals
+    (array core as :func:`_sc_core`).
 
-    Stage one fits the spec's ``base`` on the full panel; stage two
-    regresses the stage-one residuals on their own ``n_lags`` lags without
-    an intercept.  The final proxy adds the predicted residual to the
-    stage-one proxy, and the fitted window starts at period ``n_lags + 1``.
+    Stage one runs the core of the spec's ``base`` on the block (from the
+    base's params in ``start``); stage two regresses each column's
+    stage-one residuals on their own ``n_lags`` lags without an intercept.
+    The final proxy adds the predicted residual to the stage-one proxy,
+    the fitted window starts at period ``n_lags + 1``; the report is stage two's.
 
     A stage-one residual series that is constant up to rounding (a perfect
     first-stage fit up to a level) makes stage two degenerate; the lag
     coefficients are then set to zero, which reproduces the base proxy
     exactly, and the report is flagged.
     """
-    stage1 = fit(panel, spec.base)
-    stage2 = _autoregression(stage1.residuals, spec.n_lags, "residual series", intercept=False)
-    return replace(
-        stage2,
-        proxy=stage1.proxy[spec.n_lags:] + stage2.proxy,
-        params={"rho": stage2.params["coefficients"], "base": stage1.estimator_id,
-                "base_params": stage1.params},
+    base, n_lags = spec.base, spec.n_lags
+    stage1 = _ESTIMATORS[base.kind].fitter(outcomes, covariates, treated, base,
+                                           None if start is None else start["base_params"])
+    stage2 = _stacked((_autoregression(row, n_lags, "residual series", intercept=False)
+                       for row in stage1.residuals), n_lags + 1)
+    return stage2._replace(
+        proxies=stage1.proxies[:, n_lags:] + stage2.proxies,
+        params=lambda g: {"rho": stage2.params(g)["coefficients"], "base": base.label,
+                          "base_params": stage1.params(g)},
     )
 
 
@@ -611,41 +618,38 @@ class _Kind(NamedTuple):
 
     ``params`` holds the CLI parameters as ``(key, spec field, type, default)``;
     one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
-    is the kind's one fitter, and ``reads`` names the spec fields it uses
-    besides ``params``; every other field must keep its default.  A fitter
-    takes the panel and the spec and returns a :class:`ProxyFit`; with
-    ``core`` (the kinds with an active-set solver) it is the kind's array
-    core instead, as :func:`_sc_core` documents, which :func:`fit`, test
-    inversion and Monte Carlo all reach.  The CLI name is the kind with
+    is the kind's array core, as :func:`_sc_core` documents: it fits a
+    block of treated series against one panel and returns a
+    :class:`_Block`, and :func:`fit`, test inversion and Monte Carlo all
+    reach it.  ``reads`` names the spec fields it uses besides ``params``;
+    every other field must keep its default.  The CLI name is the kind with
     ``-`` for ``_``; the spec comes from the classmethod of the kind's name.
     """
 
     params: tuple
-    fitter: Callable[..., ProxyFit | _Block]
+    fitter: Callable[..., _Block]
     reads: tuple = ()
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
-    core: bool = False
 
 
 _ESTIMATORS = {
-    "did": _Kind((), _did_fit),
-    "sc": _Kind((), _sc_core, ("solver",), core=True),
-    "classo": _Kind((("K", "radius", float, 1.0),), _classo_core, ("solver",), core=True),
-    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_core, ("solver",), core=True),
+    "did": _Kind((), _did_core),
+    "sc": _Kind((), _sc_core, ("solver",)),
+    "classo": _Kind((("K", "radius", float, 1.0),), _classo_core, ("solver",)),
+    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_core, ("solver",)),
     "elastic_net": _Kind(
         (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
         _penalized_core,
         ("solver",),
-        core=True,
     ),
-    "factor": _Kind((("k", "n_factors", int, _REQUIRED),), _factor_fit),
-    "interactive_fe": _Kind((("k", "n_factors", int, _REQUIRED),), _interactive_fe_fit, ("solver",)),
-    "matrix_completion": _Kind((("K", "radius", float, None),), _matrix_completion_fit),
-    "ar": _Kind((("lags", "n_lags", int, _REQUIRED),), _ar_fit, ("ar_fitter",), fused_base=False),
+    "factor": _Kind((("k", "n_factors", int, _REQUIRED),), _factor_core),
+    "interactive_fe": _Kind((("k", "n_factors", int, _REQUIRED),), _interactive_fe_core, ("solver",)),
+    "matrix_completion": _Kind((("K", "radius", float, None),), _matrix_completion_core),
+    "ar": _Kind((("lags", "n_lags", int, _REQUIRED),), _ar_core, ("ar_fitter",), fused_base=False),
     "fused": _Kind(
         (("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)),
-        _fused_fit,
+        _fused_core,
         label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})",
         fused_base=False,
     ),

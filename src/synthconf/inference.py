@@ -435,22 +435,24 @@ def pointwise_ci(
     the warm start of the first candidate.
 
     The candidates share their design and differ only in the last treated
-    entry, so the period is fitted as one block of treated series, in grid
-    order, each candidate warm from its neighbour's solution.  For ``sc``,
-    ``classo``, lasso and elastic net the kind's array core fits the block:
-    the design once per period, then each candidate's own active-set run
-    and certificate (see :func:`~synthconf.solvers.simplex_ls`), while
-    each per-candidate product (linear term, certificate scale, proxy,
-    intercept) is one stacked product over the block.  No fit object or
-    report is built per candidate.  Other kinds, and custom callables, fit
-    one panel per candidate.  Either way a candidate's residuals and counts
-    are, bit for bit, those of :func:`~synthconf.fit` of its own panel warm
-    from its neighbour's fit, and all residual rows are ranked in one
-    permutation pass.  A p-value is the one :func:`test_sharp_null` gives
-    unless the proxy fits almost exactly: a warm start can then stop on
-    another support whose certificate also passes (for ``sc`` on a 9-period
-    panel with 10 controls and the treated unit a mean of three of them
-    plus noise of 1e-6, 263 of 8,200 default-grid candidates over 200 seeds).
+    entry, so the kind's array core fits the period as one block of
+    treated series, in grid order, each candidate warm from its
+    neighbour's solution, and builds no fit object or report per
+    candidate.  For ``sc``, ``classo``, lasso and elastic net that is the
+    design once per period, then each candidate's own active-set run and
+    certificate (see :func:`~synthconf.solvers.simplex_ls`), each
+    per-candidate product (linear term, certificate scale, proxy,
+    intercept) one stacked product over the block; ``did`` is one
+    vectorized fit, and the other kinds fit the candidates' panels one by
+    one.  A custom callable fits one panel per candidate.  Either way a
+    candidate's residuals and counts are, bit for bit, those of
+    :func:`~synthconf.fit` of its own panel warm from its neighbour's fit,
+    and all residual rows are ranked in one permutation pass.  A p-value
+    is the one :func:`test_sharp_null` gives unless the proxy fits almost
+    exactly: a warm start can then stop on another support whose
+    certificate also passes (for ``sc`` on a 9-period panel with 10
+    controls and the treated unit a mean of three of them plus noise of
+    1e-6, 263 of 8,200 default-grid candidates over 200 seeds).
 
     The reported interval is the hull of the accepted set, with a flag when
     the set has interior gaps (and a warning when it is empty, which

@@ -101,37 +101,71 @@ class TestWarmStart:
             assert warm.diagnostics == cold.diagnostics
 
 
+def assert_same_bits(got, want):
+    """Equal bit for bit: the same keys in the same order, arrays of the same shape and bytes."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_bits(got[key], want[key])
+    elif isinstance(want, np.ndarray):
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    else:
+        assert type(got) is type(want) and got == want
+
+
 class TestArrayCore:
+    #: One spec of every kind, with the params each kind's fit reports.
+    KIND_SPECS = [
+        (EstimatorSpec.did(), {"mu"}),
+        (EstimatorSpec.sc(), {"weights", "covariate_coefs"}),
+        (EstimatorSpec.classo(), {"mu", "weights", "covariate_coefs"}),
+        (EstimatorSpec.lasso(0.5), {"mu", "weights", "covariate_coefs"}),
+        (EstimatorSpec.elastic_net(0.5, 0.5), {"mu", "weights", "covariate_coefs"}),
+        (EstimatorSpec.factor(2), {"treated_loading"}),
+        (EstimatorSpec.interactive_fe(1, SolverConfig(max_iters=20)), {"treated_loading", "beta"}),
+        (EstimatorSpec.matrix_completion(), {"radius"}),
+        (EstimatorSpec.ar(1), {"coefficients"}),
+        (EstimatorSpec.fused(EstimatorSpec.sc(), 1), {"rho", "base", "base_params"}),
+    ]
+
+    def test_every_kind_is_covered(self):
+        assert [spec.kind for spec, _ in self.KIND_SPECS] == list(_KINDS)
+
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("covariate", [False, True], ids=["controls", "covariate"])
-    @pytest.mark.parametrize("spec", TestWarmStart.WARM_SPECS, ids=lambda spec: spec.label)
-    def test_fit_is_column_zero_of_the_core(self, rng, spec, covariate, warm):
+    @pytest.mark.parametrize("spec, keys", KIND_SPECS, ids=[spec.kind for spec, _ in KIND_SPECS])
+    def test_fit_is_column_zero_of_the_core(self, rng, spec, keys, covariate, warm):
         # fit builds its ProxyFit from column 0 of the kind's array core; the
         # other columns (later candidates) must not change it.
         panel = random_panel(rng, 14, 6, noise=1.0)
         if covariate:
             panel = PanelData(panel.outcomes, t0=panel.t0, covariates=rng.standard_normal((14, 7, 1)))
+        core = sc.estimators._ESTIMATORS[spec.kind].fitter
+        treated = sc.panel._treated_under_nulls(panel, [[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
+        if spec.kind == "interactive_fe" and not covariate:
+            with pytest.raises(DimensionError, match="requires covariates"):
+                fit(panel, spec)
+            with pytest.raises(DimensionError, match="requires covariates"):
+                core(panel.outcomes, None, treated, spec, None)
+            return
         start = fit(adjust_under_null(panel, [0.5, -0.5]), spec) if warm else None
         fitted = fit(panel, spec, start)
-        treated = sc.panel._treated_under_nulls(panel, [[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
-        core = sc.estimators._ESTIMATORS[spec.kind].fitter
-        block = core(panel.outcomes, None if panel.covariates is None else panel.covariates[:, 0, :],
-                     treated, spec, None if start is None else start.params)
+        block = core(panel.outcomes, panel.covariates, treated, spec, None if start is None else start.params)
         np.testing.assert_array_equal(block.proxies[0], fitted.proxy)
         np.testing.assert_array_equal(block.residuals[0], fitted.residuals)
-        np.testing.assert_array_equal(block.weights[0], fitted.params["weights"])
-        np.testing.assert_array_equal(block.coefs[0], fitted.params["covariate_coefs"])
-        assert set(fitted.params) == {"weights", "covariate_coefs"} | ({"mu"} if spec.kind != "sc" else set())
-        if spec.kind != "sc":
-            assert block.mu[0] == fitted.params["mu"]
+        assert set(fitted.params) == keys
+        assert_same_bits(block.params(0), fitted.params)
         assert block.report(0) == fitted.diagnostics
-        assert (block.steps[0], block.converged[0], block.kkt[0]) == (
-            fitted.diagnostics.iterations, fitted.diagnostics.converged, fitted.diagnostics.kkt_residual)
+        report = fitted.diagnostics
+        assert (block.steps[0], block.converged[0]) == ((0, True) if report is None else (
+            report.iterations, report.converged))
+        assert (block.start, fitted.start) == ((1, 1) if spec.kind not in ("ar", "fused") else (2, 2))
+        assert fitted.permutation_invariant == (spec.kind not in ("ar", "fused"))
 
     @pytest.mark.parametrize("n_candidates", [1, 5])
     @pytest.mark.parametrize("covariates", [False, True], ids=["controls", "collinear_covariates"])
-    @pytest.mark.parametrize("spec", TestWarmStart.WARM_SPECS, ids=lambda spec: spec.label)
-    def test_block_is_its_columns_fitted_alone(self, rng, spec, covariates, n_candidates):
+    @pytest.mark.parametrize("spec, keys", KIND_SPECS, ids=[spec.kind for spec, _ in KIND_SPECS])
+    def test_block_is_its_columns_fitted_alone(self, rng, spec, keys, covariates, n_candidates):
         # Each per-column product of a block is one stacked call that makes
         # the BLAS call of a lone column, so column g of a block is, bit for
         # bit, the block of one of that column warm from column g - 1.  The
@@ -140,20 +174,27 @@ class TestArrayCore:
         panel = random_panel(rng, 41, 30, noise=1.0)
         cov = None
         if covariates:
-            cov = rng.standard_normal((41, 2))
-            cov[:, 1] = 2.0 * cov[:, 0]
+            cov = rng.standard_normal((41, 31, 2))
+            cov[:, :, 1] = 2.0 * cov[:, :, 0]
+        elif spec.kind == "interactive_fe":
+            with pytest.raises(DimensionError, match="requires covariates"):
+                sc.estimators._ESTIMATORS[spec.kind].fitter(panel.outcomes, None, panel.outcomes[:, :1], spec, None)
+            return
         treated = sc.panel._treated_under_nulls(panel, rng.standard_normal((n_candidates, 2)))
         core = sc.estimators._ESTIMATORS[spec.kind].fitter
         alone, start = [], None
         for g in range(n_candidates):
             alone.append(core(panel.outcomes, cov, treated[:, g:g + 1], spec, start))
-            start = {"weights": alone[-1].weights[0], "covariate_coefs": alone[-1].coefs[0]}
+            start = alone[-1].params(0)
         block = core(panel.outcomes, cov, treated, spec, None)
-        assert (block.mu is None) == (spec.kind == "sc")
-        for field in ("residuals", "proxies", "mu", "weights", "coefs", "steps", "converged", "kkt"):
-            if getattr(block, field) is not None:
-                got, want = getattr(block, field), np.concatenate([getattr(one, field) for one in alone])
-                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), field
+        for field in ("residuals", "proxies", "steps", "converged"):
+            got, want = getattr(block, field), np.concatenate([getattr(one, field) for one in alone])
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), field
+        for g, one in enumerate(alone):
+            assert block.start == one.start
+            assert set(block.params(g)) == keys
+            assert_same_bits(block.params(g), one.params(0))
+            assert block.report(g) == one.report(0)
 
 
 class TestEstimatorSpec:
@@ -203,12 +244,32 @@ class TestEstimatorSpec:
         lambda: EstimatorSpec.lasso(float("inf")),
         lambda: EstimatorSpec.elastic_net(0.5, 1.5),
         lambda: EstimatorSpec.elastic_net(float("nan"), 0.5),
-    ], ids=["negative", "infinite", "alpha_above_one", "nan"])
+        lambda: EstimatorSpec.classo(float("inf")),
+        lambda: EstimatorSpec.matrix_completion(-1.0),
+        lambda: EstimatorSpec.matrix_completion(0.0),
+        lambda: EstimatorSpec.matrix_completion(float("nan")),
+        lambda: EstimatorSpec.factor(0),
+        lambda: EstimatorSpec.factor(1.5),
+        lambda: EstimatorSpec.interactive_fe(0),
+        lambda: EstimatorSpec.ar(1.5),
+        lambda: EstimatorSpec.ar(True),
+        lambda: EstimatorSpec.fused(EstimatorSpec.did(), 1.5),
+    ], ids=["negative", "infinite", "alpha_above_one", "nan", "classo_infinite_radius",
+            "matrix_completion_negative_radius", "matrix_completion_zero_radius",
+            "matrix_completion_nan_radius", "zero_factors", "fractional_factors",
+            "zero_interactive_factors", "fractional_lags", "boolean_lags", "fractional_fused_lags"])
     def test_bad_penalty_rejected_when_built(self, make):
-        # Regression: the penalty was checked only at fit time, so the CLI
-        # ended in a ValueError traceback for lasso:lam=-1.
+        # Regression: the penalty, a radius and the counts were checked only
+        # at fit time, or not at all: the CLI ended in a traceback for
+        # lasso:lam=-1 or matrix-completion:K=-1, classo:K=inf fitted all NaN,
+        # and ar(1.5) failed inside numpy.
         with pytest.raises(ValueError):
             make()
+
+    def test_counts_accept_numpy_integers_and_radius_inf(self):
+        assert EstimatorSpec.factor(np.int64(2)) == EstimatorSpec.factor(2)
+        assert EstimatorSpec.fused(EstimatorSpec.did(), np.int32(1)).n_lags == 1
+        assert EstimatorSpec.matrix_completion(float("inf")).label == "matrix_completion(K=inf)"
 
 
 class TestReconstructionIdentity:
@@ -227,8 +288,8 @@ class TestReconstructionIdentity:
         panel = PanelData(outcomes, t0=4)
         floor = outcomes.size * np.finfo(float).eps * 1e6
         gaps = np.array([0.5, 0.9, 1.1, -0.5, -1.1, 0.0]) * floor
-        fitted = sc.estimators._panel_fit(panel, panel.treated - gaps, None)
-        np.testing.assert_array_equal(fitted.residuals != 0.0, np.abs(gaps) > floor)
+        residuals = sc.estimators._residuals(panel.treated[None], panel.treated[None] - gaps, panel.outcomes)
+        np.testing.assert_array_equal(residuals[0] != 0.0, np.abs(gaps) > floor)
 
 
 class TestPermutationInvariance:
@@ -397,8 +458,12 @@ class TestFactor:
         np.testing.assert_allclose(fitted.residuals, 0.0, atol=1e-6)
 
     def test_zero_factors_rejected(self, rng):
+        # Zero factors are refused when the spec is built; more factors than
+        # min(T, N) only when the panel is known.
+        with pytest.raises(ValueError, match="n_factors"):
+            EstimatorSpec.factor(0)
         with pytest.raises(DimensionError):
-            fit(random_panel(rng, 10, 3), EstimatorSpec.factor(0))
+            fit(random_panel(rng, 10, 3), EstimatorSpec.factor(5))
 
     def test_treated_row_matches_truncated_svd(self, rng):
         Y = rng.standard_normal((20, 10))

@@ -541,6 +541,34 @@ class TestPointwiseCi:
                 gap, scale = _oracles.penalized_gap(X, y, fitted.params["mu"], w, l1, l2, np.arange(n_controls))
             assert gap <= cfg.tol * scale
 
+    @pytest.mark.parametrize("default_grid", [False, True], ids=["grid", "default_grid"])
+    @pytest.mark.parametrize("spec", [
+        EstimatorSpec.did(), EstimatorSpec.factor(1), EstimatorSpec.interactive_fe(1, SolverConfig(max_iters=20)),
+        EstimatorSpec.matrix_completion(), EstimatorSpec.ar(1), EstimatorSpec.fused(EstimatorSpec.did(), 1),
+        EstimatorSpec.fused(EstimatorSpec.sc(), 1),
+    ], ids=lambda spec: spec.label)
+    def test_every_kind_equals_warm_candidate_loop(self, rng, spec, default_grid):
+        # Every kind fits the candidates of a period through its array core,
+        # one column each; every candidate's residuals, p-value and counts
+        # must be, bit for bit, those of its own fit warm from its
+        # neighbour's.  The covariate reaches interactive_fe and the sc base.
+        panel = random_panel(rng, 14, 5, t0=11, noise=1.0)
+        panel = PanelData(panel.outcomes, t0=11, covariates=rng.standard_normal((14, 6, 1)))
+        grid = None if default_grid else np.linspace(-2.0, 2.0, 9)
+        entry = pointwise_ci(panel, 13, spec, grid=grid)
+        sub = sc.pointwise_slice(panel, 13)
+        start = sc.fit(sub, spec) if grid is None else None
+        fits = _oracles.warm_candidate_fits(sub, entry.grid, spec, start)
+        rows = sc.estimators._fit_candidates(sub, sc.panel._treated_under_nulls(sub, entry.grid[:, None]), spec,
+                                             start)[0]
+        assert rows.tobytes() == np.array([f.residuals for f in fits]).tobytes()
+        expected = [p_value(f.residuals, PermutationScheme.moving_block(), Statistic(),
+                            f.post_slice(sub.t0)).p_value for f in fits]
+        np.testing.assert_array_equal(entry.p_values, expected)
+        reports = [f.diagnostics for f in ([start] if start else []) + fits if f.diagnostics is not None]
+        assert entry.iterations == sum(report.iterations for report in reports)
+        assert entry.nonconverged == sum(not report.converged for report in reports)
+
     @pytest.mark.parametrize("grid", [[math.nan, 1.0], [math.inf]], ids=["nan", "inf"])
     @pytest.mark.parametrize("spec", [EstimatorSpec.sc(), EstimatorSpec.did()], ids=["sc", "did"])
     def test_non_finite_candidate_refused(self, rng, spec, grid):

@@ -561,8 +561,11 @@ class TestBadValues:
         ["ci", "--grid", "nan:1:5"],
         ["ci", "--estimator", "did", "--grid", "nan:1:5"],
         ["test", "--permutations", "iid-sampled", "--seed", "-1"],
+        ["test", "--estimator", "classo:K=inf"],
+        ["test", "--estimator", "matrix-completion:K=-1"],
     ], ids=["iid_too_long", "q_below_one", "q_nan", "q_inf", "no_samples", "alpha_above_one", "empty_grid",
-            "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did", "negative_seed"])
+            "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did", "negative_seed",
+            "infinite_classo_radius", "negative_nuclear_radius"])
     def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
         rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",
                    "--out", str(tmp_path / "out")])

@@ -170,14 +170,16 @@ class TestChunkedReplications:
             EstimatorSpec.did(), EstimatorSpec.sc(), EstimatorSpec.ar(1),
             EstimatorSpec.classo(0.5), EstimatorSpec.classo(1.0), EstimatorSpec.classo(2.0),
             EstimatorSpec.lasso(0.5), EstimatorSpec.elastic_net(0.5, 0.5),
+            EstimatorSpec.factor(1), EstimatorSpec.matrix_completion(),
+            EstimatorSpec.fused(EstimatorSpec.did(), 1),
         )),
         chunk=st.integers(1, 3),
         data=st.data(),
     )
     def test_pvalues_equal_per_replication_tests(self, dgp, spec, chunk, data):
         # Chunks of `chunk` panels; the replications end just before, on or
-        # after a chunk boundary, or one past the second chunk.  `sc`,
-        # `classo`, lasso and elastic net take their rows from the array core;
+        # after a chunk boundary, or one past the second chunk.  Every kind
+        # takes its rows from the array core, did in one call per chunk;
         # rho_u and rho_eps of 0, 0.3 or 0.6 skip none, one or both
         # recurrences, and run them with one rho or with two.
         n_reps = data.draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1})))
