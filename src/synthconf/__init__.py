@@ -34,7 +34,7 @@ from .inference import (
     test_multi_unit,
     test_sharp_null,
 )
-from .io import RunConfig, read_panel_csv, write_panel_csv
+from .io import RunConfig, read_panel_csv
 from .panel import (
     PanelData,
     adjust_under_null,
@@ -55,13 +55,11 @@ from .simulation import (
 )
 from .solvers import (
     ElasticNetPenalty,
-    LassoPenalty,
     SolveReport,
     SolverConfig,
     alternating_ls,
     ols,
     pca_factors,
-    penalized_ls,
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
@@ -77,9 +75,9 @@ __all__ = [
     "adjust_under_null", "aggregate_time_blocks", "aggregate_units",
     "pre_treatment_slice", "pointwise_slice",
     # solvers
-    "SolverConfig", "SolveReport", "LassoPenalty", "ElasticNetPenalty",
+    "SolverConfig", "SolveReport", "ElasticNetPenalty",
     "project_simplex", "project_l1_ball", "project_nuclear_ball",
-    "simplex_ls", "penalized_ls",
+    "simplex_ls",
     "pca_factors", "alternating_ls", "ols",
     # estimators
     "EstimatorSpec", "ProxyFit", "fit",
@@ -93,7 +91,7 @@ __all__ = [
     "run_size_experiment", "run_power_curve", "oracle_power_bound",
     "reproduce_figure_null_vs_pre",
     # io
-    "RunConfig", "read_panel_csv", "write_panel_csv",
+    "RunConfig", "read_panel_csv",
     # errors
     "SynthconfError", "DimensionError", "NumericalError",
     "RankDeficiencyError", "ParseError",

@@ -105,11 +105,12 @@ class EstimatorSpec:
             default = unused.default_factory() if unused.default is MISSING else unused.default
             if getattr(self, unused.name) != default:
                 raise ValueError(f"{self.kind} estimators do not use {unused.name!r}")
-        # A classo fit over an unbounded ball is all NaN; inf is matrix completion's unconstrained fit.
+        # Over an unbounded ball a classo fit is all NaN, and a matrix-completion proxy is the treated
+        # series itself: every residual is 0 and every p-value 1.  None is matrix completion's automatic radius.
         if self.kind == "classo" and not (self.radius is not None and 0 < self.radius < math.inf):
             raise ValueError(f"radius must be positive and finite; got {self.radius}")
-        if self.kind == "matrix_completion" and self.radius is not None and not self.radius > 0:
-            raise ValueError(f"radius must be positive; got {self.radius}")
+        if self.kind == "matrix_completion" and self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite; got {self.radius}")
         for _, name, convert, _ in row.params:
             count = getattr(self, name)  # a bool is an int to Python; a float count fails inside numpy
             if convert is int and (isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1):

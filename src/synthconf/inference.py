@@ -108,10 +108,6 @@ class PermutationScheme:
     def iid_sampled(cls, n_samples: int = 5000, seed: int = 0) -> "PermutationScheme":
         return cls("iid_sampled", n_samples=n_samples, seed=seed)
 
-    @property
-    def is_group(self) -> bool:
-        return self.kind in ("moving_block", "iid_all")
-
     def size(self, n: int) -> int:
         """Number of permutations of a window of ``n`` periods.
 

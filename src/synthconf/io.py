@@ -5,8 +5,9 @@ period, each remaining column is one unit, and the header row names the
 units.  *Long*: columns ``unit, time, outcome`` plus optional covariate
 columns.  Both layouts need the treated unit name(s) and the number of
 pre-treatment periods, supplied as arguments (mirrored by CLI flags).
-Values are written with 17 significant digits so write/read round-trips
-are numerically exact.
+The result CSVs that the command line writes (``residuals.csv``,
+``ci.csv``) carry 17 significant digits, so reading them back gives the
+written values exactly.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .exceptions import DimensionError, ParseError
+from .exceptions import ParseError
 from .panel import PanelData
 
 __all__ = [
     "read_panel_csv",
-    "write_panel_csv",
     "RunConfig",
     "write_json_result",
 ]
@@ -218,22 +218,6 @@ def _read_long(path, t0: int, treated_names: list[str]):
     _refuse_non_finite(rows, 2, [header[2], *cov_names], outcomes, covariates)
     panel = PanelData(outcomes, t0=t0, n_treated=len(treated_names), covariates=covariates)
     return panel, order
-
-
-def write_panel_csv(panel: PanelData, path, unit_names=None) -> None:
-    """Write a panel in wide layout with 17-significant-digit values."""
-    if unit_names is None:
-        unit_names = [f"treated{i + 1}" for i in range(panel.n_treated)]
-        unit_names += [f"control{i + 1}" for i in range(panel.n_controls)]
-    if len(unit_names) != panel.n_units:
-        raise DimensionError(
-            f"{len(unit_names)} names supplied for {panel.n_units} units"
-        )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", *unit_names])
-        for t in range(panel.n_periods):
-            writer.writerow([t + 1] + [format(x, ".17g") for x in panel.outcomes[t]])
 
 
 def write_json_result(path, payload: dict) -> None:

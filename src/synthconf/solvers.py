@@ -24,13 +24,11 @@ from .exceptions import DimensionError, NumericalError, RankDeficiencyError
 __all__ = [
     "SolverConfig",
     "SolveReport",
-    "LassoPenalty",
     "ElasticNetPenalty",
     "project_simplex",
     "project_l1_ball",
     "project_nuclear_ball",
     "simplex_ls",
-    "penalized_ls",
     "pca_factors",
     "alternating_ls",
     "ols",
@@ -56,11 +54,10 @@ class SolverConfig:
     ``tol`` is interpreted relative to the natural scale of each problem.
     There is one certificate for ``sc``, ``classo``, lasso and elastic net:
     the active-set method stops once its gap over ``c (||y|| + c)``, ``c``
-    the largest column norm, is at most ``tol`` (see :func:`simplex_ls` and
-    :func:`penalized_ls`), which has no units.  Alternating least squares
-    stops once the relative objective decrease falls below ``tol``.  Every
-    solver has one step rule; only the iteration cap and the tolerance are
-    set here.
+    the largest column norm, is at most ``tol`` (see :func:`simplex_ls`),
+    which has no units.  Alternating least squares stops once the relative
+    objective decrease falls below ``tol``.  Every solver has one step
+    rule; only the iteration cap and the tolerance are set here.
     """
 
     max_iters: int = 10_000
@@ -118,14 +115,6 @@ class ElasticNetPenalty:
     @property
     def l2(self) -> float:
         return self.lam * (1.0 - self.alpha)
-
-    def value(self, w: np.ndarray) -> float:
-        return self.l2 * float(w @ w) + self.l1 * np.abs(w).sum()
-
-
-def LassoPenalty(lam: float) -> ElasticNetPenalty:
-    """l1 penalty ``lam * ||w||_1``: the elastic net at ``alpha = 1``."""
-    return ElasticNetPenalty(lam, 1.0)
 
 
 def _l1_threshold(magnitudes: np.ndarray, radius: float) -> float:
@@ -464,19 +453,6 @@ def _warm(start, n):
     return start
 
 
-def _responses(X, y):
-    """``(X, Y)``: the design as floats and the responses as the rows of ``Y`` (G, n).
-
-    A 1-D ``y`` is a block of one; the columns of an (n, G) ``y`` are the
-    block's responses, each used as it is laid out (``Y`` is ``y.T``).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
-        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
-    return X, y[None] if y.ndim == 1 else y.T
-
-
 def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), start=None):
     """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1.
 
@@ -509,10 +485,14 @@ def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), sta
         has no units: scaling ``X`` and ``y`` together changes neither it
         nor the steps.  ``report.iterations`` counts KKT steps.
     """
-    X, Y = _responses(X, y)
-    W, *_, report = _simplex_block(X, Y, n_constrained, cfg, start, lambda v: v)
-    reports = [report(g) for g in range(len(Y))]
-    return (W[0], reports[0]) if np.ndim(y) == 1 else (W.T, reports)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
+        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
+    # A 1-D y is a block of one; each column of an (n, G) y is used as it is laid out.
+    W, *_, report = _simplex_block(X, y[None] if y.ndim == 1 else y.T, n_constrained, cfg, start, lambda v: v)
+    reports = [report(g) for g in range(len(W))]
+    return (W[0], reports[0]) if y.ndim == 1 else (W.T, reports)
 
 
 def _simplex_block(X, Y, n_constrained, cfg, start, restart):
@@ -559,18 +539,18 @@ def _simplex_block(X, Y, n_constrained, cfg, start, restart):
     return W, steps, converged, kkt, report
 
 
-def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weights=None, start=None):
-    """Minimize sum((y - mu - X w)^2) + P(w) with a free intercept ``mu``.
+def _penalized_block(X, Y, penalty, cfg, weights, start):
+    """Minimize sum((y - mu - X w)^2) + P(w) with a free intercept ``mu``, for
+    each response ``y``, a row of ``Y`` (G, n), on the float design ``X``.
 
-    ``y`` is one response (n,) or a block of responses (n, G) that share
-    ``X``, solved as :func:`simplex_ls` solves a block: the design work
-    once, ``start`` for the first column, each later column from its
-    neighbour's solution, and each column bit for bit as if solved alone
-    from its neighbour.  ``penalty`` is an :class:`ElasticNetPenalty`
-    (:func:`LassoPenalty` for a lasso); ``penalty_weights`` optionally
-    scales the penalty per column (0 leaves a column unpenalized).
-    ``start`` is an optional warm start, one weight per column, such as the
-    ``w`` of an earlier solve on the same ``X``.
+    ``penalty`` is an :class:`ElasticNetPenalty` (``alpha = 1`` for a
+    lasso), and ``weights`` (p,) scales it per column (0 leaves a column
+    unpenalized).  The block is solved as :func:`simplex_ls` solves one:
+    the design work once, ``start`` for the first response, each later
+    response from its neighbour's solution, and each response bit for bit
+    as if solved alone from its neighbour.  ``start`` is None or a warm
+    start, one weight per column, such as the ``w`` of an earlier solve on
+    the same ``X``.
 
     The intercept is concentrated out by centring, and the ridge part of
     the penalty is least squares on extra rows ``sqrt(l2_j) e_j`` with
@@ -582,36 +562,15 @@ def penalized_ls(X, y, penalty, cfg: SolverConfig = SolverConfig(), penalty_weig
     ``[c - l1/2, -c - l1/2]``, solved by :func:`_active_set` from zero or
     from the signed split of ``start``.  Constant columns keep a zero weight.
 
-    Returns
-    -------
-    (intercept, w, report), or (intercepts, W, reports) for a block
-        ``intercepts`` is (G,) and ``W`` (p, G).  The certificate is the
-        gap ``max r - v'r`` of that quadratic, its largest KKT violation
-        once a support is solved, over the same ``c (||y|| + c)`` as in
-        :func:`simplex_ls`; it has no units when ``lam`` is scaled with the
-        squared units of the data.  ``report.iterations`` counts KKT steps;
-        a join borders the previous solution, so a step costs one linear
-        solve, two where the joining column lies in the span of the support.
-    """
-    X, Y = _responses(X, y)
-    p = X.shape[1]
-    weights = np.ones(p) if penalty_weights is None else np.asarray(penalty_weights, dtype=float)
-    if weights.shape != (p,):
-        raise DimensionError("penalty_weights must have one entry per column")
-    intercepts, W, *_, report = _penalized_block(X, Y, penalty, cfg, weights, start)
-    reports = [report(g) for g in range(len(Y))]
-    if np.ndim(y) == 1:
-        return float(intercepts[0]), W[0], reports[0]
-    return intercepts, W.T, reports
-
-
-def _penalized_block(X, Y, penalty, cfg, weights, start):
-    """:func:`penalized_ls` of the float design ``X``, the responses ``Y`` (G, n),
-    one per row, and the penalty weights ``weights`` (p,).
-
     Returns ``(intercepts, W, steps, converged, kkt, report)``: the
     intercepts (G,) and weights (G, p), one row per response, then as
-    :func:`_simplex_block` returns them.
+    :func:`_simplex_block` returns them.  The certificate is the gap
+    ``max r - v'r`` of that quadratic, its largest KKT violation once a
+    support is solved, over the same ``c (||y|| + c)`` as in
+    :func:`simplex_ls`; it has no units when ``lam`` is scaled with the
+    squared units of the data.  ``report(g).iterations`` counts KKT steps;
+    a join borders the previous solution, so a step costs one linear
+    solve, two where the joining column lies in the span of the support.
     """
     p = X.shape[1]
     first = None if start is None else _warm(start, p)

@@ -248,6 +248,7 @@ class TestEstimatorSpec:
         lambda: EstimatorSpec.matrix_completion(-1.0),
         lambda: EstimatorSpec.matrix_completion(0.0),
         lambda: EstimatorSpec.matrix_completion(float("nan")),
+        lambda: EstimatorSpec.matrix_completion(float("inf")),
         lambda: EstimatorSpec.factor(0),
         lambda: EstimatorSpec.factor(1.5),
         lambda: EstimatorSpec.interactive_fe(0),
@@ -256,20 +257,21 @@ class TestEstimatorSpec:
         lambda: EstimatorSpec.fused(EstimatorSpec.did(), 1.5),
     ], ids=["negative", "infinite", "alpha_above_one", "nan", "classo_infinite_radius",
             "matrix_completion_negative_radius", "matrix_completion_zero_radius",
-            "matrix_completion_nan_radius", "zero_factors", "fractional_factors",
-            "zero_interactive_factors", "fractional_lags", "boolean_lags", "fractional_fused_lags"])
+            "matrix_completion_nan_radius", "matrix_completion_infinite_radius", "zero_factors",
+            "fractional_factors", "zero_interactive_factors", "fractional_lags", "boolean_lags",
+            "fractional_fused_lags"])
     def test_bad_penalty_rejected_when_built(self, make):
         # Regression: the penalty, a radius and the counts were checked only
         # at fit time, or not at all: the CLI ended in a traceback for
         # lasso:lam=-1 or matrix-completion:K=-1, classo:K=inf fitted all NaN,
-        # and ar(1.5) failed inside numpy.
+        # matrix-completion:K=inf fitted the treated series exactly (every
+        # p-value 1), and ar(1.5) failed inside numpy.
         with pytest.raises(ValueError):
             make()
 
-    def test_counts_accept_numpy_integers_and_radius_inf(self):
+    def test_counts_accept_numpy_integers(self):
         assert EstimatorSpec.factor(np.int64(2)) == EstimatorSpec.factor(2)
         assert EstimatorSpec.fused(EstimatorSpec.did(), np.int32(1)).n_lags == 1
-        assert EstimatorSpec.matrix_completion(float("inf")).label == "matrix_completion(K=inf)"
 
 
 class TestReconstructionIdentity:

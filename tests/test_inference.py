@@ -97,7 +97,6 @@ class TestPermutationScheme:
         # reproduces the set.
         for scheme, n in ((PermutationScheme.moving_block(), 6), (PermutationScheme.iid_all(), 4)):
             perms = [tuple(p) for p in scheme.iter_permutations(n)]
-            assert scheme.is_group
             for pi in perms:
                 pi = np.asarray(pi)
                 composed = {tuple(np.asarray(sigma)[pi]) for sigma in perms}
@@ -128,7 +127,6 @@ class TestPermutationScheme:
         np.testing.assert_array_equal(first[0], np.arange(8))
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
-        assert not scheme.is_group
 
     @pytest.mark.parametrize("n_samples", [2.5, 3.0, True, 0])
     def test_iid_sampled_count_refused(self, n_samples):
@@ -568,6 +566,29 @@ class TestPointwiseCi:
         reports = [f.diagnostics for f in ([start] if start else []) + fits if f.diagnostics is not None]
         assert entry.iterations == sum(report.iterations for report in reports)
         assert entry.nonconverged == sum(not report.converged for report in reports)
+
+    @pytest.mark.parametrize("spec", [EstimatorSpec.did(), EstimatorSpec.sc()], ids=lambda spec: spec.label)
+    def test_custom_callable_fits_each_candidate_cold(self, rng, spec):
+        # A callable that wraps a spec fits each candidate's own panel, cold (a
+        # callable takes no start), and its counts are those of the cold fits.
+        # The grid is the spec's, bit for bit, and so are the p-values: did
+        # takes no start, and sc's warm fits agree away from near-exact fits.
+        panel = random_panel(rng, 14, 5, t0=11, noise=1.0)
+        wrapper = lambda p: sc.fit(p, spec)
+        grid = np.linspace(-2.0, 2.0, 9)
+        entries = [*sc.confidence_band(panel, wrapper).entries, pointwise_ci(panel, 13, wrapper, grid=grid)]
+        expected = [*sc.confidence_band(panel, spec).entries, pointwise_ci(panel, 13, spec, grid=grid)]
+        assert len(entries) == len(expected) == 4
+        for entry, want in zip(entries, expected):
+            assert entry.grid.tobytes() == want.grid.tobytes()
+            assert entry.p_values.tobytes() == want.p_values.tobytes()
+            sub = sc.pointwise_slice(panel, entry.period)
+            fits = [sc.fit(sc.adjust_under_null(sub, [candidate]), spec) for candidate in entry.grid]
+            if entry is not entries[-1]:
+                fits.append(sc.fit(sub, spec))  # the zero-effect fit that set the default grid
+            reports = [f.diagnostics for f in fits if f.diagnostics is not None]
+            assert entry.iterations == sum(report.iterations for report in reports)
+            assert entry.nonconverged == sum(not report.converged for report in reports)
 
     @pytest.mark.parametrize("grid", [[math.nan, 1.0], [math.inf]], ids=["nan", "inf"])
     @pytest.mark.parametrize("spec", [EstimatorSpec.sc(), EstimatorSpec.did()], ids=["sc", "did"])

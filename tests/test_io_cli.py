@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthconf as sc
-from synthconf import DgpSpec, DimensionError, PanelData, ParseError, RunConfig, read_panel_csv, write_panel_csv
+from synthconf import DgpSpec, PanelData, ParseError, RunConfig, read_panel_csv
 from synthconf import cli, estimators, inference
 from synthconf.cli import main, parse_estimator
 from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR
@@ -20,6 +20,18 @@ from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_panel_csv(panel, path, unit_names=None):
+    """Write ``panel`` in wide layout with 17-significant-digit values; the
+    units are ``treated1, ..., control1, ...`` unless ``unit_names`` says."""
+    if unit_names is None:
+        unit_names = [f"treated{i + 1}" for i in range(panel.n_treated)]
+        unit_names += [f"control{i + 1}" for i in range(panel.n_controls)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", *unit_names])
+        writer.writerows([t + 1, *(format(x, ".17g") for x in row)] for t, row in enumerate(panel.outcomes))
 
 
 class TestReadWide:
@@ -563,9 +575,10 @@ class TestBadValues:
         ["test", "--permutations", "iid-sampled", "--seed", "-1"],
         ["test", "--estimator", "classo:K=inf"],
         ["test", "--estimator", "matrix-completion:K=-1"],
+        ["test", "--estimator", "matrix-completion:K=inf"],
     ], ids=["iid_too_long", "q_below_one", "q_nan", "q_inf", "no_samples", "alpha_above_one", "empty_grid",
             "negative_lam", "infinite_lam", "nan_grid_sc", "nan_grid_did", "negative_seed",
-            "infinite_classo_radius", "negative_nuclear_radius"])
+            "infinite_classo_radius", "negative_nuclear_radius", "infinite_nuclear_radius"])
     def test_flag_value_is_an_error(self, wide_csv, tmp_path, capsys, argv):
         rc = main([*argv, "--data", str(wide_csv), "--t0", "20", "--treated", "treated",
                    "--out", str(tmp_path / "out")])

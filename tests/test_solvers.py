@@ -2,6 +2,8 @@
 penalized least squares, principal components, alternating least squares,
 and OLS."""
 
+import inspect
+import sys
 import warnings
 from unittest import mock
 
@@ -15,7 +17,6 @@ from synthconf import (
     DimensionError,
     ElasticNetPenalty,
     EstimatorSpec,
-    LassoPenalty,
     PanelData,
     RankDeficiencyError,
     SolverConfig,
@@ -23,13 +24,44 @@ from synthconf import (
     fit,
     ols,
     pca_factors,
-    penalized_ls,
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
     simplex_ls,
     solvers,
 )
+
+
+def penalized(X, y, penalty, cfg=SolverConfig(), weights=None, start=None):
+    """``(intercept, w, report)`` of one response from the block core that the
+    lasso and elastic-net fits call; ``weights`` scales the penalty per column."""
+    X = np.asarray(X, dtype=float)
+    weights = np.ones(X.shape[1]) if weights is None else weights
+    intercepts, W, *_, report = solvers._penalized_block(X, np.asarray(y, dtype=float)[None], penalty, cfg,
+                                                         weights, start)
+    return float(intercepts[0]), W[0], report(0)
+
+
+def run_reaching(marker, call):
+    """``(call(), reached)``: whether the call ran the line of ``solvers`` that holds ``marker``."""
+    lines = inspect.getsource(solvers).splitlines()
+    (lineno,) = [i + 1 for i, line in enumerate(lines) if marker in line]
+    reached = []
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != solvers.__file__:
+            return None
+        if event == "line" and frame.f_lineno == lineno:
+            reached.append(lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, bool(reached)
 
 
 class TestProjectSimplex:
@@ -249,7 +281,7 @@ class TestWarmStart:
             y = X[:, :3].mean(axis=1) + rng.standard_normal(X.shape[0])
             steps.append((simplex_ls(X, y, X.shape[1])[1].iterations,
                           simplex_ls(np.hstack([X, -X]), y - y.mean(), 2 * X.shape[1])[1].iterations,
-                          penalized_ls(X, y, ElasticNetPenalty(0.5, 0.7))[2].iterations))
+                          penalized(X, y, ElasticNetPenalty(0.5, 0.7))[2].iterations))
         assert steps == [(4, 2, 9), (4, 4, 43), (2, 3, 7), (7, 11, 45),
                          (5, 8, 9), (8, 10, 43), (2, 4, 8), (2, 3, 50)]
 
@@ -280,12 +312,12 @@ class TestWarmStart:
             gap, free, scale = _oracles.constrained_gap(design, moved, w, m)
             assert gap <= SolverConfig().tol * scale and free <= 1e-10
         else:
-            penalty = LassoPenalty(lam) if kind == "lasso" else ElasticNetPenalty(lam, 0.5)
+            penalty = ElasticNetPenalty(lam, 1.0 if kind == "lasso" else 0.5)
             weights = np.ones(n_cols + n_free)
             weights[n_cols:] = 0.0
-            _, w_prev, _ = penalized_ls(X, y, penalty, penalty_weights=weights)
-            mu, w, report = penalized_ls(X, moved, penalty, penalty_weights=weights, start=w_prev)
-            cold = penalized_ls(X, moved, penalty, penalty_weights=weights)[2]
+            _, w_prev, _ = penalized(X, y, penalty, weights=weights)
+            mu, w, report = penalized(X, moved, penalty, weights=weights, start=w_prev)
+            cold = penalized(X, moved, penalty, weights=weights)[2]
             l1, l2 = penalty.l1 * weights, penalty.l2 * weights
             kkt = _oracles.penalized_kkt_violation(X, moved, mu, w, l1, l2)
             assert kkt <= TestCoordinateDescent.kkt_bound(X, moved)
@@ -298,7 +330,7 @@ class TestWarmStart:
         with pytest.raises(DimensionError):
             simplex_ls(X, rng.standard_normal(8), 3, start=np.ones(4))
         with pytest.raises(DimensionError):
-            penalized_ls(X, rng.standard_normal(8), LassoPenalty(1.0), start=np.ones(2))
+            penalized(X, rng.standard_normal(8), ElasticNetPenalty(1.0, 1.0), start=np.ones(2))
 
 
 class TestBlockOfOne:
@@ -308,29 +340,19 @@ class TestBlockOfOne:
         n_rows=st.integers(3, 15),
         n_cols=st.integers(1, 20),
         n_free=st.integers(0, 2),
-        kind=st.sampled_from(["sc", "lasso", "elastic_net"]),
-        lam=st.floats(0.01, 5.0),
         warm=st.booleans(),
     )
-    def test_block_of_one_is_the_single_solve(self, seed, n_rows, n_cols, n_free, kind, lam, warm):
+    def test_block_of_one_is_the_single_solve(self, seed, n_rows, n_cols, n_free, warm):
         # A response of shape (n, 1) goes through the block path; its weights
         # and report must be those of the 1-D response, bit for bit, with
-        # free (unpenalized) columns and from a warm start.
+        # free columns and from a warm start.
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n_rows, n_cols + n_free))
         y = X[:, : min(3, n_cols)].mean(axis=1) + rng.standard_normal(n_rows)
         neighbour = y + rng.standard_normal(n_rows)
-        if kind == "sc":
-            start = simplex_ls(X, neighbour, n_cols)[0][:n_cols] if warm else None
-            w, report = simplex_ls(X, y, n_cols, start=start)
-            W, reports = simplex_ls(X, y[:, None], n_cols, start=start)
-        else:
-            penalty = LassoPenalty(lam) if kind == "lasso" else ElasticNetPenalty(lam, 0.5)
-            weights = np.r_[np.ones(n_cols), np.zeros(n_free)]
-            start = penalized_ls(X, neighbour, penalty, penalty_weights=weights)[1] if warm else None
-            mu, w, report = penalized_ls(X, y, penalty, penalty_weights=weights, start=start)
-            intercepts, W, reports = penalized_ls(X, y[:, None], penalty, penalty_weights=weights, start=start)
-            assert intercepts.shape == (1,) and intercepts[0] == mu
+        start = simplex_ls(X, neighbour, n_cols)[0][:n_cols] if warm else None
+        w, report = simplex_ls(X, y, n_cols, start=start)
+        W, reports = simplex_ls(X, y[:, None], n_cols, start=start)
         assert W.shape == (X.shape[1], 1)
         np.testing.assert_array_equal(W[:, 0], w)
         assert reports == [report]
@@ -378,7 +400,7 @@ class TestCoordinateDescent:
     def test_unpenalized_limit_is_ols(self, rng):
         X = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        mu, w, report = penalized_ls(X, y, LassoPenalty(0.0))
+        mu, w, report = penalized(X, y, ElasticNetPenalty(0.0, 1.0))
         design = np.column_stack([np.ones(40), X])
         expected = _oracles.ols_via_qr(design, y)
         assert report.converged
@@ -388,18 +410,17 @@ class TestCoordinateDescent:
         X = rng.standard_normal((25, 4))
         y = rng.standard_normal(25)
         lam = 2.0 * np.abs(X.T @ (y - y.mean())).max()
-        _, w, _ = penalized_ls(X, y, LassoPenalty(lam * 1.0001))
+        _, w, _ = penalized(X, y, ElasticNetPenalty(lam * 1.0001, 1.0))
         np.testing.assert_array_equal(w, np.zeros(4))
 
     def test_stationarity_by_perturbation(self, rng):
         X = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
-        penalty = LassoPenalty(0.7)
-        mu, w, _ = penalized_ls(X, y, penalty)
+        mu, w, _ = penalized(X, y, ElasticNetPenalty(0.7, 1.0))
 
         def objective(mu_, w_):
             r = y - mu_ - X @ w_
-            return float(r @ r) + penalty.value(w_)
+            return float(r @ r) + 0.7 * np.abs(w_).sum()
 
         base = objective(mu, w)
         for j in range(3):
@@ -411,12 +432,13 @@ class TestCoordinateDescent:
             assert objective(mu + delta, w) >= base - 1e-12
 
     def test_elastic_net_alpha_one_is_lasso(self, rng):
+        # The lasso estimator solves the elastic net at alpha = 1.
         X = rng.standard_normal((15, 4))
         y = rng.standard_normal(15)
-        mu_l, w_l, _ = penalized_ls(X, y, LassoPenalty(0.5))
-        mu_e, w_e, _ = penalized_ls(X, y, ElasticNetPenalty(0.5, 1.0))
-        assert abs(mu_l - mu_e) < 1e-10
-        np.testing.assert_allclose(w_l, w_e, atol=1e-10)
+        lasso = fit(PanelData(np.column_stack([y, X]), t0=14), EstimatorSpec.lasso(0.5))
+        mu_e, w_e, _ = penalized(X, y, ElasticNetPenalty(0.5, 1.0))
+        assert abs(lasso.params["mu"] - mu_e) < 1e-10
+        np.testing.assert_allclose(lasso.params["weights"], w_e, atol=1e-10)
 
     @staticmethod
     def kkt_bound(X, y, tol=SolverConfig().tol):
@@ -433,7 +455,7 @@ class TestCoordinateDescent:
         y = X[:, :3].mean(axis=1) + rng.standard_normal(23)
         weights = np.ones(52)
         weights[-2:] = 0.0
-        mu, w, report = penalized_ls(X, y, LassoPenalty(0.1), penalty_weights=weights)
+        mu, w, report = penalized(X, y, ElasticNetPenalty(0.1, 1.0), weights=weights)
         assert report.converged
         assert report.note == "signed active set"
         kkt = _oracles.penalized_kkt_violation(X, y, mu, w, 0.1 * weights, np.zeros(52))
@@ -468,7 +490,7 @@ class TestCoordinateDescent:
         weights[: min(n_free, n_cols - 1)] = 0.0
         penalty = ElasticNetPenalty(lam, alpha)
         l1, l2 = penalty.l1 * weights, penalty.l2 * weights
-        mu, w, report = penalized_ls(X, y, penalty, penalty_weights=weights)
+        mu, w, report = penalized(X, y, penalty, weights=weights)
         assert report.converged
         assert degenerate != "constant" or w[0] == 0.0
         assert _oracles.penalized_kkt_violation(X, y, mu, w, l1, l2) <= self.kkt_bound(X, y)
@@ -478,7 +500,7 @@ class TestCoordinateDescent:
 
     def test_penalty_validation(self):
         with pytest.raises(ValueError):
-            LassoPenalty(-1.0)
+            ElasticNetPenalty(-1.0, 1.0)
         with pytest.raises(ValueError):
             ElasticNetPenalty(1.0, 1.5)
 
@@ -486,7 +508,7 @@ class TestCoordinateDescent:
 class TestBorderedJoin:
     @pytest.mark.parametrize("shape, penalty, cold_steps", [
         ((23, 50), ElasticNetPenalty(0.5, 0.5), 43),
-        ((30, 8), LassoPenalty(0.1), 8),
+        ((30, 8), ElasticNetPenalty(0.1, 1.0), 8),
     ], ids=["elastic_net_23x50", "lasso_30x8"])
     def test_one_linear_solve_per_step(self, monkeypatch, shape, penalty, cold_steps):
         # A join that passes the span test borders the solution on the old
@@ -501,13 +523,13 @@ class TestBorderedJoin:
         rng = np.random.default_rng(4)
         X = rng.standard_normal(shape)
         y = X[:, :3].mean(axis=1) + rng.standard_normal(shape[0])
-        _, w, report = penalized_ls(X, y, penalty)
+        _, w, report = penalized(X, y, penalty)
         assert report.converged and report.iterations == cold_steps
         assert len(calls) == report.iterations
         calls.clear()
         moved = y.copy()
         moved[-1] -= 1.0
-        _, _, warm = penalized_ls(X, moved, penalty, start=w)
+        _, _, warm = penalized(X, moved, penalty, start=w)
         assert warm.converged and warm.iterations > 0
         assert len(calls) == warm.iterations
 
@@ -548,15 +570,15 @@ class TestBorderedJoin:
         y = X[:, : min(3, n_cols)].mean(axis=1) + rng.standard_normal(n_rows)
         penalty = ElasticNetPenalty(lam, alpha)
         weights = np.r_[np.ones(n_cols), np.zeros(n_free)]
-        start = penalized_ls(X, y + rng.standard_normal(n_rows), penalty, penalty_weights=weights)[1] if warm else None
+        start = penalized(X, y + rng.standard_normal(n_rows), penalty, weights=weights)[1] if warm else None
         cfg = SolverConfig(max_iters=max_iters)
-        _, w, report = penalized_ls(X, y, penalty, cfg, weights, start)
+        _, w, report = penalized(X, y, penalty, cfg, weights, start)
 
         def reference(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
             return _oracles.signed_active_set_reference(gram, lin, support, w_s, scale, cfg)
 
         with mock.patch.object(solvers, "_active_set", reference):
-            _, w_ref, ref = penalized_ls(X, y, penalty, cfg, weights, start)
+            _, w_ref, ref = penalized(X, y, penalty, cfg, weights, start)
         np.testing.assert_array_equal(w != 0.0, w_ref != 0.0)
         assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
         # That matrix is the Gram matrix of the support's centred columns,
@@ -569,6 +591,41 @@ class TestBorderedJoin:
             head = head - free @ np.linalg.lstsq(free, head, rcond=None)[0]
         cond = np.linalg.cond(head.T @ head) if on.size else 1.0
         assert np.abs(w - w_ref).max() <= 1e-10 * max(1.0, cond / 1e6) * np.abs(w_ref).max()
+
+
+class TestRareBranches:
+    """The active-set branches that only an exact zero or the rounding of a solve takes."""
+
+    def test_full_step_to_an_exact_zero(self):
+        # The KKT solution on the warm support is (0.5, 0.5, 0): the third
+        # weight reaches zero at the full step, not before it, and drops.
+        (w, report), reached = run_reaching(
+            "moved = x + limit * d", lambda: simplex_ls(np.eye(3), [0.5, 0.5, 0.0], 3, start=np.ones(3) / 3))
+        assert reached
+        np.testing.assert_array_equal(w, [0.5, 0.5, 0.0])
+        assert report.converged and report.kkt_residual == 0.0 and report.iterations == 2
+
+    @pytest.mark.parametrize("marker, seed, shape, solve", [
+        ("# the gap is rounding on the support itself", 1, (10, 4), lambda X, y, cfg: simplex_ls(X, y, 4, cfg)),
+        # A lasso penalty below rounding: the opposite copy of a support column
+        # in the signed split can carry the largest violation.
+        ("# no descent along the span: rounding", 2, (10, 3),
+         lambda X, y, cfg: penalized(X, y, ElasticNetPenalty(1e-20, 1.0), cfg)),
+    ], ids=["support", "span"])
+    def test_rounding_ends_a_run_below_any_reachable_tolerance(self, marker, seed, shape, solve):
+        # With a tolerance below the rounding of a KKT solve, the gap left on a
+        # solved support is that rounding, and the run stops there, not
+        # converged, with the weights and steps the default tolerance gives.
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal(shape), rng.standard_normal(shape[0])
+        result, reached = run_reaching(marker, lambda: solve(X, y, SolverConfig(tol=1e-300)))
+        expected = solve(X, y, SolverConfig())
+        assert reached
+        report, ref = result[-1], expected[-1]
+        assert not report.converged and 0.0 < report.kkt_residual <= 1e-15
+        assert ref.converged and report.iterations == ref.iterations
+        for got, want in zip(result[:-1], expected[:-1]):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestKktSolve:
