@@ -105,20 +105,11 @@ class EstimatorSpec:
             default = unused.default_factory() if unused.default is MISSING else unused.default
             if getattr(self, unused.name) != default:
                 raise ValueError(f"{self.kind} estimators do not use {unused.name!r}")
-        # Over an unbounded ball a classo fit is all NaN, and a matrix-completion proxy is the treated
-        # series itself: every residual is 0 and every p-value 1.  None is matrix completion's automatic radius.
-        if self.kind == "classo" and not (self.radius is not None and 0 < self.radius < math.inf):
-            raise ValueError(f"radius must be positive and finite; got {self.radius}")
-        if self.kind == "matrix_completion" and self.radius is not None and not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite; got {self.radius}")
         for _, name, convert, _ in row.params:
             count = getattr(self, name)  # a bool is an int to Python; a float count fails inside numpy
             if convert is int and (isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1):
                 raise ValueError(f"{self.kind} estimators need an integer {name} >= 1; got {count!r}")
-        if self.kind == "fused" and (self.base is None or self.base.kind not in _PANEL_KINDS):
-            raise ValueError("fused estimators need a panel-model base (not 'ar'/'fused')")
-        if self.kind in ("lasso", "elastic_net"):
-            _penalty(self)  # checks lam, alpha
+        row.check(self)
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -273,17 +264,16 @@ def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit
 
 
 def _require_controls(panel: PanelData, spec: EstimatorSpec) -> None:
-    """A ``did`` or active-set fit, a fused fit's base included, fits the one
-    treated unit on at least one control."""
-    spec = spec.base if spec.kind == "fused" else spec
-    if spec.kind not in ("did", "sc", "classo", "lasso", "elastic_net"):
+    """A fit whose kind's row sets ``controls`` (see :class:`_Kind`) fits the one
+    treated unit on at least one control; a fused fit does so if its base does."""
+    spec = spec.base or spec
+    if not _ESTIMATORS[spec.kind].controls:
         return
-    who = "difference-in-differences" if spec.kind == "did" else spec.label
     if panel.n_treated != 1:
-        raise DimensionError(f"{who} fits one treated unit; the panel has {panel.n_treated} "
+        raise DimensionError(f"{spec.label} fits one treated unit; the panel has {panel.n_treated} "
                              "(aggregate_units() first)")
     if panel.n_controls < 1:
-        raise DimensionError(f"{who} requires at least one control unit")
+        raise DimensionError(f"{spec.label} requires at least one control unit")
 
 
 def _design(outcomes: np.ndarray, covariates: np.ndarray | None):
@@ -420,8 +410,8 @@ def _classo_core(outcomes, covariates, treated, spec, start) -> _Block:
 
 
 def _penalty(spec: EstimatorSpec) -> ElasticNetPenalty:
-    """The penalty of a lasso (the elastic net at ``alpha = 1``) or elastic-net spec."""
-    return ElasticNetPenalty(spec.lam, 1.0 if spec.kind == "lasso" else spec.alpha)
+    """The penalty of a lasso or elastic-net spec; lasso's ``alpha`` is unset and reads as 1 (l1 alone)."""
+    return ElasticNetPenalty(spec.lam, 1.0 if spec.alpha is None else spec.alpha)
 
 
 def _penalized_core(outcomes, covariates, treated, spec, start) -> _Block:
@@ -614,8 +604,25 @@ def _param_label(spec: EstimatorSpec) -> str:
     return f"{spec.kind}({','.join(items)})" if items else spec.kind
 
 
+def _auto_or_float(text: str) -> float | None:
+    """A CLI value: ``auto``, as the label writes an unset one, is None; anything else a float."""
+    return None if text == "auto" else float(text)
+
+
+# Over an unbounded ball a classo fit is all NaN, and a matrix-completion proxy is the treated
+# series itself: every residual is 0 and every p-value 1.  None is matrix completion's automatic radius.
+def _check_radius(spec: EstimatorSpec) -> None:
+    if not (spec.radius is not None and 0 < spec.radius < math.inf):
+        raise ValueError(f"radius must be positive and finite; got {spec.radius}")
+
+
+def _check_fused(spec: EstimatorSpec) -> None:
+    if spec.base is None or not _ESTIMATORS[spec.base.kind].fused_base:
+        raise ValueError("fused estimators need a panel-model base (not 'ar'/'fused')")
+
+
 class _Kind(NamedTuple):
-    """How the CLI, ``EstimatorSpec.label`` and :func:`fit` handle one kind.
+    """How the CLI, ``EstimatorSpec``, :func:`fit` and Monte Carlo handle one kind.
 
     ``params`` holds the CLI parameters as ``(key, spec field, type, default)``;
     one of type :class:`EstimatorSpec` is itself in CLI notation.  ``fitter``
@@ -623,8 +630,13 @@ class _Kind(NamedTuple):
     block of treated series against one panel and returns a
     :class:`_Block`, and :func:`fit`, test inversion and Monte Carlo all
     reach it.  ``reads`` names the spec fields it uses besides ``params``;
-    every other field must keep its default.  The CLI name is the kind with
-    ``-`` for ``_``; the spec comes from the classmethod of the kind's name.
+    every other field must keep its default.  ``check`` raises
+    ``ValueError`` on a spec whose values the core cannot fit, when the spec
+    is built.  ``controls`` marks a core that needs at least one control (a
+    fused spec needs them if its base does), ``stacks`` one that fits a stack
+    of panels in one call (see :func:`_did_core`), and ``fused_base`` a kind
+    that can be a fused spec's base.  The CLI name is the kind with ``-`` for
+    ``_``; the spec comes from the classmethod of the kind's name.
     """
 
     params: tuple
@@ -632,31 +644,29 @@ class _Kind(NamedTuple):
     reads: tuple = ()
     label: Callable[[EstimatorSpec], str] = _param_label
     fused_base: bool = True
+    check: Callable[[EstimatorSpec], object] = lambda spec: None
+    controls: bool = False
+    stacks: bool = False
 
 
 _ESTIMATORS = {
-    "did": _Kind((), _did_core),
-    "sc": _Kind((), _sc_core, ("solver",)),
-    "classo": _Kind((("K", "radius", float, 1.0),), _classo_core, ("solver",)),
-    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_core, ("solver",)),
-    "elastic_net": _Kind(
-        (("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)),
-        _penalized_core,
-        ("solver",),
-    ),
+    "did": _Kind((), _did_core, controls=True, stacks=True),
+    "sc": _Kind((), _sc_core, ("solver",), controls=True),
+    "classo": _Kind((("K", "radius", float, 1.0),), _classo_core, ("solver",), check=_check_radius, controls=True),
+    "lasso": _Kind((("lam", "lam", float, _REQUIRED),), _penalized_core, ("solver",), check=_penalty, controls=True),
+    # An unset alpha is refused here, where _penalty would read it as lasso's 1.
+    "elastic_net": _Kind((("lam", "lam", float, _REQUIRED), ("alpha", "alpha", float, _REQUIRED)), _penalized_core,
+                         ("solver",), check=lambda spec: ElasticNetPenalty(spec.lam, spec.alpha), controls=True),
     "factor": _Kind((("k", "n_factors", int, _REQUIRED),), _factor_core),
     "interactive_fe": _Kind((("k", "n_factors", int, _REQUIRED),), _interactive_fe_core, ("solver",)),
-    "matrix_completion": _Kind((("K", "radius", float, None),), _matrix_completion_core),
+    "matrix_completion": _Kind((("K", "radius", _auto_or_float, None),), _matrix_completion_core,
+                               check=lambda spec: spec.radius is None or _check_radius(spec)),
     "ar": _Kind((("lags", "n_lags", int, _REQUIRED),), _ar_core, ("ar_fitter",), fused_base=False),
-    "fused": _Kind(
-        (("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)),
-        _fused_core,
-        label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})",
-        fused_base=False,
-    ),
+    "fused": _Kind((("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)), _fused_core,
+                   label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})", fused_base=False,
+                   check=_check_fused),
 }
 _KINDS = tuple(_ESTIMATORS)
-_PANEL_KINDS = tuple(kind for kind, row in _ESTIMATORS.items() if row.fused_base)
 
 
 def parse_estimator(text: str) -> EstimatorSpec:

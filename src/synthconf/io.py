@@ -249,9 +249,10 @@ def default_seed() -> int:
 class RunConfig:
     """All parameters of one command-line run.
 
-    Instances round-trip losslessly through a ``key=value`` text file:
-    floats are written with ``repr`` and unit names are comma-joined
-    (names therefore must not contain commas).
+    :meth:`from_file` reads them from a ``key=value`` text file, one per
+    line; ``treated`` and ``alpha0`` are comma-joined (unit names therefore
+    must not contain commas), and a float written with ``repr`` reads back
+    exactly.
     """
 
     command: str
@@ -278,18 +279,6 @@ class RunConfig:
     trend: str = "stationary"
     reps: int = 5000
     alpha_true: float = 0.0
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for f in fields(self):
-                value = getattr(self, f.name)
-                if value is None:
-                    continue
-                if isinstance(value, tuple):
-                    value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-                elif isinstance(value, float):
-                    value = repr(value)
-                fh.write(f"{f.name}={value}\n")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

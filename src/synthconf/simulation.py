@@ -266,13 +266,13 @@ def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: Permu
     panel's residual row comes straight from the estimator's array core,
     with no panel object, fit or report per replication.  The core gets a
     contiguous copy of each panel, so its BLAS calls see the layout of a
-    panel alone; ``did`` fits the whole block in one call instead.  All
-    residual rows are then ranked in one permutation pass.
+    panel alone; a core whose row ``stacks`` (``did``) fits the whole block
+    in one call instead.  All residual rows are then ranked in one permutation pass.
     """
-    core = _ESTIMATORS[estimator.kind].fitter
+    row = _ESTIMATORS[estimator.kind]
     # did fits the chunk in one call: on 100 panels of T = 101, J = 100, 1.8 ms against about 6 ms panel by panel.
-    panels = [block] if estimator.kind == "did" else map(np.ascontiguousarray, block)
-    fits = [core(outcomes, None, outcomes[..., :1], estimator, None) for outcomes in panels]
+    panels = [block] if row.stacks else map(np.ascontiguousarray, block)
+    fits = [row.fitter(outcomes, None, outcomes[..., :1], estimator, None) for outcomes in panels]
     rows = np.concatenate([fitted.residuals.reshape(-1, fitted.n_fitted) for fitted in fits])
     return _rank(rows, scheme, statistic, fits[0].post_slice(t0))[1]
 

@@ -1,20 +1,28 @@
 """Tests for the counterfactual-proxy estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import _oracles
 import synthconf as sc
 from synthconf import (
+    DgpSpec,
     DimensionError,
     EstimatorSpec,
     PanelData,
+    PermutationScheme,
     SolverConfig,
+    Statistic,
     adjust_under_null,
     fit,
+    simulation,
 )
 from synthconf.estimators import (
+    _ESTIMATORS,
     _KINDS,
+    _REQUIRED,
     default_nuclear_radius,
     parse_estimator,
 )
@@ -239,6 +247,12 @@ class TestEstimatorSpec:
             parse_estimator(text)
         assert EstimatorSpec("did") == EstimatorSpec.did()
 
+    def test_automatic_radius_notation_parses(self):
+        # Regression: the label writes an unset radius as K=auto, and that notation did not parse.
+        spec = parse_estimator("matrix-completion:K=auto")
+        assert spec == EstimatorSpec.matrix_completion()
+        assert spec.label == "matrix_completion(K=auto)"
+
     @pytest.mark.parametrize("make", [
         lambda: EstimatorSpec.lasso(-1.0),
         lambda: EstimatorSpec.lasso(float("inf")),
@@ -272,6 +286,104 @@ class TestEstimatorSpec:
     def test_counts_accept_numpy_integers(self):
         assert EstimatorSpec.factor(np.int64(2)) == EstimatorSpec.factor(2)
         assert EstimatorSpec.fused(EstimatorSpec.did(), np.int32(1)).n_lags == 1
+
+
+def row_spec(kind, base=None):
+    """A spec of ``kind`` built from its row's CLI parameters: defaults where the
+    row has them, 1 for a required count, 0.5 for a required number, ``base``
+    for a nested spec."""
+    fields = {}
+    for _, name, convert, default in _ESTIMATORS[kind].params:
+        if convert is EstimatorSpec:
+            fields[name] = base
+        elif default is _REQUIRED:
+            fields[name] = 1 if convert is int else 0.5
+        else:
+            fields[name] = default
+    return getattr(EstimatorSpec, kind)(**fields)
+
+
+def _row_specs():
+    """One spec per row of ``_ESTIMATORS``; a row with a nested spec gets one per
+    base: the first base kind that needs controls and the first that does not."""
+    bases = [next(kind for kind, row in _ESTIMATORS.items() if row.fused_base and row.controls == needs)
+             for needs in (True, False)]
+    specs = []
+    for kind, row in _ESTIMATORS.items():
+        nested = any(convert is EstimatorSpec for _, _, convert, _ in row.params)
+        specs += [row_spec(kind, row_spec(base)) for base in bases] if nested else [row_spec(kind)]
+    return specs
+
+
+ROW_SPECS = _row_specs()
+
+
+class TestKindRows:
+    """Each row of ``_ESTIMATORS`` holds what the rest of the package knows of its
+    kind: its spec check, whether its core needs controls and whether it fits a
+    stack of panels in one call.  Every row is covered, new ones included."""
+
+    #: Values refused by a row's check besides the ones every row refuses (see below).
+    REFUSED = {
+        "classo": [{"radius": 0.0}, {"radius": np.inf}],
+        "matrix_completion": [{"radius": -1.0}, {"radius": np.inf}],
+        "lasso": [{"lam": -1.0}],
+        "elastic_net": [{"alpha": 1.5}],
+    }
+
+    @classmethod
+    def refused(cls, spec):
+        """Field values the row of ``spec`` must refuse: each listed in
+        ``REFUSED``, -1, inf and nan for every number, and as a nested spec
+        every kind that cannot be a fused base."""
+        values = list(cls.REFUSED.get(spec.kind, []))
+        for _, name, convert, _ in _ESTIMATORS[spec.kind].params:
+            if convert is EstimatorSpec:
+                values += [{name: row_spec(kind, spec.base)} for kind, row in _ESTIMATORS.items() if not row.fused_base]
+            elif convert is not int:
+                values += [{name: value} for value in (-1.0, np.inf, np.nan)]
+        return values
+
+    def test_refused_values_name_rows(self):
+        assert set(self.REFUSED) <= set(_ESTIMATORS)
+
+    @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda spec: spec.label)
+    def test_controls_flag(self, rng, spec):
+        # One treated unit, no controls, and a covariate for interactive fixed effects.
+        panel = PanelData(rng.standard_normal((12, 1)), t0=10, covariates=rng.standard_normal((12, 1, 1)))
+        if _ESTIMATORS[(spec.base or spec).kind].controls:  # a fused spec needs what its base needs
+            with pytest.raises(DimensionError, match="requires at least one control unit"):
+                fit(panel, spec)
+        else:
+            assert np.isfinite(fit(panel, spec).residuals).all()
+
+    @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda spec: spec.label)
+    def test_check_refuses_bad_values(self, monkeypatch, spec):
+        values = self.refused(spec)
+        for changes in values:
+            with pytest.raises(ValueError):
+                dataclasses.replace(spec, **changes)
+        # Each of them is refused by the row's check, not on the way to it.
+        monkeypatch.setitem(_ESTIMATORS, spec.kind, _ESTIMATORS[spec.kind]._replace(check=lambda spec: None))
+        for changes in values:
+            dataclasses.replace(spec, **changes)
+
+    @pytest.mark.parametrize("spec", [spec for spec in ROW_SPECS if _ESTIMATORS[spec.kind].stacks],
+                             ids=lambda spec: spec.label)
+    def test_stacked_chunk_is_its_panels_fitted_alone(self, monkeypatch, spec):
+        # A Monte Carlo chunk is time-major, so each panel's rows are strided.
+        dgp = DgpSpec(t0=9, n_controls=4, rho_u=0.6, rho_eps=0.3, seed=3)
+        block = next(simulation._chunks(dgp, np.random.SeedSequence(dgp.seed).spawn(5)))
+        row = _ESTIMATORS[spec.kind]
+        stacked = row.fitter(block, None, block[..., :1], spec, None)
+        for b, panel in enumerate(map(np.ascontiguousarray, block)):
+            alone = row.fitter(panel, None, panel[:, :1], spec, None)
+            assert stacked.residuals[b].tobytes() == alone.residuals.tobytes()
+        scheme, statistic = PermutationScheme.moving_block(), Statistic()
+        got = simulation._pvalues(block, dgp.t0, spec, scheme, statistic)
+        monkeypatch.setitem(_ESTIMATORS, spec.kind, row._replace(stacks=False))
+        want = simulation._pvalues(block, dgp.t0, spec, scheme, statistic)
+        assert (got.shape, got.tobytes()) == ((len(block),), want.tobytes())
 
 
 class TestReconstructionIdentity:

@@ -241,10 +241,12 @@ class TestRoundTrip:
         cfg = RunConfig(
             command="test", data="panel.csv", t0=19, treated=("rhode",),
             estimator="classo:K=1", q=1.0, alpha=0.1, alpha0=(0.0, -0.25),
-            seed=7, out="results",
+            seed=7, out="results", rho_u=0.1 + 0.2,
         )
         path = tmp_path / "run.cfg"
-        cfg.to_file(path)
+        write_lines(path, ["command=test", "data=panel.csv", "t0=19", "treated=rhode", "estimator=classo:K=1",
+                           "q=1.0", "alpha=0.1", "alpha0=0.0,-0.25", "seed=7", "out=results",
+                           f"rho_u={0.1 + 0.2!r}"])
         assert RunConfig.from_file(path) == cfg
 
     def test_config_unknown_key_rejected(self, tmp_path):
@@ -353,6 +355,18 @@ class TestCmdTest:
         assert residuals[0] == "period,residual"
         assert len(residuals) == 14
 
+    def test_label_of_automatic_nuclear_radius_is_accepted(self, fixture_csv, tmp_path):
+        # Regression: result.json names this spec matrix_completion(K=auto), but
+        # matrix-completion:K=auto failed to parse ('auto' is not a float).
+        docs = []
+        for notation in ("matrix-completion:K=auto", "matrix-completion"):
+            out = tmp_path / notation.replace(":", "_")
+            assert main(["test", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                         "--estimator", notation, "--out", str(out)]) == 0
+            docs.append(json.loads((out / "result.json").read_text()))
+        assert docs[0]["estimator"] == docs[1]["estimator"] == "matrix_completion(K=auto)"
+        assert (docs[0]["p_value"], docs[0]["statistic"]) == (docs[1]["p_value"], docs[1]["statistic"])
+
     def test_fits_once_and_reports_that_fit(self, fixture_csv, tmp_path, monkeypatch):
         calls = []
         fit = inference.fit
@@ -430,12 +444,9 @@ class TestCmdTest:
         assert rc == 1
 
     def test_config_file_drives_run(self, fixture_csv, tmp_path):
-        cfg = RunConfig(
-            command="test", data=str(fixture_csv), t0=12, treated=("rhode",),
-            estimator="sc", out=str(tmp_path / "out"), seed=0,
-        )
         cfg_path = tmp_path / "run.cfg"
-        cfg.to_file(cfg_path)
+        write_lines(cfg_path, ["command=test", f"data={fixture_csv}", "t0=12", "treated=rhode", "estimator=sc",
+                               f"out={tmp_path / 'out'}", "seed=0"])
         rc = main(["test", "--config", str(cfg_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "out" / "result.json").read_text())
