@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -32,7 +31,7 @@ from .panel import (
     pointwise_slice,
     pre_treatment_slice,
 )
-from .solvers import SolveReport
+from .solvers import SolveReport, _check_integer
 
 __all__ = [
     "PermutationScheme",
@@ -88,13 +87,8 @@ class PermutationScheme:
         if self.kind not in ("moving_block", "iid_all", "iid_sampled"):
             raise ValueError(f"unknown permutation scheme {self.kind!r}")
         if self.kind == "iid_sampled":
-            # A bool is an int to Python, and a float count or seed fails inside numpy.
-            for name, least in (("n_samples", 1), ("seed", 0)):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer; got {value!r}")
-                if value < least:
-                    raise ValueError(f"{name} must be >= {least}; got {value}")
+            _check_integer("n_samples", self.n_samples, 1)
+            _check_integer("seed", self.seed, 0)
 
     @classmethod
     def moving_block(cls) -> "PermutationScheme":

@@ -109,7 +109,8 @@ class PanelData:
 
     @property
     def treated(self) -> np.ndarray:
-        """Outcome series of the single treated unit (requires ``n_treated == 1``)."""
+        """Outcome series of the single treated unit.  Every spec's fit and every
+        null read it here, so here a panel with more than one is refused."""
         if self.n_treated != 1:
             raise DimensionError(
                 f"panel has {self.n_treated} treated units; aggregate_units() first"
@@ -155,11 +156,7 @@ def _treated_under_nulls(panel: PanelData, nulls) -> np.ndarray:
     ``nulls[g]`` subtracted from its post-treatment entries, as
     :func:`adjust_under_null` subtracts it.
     """
-    if panel.n_treated != 1:
-        raise DimensionError(
-            "adjust_under_null requires a single treated unit; use aggregate_units() "
-            "to average multiple treated units first"
-        )
+    series = panel.treated  # refuses a panel with more than one treated unit
     nulls = np.asarray(nulls, dtype=float)
     if nulls.ndim != 2:
         raise DimensionError(f"the effect trajectory must be 1-D; got shape {nulls.shape[1:]}")
@@ -174,7 +171,7 @@ def _treated_under_nulls(panel: PanelData, nulls) -> np.ndarray:
     # a panel's treated unit is: BLAS sums a contiguous vector in another
     # order, and a candidate must be fitted bit for bit as its own panel.
     treated = np.empty((panel.n_periods, max(2, nulls.shape[0])))[:, :nulls.shape[0]]
-    treated[:] = panel.outcomes[:, :1]
+    treated[:] = series[:, None]
     treated[panel.t0:] -= nulls.T
     return treated
 

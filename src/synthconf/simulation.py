@@ -16,11 +16,12 @@ order, and its noise innovations are scaled as they are stored; the chunk
 then runs the AR(1) recurrences one period row at a time (only of the
 processes whose rho is not 0), the ``did`` fit and the permutation ranking
 for all its panels at once, with the elementwise arithmetic of one panel
-alone.  Every other estimator takes each panel's residual row from its
-array core, given a contiguous copy of the panel, without building a
-panel object, a fit or a solver report per replication.  So results do
-not depend on the chunking or the layout: :func:`simulate_panel` is a
-chunk of one, and an experiment's p-values equal those of
+alone.  Every other estimator fits each panel's residual row from a
+contiguous copy of it, through the entry to the array cores that
+:func:`~synthconf.estimators.fit` uses, without building a panel object,
+a fit or a solver report per replication.  So results do not depend on
+the chunking or the layout: :func:`simulate_panel` is a chunk of one, and
+an experiment's p-values equal those of
 :func:`~synthconf.inference.test_sharp_null` on each replication's panel,
 bit for bit.
 """
@@ -28,17 +29,16 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import _ESTIMATORS, EstimatorSpec
+from .estimators import EstimatorSpec, _fit_block
 from .inference import PermutationScheme, Statistic, _rank
 from .panel import PanelData
-from .solvers import simplex_ls
+from .solvers import _check_integer, simplex_ls
 
 __all__ = [
     "DgpSpec",
@@ -83,15 +83,9 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # A bool is an int to Python, and a float count or seed fails inside numpy.
-        for name in ("t0", "n_controls", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer; got {value!r}")
-        if self.t0 < 2:
-            raise ValueError(f"t0 must be >= 2; got {self.t0}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0; got {self.seed}")
+        _check_integer("t0", self.t0, 2)
+        _check_integer("n_controls", self.n_controls)  # dgp_weights checks its least value
+        _check_integer("seed", self.seed, 0)
         if not math.isfinite(self.alpha_true):
             raise ValueError(f"alpha_true must be finite; got {self.alpha_true}")
         for name, rho in (("rho_u", self.rho_u), ("rho_eps", self.rho_eps)):
@@ -262,19 +256,13 @@ def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: Permu
              statistic: Statistic) -> np.ndarray:
     """Zero-effect p-values of the panels of an outcome block.
 
-    They are those of :func:`~synthconf.inference.test_sharp_null`.  Each
-    panel's residual row comes straight from the estimator's array core,
-    with no panel object, fit or report per replication.  The core gets a
-    contiguous copy of each panel, so its BLAS calls see the layout of a
-    panel alone; a core whose row ``stacks`` (``did``) fits the whole block
-    in one call instead.  All residual rows are then ranked in one permutation pass.
+    They are those of :func:`~synthconf.inference.test_sharp_null`.
+    :func:`~synthconf.estimators._fit_block` fits each panel's residual row,
+    with no panel object, fit or report per replication, and all rows are
+    then ranked in one permutation pass.
     """
-    row = _ESTIMATORS[estimator.kind]
-    # did fits the chunk in one call: on 100 panels of T = 101, J = 100, 1.8 ms against about 6 ms panel by panel.
-    panels = [block] if row.stacks else map(np.ascontiguousarray, block)
-    fits = [row.fitter(outcomes, None, outcomes[..., :1], estimator, None) for outcomes in panels]
-    rows = np.concatenate([fitted.residuals.reshape(-1, fitted.n_fitted) for fitted in fits])
-    return _rank(rows, scheme, statistic, fits[0].post_slice(t0))[1]
+    fitted = _fit_block(block, None, estimator)
+    return _rank(fitted.residuals.reshape(-1, fitted.n_fitted), scheme, statistic, fitted.post_slice(t0))[1]
 
 
 def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpec,

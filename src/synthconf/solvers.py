@@ -47,6 +47,18 @@ _ZERO = np.zeros(1)
 _ONE = np.ones(1)
 
 
+def _check_integer(name: str, value, least: int | None = None) -> None:
+    """Refuse ``value`` with ``ValueError`` unless it is an integer, and at least ``least`` if given.
+
+    A numpy integer is accepted.  A bool is an int to Python, and is
+    refused, as is a float: a float count or seed fails inside numpy.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}; got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls shared by the iterative solvers.
@@ -64,11 +76,7 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        # A bool is an int to Python, and a float cap would run its ceiling.
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer; got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
+        _check_integer("max_iters", self.max_iters, 1)
         if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
             raise ValueError(f"tol must be a real number; got {self.tol!r}")
         if not 0 < self.tol < np.inf:

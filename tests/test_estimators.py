@@ -368,22 +368,58 @@ class TestKindRows:
         for changes in values:
             dataclasses.replace(spec, **changes)
 
-    @pytest.mark.parametrize("spec", [spec for spec in ROW_SPECS if _ESTIMATORS[spec.kind].stacks],
-                             ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda spec: spec.label)
     def test_stacked_chunk_is_its_panels_fitted_alone(self, monkeypatch, spec):
         # A Monte Carlo chunk is time-major, so each panel's rows are strided.
         dgp = DgpSpec(t0=9, n_controls=4, rho_u=0.6, rho_eps=0.3, seed=3)
         block = next(simulation._chunks(dgp, np.random.SeedSequence(dgp.seed).spawn(5)))
-        row = _ESTIMATORS[spec.kind]
-        stacked = row.fitter(block, None, block[..., :1], spec, None)
-        for b, panel in enumerate(map(np.ascontiguousarray, block)):
-            alone = row.fitter(panel, None, panel[:, :1], spec, None)
-            assert stacked.residuals[b].tobytes() == alone.residuals.tobytes()
+        panels = [PanelData(panel, t0=dgp.t0) for panel in block]
+        try:
+            alone = [fit(panel, spec) for panel in panels]
+        except DimensionError as exc:  # a kind that cannot fit a chunk's panels cannot fit the chunk
+            with pytest.raises(DimensionError) as caught:
+                sc.estimators._fit_block(block, None, spec)
+            assert str(caught.value) == str(exc)
+            return
+        stacked = sc.estimators._fit_block(block, None, spec)
+        assert stacked.residuals.shape == (len(block), 1, alone[0].n_fitted)
+        assert stacked.steps.shape == stacked.converged.shape == (len(block), 1)
+        for b, one in enumerate(alone):
+            report = one.diagnostics
+            assert stacked.residuals[b, 0].tobytes() == one.residuals.tobytes()
+            assert (stacked.steps[b, 0], stacked.converged[b, 0]) == ((0, True) if report is None else (
+                report.iterations, report.converged))
+        if not _ESTIMATORS[spec.kind].stacks:
+            return
         scheme, statistic = PermutationScheme.moving_block(), Statistic()
         got = simulation._pvalues(block, dgp.t0, spec, scheme, statistic)
-        monkeypatch.setitem(_ESTIMATORS, spec.kind, row._replace(stacks=False))
+        monkeypatch.setitem(_ESTIMATORS, spec.kind, _ESTIMATORS[spec.kind]._replace(stacks=False))
         want = simulation._pvalues(block, dgp.t0, spec, scheme, statistic)
         assert (got.shape, got.tobytes()) == ((len(block),), want.tobytes())
+
+    @pytest.mark.parametrize("spec, name", [(spec, name) for spec in ROW_SPECS
+                                            for _, name, _, default in _ESTIMATORS[spec.kind].params
+                                            if default is _REQUIRED], ids=lambda value: getattr(value, "label", value))
+    def test_unset_required_parameter_is_named(self, spec, name):
+        # Regression: EstimatorSpec("lasso") and EstimatorSpec("elastic_net", lam=0.5)
+        # raised TypeError from the penalty check, with no field named.
+        with pytest.raises(ValueError, match=f"{spec.kind} estimators need a value for '{name}'"):
+            dataclasses.replace(spec, **{name: None})
+
+    @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda spec: spec.label)
+    def test_two_treated_units_refused_alike(self, rng, spec):
+        # Every entry point refuses the panel where it reads the treated series.
+        # Controls and a covariate leave nothing else for a kind to refuse.
+        panel = PanelData(rng.standard_normal((12, 6)), t0=10, n_treated=2,
+                          covariates=rng.standard_normal((12, 6, 1)))
+        calls = [lambda: fit(panel, spec), lambda: sc.test_sharp_null(panel, [0.0, 0.0], spec),
+                 lambda: sc.pointwise_ci(panel, 11, spec), lambda: sc.pointwise_ci(panel, 11, spec, grid=[0.0, 1.0])]
+        messages = set()
+        for call in calls:
+            with pytest.raises(DimensionError) as caught:
+                call()
+            messages.add(str(caught.value))
+        assert messages == {"panel has 2 treated units; aggregate_units() first"}
 
 
 class TestReconstructionIdentity:

@@ -518,7 +518,7 @@ class TestPointwiseCi:
         if covariate:
             X = np.column_stack([X, covariates[[*range(t0), t0 + 1], 0]])
         core = sc.estimators._fit_block(
-            sub, sc.panel._treated_under_nulls(sub, entry.grid[:, None]), spec, start)
+            sub.outcomes, sub.covariates, spec, sc.panel._treated_under_nulls(sub, entry.grid[:, None]), start)
         block = [core.fit(g, spec.label) for g in range(entry.grid.size)]
         for candidate, fitted, alone in zip(entry.grid, block, fits):
             np.testing.assert_array_equal(fitted.residuals, alone.residuals)
