@@ -46,9 +46,10 @@ def _method(cfg: RunConfig) -> tuple[EstimatorSpec, PermutationScheme, Statistic
     if not 0 < cfg.alpha < 1:
         raise SynthconfError(f"alpha must lie in (0, 1); got {cfg.alpha}")
     estimator = parse_estimator(cfg.estimator)
+    if cfg.permutations not in _SCHEME_KINDS:
+        raise SynthconfError(f"unknown permutations {cfg.permutations!r}; expected one of {', '.join(_SCHEME_KINDS)}")
     try:
-        kind = _SCHEME_KINDS.get(cfg.permutations, cfg.permutations)
-        scheme = PermutationScheme(kind, n_samples=cfg.n_perm, seed=cfg.seed)
+        scheme = PermutationScheme(_SCHEME_KINDS[cfg.permutations], n_samples=cfg.n_perm, seed=cfg.seed)
         statistic = Statistic(cfg.statistic, cfg.q)
     except ValueError as exc:
         raise SynthconfError(str(exc)) from None
@@ -83,23 +84,11 @@ def _fields(instance) -> dict:
     return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
-def _diagnostics_payload(diagnostics):
-    if diagnostics is None:
-        return None
-    return {
-        "iterations": diagnostics.iterations,
-        "final_objective": diagnostics.final_objective,
-        "converged": diagnostics.converged,
-        "kkt_residual": diagnostics.kkt_residual,
-        "note": diagnostics.note,
-    }
-
-
-def _write_residuals_csv(path, start: int, residuals: np.ndarray) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["period", "residual"])
-        writer.writerows([start + i, format(value, ".17g")] for i, value in enumerate(residuals.tolist()))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_units) -> None:
@@ -115,7 +104,8 @@ def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_uni
         "statistic": result.statistic,
         "n_permutations": result.n_permutations,
         "estimator": result.estimator_id,
-        "estimator_diagnostics": _diagnostics_payload(result.diagnostics),
+        "estimator_diagnostics": None if result.diagnostics is None else {
+            key: value for key, value in _fields(result.diagnostics).items() if key != "objective_trace"},
         "scheme": _fields(result.scheme),
         "statistic_kind": statistic.label,
         "alpha": cfg.alpha,
@@ -125,7 +115,9 @@ def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_uni
         "config": _fields(cfg),
     }
     write_json_result(out / "result.json", payload)
-    _write_residuals_csv(out / "residuals.csv", result.window[0], result.residuals)
+    start = result.window[0]
+    _write_csv(out / "residuals.csv", ["period", "residual"],
+               ([start + i, format(value, ".17g")] for i, value in enumerate(result.residuals.tolist())))
 
 
 def cmd_test(cfg: RunConfig) -> int:
@@ -150,12 +142,10 @@ def cmd_ci(cfg: RunConfig) -> int:
     )
 
     out = _out_dir(cfg)
-    with open(out / "ci.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "candidate", "p_value", "accepted"])
-        writer.writerows([entry.period, format(candidate, ".17g"), format(pv, ".17g"), int(acc)]
-                         for entry in band.entries for candidate, pv, acc in
-                         zip(entry.grid.tolist(), entry.p_values.tolist(), entry.accepted.tolist()))
+    _write_csv(out / "ci.csv", ["period", "candidate", "p_value", "accepted"],
+               ([entry.period, format(candidate, ".17g"), format(pv, ".17g"), int(acc)]
+                for entry in band.entries for candidate, pv, acc in
+                zip(entry.grid.tolist(), entry.p_values.tolist(), entry.accepted.tolist())))
     payload = {
         "command": "ci",
         "level": band.level,
@@ -227,10 +217,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "n_reps": cfg.reps,
         "rejection_rate": result.rejection_rate,
     }
-    with open(out / "simulation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
+    _write_csv(out / "simulation.csv", list(row), [list(row.values())])
     write_json_result(out / "result.json", {"command": "simulate", **row,
                                             "config": _fields(cfg)})
     print(f"rejection rate: {result.rejection_rate:.4f} ({cfg.reps} reps)")
@@ -251,20 +238,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key=value configuration file; flags override it")
         p.add_argument("--estimator", help="e.g. sc, did, classo:K=1, lasso:lam=0.5")
-        p.add_argument("--statistic", choices=["sq", "mean"])
-        p.add_argument("--q", type=float, help="order of the sq statistic (default 1)")
-        p.add_argument("--permutations", choices=["moving-block", "iid", "iid-sampled"])
-        p.add_argument("--n-perm", type=int, dest="n_perm",
-                       help="sample size for iid-sampled permutations (default 5000)")
-        p.add_argument("--alpha", type=float, help="test level / one minus CI coverage")
-        p.add_argument("--seed", type=int,
-                       help=f"RNG seed (default from ${'{'}SYNTHCONF_SEED{'}'} or 0)")
+        p.add_argument("--statistic", help="sq or mean (default sq)")
+        p.add_argument("--q", help="order of the sq statistic (default 1)")
+        p.add_argument("--permutations", help=f"{', '.join(_SCHEME_KINDS)} (default moving-block)")
+        p.add_argument("--n-perm", help="sample size for iid-sampled permutations (default 5000)")
+        p.add_argument("--alpha", help="test level / one minus CI coverage")
+        p.add_argument("--seed", help=f"RNG seed (default from ${'{'}SYNTHCONF_SEED{'}'} or 0)")
         p.add_argument("--out", help="output directory (default current directory)")
 
     def add_data(p):
         p.add_argument("--data", help="panel CSV file")
-        p.add_argument("--layout", choices=["wide", "long"])
-        p.add_argument("--t0", type=int, help="number of pre-treatment periods")
+        p.add_argument("--layout", help="wide or long (default wide)")
+        p.add_argument("--t0", help="number of pre-treatment periods")
         p.add_argument("--treated", help="comma-separated treated unit name(s)")
 
     p_test = sub.add_parser("test", help="test a sharp null trajectory")
@@ -280,40 +265,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p_placebo = sub.add_parser("placebo", help="placebo specification test")
     add_data(p_placebo)
     add_common(p_placebo)
-    p_placebo.add_argument("--tau", type=int, help="placebo post-window length")
+    p_placebo.add_argument("--tau", help="placebo post-window length")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo size/power experiment")
     add_common(p_sim)
-    p_sim.add_argument("--dgp", choices=["DGP1", "DGP2", "DGP3", "DGP4"])
-    p_sim.add_argument("--rho-u", type=float, dest="rho_u")
-    p_sim.add_argument("--rho-eps", type=float, dest="rho_eps")
-    p_sim.add_argument("--sim-t0", type=int, dest="sim_t0", help="pre-treatment periods")
-    p_sim.add_argument("--controls", type=int, help="number of control units")
-    p_sim.add_argument("--trend", choices=["stationary", "trending"])
-    p_sim.add_argument("--reps", type=int)
-    p_sim.add_argument("--alpha-true", type=float, dest="alpha_true",
-                       help="true effect added post treatment (0 for size)")
+    p_sim.add_argument("--dgp", help="DGP1, DGP2, DGP3 or DGP4 (default DGP1)")
+    p_sim.add_argument("--rho-u")
+    p_sim.add_argument("--rho-eps")
+    p_sim.add_argument("--sim-t0", help="pre-treatment periods")
+    p_sim.add_argument("--controls", help="number of control units")
+    p_sim.add_argument("--trend", help="stationary or trending (default stationary)")
+    p_sim.add_argument("--reps")
+    p_sim.add_argument("--alpha-true", help="true effect added post treatment (0 for size)")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_file(args.config)
-        if cfg.command != args.command:
-            cfg = replace(cfg, command=args.command)
-    else:
-        cfg = RunConfig(command=args.command, seed=default_seed() if args.seed is None else args.seed)
+    """The ``--config`` file, or the defaults, under the flags; each flag's text
+    is parsed by ``_coerce``, as the same key's line in a file is."""
     overrides = {}
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
-        if key in ("treated", "alpha0"):
-            try:
-                value = _coerce(key, value)
-            except ValueError:
-                raise SynthconfError(f"invalid value {value!r} for --{key}") from None
-        overrides[key] = value
-    return replace(cfg, **overrides)
+        try:
+            overrides[key] = _coerce(key, value)
+        except ValueError:
+            raise SynthconfError(f"invalid value {value!r} for --{key.replace('_', '-')}") from None
+    if args.config:
+        cfg = RunConfig.from_file(args.config)
+    else:
+        cfg = RunConfig(command=args.command, seed=overrides["seed"] if "seed" in overrides else default_seed())
+    return replace(cfg, **{**overrides, "command": args.command})
 
 
 def main(argv=None) -> int:

@@ -238,8 +238,9 @@ def _fit_block(outcomes: np.ndarray, covariates: np.ndarray | None, spec: Estima
     for bit when the columns are strided as a panel's treated series is.
     Without ``treated``, ``outcomes`` is a stack of panels (B, T, 1 + J),
     even a strided Monte Carlo chunk, each fitting its own treated series: in
-    one call if the kind's row ``stacks``, else each panel from a contiguous
-    copy, so its BLAS calls see the layout of a panel alone.
+    one call if the kind's row ``stacks``, else one panel at a time, as it
+    is laid out.  Its rows keep a unit column stride, so a panel's BLAS
+    calls give the bits of a contiguous copy of it.
     """
     _require_controls(outcomes.shape[-1] - 1, spec)
     if start is not None and start.estimator_id != spec.label:
@@ -248,8 +249,7 @@ def _fit_block(outcomes: np.ndarray, covariates: np.ndarray | None, spec: Estima
     if treated is not None or row.stacks:
         # did fits a chunk in one call: on 100 panels of T = 101, J = 100, 1.8 ms against about 6 ms one by one.
         return row.fitter(outcomes, covariates, outcomes[..., :1] if treated is None else treated, spec, start)
-    blocks = [row.fitter(panel, covariates, panel[:, :1], spec, start)
-              for panel in map(np.ascontiguousarray, outcomes)]
+    blocks = [row.fitter(panel, covariates, panel[:, :1], spec, start) for panel in outcomes]
     return _Block(*map(np.array, zip(*(block[:4] for block in blocks))),
                   lambda i: blocks[i[0]].params(i[1]), lambda i: blocks[i[0]].report(i[1]), blocks[0].start)
 
@@ -578,7 +578,9 @@ def _fused_core(outcomes, covariates, treated, spec, start) -> _Block:
     base's params in ``start``); stage two regresses each column's
     stage-one residuals on their own ``n_lags`` lags without an intercept.
     The final proxy adds the predicted residual to the stage-one proxy,
-    the fitted window starts at period ``n_lags + 1``; the report is stage two's.
+    the fitted window starts at period ``n_lags + 1``.  The report is stage
+    two's, with stage one's KKT residual, both stages' steps, and converged
+    only if both are.
 
     A stage-one residual series that is constant up to rounding (a perfect
     first-stage fit up to a level) makes stage two degenerate; the lag
@@ -590,10 +592,20 @@ def _fused_core(outcomes, covariates, treated, spec, start) -> _Block:
                                            None if start is None else start["base_params"])
     stage2 = _stacked((_autoregression(row, n_lags, "residual series", intercept=False)
                        for row in stage1.residuals), n_lags + 1)
+    def report(g):
+        first, second = stage1.report(g), stage2.report(g)
+        if first is None:  # a base without a report, such as did, takes no steps and converges
+            return second
+        return replace(second, iterations=first.iterations + second.iterations,
+                       converged=first.converged and second.converged, kkt_residual=first.kkt_residual)
+
     return stage2._replace(
         proxies=stage1.proxies[:, n_lags:] + stage2.proxies,
+        steps=stage1.steps + stage2.steps,
+        converged=stage1.converged & stage2.converged,
         params=lambda g: {"rho": stage2.params(g)["coefficients"], "base": base.label,
                           "base_params": stage1.params(g)},
+        report=report,
     )
 
 

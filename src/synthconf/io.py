@@ -308,9 +308,10 @@ class RunConfig:
 
 
 def _coerce(key: str, value: str):
-    """Parse one configuration value from its text form (file or CLI flag).
+    """Parse one run setting from its text, as a ``--config`` line or a flag gives it.
 
-    Raises ``ValueError`` when the text does not parse.
+    Raises ``ValueError`` when the text does not parse; the names a choice
+    setting accepts are checked where the run uses it.
     """
     if key in ("t0", "tau", "seed", "n_perm", "sim_t0", "controls", "reps"):
         return int(value)

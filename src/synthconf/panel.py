@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DimensionError
+from .solvers import _check_integer
 
 __all__ = [
     "PanelData",
@@ -46,7 +47,8 @@ class PanelData:
     t0 : int
         Number of pre-treatment periods, ``1 <= t0 < T``.
     n_treated : int, default=1
-        Number of treated units (leading columns).
+        Number of treated units (leading columns).  A ``t0`` or ``n_treated``
+        that is not an integer (numpy's count) raises ``ValueError``.
     covariates : ndarray of shape (T, n_units, k) or None
         Optional per-unit-per-period covariate vectors.
 
@@ -71,6 +73,8 @@ class PanelData:
         n_periods, n_units = outcomes.shape
         if not np.all(np.isfinite(outcomes)):
             raise DimensionError("outcomes contain non-finite entries; panels must be balanced")
+        _check_integer("t0", self.t0)
+        _check_integer("n_treated", self.n_treated)
         if not 1 <= self.t0 < n_periods:
             raise DimensionError(f"t0 must satisfy 1 <= t0 < T={n_periods}; got {self.t0}")
         if self.n_treated < 1:

@@ -16,8 +16,8 @@ order, and its noise innovations are scaled as they are stored; the chunk
 then runs the AR(1) recurrences one period row at a time (only of the
 processes whose rho is not 0), the ``did`` fit and the permutation ranking
 for all its panels at once, with the elementwise arithmetic of one panel
-alone.  Every other estimator fits each panel's residual row from a
-contiguous copy of it, through the entry to the array cores that
+alone.  Every other estimator fits each panel's residual row from its
+strided view in the block, through the entry to the array cores that
 :func:`~synthconf.estimators.fit` uses, without building a panel object,
 a fit or a solver report per replication.  So results do not depend on
 the chunking or the layout: :func:`simulate_panel` is a chunk of one, and
@@ -232,8 +232,7 @@ def _chunks(spec: DgpSpec, seeds: Sequence[np.random.SeedSequence], iid_controls
     one.  Every chunk is simulated into the same time-major memory, with the
     same scratch, so a caller is done with one block when it asks for the
     next.  Each is yielded as the panel-major view (B, T, 1 + J), so
-    ``block[b]`` is panel ``b``; its rows are strided, so a consumer that
-    hands a panel to BLAS copies it first.
+    ``block[b]`` is panel ``b``, with strided rows and unit column stride.
     """
     size = max(1, _CHUNK_DOUBLES // ((spec.t0 + 1) * (spec.n_controls + 1)))
     block = np.empty((spec.t0 + 1, min(size, len(seeds)), spec.n_controls + 1))
@@ -399,7 +398,7 @@ def reproduce_figure_null_vs_pre(
         reject_pre = 0
         for block in _chunks(design, seeds, iid_controls=True):
             reject_null += int((_pvalues(block, t0, estimator, scheme, statistic) <= level).sum())
-            pre = np.array([_pre_only_residuals(np.ascontiguousarray(outcomes), t0) for outcomes in block])
+            pre = np.array([_pre_only_residuals(outcomes, t0) for outcomes in block])
             reject_pre += int((_rank(pre, scheme, statistic, slice(t0, None))[1] <= level).sum())
         rows.append(
             {"rho_u": float(rho), "mode": "under_null", "rejection_rate": reject_null / n_reps,

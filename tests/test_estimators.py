@@ -829,6 +829,28 @@ class TestFused:
             assert "degenerate" in fitted.diagnostics.note
             assert sc.test_sharp_null(panel, np.zeros(2), spec).p_value == 1.0
 
+    @pytest.mark.parametrize("base", [
+        EstimatorSpec.sc(SolverConfig(max_iters=1)),
+        EstimatorSpec.classo(1.0, SolverConfig(max_iters=1)),
+        EstimatorSpec.lasso(0.1, SolverConfig(max_iters=1)),
+        EstimatorSpec.elastic_net(0.1, 0.5, SolverConfig(max_iters=1)),
+    ], ids=lambda spec: spec.kind)
+    def test_counts_its_base_steps_and_convergence(self, base):
+        # A fused fit reported stage two's closed form, one step and converged,
+        # over a base that had stopped early.
+        rng = np.random.default_rng(0)
+        controls = rng.standard_normal((20, 15))
+        panel = make_panel(controls[:, :3].mean(axis=1) + rng.standard_normal(20), controls, t0=18)
+        spec = EstimatorSpec.fused(base, 1)
+        alone, fused = fit(panel, base).diagnostics, fit(panel, spec).diagnostics
+        assert (alone.iterations, alone.converged) == (1, False)
+        assert (fused.iterations, fused.converged, fused.kkt_residual) == (2, False, alone.kkt_residual)
+        assert not sc.test_sharp_null(panel, np.zeros(2), spec).diagnostics.converged
+        # Every fit of a band takes one base step and one closed-form step.
+        base_band, fused_band = sc.pointwise_ci(panel, 19, base), sc.pointwise_ci(panel, 19, spec)
+        assert base_band.nonconverged > 0
+        assert (fused_band.nonconverged, fused_band.iterations) == (base_band.nonconverged, 2 * base_band.iterations)
+
     def test_ar1_error_structure_recovered(self):
         rng = np.random.default_rng(0)
         n = 600

@@ -596,6 +596,34 @@ class TestBadValues:
         assert rc == 1
         assert "synthconf: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("test", "statistic", "median"),
+        ("test", "permutations", "iid_all"),
+        ("test", "layout", "tall"),
+        ("simulate", "dgp", "DGP9"),
+        ("simulate", "trend", "up"),
+        ("test", "alpha", "abc"),
+        ("test", "t0", "1.5"),
+        ("test", "seed", "x"),
+    ], ids=lambda value: value)
+    def test_flag_and_config_line_are_refused_alike(self, wide_csv, tmp_path, capsys, command, key, value):
+        # argparse refused these flags itself, with exit 2 and its usage, and a
+        # file's permutations=iid_all reached the library's internal name.
+        if command == "simulate":
+            rest = ["--estimator", "did", "--sim-t0", "5", "--controls", "3", "--reps", "5"]
+        else:
+            rest = ["--data", str(wide_csv), "--treated", "treated", *(["--t0", "20"] if key != "t0" else [])]
+        config = tmp_path / "run.cfg"
+        write_lines(config, [f"command={command}", f"{key}={value}"])
+        errors = []
+        for setting in ([f"--{key}", value], ["--config", str(config)]):
+            assert main([command, *setting, *rest, "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("synthconf: error:") and err.count("\n") == 1
+            errors.append(err)
+        if key in ("statistic", "permutations", "layout", "dgp", "trend"):
+            assert errors[0] == errors[1]
+
     def test_repeated_treated_unit(self, wide_csv, tmp_path, capsys):
         rc = main(["test", "--data", str(wide_csv), "--t0", "20", "--treated", "treated,treated",
                    "--out", str(tmp_path / "out")])

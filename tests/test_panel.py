@@ -32,6 +32,18 @@ class TestPanelData:
         with pytest.raises(DimensionError):
             PanelData(np.zeros((5, 2)), t0=0)
 
+    @pytest.mark.parametrize("counts", [{"t0": 8.5}, {"t0": True}, {"t0": 8.0}, {"t0": 8, "n_treated": 1.5},
+                                        {"t0": 8, "n_treated": True}], ids=repr)
+    def test_counts_must_be_integers(self, counts):
+        # A float t0 built a panel with a fractional n_post, and a float
+        # n_treated failed only when the treated series was read.
+        with pytest.raises(ValueError, match="must be an integer"):
+            PanelData(np.zeros((20, 3)), **counts)
+
+    def test_numpy_integer_counts(self):
+        panel = PanelData(np.zeros((20, 3)), t0=np.int64(8), n_treated=np.int32(1))
+        assert (panel.n_post, panel.n_controls) == (12, 2)
+
     def test_rejects_nan(self):
         outcomes = np.zeros((5, 2))
         outcomes[2, 1] = np.nan

@@ -446,6 +446,16 @@ class TestCoordinateDescent:
         xty = (X - X.mean(axis=0)).T @ (y - y.mean())
         return tol * (1.0 + 2.0 * np.abs(xty).max(initial=0.0))
 
+    @staticmethod
+    def certificate_bound(X, y, l2, tol=SolverConfig().tol):
+        """The bound on the KKT violation that ``_penalized_block`` documents for
+        its certificate, twice ``tol c (||y|| + c)``, plus ``tol`` for the rounding
+        of the intercept condition.  ``c`` is the largest column norm of the
+        centred design with its ridge rows ``sqrt(l2_j) e_j``, and ``y`` is centred."""
+        design = np.vstack([X - X.mean(axis=0), np.diag(np.sqrt(l2))])
+        c = np.sqrt((design * design).sum(axis=0)).max(initial=0.0)
+        return tol * (1.0 + 2.0 * c * (np.linalg.norm(y - y.mean()) + c))
+
     def test_lasso_more_columns_than_rows_converges(self):
         # 23 rows, 50 penalized and 2 unpenalized columns, small lam: the
         # fit nearly interpolates, so the support fills the rank of Xc and
@@ -475,6 +485,9 @@ class TestCoordinateDescent:
     )
     # An unpenalized constant column whose centring leaves rounding noise.
     @example(seed=0, n_rows=10, n_cols=3, n_free=1, lam=1.0, alpha=0.5, degenerate="constant")
+    # A duplicate left at weight 0 under a ridge part of 3.1e-7: the violation, 2 l2 |w0| = 1.5e-7,
+    # meets the certificate's bound (1.7e-7) but not tol (1 + 2 ||Xc'yc||_inf) = 7.5e-8.
+    @example(seed=1, n_rows=6, n_cols=4, n_free=0, lam=0.03125, alpha=0.99999, degenerate="duplicate")
     def test_kkt_and_objective_against_plain_descent(self, seed, n_rows, n_cols, n_free, lam, alpha,
                                                      degenerate):
         rng = np.random.default_rng(seed)
@@ -493,7 +506,7 @@ class TestCoordinateDescent:
         mu, w, report = penalized(X, y, penalty, weights=weights)
         assert report.converged
         assert degenerate != "constant" or w[0] == 0.0
-        assert _oracles.penalized_kkt_violation(X, y, mu, w, l1, l2) <= self.kkt_bound(X, y)
+        assert _oracles.penalized_kkt_violation(X, y, mu, w, l1, l2) <= self.certificate_bound(X, y, l2)
         f = _oracles.penalized_objective(X, y, mu, w, l1, l2)
         f_ref = _oracles.penalized_objective(X, y, *_oracles.penalized_cd_reference(X, y, l1, l2), l1, l2)
         assert f <= f_ref + 1e-9 * (1.0 + abs(f_ref))
