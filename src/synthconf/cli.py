@@ -13,7 +13,7 @@ import argparse
 import csv
 import functools
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .inference import (
     placebo_test,
     test_sharp_null,
 )
-from .io import RunConfig, _coerce, default_seed, read_panel_csv, write_json_result
+from .io import RunConfig, _coerce, _read_config, read_panel_csv, write_json_result
 from .simulation import DgpSpec, run_size_experiment
 
 __all__ = ["main", "cmd_test", "cmd_ci", "cmd_placebo", "cmd_simulate", "parse_estimator"]
@@ -41,19 +41,20 @@ def _method(cfg: RunConfig) -> tuple[EstimatorSpec, PermutationScheme, Statistic
     """Estimator, permutation scheme and statistic of a run, checked before any fit.
 
     The scheme takes its length from the residuals it is applied to, so
-    one scheme serves every window a command tests.
+    one scheme serves every window a command tests.  Only ``iid-sampled``
+    reads ``n_perm`` and ``seed``.
     """
     if not 0 < cfg.alpha < 1:
         raise SynthconfError(f"alpha must lie in (0, 1); got {cfg.alpha}")
     estimator = parse_estimator(cfg.estimator)
     if cfg.permutations not in _SCHEME_KINDS:
         raise SynthconfError(f"unknown permutations {cfg.permutations!r}; expected one of {', '.join(_SCHEME_KINDS)}")
+    sampled = {"n_samples": cfg.n_perm, "seed": cfg.seed} if cfg.permutations == "iid-sampled" else {}
     try:
-        scheme = PermutationScheme(_SCHEME_KINDS[cfg.permutations], n_samples=cfg.n_perm, seed=cfg.seed)
-        statistic = Statistic(cfg.statistic, cfg.q)
+        scheme = PermutationScheme(_SCHEME_KINDS[cfg.permutations], **sampled)
+        return estimator, scheme, Statistic(cfg.statistic, cfg.q)
     except ValueError as exc:
         raise SynthconfError(str(exc)) from None
-    return estimator, scheme, statistic
 
 
 def _load_panel(cfg: RunConfig):
@@ -224,65 +225,41 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {"test": cmd_test, "ci": cmd_ci, "placebo": cmd_placebo, "simulate": cmd_simulate}
+_COMMANDS = {
+    "test": (cmd_test, "test a sharp null trajectory"),
+    "ci": (cmd_ci, "pointwise confidence intervals"),
+    "placebo": (cmd_placebo, "placebo specification test"),
+    "simulate": (cmd_simulate, "Monte Carlo size/power experiment"),
+}
 
 
 @functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per entry of ``_COMMANDS``, each with ``--config`` and one
+    flag per :class:`RunConfig` field that the command reads (``n_perm`` is
+    ``--n-perm``).  Every flag value arrives as text, for ``_coerce``."""
     parser = argparse.ArgumentParser(
         prog="synthconf",
         description="Permutation-based conformal inference for policy effects.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="key=value configuration file; flags override it")
-        p.add_argument("--estimator", help="e.g. sc, did, classo:K=1, lasso:lam=0.5")
-        p.add_argument("--statistic", help="sq or mean (default sq)")
-        p.add_argument("--q", help="order of the sq statistic (default 1)")
-        p.add_argument("--permutations", help=f"{', '.join(_SCHEME_KINDS)} (default moving-block)")
-        p.add_argument("--n-perm", help="sample size for iid-sampled permutations (default 5000)")
-        p.add_argument("--alpha", help="test level / one minus CI coverage")
-        p.add_argument("--seed", help=f"RNG seed (default from ${'{'}SYNTHCONF_SEED{'}'} or 0)")
-        p.add_argument("--out", help="output directory (default current directory)")
-
-    def add_data(p):
-        p.add_argument("--data", help="panel CSV file")
-        p.add_argument("--layout", help="wide or long (default wide)")
-        p.add_argument("--t0", help="number of pre-treatment periods")
-        p.add_argument("--treated", help="comma-separated treated unit name(s)")
-
-    p_test = sub.add_parser("test", help="test a sharp null trajectory")
-    add_data(p_test)
-    add_common(p_test)
-    p_test.add_argument("--alpha0", help="comma-separated hypothesized effects (default zeros)")
-
-    p_ci = sub.add_parser("ci", help="pointwise confidence intervals")
-    add_data(p_ci)
-    add_common(p_ci)
-    p_ci.add_argument("--grid", help="candidate grid as min:max:count; use --grid=-2:2:41 for negative bounds (default automatic)")
-
-    p_placebo = sub.add_parser("placebo", help="placebo specification test")
-    add_data(p_placebo)
-    add_common(p_placebo)
-    p_placebo.add_argument("--tau", help="placebo post-window length")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo size/power experiment")
-    add_common(p_sim)
-    p_sim.add_argument("--dgp", help="DGP1, DGP2, DGP3 or DGP4 (default DGP1)")
-    p_sim.add_argument("--rho-u")
-    p_sim.add_argument("--rho-eps")
-    p_sim.add_argument("--sim-t0", help="pre-treatment periods")
-    p_sim.add_argument("--controls", help="number of control units")
-    p_sim.add_argument("--trend", help="stationary or trending (default stationary)")
-    p_sim.add_argument("--reps")
-    p_sim.add_argument("--alpha-true", help="true effect added post treatment (0 for size)")
+        for setting in fields(RunConfig):
+            if command in setting.metadata["commands"]:
+                p.add_argument(f"--{setting.name.replace('_', '-')}", help=setting.metadata["help"])
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The ``--config`` file, or the defaults, under the flags; each flag's text
-    is parsed by ``_coerce``, as the same key's line in a file is."""
+    """The flags over the ``--config`` file's settings over the field defaults.
+
+    Each flag's text is parsed by ``_coerce``, as the same key's line in a
+    file is.  A file need not set ``command``, but one that names another
+    command is refused; its lines for settings this command has no flag
+    for are left out, so that one file can serve several commands.
+    """
     overrides = {}
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -291,18 +268,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             overrides[key] = _coerce(key, value)
         except ValueError:
             raise SynthconfError(f"invalid value {value!r} for --{key.replace('_', '-')}") from None
-    if args.config:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig(command=args.command, seed=overrides["seed"] if "seed" in overrides else default_seed())
-    return replace(cfg, **{**overrides, "command": args.command})
+    settings = _read_config(args.config) if args.config else {}
+    if settings.get("command", args.command) != args.command:
+        raise SynthconfError(f"{args.config!r} sets command={settings['command']}, not {args.command}")
+    read = {key: value for key, value in settings.items() if key in vars(args)}
+    return RunConfig(**{**read, **overrides, "command": args.command})
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except SynthconfError as exc:
         print(f"synthconf: error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -76,7 +76,8 @@ class PermutationScheme:
         All ``n!`` permutations; only permitted for ``n <= 10``.
     ``iid_sampled``
         ``n_samples`` permutations: the identity plus ``n_samples - 1``
-        uniform draws with replacement from the full set.
+        uniform draws with replacement from the full set, drawn from ``seed``.
+        Another kind refuses an ``n_samples`` or ``seed`` off its default.
     """
 
     kind: str
@@ -89,6 +90,10 @@ class PermutationScheme:
         if self.kind == "iid_sampled":
             _check_integer("n_samples", self.n_samples, 1)
             _check_integer("seed", self.seed, 0)
+            return
+        for unused in fields(self)[1:]:
+            if getattr(self, unused.name) != unused.default:
+                raise ValueError(f"{self.kind} permutations do not use {unused.name!r}")
 
     @classmethod
     def moving_block(cls) -> "PermutationScheme":
@@ -199,7 +204,7 @@ class Statistic:
 
     def __post_init__(self):
         if self.kind not in ("sq", "mean"):
-            raise ValueError(f"unknown statistic kind {self.kind!r}")
+            raise ValueError(f"unknown statistic {self.kind!r}; expected 'sq' or 'mean'")
         if self.kind == "sq":
             _check_order(self.q)
 

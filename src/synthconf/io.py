@@ -7,7 +7,10 @@ columns.  Both layouts need the treated unit name(s) and the number of
 pre-treatment periods, supplied as arguments (mirrored by CLI flags).
 The result CSVs that the command line writes (``residuals.csv``,
 ``ci.csv``) carry 17 significant digits, so reading them back gives the
-written values exactly.
+written values exactly.  Each setting of a command-line run is one
+:class:`RunConfig` field, which declares its default, how its text
+parses (a flag's and a ``--config`` line's alike), the commands that
+read it and its ``--help`` line; the command line builds its flags from it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -70,11 +73,7 @@ def _refuse_non_finite(rows, first: int, columns: list[str], *values: np.ndarray
 
 
 def _as_treated_list(treated) -> list[str]:
-    if treated is None:
-        raise ParseError("treated unit name(s) must be supplied")
-    if isinstance(treated, str):
-        return [treated]
-    out = list(treated)
+    out = [treated] if isinstance(treated, str) else list(treated if treated is not None else ())
     if not out:
         raise ParseError("treated unit name(s) must be supplied")
     repeated = next((name for i, name in enumerate(out) if name in out[:i]), None)
@@ -245,80 +244,102 @@ def default_seed() -> int:
         raise ParseError(f"{SEED_ENV_VAR}={text!r} is not an integer") from None
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
+
+
+_DATA, _SIM = ("test", "ci", "placebo"), ("simulate",)  # the commands with and without a panel CSV
+
+
+def _setting(default=MISSING, *, parse=str, commands=_DATA + _SIM, help=None, default_factory=MISSING):
+    """A :class:`RunConfig` field: its default, the parser of its text, the
+    commands that take it as a flag, and the flag's ``--help`` line."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"parse": parse, "commands": commands, "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """All parameters of one command-line run.
+    """All parameters of one command-line run, each declared once by :func:`_setting`.
 
-    :meth:`from_file` reads them from a ``key=value`` text file, one per
-    line; ``treated`` and ``alpha0`` are comma-joined (unit names therefore
-    must not contain commas), and a float written with ``repr`` reads back
-    exactly.
+    ``seed`` defaults to ``$SYNTHCONF_SEED``, else 0.  :meth:`from_file`
+    reads them from a ``key=value`` text file, one per line, which must set
+    ``command``; ``treated`` and ``alpha0`` are comma-joined (unit names
+    therefore must not contain commas), and a float written with ``repr``
+    reads back exactly.
     """
 
-    command: str
-    data: str | None = None
-    layout: str = "wide"
-    t0: int | None = None
-    treated: tuple[str, ...] = ()
-    estimator: str = "sc"
-    statistic: str = "sq"
-    q: float = 1.0
-    permutations: str = "moving-block"
-    n_perm: int = 5000
-    alpha: float = 0.1
-    alpha0: tuple[float, ...] | None = None
-    grid: str | None = None
-    tau: int | None = None
-    seed: int = 0
-    out: str = "."
-    dgp: str = "DGP1"
-    rho_u: float = 0.0
-    rho_eps: float = 0.0
-    sim_t0: int = 20
-    controls: int = 20
-    trend: str = "stationary"
-    reps: int = 5000
-    alpha_true: float = 0.0
+    command: str = _setting(commands=())
+    data: str | None = _setting(None, commands=_DATA, help="panel CSV file")
+    layout: str = _setting("wide", commands=_DATA, help="wide or long (default wide)")
+    t0: int | None = _setting(None, parse=int, commands=_DATA, help="number of pre-treatment periods")
+    treated: tuple[str, ...] = _setting((), parse=_names, commands=_DATA, help="comma-separated treated unit name(s)")
+    estimator: str = _setting("sc", help="e.g. sc, did, classo:K=1, lasso:lam=0.5")
+    statistic: str = _setting("sq", commands=_DATA, help="sq or mean (default sq)")
+    q: float = _setting(1.0, parse=float, commands=_DATA, help="order of the sq statistic (default 1)")
+    permutations: str = _setting("moving-block", help="moving-block, iid, iid-sampled (default moving-block)")
+    n_perm: int = _setting(5000, parse=int, help="sample size for iid-sampled permutations (default 5000)")
+    alpha: float = _setting(0.1, parse=float, help="test level / one minus CI coverage")
+    alpha0: tuple[float, ...] | None = _setting(
+        None, parse=_floats, commands=("test",), help="comma-separated hypothesized effects (default zeros)")
+    grid: str | None = _setting(None, commands=("ci",), help="candidate grid as min:max:count; use "
+                                "--grid=-2:2:41 for negative bounds (default automatic)")
+    tau: int | None = _setting(None, parse=int, commands=("placebo",), help="placebo post-window length")
+    seed: int = _setting(parse=int, default_factory=default_seed,
+                         help="RNG seed (default from ${SYNTHCONF_SEED} or 0)")
+    out: str = _setting(".", help="output directory (default current directory)")
+    dgp: str = _setting("DGP1", commands=_SIM, help="DGP1, DGP2, DGP3 or DGP4 (default DGP1)")
+    rho_u: float = _setting(0.0, parse=float, commands=_SIM)
+    rho_eps: float = _setting(0.0, parse=float, commands=_SIM)
+    sim_t0: int = _setting(20, parse=int, commands=_SIM, help="pre-treatment periods")
+    controls: int = _setting(20, parse=int, commands=_SIM, help="number of control units")
+    trend: str = _setting("stationary", commands=_SIM, help="stationary or trending (default stationary)")
+    reps: int = _setting(5000, parse=int, commands=_SIM)
+    alpha_true: float = _setting(0.0, parse=float, commands=_SIM,
+                                 help="true effect added post treatment (0 for size)")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        kwargs = {}
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise _unreadable(path, exc) from None
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in names:
-                raise ParseError(f"line {lineno}: unknown configuration key {key!r}")
-            try:
-                kwargs[key] = _coerce(key, value)
-            except ValueError:
-                raise ParseError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
-        if "command" not in kwargs:
+        settings = _read_config(path)
+        if "command" not in settings:
             raise ParseError("configuration file must set 'command'")
-        return cls(**kwargs)
+        return cls(**settings)
+
+
+_SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
+
+
+def _read_config(path) -> dict:
+    """The settings that a ``key=value`` file sets, each parsed by :func:`_coerce`;
+    an unknown key or a value that does not parse is a ``ParseError`` naming its line."""
+    settings = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _SETTINGS:
+            raise ParseError(f"line {lineno}: unknown configuration key {key!r}")
+        try:
+            settings[key] = _coerce(key, value)
+        except ValueError:
+            raise ParseError(f"line {lineno}: invalid value {value!r} for {key!r}") from None
+    return settings
 
 
 def _coerce(key: str, value: str):
-    """Parse one run setting from its text, as a ``--config`` line or a flag gives it.
-
-    Raises ``ValueError`` when the text does not parse; the names a choice
-    setting accepts are checked where the run uses it.
-    """
-    if key in ("t0", "tau", "seed", "n_perm", "sim_t0", "controls", "reps"):
-        return int(value)
-    if key in ("q", "alpha", "rho_u", "rho_eps", "alpha_true"):
-        return float(value)
-    if key == "treated":
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    if key == "alpha0":
-        return tuple(float(part) for part in value.split(","))
-    return value
+    """Parse one setting's text, a flag's or a ``--config`` line's, with the parser
+    that its :class:`RunConfig` field declares; a ``ValueError`` when the text
+    does not parse.  The names a choice setting accepts are checked where the run uses it."""
+    return _SETTINGS[key].metadata["parse"](value)

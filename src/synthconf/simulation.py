@@ -51,7 +51,13 @@ __all__ = [
     "reproduce_figure_null_vs_pre",
 ]
 
-_WEIGHT_KINDS = ("DGP1", "DGP2", "DGP3", "DGP4")
+#: Each design's least number of controls, and its treated-unit weights over J controls.
+_DESIGNS = {
+    "DGP1": (1, lambda J: np.full(J, 1.0 / J)),
+    "DGP2": (3, lambda J: np.r_[np.full(3, 1.0 / 3.0), np.zeros(J - 3)]),
+    "DGP3": (1, lambda J: np.full(J, -1.0 / J)),
+    "DGP4": (2, lambda J: np.r_[1.0, -1.0, np.zeros(J - 2)]),
+}
 
 #: Doubles in the outcome block of one chunk of replications (1 MiB).  It
 #: bounds memory, not work: a chunk holds ``2**17 // (T * (1 + J))`` panels.
@@ -91,11 +97,9 @@ class DgpSpec:
         for name, rho in (("rho_u", self.rho_u), ("rho_eps", self.rho_eps)):
             if not 0.0 <= rho < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1); got {rho}")
-        if self.weights_kind not in _WEIGHT_KINDS:
-            raise ValueError(f"weights_kind must be one of {_WEIGHT_KINDS}; got {self.weights_kind!r}")
+        dgp_weights(self.weights_kind, self.n_controls)  # validates the design and n_controls
         if self.factor_trend not in ("stationary", "trending"):
-            raise ValueError(f"factor_trend must be 'stationary' or 'trending'; got {self.factor_trend!r}")
-        dgp_weights(self.weights_kind, self.n_controls)  # validates n_controls
+            raise ValueError(f"unknown trend {self.factor_trend!r}; expected 'stationary' or 'trending'")
 
 
 @dataclass(frozen=True)
@@ -117,26 +121,16 @@ def _check_level(level: float) -> None:
 
 
 def dgp_weights(kind: str, n_controls: int) -> np.ndarray:
-    """Treated-unit weight vector over the controls for each design."""
-    if kind == "DGP1":
-        if n_controls < 1:
-            raise ValueError("DGP1 needs at least one control")
-        return np.full(n_controls, 1.0 / n_controls)
-    if kind == "DGP2":
-        if n_controls < 3:
-            raise ValueError("DGP2 needs at least three controls")
-        w = np.zeros(n_controls)
-        w[:3] = 1.0 / 3.0
-        return w
-    if kind == "DGP3":
-        if n_controls < 1:
-            raise ValueError("DGP3 needs at least one control")
-        return np.full(n_controls, -1.0 / n_controls)
-    if n_controls < 2:
-        raise ValueError("DGP4 needs at least two controls")
-    w = np.zeros(n_controls)
-    w[0], w[1] = 1.0, -1.0
-    return w
+    """Treated-unit weight vector over the controls for each design.
+
+    Raises ``ValueError`` for a design not in ``_DESIGNS`` or too few controls.
+    """
+    if kind not in _DESIGNS:
+        raise ValueError(f"unknown design {kind!r}; expected one of {', '.join(_DESIGNS)}")
+    least, weights = _DESIGNS[kind]
+    if n_controls < least:
+        raise ValueError(f"{kind} needs at least {least} control(s); got {n_controls}")
+    return weights(n_controls)
 
 
 def _recur(path: np.ndarray, state: np.ndarray, rho: float | np.ndarray) -> np.ndarray:

@@ -88,4 +88,26 @@ for argv in (["test", *data, "--permutations", "iid_all"], ["test", *data, "--co
     refusals.add(err.getvalue())
 assert len(refusals) == 1, refusals
 assert main(["test", *data, "--alpha", "abc"]) == 1
+# A config file without a seed takes SYNTHCONF_SEED, and one without a command runs the subcommand.
+with open("run.cfg", "w", encoding="utf-8") as fh:
+    fh.write("data=panel.csv\nt0=10\ntreated=treated1\nout=seeded\n")
+os.environ["SYNTHCONF_SEED"] = "42"
+assert main(["test", "--config", "run.cfg"]) == 0
+del os.environ["SYNTHCONF_SEED"]
+with open("seeded/result.json", encoding="utf-8") as fh:
+    seeded = json.load(fh)
+assert (seeded["command"], seeded["config"]["seed"]) == ("test", 42), seeded["config"]
+# A file for another command is refused; simulate has no statistic flags.
+with open("simulate.cfg", "w", encoding="utf-8") as fh:
+    fh.write("command=simulate\n")
+with contextlib.redirect_stderr(io.StringIO()):
+    assert main(["test", *data, "--config", "simulate.cfg"]) == 1
+    try:
+        main(["simulate", "--statistic", "mean"])
+        sys.exit("simulate accepted --statistic")
+    except SystemExit as exc:
+        assert exc.code == 2, exc.code
+    # --n-perm is read by iid-sampled alone.
+    assert main(["test", *data, "--permutations", "iid-sampled", "--n-perm", "0"]) == 1
+assert main(["test", *data, "--n-perm", "0"]) == 0
 assert "scipy" not in sys.modules, "a command loaded scipy"

@@ -134,6 +134,14 @@ class TestPermutationScheme:
         with pytest.raises(ValueError, match="n_samples"):
             PermutationScheme.iid_sampled(n_samples=n_samples)
 
+    @pytest.mark.parametrize("kind", ["moving_block", "iid_all"])
+    @pytest.mark.parametrize("field, value", [("n_samples", 0), ("n_samples", 50), ("seed", 3)])
+    def test_unread_field_refused(self, kind, field, value):
+        # A scheme that does not sample kept any n_samples and seed, and
+        # result.json recorded them as if they had been used.
+        with pytest.raises(ValueError, match=f"^{kind} permutations do not use '{field}'$"):
+            PermutationScheme(kind, **{field: value})
+
     def test_iid_sampled_numpy_integer_count_accepted(self):
         scheme = PermutationScheme.iid_sampled(n_samples=np.int64(7))
         assert len(list(scheme.iter_permutations(5))) == 7

@@ -624,6 +624,32 @@ class TestBadValues:
         if key in ("statistic", "permutations", "layout", "dgp", "trend"):
             assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("test", "statistic", "median", "unknown statistic 'median'; expected 'sq' or 'mean'"),
+        ("simulate", "dgp", "DGP9",
+         "invalid simulation design: unknown design 'DGP9'; expected one of DGP1, DGP2, DGP3, DGP4"),
+        ("simulate", "trend", "up", "invalid simulation design: unknown trend 'up'; expected 'stationary' or 'trending'"),
+    ], ids=["statistic", "dgp", "trend"])
+    def test_unknown_name_refusal_lists_the_accepted_names(self, wide_csv, tmp_path, capsys,
+                                                           command, key, value, message):
+        # These named DgpSpec's fields (weights_kind, factor_trend), or listed no names.
+        if command == "simulate":
+            rest = ["--estimator", "did", "--sim-t0", "5", "--controls", "3", "--reps", "5"]
+        else:
+            rest = ["--data", str(wide_csv), "--treated", "treated", "--t0", "20"]
+        assert main([command, f"--{key}", value, *rest, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"synthconf: error: {message}\n"
+
+    def test_n_perm_and_seed_are_read_by_iid_sampled_only(self, wide_csv, tmp_path):
+        # A moving-block run accepted --n-perm 0 and wrote "n_samples": 0.
+        data = ["--data", str(wide_csv), "--t0", "20", "--treated", "treated"]
+        out = tmp_path / "out"
+        assert main(["test", *data, "--n-perm", "0", "--seed", "3", "--out", str(out)]) == 0
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["scheme"] == {"kind": "moving_block", "n_samples": 5000, "seed": 0}
+        assert (doc["config"]["n_perm"], doc["config"]["seed"]) == (0, 3)
+        assert main(["test", *data, "--permutations", "iid-sampled", "--n-perm", "0", "--out", str(out)]) == 1
+
     def test_repeated_treated_unit(self, wide_csv, tmp_path, capsys):
         rc = main(["test", "--data", str(wide_csv), "--t0", "20", "--treated", "treated,treated",
                    "--out", str(tmp_path / "out")])
@@ -669,6 +695,97 @@ class TestBadValues:
         assert rc == 1
         assert capsys.readouterr().err == f"synthconf: error: invalid simulation design: {message}\n"
         assert not (out / "result.json").exists()
+
+
+class TestRefusals:
+    """Refusals of the command line and the readers, one row each: through
+    ``main`` (exit 1, one ``synthconf: error:`` line) where a flag reaches
+    the check, else through the reader itself."""
+
+    WIDE = ["time,treated,c1", "1,0.5,1.5", "2,1.0,2.0", "3,1.5,2.5"]
+    LONG = ["unit,time,outcome", "treated,1,0.5", "c1,1,1.5", "treated,2,1.0", "c1,2,2.0"]
+    DATA = ["--data", "{path}", "--t0", "2"]
+
+    @pytest.mark.parametrize("lines, call, message", [
+        (WIDE, ["test", "--t0", "2", "--treated", "treated"], "an input data file is required (--data)"),
+        (WIDE, ["ci", *DATA, "--treated", "treated", "--grid", "1:2"], "grid must be 'min:max:count'; got '1:2'"),
+        (WIDE, lambda path: read_panel_csv(path, t0=2), "treated unit name(s) must be supplied"),
+        (WIDE, ["test", *DATA], "treated unit name(s) must be supplied"),
+        (WIDE[:1], ["test", *DATA, "--treated", "treated"], "file needs a header row and at least one data row"),
+        (["time", "1"], ["test", *DATA, "--treated", "treated"],
+         "line 1: wide layout needs a time column plus one column per unit"),
+        (["unit,time", "treated,1"], ["test", *DATA, "--treated", "treated", "--layout", "long"],
+         "line 1: long layout needs columns unit, time, outcome"),
+        ([*LONG[:2], "c1,1"], ["test", *DATA, "--treated", "treated", "--layout", "long"],
+         "line 3: expected 3 fields, got 2"),
+        (LONG, ["test", *DATA, "--treated", "nobody", "--layout", "long"],
+         "treated unit(s) ['nobody'] not found among units ['c1', 'treated']"),
+        (["command=test", "oops"], ["test", "--config", "{path}"], "line 2: expected key=value, got 'oops'"),
+        (["seed=1"], RunConfig.from_file, "configuration file must set 'command'"),
+    ], ids=["no_data", "malformed_grid", "treated_none", "no_treated", "header_only", "short_wide_header",
+            "short_long_header", "ragged_long_row", "unknown_long_treated", "config_line_without_equals",
+            "config_without_command"])
+    def test_message(self, tmp_path, capsys, lines, call, message):
+        path = tmp_path / "input"
+        write_lines(path, lines)
+        if callable(call):
+            with pytest.raises(ParseError) as refused:
+                call(path)
+            assert str(refused.value) == message
+        else:
+            argv = [str(path) if arg == "{path}" else arg for arg in call]
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"synthconf: error: {message}\n"
+
+
+class TestConfigFile:
+    """A ``--config`` file under a subcommand: the subcommand names the run,
+    and the file's settings stand under its flags."""
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_env_seed_used_when_neither_file_nor_flag_sets_one(self, fixture_csv, tmp_path, monkeypatch, command):
+        # A file without a seed line ran with seed 0 whatever SYNTHCONF_SEED said.
+        monkeypatch.setenv(SEED_ENV_VAR, "42")
+        config = tmp_path / "run.cfg"
+        write_lines(config, [f"data={fixture_csv}", "t0=12", "treated=rhode", "estimator=did",
+                             "sim_t0=5", "controls=3", "reps=3", f"out={tmp_path / 'out'}"])
+        assert main([command, "--config", str(config)]) == 0
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["config"]["seed"] == 42
+
+    def test_file_need_not_set_command(self, fixture_csv, tmp_path):
+        config = tmp_path / "run.cfg"
+        write_lines(config, [f"data={fixture_csv}", "t0=12", "treated=rhode", "estimator=sc",
+                             f"out={tmp_path / 'out'}", "seed=0"])
+        assert main(["test", "--config", str(config)]) == 0
+        doc = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert doc["command"] == doc["config"]["command"] == "test"
+        assert doc["p_value"] == pytest.approx(8 / 13, abs=0)
+
+    def test_file_for_another_command_is_refused(self, fixture_csv, tmp_path, capsys):
+        # The subcommand overrode the file's command=simulate and ran test.
+        config = tmp_path / "run.cfg"
+        write_lines(config, ["command=simulate", f"data={fixture_csv}", "t0=12", "treated=rhode"])
+        assert main(["test", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"synthconf: error: {str(config)!r} sets command=simulate, not test\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_lines_of_settings_the_command_does_not_read_are_left_out(self, tmp_path):
+        # simulate refused a file's q=0.5 and statistic=median, though it ranks with neither.
+        config = tmp_path / "run.cfg"
+        write_lines(config, ["statistic=median", "q=0.5", "tau=3", "grid=x", "estimator=did",
+                             "sim_t0=5", "controls=3", "reps=3", f"out={tmp_path / 'out'}"])
+        assert main(["simulate", "--config", str(config)]) == 0
+        recorded = json.loads((tmp_path / "out" / "result.json").read_text())["config"]
+        assert (recorded["statistic"], recorded["q"], recorded["tau"], recorded["grid"]) == ("sq", 1.0, None, None)
+        assert (recorded["sim_t0"], recorded["reps"]) == (5, 3)
+
+    @pytest.mark.parametrize("flag", [["--statistic", "mean"], ["--q", "2"]], ids=["statistic", "q"])
+    def test_simulate_has_no_statistic_flags(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as rejected:
+            main(["simulate", *flag, "--sim-t0", "5", "--controls", "3", "--reps", "3",
+                  "--out", str(tmp_path / "out")])
+        assert rejected.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestResultDocument:

@@ -36,6 +36,12 @@ class TestDgpWeights:
         with pytest.raises(ValueError):
             DgpSpec(t0=10, n_controls=1, weights_kind="DGP4")
 
+    @pytest.mark.parametrize("kind", ["DGP9", "dgp1", "DGP"])
+    def test_unknown_design_refused(self, kind):
+        # Any name but DGP1-DGP3 fell through to the DGP4 contrast.
+        with pytest.raises(ValueError, match=f"^unknown design '{kind}'; expected one of DGP1, DGP2, DGP3, DGP4$"):
+            dgp_weights(kind, 4)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DgpSpec(t0=10, n_controls=5, rho_u=1.0)
