@@ -200,9 +200,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             alpha_true=cfg.alpha_true,
             seed=cfg.seed,
         )
-        result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
     except ValueError as exc:
         raise SynthconfError(f"invalid simulation design: {exc}") from None
+    if cfg.reps < 1:
+        raise SynthconfError(f"--reps must be >= 1; got {cfg.reps}")
+    result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
 
     out = _out_dir(cfg)
     row = {
@@ -241,10 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synthconf",
         description="Permutation-based conformal inference for policy effects.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_line) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         p.add_argument("--config", help="key=value configuration file; flags override it")
         for setting in fields(RunConfig):
             if command in setting.metadata["commands"]:

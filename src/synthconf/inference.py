@@ -12,16 +12,16 @@ below by ``1/|Pi|`` and the test is conservative under ties.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .estimators import EstimatorSpec, ProxyFit, _fit_candidates, fit
-from .exceptions import DimensionError
+from .exceptions import DimensionError, _warn
 from .panel import (
     PanelData,
     _treated_under_nulls,
@@ -377,28 +377,48 @@ def _default_ci_grid(fitted: ProxyFit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CiEntry:
-    """Accepted candidate effects for one post-treatment period.
+    """Candidate effects tested for one post-treatment period, and the set they accept.
 
-    ``lower`` and ``upper`` are NaN when no candidate is accepted.
+    Stored is what test inversion measured: the sorted ``grid``, each
+    candidate's p-value, the ``level`` and the solver counts.
     ``iterations`` sums the solver steps of the period's fits, the
     candidates and, without a given grid, the zero-effect fit that set the
     grid; for ``sc``, ``classo``, lasso and elastic net a step is a KKT
     solve of the candidate's own active-set run, warm from its neighbour.
     ``nonconverged`` counts those fits whose report says they did not
     converge.  A fit without a report counts 0 in both.
+
+    Read off the p-values, each once per entry: ``accepted`` marks the
+    candidates whose p-value exceeds ``1 - level``; ``lower`` and ``upper``
+    bound their hull (NaN when none is accepted, and then ``is_empty``);
+    ``has_gaps`` flags a rejected candidate inside the hull.
     """
 
     period: int
     grid: np.ndarray
     p_values: np.ndarray
-    accepted: np.ndarray
     level: float
-    lower: float
-    upper: float
-    has_gaps: bool
-    is_empty: bool
     iterations: int
     nonconverged: int
+
+    @functools.cached_property
+    def accepted(self) -> np.ndarray:
+        # Strict inequality; the slack absorbs float error in 1 - level so that
+        # p-values exactly on the boundary grid k/|Pi| = alpha are rejected.
+        return self.p_values > 1.0 - self.level + 1e-12
+
+    @functools.cached_property
+    def _hull(self) -> tuple[float, float, bool]:
+        where = np.flatnonzero(self.accepted)
+        if where.size == 0:
+            return math.nan, math.nan, False
+        first, last = where[0], where[-1]
+        return float(self.grid[first]), float(self.grid[last]), not self.accepted[first: last + 1].all()
+
+    lower = property(lambda self: self._hull[0])
+    upper = property(lambda self: self._hull[1])
+    has_gaps = property(lambda self: self._hull[2])
+    is_empty = property(lambda self: not self.accepted.any())
 
 
 @dataclass(frozen=True)
@@ -471,37 +491,11 @@ def pointwise_ci(
     rows, window, block_steps, block_nonconverged = _fit_candidates(
         sub, _treated_under_nulls(sub, grid[:, None]), spec, start)
     _, pvals = _rank(rows, scheme, statistic, window)
-    alpha = 1.0 - level
-    # Strict inequality; the slack absorbs float error in 1 - level so that
-    # p-values exactly on the boundary grid k/|Pi| = alpha are rejected.
-    accepted = pvals > alpha + 1e-12
-    is_empty = not accepted.any()
-    if is_empty:
-        warnings.warn(
-            f"no candidate effect accepted for period {t}: widen or refine the grid",
-            UserWarning,
-            stacklevel=2,
-        )
-        lower = upper = float("nan")
-        has_gaps = False
-    else:
-        where = np.nonzero(accepted)[0]
-        lower = float(grid[where[0]])
-        upper = float(grid[where[-1]])
-        has_gaps = bool((~accepted[where[0]: where[-1] + 1]).any())
-    return CiEntry(
-        period=t,
-        grid=grid,
-        p_values=pvals,
-        accepted=accepted,
-        level=level,
-        lower=lower,
-        upper=upper,
-        has_gaps=has_gaps,
-        is_empty=is_empty,
-        iterations=steps + block_steps,
-        nonconverged=nonconverged + block_nonconverged,
-    )
+    entry = CiEntry(period=t, grid=grid, p_values=pvals, level=level,
+                    iterations=steps + block_steps, nonconverged=nonconverged + block_nonconverged)
+    if entry.is_empty:
+        _warn(f"no candidate effect accepted for period {t}: widen or refine the grid")
+    return entry
 
 
 def confidence_band(

@@ -10,12 +10,11 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, _warn
 from .solvers import _check_integer
 
 __all__ = [
@@ -248,9 +247,7 @@ def pre_treatment_slice(panel: PanelData, tau: int) -> PanelData:
         raise DimensionError(f"placebo window tau must satisfy 1 <= tau < t0={panel.t0}; got {tau}")
     new_t0 = panel.t0 - tau
     if new_t0 == 1:
-        warnings.warn(
-            "placebo slice leaves a single pre-treatment period", UserWarning, stacklevel=2
-        )
+        _warn("placebo slice leaves a single pre-treatment period")
     return _mapped(panel, lambda a: a[: panel.t0], t0=new_t0, n_treated=panel.n_treated)
 
 

@@ -109,5 +109,13 @@ with contextlib.redirect_stderr(io.StringIO()):
         assert exc.code == 2, exc.code
     # --n-perm is read by iid-sampled alone.
     assert main(["test", *data, "--permutations", "iid-sampled", "--n-perm", "0"]) == 1
+    # A flag is its whole name, as a file's key is: a prefix is an unknown flag.
+    try:
+        main(["test", *data, "--stat", "mean", "--out", "prefix"])
+        sys.exit("test accepted --stat")
+    except SystemExit as exc:
+        assert exc.code == 2, exc.code
+assert not os.path.exists("prefix/result.json")
+assert main(["test", *data, "--statistic=mean", "--out", "prefix"]) == 0
 assert main(["test", *data, "--n-perm", "0"]) == 0
 assert "scipy" not in sys.modules, "a command loaded scipy"

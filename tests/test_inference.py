@@ -1,5 +1,6 @@
 """Tests for statistics, permutation schemes, p-values, and the test pipelines."""
 
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import _oracles
 import synthconf as sc
 from synthconf import (
+    CiEntry,
     DimensionError,
     EstimatorSpec,
     PanelData,
@@ -663,6 +665,69 @@ class TestPointwiseCi:
         panel = random_panel(rng, 14, 3)
         entry = pointwise_ci(panel, 13, EstimatorSpec.ar(1), grid=np.linspace(-2, 2, 9))
         assert entry.p_values.min() >= 1 / 12
+
+
+class TestCiEntry:
+    """An entry stores the grid, its p-values and the level; the accepted set
+    and its hull are read off them."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(CiEntry)] == [
+            "period", "grid", "p_values", "level", "iterations", "nonconverged"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+        n=st.integers(2, 40),
+        counts=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        cut=st.integers(1, 39) | st.floats(0.01, 0.99),
+    )
+    @example(grid=[0.0, 1.0, 2.0], n=10, counts=[10, 10, 10], cut=1)  # all accepted
+    @example(grid=[0.0, 1.0, 2.0], n=10, counts=[1, 1, 1], cut=5)  # none
+    @example(grid=[0.0, 1.0, 2.0], n=10, counts=[1, 10, 1], cut=5)  # one
+    @example(grid=[0.0, 1.0, 2.0, 3.0], n=10, counts=[10, 1, 2, 10], cut=5)  # interior gap
+    @example(grid=[0.0, 1.0, 2.0], n=10, counts=[5, 6, 5], cut=5)  # p = 1 - level exactly
+    @example(grid=[0.0, 1.0], n=3, counts=[1, 2], cut=1)  # 1 - (1 - 1/3) rounds below 1/3
+    def test_derived_attributes(self, grid, n, counts, cut):
+        size = min(len(grid), len(counts))
+        grid = np.sort(grid[:size])
+        p_values = np.array([min(k, n) for k in counts[:size]]) / n
+        # An integer cut puts 1 - level on the p-value lattice k/n.
+        level = 1.0 - min(cut, n - 1) / n if isinstance(cut, int) else cut
+        entry = CiEntry(period=3, grid=grid, p_values=p_values, level=level, iterations=0, nonconverged=0)
+        # Reference: the accepted set and its hull, written out directly.
+        alpha = 1.0 - level
+        accepted = p_values > alpha + 1e-12
+        is_empty = not accepted.any()
+        if is_empty:
+            lower = upper = float("nan")
+            has_gaps = False
+        else:
+            where = np.nonzero(accepted)[0]
+            lower = float(grid[where[0]])
+            upper = float(grid[where[-1]])
+            has_gaps = bool((~accepted[where[0]: where[-1] + 1]).any())
+        np.testing.assert_array_equal(entry.accepted, accepted)
+        assert entry.is_empty is is_empty and entry.has_gaps is has_gaps
+        assert isinstance(entry.lower, float) and isinstance(entry.upper, float)
+        np.testing.assert_array_equal([entry.lower, entry.upper], [lower, upper])
+        assert entry.accepted is entry.accepted
+
+
+class TestWarningLocation:
+    """A warning names the caller's line, however deep in the package it is raised."""
+
+    @pytest.mark.parametrize("call", [
+        lambda panel: sc.pre_treatment_slice(panel, 11),
+        lambda panel: placebo_test(panel, 11, EstimatorSpec.did()),
+        lambda panel: pointwise_ci(panel, 13, EstimatorSpec.did(), grid=[100.0]),
+        lambda panel: sc.confidence_band(panel, EstimatorSpec.did(), grid=[100.0]),
+    ], ids=["pre_treatment_slice", "placebo_test", "pointwise_ci", "confidence_band"])
+    def test_filename_is_the_callers(self, rng, call):
+        panel = PanelData(rng.standard_normal((14, 3)), t0=12)
+        with pytest.warns(UserWarning) as record:
+            call(panel)
+        assert [warning.filename for warning in record] == [__file__] * len(record)
 
 
 class TestAverageEffect:

@@ -722,9 +722,12 @@ class TestRefusals:
          "treated unit(s) ['nobody'] not found among units ['c1', 'treated']"),
         (["command=test", "oops"], ["test", "--config", "{path}"], "line 2: expected key=value, got 'oops'"),
         (["seed=1"], RunConfig.from_file, "configuration file must set 'command'"),
+        (WIDE, ["simulate", "--estimator", "did", "--reps", "0"], "--reps must be >= 1; got 0"),
+        (WIDE, ["simulate", "--estimator", "did", "--permutations", "iid", "--reps", "2"],
+         "iid_all enumerates T! permutations and is limited to T <= 10; got T=21"),
     ], ids=["no_data", "malformed_grid", "treated_none", "no_treated", "header_only", "short_wide_header",
             "short_long_header", "ragged_long_row", "unknown_long_treated", "config_line_without_equals",
-            "config_without_command"])
+            "config_without_command", "simulate_no_reps", "simulate_iid_too_long"])
     def test_message(self, tmp_path, capsys, lines, call, message):
         path = tmp_path / "input"
         write_lines(path, lines)
@@ -786,6 +789,19 @@ class TestConfigFile:
                   "--out", str(tmp_path / "out")])
         assert rejected.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+    def test_a_flag_prefix_is_not_a_flag(self, fixture_csv, tmp_path, capsys):
+        # argparse took --stat for --statistic, while a file's stat=mean is an unknown key.
+        argv = ["test", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode", "--estimator", "did"]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as rejected:
+            main([*argv, "--stat", "mean", "--out", str(out)])
+        assert rejected.value.code == 2
+        assert "unrecognized arguments: --stat mean" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--statistic=mean", "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["statistic_kind"] == "mean"
 
 
 class TestResultDocument:
