@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -279,13 +280,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command; an error is one ``synthconf: error:`` line and exit 1.
+
+    While it runs, a ``UserWarning`` that is shown is one ``synthconf:
+    warning:`` line, without the source line; the filters, and so whether
+    a warning is shown or raised, are left as they are.
+    """
     args = _build_parser().parse_args(argv)
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *where: (
+        f"synthconf: warning: {message}\n" if issubclass(category, UserWarning) else shown(message, category, *where))
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command][0](cfg)
     except SynthconfError as exc:
         print(f"synthconf: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -197,7 +197,8 @@ def statistic_mean(residuals, post_window):
 
 @dataclass(frozen=True)
 class Statistic:
-    """Declarative choice of test statistic: ``sq`` with an order, or ``mean``."""
+    """Declarative choice of test statistic: ``sq`` with an order, or ``mean``,
+    which has no order and refuses a ``q`` other than the default."""
 
     kind: str = "sq"
     q: float = 1.0
@@ -207,6 +208,8 @@ class Statistic:
             raise ValueError(f"unknown statistic {self.kind!r}; expected 'sq' or 'mean'")
         if self.kind == "sq":
             _check_order(self.q)
+        elif self.q != fields(self)[1].default:
+            raise ValueError("mean statistics do not use 'q'")
 
     @property
     def label(self):
@@ -455,7 +458,7 @@ def pointwise_ci(
     neighbour's solution, and builds no fit object or report per
     candidate.  For ``sc``, ``classo``, lasso and elastic net that is the
     design once per period, then each candidate's own active-set run and
-    certificate (see :func:`~synthconf.solvers.simplex_ls`), each
+    certificate (see :func:`~synthconf.solvers._simplex_block`), each
     per-candidate product (linear term, certificate scale, proxy,
     intercept) one stacked product over the block; ``did`` is one
     vectorized fit, and the other kinds fit the candidates' panels one by

@@ -38,7 +38,7 @@ import numpy as np
 from .estimators import EstimatorSpec, _fit_block
 from .inference import PermutationScheme, Statistic, _rank
 from .panel import PanelData
-from .solvers import _check_integer, simplex_ls
+from .solvers import _check_integer
 
 __all__ = [
     "DgpSpec",
@@ -360,9 +360,9 @@ def _pre_only_residuals(outcomes: np.ndarray, t0: int) -> np.ndarray:
     from weights fitted to periods ``1..t0``.  It deliberately skips
     estimation on the adjusted full sample.
     """
-    y, X = outcomes[:, 0], outcomes[:, 1:]
-    w, _ = simplex_ls(X[:t0], y[:t0], X.shape[1])
-    return y - X @ w
+    pre = outcomes[:t0]
+    w = _fit_block(pre, None, EstimatorSpec.sc(), pre[:, :1]).params(0)["weights"]
+    return outcomes[:, 0] - outcomes[:, 1:] @ w
 
 
 def reproduce_figure_null_vs_pre(

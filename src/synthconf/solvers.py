@@ -28,7 +28,6 @@ __all__ = [
     "project_simplex",
     "project_l1_ball",
     "project_nuclear_ball",
-    "simplex_ls",
     "pca_factors",
     "alternating_ls",
     "ols",
@@ -66,7 +65,7 @@ class SolverConfig:
     ``tol`` is interpreted relative to the natural scale of each problem.
     There is one certificate for ``sc``, ``classo``, lasso and elastic net:
     the active-set method stops once its gap over ``c (||y|| + c)``, ``c``
-    the largest column norm, is at most ``tol`` (see :func:`simplex_ls`),
+    the largest column norm, is at most ``tol`` (see :func:`_simplex_block`),
     which has no units.  Alternating least squares stops once the relative
     objective decrease falls below ``tol``.  Every solver has one step
     rule; only the iteration cap and the tolerance are set here.
@@ -461,58 +460,33 @@ def _warm(start, n):
     return start
 
 
-def simplex_ls(X, y, n_constrained: int, cfg: SolverConfig = SolverConfig(), start=None):
-    """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1.
-
-    ``y`` is one response (n,) or a block of responses (n, G) that share
-    the design ``X``, such as the candidates of a test inversion.  ``m`` is
-    ``n_constrained``; the columns after the first ``m`` are free and are
-    projected out (:func:`_project_free`).  That design work is done once
-    per block.  The rest is solved by the active-set method of
-    :func:`_active_set` with a sum-to-one row, started at the best vertex,
-    or warm at ``start``: weights of the ``m`` constrained columns, such as
-    ``w[:m]`` of an earlier solve on the same ``X``, whose positive part is
-    scaled to sum to one (a start with no positive weight is ignored).  A
-    start changes the path, not the certificate, so it saves steps when
-    ``y`` moved little.
-
-    A block is solved in column order, ``start`` being the start of the
-    first column and each later column started from its neighbour's
-    solution (:func:`_solve_columns`).  Every column gets the arithmetic
-    of solving it alone, warm from its neighbour, so a block gives those
-    solutions and reports bit for bit, and a block of one is the solve of
-    its column.
-
-    Returns
-    -------
-    (w, report) : (ndarray, SolveReport), or (W, reports) for a block
-        ``W`` is (p, G), one column and one report per response.
-        ``report.kkt_residual`` is the certificate of :func:`_active_set`:
-        the Frank-Wolfe duality gap of the constrained columns, which bounds
-        the excess objective by twice itself, over ``c (||y|| + c)``.  It
-        has no units: scaling ``X`` and ``y`` together changes neither it
-        nor the steps.  ``report.iterations`` counts KKT steps.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim not in (1, 2) or X.shape[0] != y.shape[0]:
-        raise DimensionError(f"design {X.shape} and response {y.shape} are incompatible")
-    # A 1-D y is a block of one; each column of an (n, G) y is used as it is laid out.
-    W, *_, report = _simplex_block(X, y[None] if y.ndim == 1 else y.T, n_constrained, cfg, start, lambda v: v)
-    reports = [report(g) for g in range(len(W))]
-    return (W[0], reports[0]) if y.ndim == 1 else (W.T, reports)
-
-
 def _simplex_block(X, Y, n_constrained, cfg, start, restart):
-    """:func:`simplex_ls` of the float design ``X`` and the responses ``Y`` (G, n),
-    one per row, where a response after the first starts from ``restart(v)``.
+    """Minimize ||y - X w||_2^2 subject to w[:m] >= 0 and sum(w[:m]) = 1, for
+    each response ``y``, a row of ``Y`` (G, n), on the float design ``X``.
 
-    ``v`` holds the constrained weights of its solved neighbour, and
-    ``restart(v)`` is a start as ``start`` takes it.  Returns ``(W, steps,
-    converged, kkt, report)``: the weights (G, p), one row per response,
-    what :func:`_active_set` returns for each response, and ``report(g)``,
-    the :class:`SolveReport` of response ``g``, whose objective is only
-    computed when asked for.
+    ``m`` is ``n_constrained``; the columns after the first ``m`` are free
+    and are projected out (:func:`_project_free`), once per block.  The
+    rest is solved by the active-set method of :func:`_active_set` with a
+    sum-to-one row, started at the best vertex, or warm at ``start``:
+    weights of the ``m`` constrained columns, such as ``w[:m]`` of an
+    earlier solve on the same ``X``, whose positive part is scaled to sum
+    to one (a start with no positive weight is ignored).  A response after
+    the first starts from ``restart(v)``, where ``v`` holds the constrained
+    weights of its solved neighbour, and ``restart(v)`` is a start as
+    ``start`` takes it.  A start changes the path, not the certificate,
+    so it saves steps when ``y`` moved little.  Every response gets the
+    arithmetic of solving it alone from its start, so a block gives those
+    solutions and reports bit for bit, and a block of one is the solve of
+    its response.
+
+    Returns ``(W, steps, converged, kkt, report)``: the weights (G, p), one
+    row per response, what :func:`_active_set` returns for each response,
+    and ``report(g)``, the :class:`SolveReport` of response ``g``, whose
+    objective is only computed when asked for.  ``kkt`` is the certificate:
+    the Frank-Wolfe duality gap of the constrained columns, which bounds
+    the excess objective by twice itself, over ``c (||y|| + c)``, ``c`` the
+    largest column norm.  It has no units: scaling ``X`` and ``y`` together
+    changes neither it nor the steps.  ``steps`` counts KKT steps.
     """
     m = n_constrained
     if not 1 <= m <= X.shape[1]:
@@ -553,7 +527,7 @@ def _penalized_block(X, Y, penalty, cfg, weights, start):
 
     ``penalty`` is an :class:`ElasticNetPenalty` (``alpha = 1`` for a
     lasso), and ``weights`` (p,) scales it per column (0 leaves a column
-    unpenalized).  The block is solved as :func:`simplex_ls` solves one:
+    unpenalized).  The block is solved as :func:`_simplex_block` solves one:
     the design work once, ``start`` for the first response, each later
     response from its neighbour's solution, and each response bit for bit
     as if solved alone from its neighbour.  ``start`` is None or a warm
@@ -575,7 +549,7 @@ def _penalized_block(X, Y, penalty, cfg, weights, start):
     :func:`_simplex_block` returns them.  The certificate is the gap
     ``max r - v'r`` of that quadratic, its largest KKT violation once a
     support is solved, over the same ``c (||y|| + c)`` as in
-    :func:`simplex_ls`; it has no units when ``lam`` is scaled with the
+    :func:`_simplex_block`; it has no units when ``lam`` is scaled with the
     squared units of the data.  ``report(g).iterations`` counts KKT steps;
     a join borders the previous solution, so a step costs one linear
     solve, two where the joining column lies in the span of the support.

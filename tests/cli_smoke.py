@@ -118,4 +118,13 @@ with contextlib.redirect_stderr(io.StringIO()):
 assert not os.path.exists("prefix/result.json")
 assert main(["test", *data, "--statistic=mean", "--out", "prefix"]) == 0
 assert main(["test", *data, "--n-perm", "0"]) == 0
+# The mean statistic has no order: a q is refused.
+with contextlib.redirect_stderr(io.StringIO()):
+    assert main(["test", *data, "--statistic", "mean", "--q", "2"]) == 1
+# A package warning is one line of its own, with no source path or source line.
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert main(["ci", *data, "--grid=100:200:5", "--out", "rejected"]) == 0
+lines = err.getvalue().splitlines()
+assert lines and all(line.startswith("synthconf: warning: no candidate effect accepted for period ")
+                     for line in lines), lines
 assert "scipy" not in sys.modules, "a command loaded scipy"

@@ -74,6 +74,13 @@ class TestStatistics:
         with pytest.raises(ValueError, match="finite"):
             Statistic("sq", q=q)
 
+    @pytest.mark.parametrize("q", [2.0, 0.5, math.nan])
+    def test_mean_refuses_an_order(self, q):
+        # The mean statistic has no order, and a q given with it was ignored.
+        with pytest.raises(ValueError, match="^mean statistics do not use 'q'$"):
+            Statistic("mean", q=q)
+        assert Statistic("mean", q=1.0) == Statistic("mean")
+
 
 class TestPermutationScheme:
     def test_moving_block_enumerates_t_shifts(self):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -725,9 +726,12 @@ class TestRefusals:
         (WIDE, ["simulate", "--estimator", "did", "--reps", "0"], "--reps must be >= 1; got 0"),
         (WIDE, ["simulate", "--estimator", "did", "--permutations", "iid", "--reps", "2"],
          "iid_all enumerates T! permutations and is limited to T <= 10; got T=21"),
+        (WIDE, ["test", *DATA, "--treated", "treated", "--statistic", "mean", "--q", "2"],
+         "mean statistics do not use 'q'"),
     ], ids=["no_data", "malformed_grid", "treated_none", "no_treated", "header_only", "short_wide_header",
             "short_long_header", "ragged_long_row", "unknown_long_treated", "config_line_without_equals",
-            "config_without_command", "simulate_no_reps", "simulate_iid_too_long"])
+            "config_without_command", "simulate_no_reps", "simulate_iid_too_long",
+            "mean_with_q"])
     def test_message(self, tmp_path, capsys, lines, call, message):
         path = tmp_path / "input"
         write_lines(path, lines)
@@ -739,6 +743,33 @@ class TestRefusals:
             argv = [str(path) if arg == "{path}" else arg for arg in call]
             assert main([*argv, "--out", str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err == f"synthconf: error: {message}\n"
+
+
+class TestWarningLine:
+    @pytest.mark.parametrize("extra, lines", [
+        (["placebo", "--tau", "11"], ["placebo slice leaves a single pre-treatment period"]),
+        (["ci", "--grid=100:101:3"], ["no candidate effect accepted for period 13: widen or refine the grid"]),
+    ], ids=["placebo", "ci"])
+    def test_a_package_warning_is_one_line(self, fixture_csv, tmp_path, capfd, extra, lines):
+        # The command line printed Python's form: a path, a line number,
+        # the category and a line of the caller's source.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(sc.__file__).parents[1])
+        subprocess.run([sys.executable, "-m", "synthconf.cli", extra[0], "--data", str(fixture_csv), "--t0", "12",
+                        "--treated", "rhode", *extra[1:], "--out", str(tmp_path / "out")],
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+        assert capfd.readouterr().err == "".join(f"synthconf: warning: {line}\n" for line in lines)
+
+    def test_the_format_is_restored(self, fixture_csv, tmp_path):
+        shown = warnings.formatwarning
+        with pytest.warns(UserWarning, match="single pre-treatment period"):
+            assert main(["placebo", "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode",
+                         "--tau", "11", "--out", str(tmp_path / "out")]) == 0
+        assert warnings.formatwarning is shown
 
 
 class TestConfigFile:

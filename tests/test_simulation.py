@@ -367,6 +367,17 @@ class TestFigureNullVsPre:
             rates = {r["mode"]: r["rejection_rate"] for r in rows if r["rho_u"] == rho}
             assert rates == {"under_null": reject_null / n_reps, "pre_only": reject_pre / n_reps}
 
+    @pytest.mark.parametrize("t0, n_controls, rho", [(2, 3, 0.0), (2, 12, 0.6), (12, 8, 0.6), (19, 50, 0.0)])
+    def test_pre_only_weights_are_the_sc_fit_of_the_pre_rows(self, t0, n_controls, rho):
+        # The baseline's weights are those of the sc estimator fitted to a
+        # panel of the first t0 rows, bit for bit, more controls than rows included.
+        design = DgpSpec(t0, n_controls, rho_u=rho, weights_kind="DGP2")
+        for block in simulation._chunks(design, np.random.SeedSequence((t0, n_controls)).spawn(10), iid_controls=True):
+            for outcomes in block:
+                w = fit(PanelData(outcomes[:t0], t0=t0 - 1), EstimatorSpec.sc()).params["weights"]
+                expected = outcomes[:, 0] - outcomes[:, 1:] @ w
+                assert simulation._pre_only_residuals(outcomes, t0).tobytes() == expected.tobytes()
+
     def test_pre_only_overrejects(self):
         # Overfitting 50 weights on 19 points shrinks the in-sample
         # residuals, so the pre-only mode over-rejects markedly even with

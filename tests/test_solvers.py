@@ -27,9 +27,19 @@ from synthconf import (
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
-    simplex_ls,
     solvers,
 )
+
+
+def simplex(X, y, m, cfg=SolverConfig(), start=None):
+    """``(w, report)`` of a response ``y`` (n,), or ``(W, reports)`` of a block
+    (n, G), from the block core that the ``sc`` and ``classo`` fits call, with
+    ``m`` constrained columns; each column of a block starts from its
+    neighbour's weights."""
+    y = np.asarray(y, dtype=float)
+    W, *_, report = solvers._simplex_block(np.asarray(X, dtype=float), y[None] if y.ndim == 1 else y.T, m,
+                                           cfg, start, lambda v: v)
+    return (W[0], report(0)) if y.ndim == 1 else (W.T, [report(g) for g in range(len(W))])
 
 
 def penalized(X, y, penalty, cfg=SolverConfig(), weights=None, start=None):
@@ -174,7 +184,7 @@ class TestSimplexLS:
         X = rng.standard_normal((30, 4))
         w_star = np.array([0.4, 0.3, 0.2, 0.1])
         y = X @ w_star
-        w, report = simplex_ls(X, y, 4)
+        w, report = simplex(X, y, 4)
         assert report.converged
         assert report.final_objective < 1e-20
         np.testing.assert_allclose(w, w_star, atol=1e-12)
@@ -182,7 +192,7 @@ class TestSimplexLS:
     def test_simplex_matches_1d_grid(self, rng):
         X = rng.standard_normal((12, 2))
         y = X @ np.array([0.7, 0.3]) + 0.5 * rng.standard_normal(12)
-        w, report = simplex_ls(X, y, 2)
+        w, report = simplex(X, y, 2)
         w1 = np.linspace(0.0, 1.0, 10001)
         grid = np.column_stack([w1, 1.0 - w1])
         grid_best = ((y[:, None] - X @ grid.T) ** 2).sum(axis=0).min()
@@ -193,7 +203,7 @@ class TestSimplexLS:
         # under v -> K (v+ - v-).
         X = rng.standard_normal((10, 3))
         y = X @ np.array([0.5, -0.3, 0.1]) + 0.3 * rng.standard_normal(10)
-        v, report = simplex_ls(np.hstack([X, -X]), y, 6)
+        v, report = simplex(np.hstack([X, -X]), y, 6)
         w = v[:3] - v[3:]
         assert np.abs(w).sum() <= 1.0 + 1e-12
         grid_best = _oracles.l1_ball_objective_grid_search(X, y, radius=1.0, step=1e-2)
@@ -202,7 +212,7 @@ class TestSimplexLS:
     def test_nonconvergence_reported(self, rng):
         X = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
-        _, report = simplex_ls(X, y, 3, SolverConfig(max_iters=1))
+        _, report = simplex(X, y, 3, SolverConfig(max_iters=1))
         assert not report.converged
         assert report.iterations == 1
         assert report.kkt_residual > SolverConfig().tol
@@ -215,7 +225,7 @@ class TestSimplexLS:
         X = rng.standard_normal((3, 2))
         X[:, 0] = X[:, 1]
         y = rng.standard_normal(3)
-        w, report = simplex_ls(X, y, 1)
+        w, report = simplex(X, y, 1)
         assert w[0] == 1.0 and report.converged
         np.testing.assert_allclose(X @ w, X[:, 1] * (X[:, 1] @ y) / (X[:, 1] @ X[:, 1]), atol=1e-12)
 
@@ -243,7 +253,7 @@ class TestSimplexLS:
         elif degenerate == "duplicate" and X.shape[1] > 1:
             X[:, 0] = X[:, -1]
         if kind == "sc":
-            w, report = simplex_ls(X, y, n_cols)
+            w, report = simplex(X, y, n_cols)
             f = report.final_objective
             assert (w[:n_cols] >= 0.0).all() and abs(w[:n_cols].sum() - 1.0) <= 1e-12
             ref_X, ref_y, ball = X, y, None
@@ -279,8 +289,8 @@ class TestWarmStart:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((31, 50) if seed % 2 else (15, 10))
             y = X[:, :3].mean(axis=1) + rng.standard_normal(X.shape[0])
-            steps.append((simplex_ls(X, y, X.shape[1])[1].iterations,
-                          simplex_ls(np.hstack([X, -X]), y - y.mean(), 2 * X.shape[1])[1].iterations,
+            steps.append((simplex(X, y, X.shape[1])[1].iterations,
+                          simplex(np.hstack([X, -X]), y - y.mean(), 2 * X.shape[1])[1].iterations,
                           penalized(X, y, ElasticNetPenalty(0.5, 0.7))[2].iterations))
         assert steps == [(4, 2, 9), (4, 4, 43), (2, 3, 7), (7, 11, 45),
                          (5, 8, 9), (8, 10, 43), (2, 4, 8), (2, 3, 50)]
@@ -306,8 +316,8 @@ class TestWarmStart:
         if kind in ("sc", "signed"):
             design = X if kind == "sc" else np.hstack([X[:, :n_cols], -X[:, :n_cols], X[:, n_cols:]])
             m = n_cols if kind == "sc" else 2 * n_cols
-            w_prev, _ = simplex_ls(design, y, m)
-            (w, report), (_, cold) = simplex_ls(design, moved, m, start=w_prev[:m]), simplex_ls(design, moved, m)
+            w_prev, _ = simplex(design, y, m)
+            (w, report), (_, cold) = simplex(design, moved, m, start=w_prev[:m]), simplex(design, moved, m)
             assert (w[:m] >= 0.0).all() and abs(w[:m].sum() - 1.0) <= 1e-12
             gap, free, scale = _oracles.constrained_gap(design, moved, w, m)
             assert gap <= SolverConfig().tol * scale and free <= 1e-10
@@ -328,7 +338,7 @@ class TestWarmStart:
     def test_start_of_wrong_length_is_refused(self, rng):
         X = rng.standard_normal((8, 3))
         with pytest.raises(DimensionError):
-            simplex_ls(X, rng.standard_normal(8), 3, start=np.ones(4))
+            simplex(X, rng.standard_normal(8), 3, start=np.ones(4))
         with pytest.raises(DimensionError):
             penalized(X, rng.standard_normal(8), ElasticNetPenalty(1.0, 1.0), start=np.ones(2))
 
@@ -350,9 +360,9 @@ class TestBlockOfOne:
         X = rng.standard_normal((n_rows, n_cols + n_free))
         y = X[:, : min(3, n_cols)].mean(axis=1) + rng.standard_normal(n_rows)
         neighbour = y + rng.standard_normal(n_rows)
-        start = simplex_ls(X, neighbour, n_cols)[0][:n_cols] if warm else None
-        w, report = simplex_ls(X, y, n_cols, start=start)
-        W, reports = simplex_ls(X, y[:, None], n_cols, start=start)
+        start = simplex(X, neighbour, n_cols)[0][:n_cols] if warm else None
+        w, report = simplex(X, y, n_cols, start=start)
+        W, reports = simplex(X, y[:, None], n_cols, start=start)
         assert W.shape == (X.shape[1], 1)
         np.testing.assert_array_equal(W[:, 0], w)
         assert reports == [report]
@@ -613,13 +623,13 @@ class TestRareBranches:
         # The KKT solution on the warm support is (0.5, 0.5, 0): the third
         # weight reaches zero at the full step, not before it, and drops.
         (w, report), reached = run_reaching(
-            "moved = x + limit * d", lambda: simplex_ls(np.eye(3), [0.5, 0.5, 0.0], 3, start=np.ones(3) / 3))
+            "moved = x + limit * d", lambda: simplex(np.eye(3), [0.5, 0.5, 0.0], 3, start=np.ones(3) / 3))
         assert reached
         np.testing.assert_array_equal(w, [0.5, 0.5, 0.0])
         assert report.converged and report.kkt_residual == 0.0 and report.iterations == 2
 
     @pytest.mark.parametrize("marker, seed, shape, solve", [
-        ("# the gap is rounding on the support itself", 1, (10, 4), lambda X, y, cfg: simplex_ls(X, y, 4, cfg)),
+        ("# the gap is rounding on the support itself", 1, (10, 4), lambda X, y, cfg: simplex(X, y, 4, cfg)),
         # A lasso penalty below rounding: the opposite copy of a support column
         # in the signed split can carry the largest violation.
         ("# no descent along the span: rounding", 2, (10, 3),
@@ -681,7 +691,7 @@ class TestKktSolve:
         with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                w, report = simplex_ls(X, y, 3, start=np.array([0.5, 0.5, 0.0]))
+                w, report = simplex(X, y, 3, start=np.array([0.5, 0.5, 0.0]))
         assert lstsq.called
         assert report.converged and w.sum() == pytest.approx(1.0)
 
