@@ -31,7 +31,7 @@ from .inference import (
 from .io import RunConfig, _coerce, _read_config, read_panel_csv, write_json_result
 from .simulation import DgpSpec, run_size_experiment
 
-__all__ = ["main", "cmd_test", "cmd_ci", "cmd_placebo", "cmd_simulate", "parse_estimator"]
+__all__ = ["main", "cmd_test", "cmd_ci", "cmd_placebo", "cmd_simulate"]
 
 
 #: Permutation-scheme kind of each ``--permutations`` value.

@@ -39,8 +39,6 @@ __all__ = [
     "TestResult",
     "CiEntry",
     "ConfidenceBand",
-    "statistic_sq",
-    "statistic_mean",
     "p_value",
     "test_sharp_null",
     "pointwise_ci",
@@ -58,6 +56,12 @@ _CHUNK = 4096
 #: Relative tolerance below the observed statistic within which a permuted
 #: statistic still counts as a tie (as in ``scipy.stats.permutation_test``).
 _TIE_RTOL = 100 * np.finfo(float).eps
+
+
+def _check_level(level) -> None:
+    """Refuse a confidence level or a test's level outside ``(0, 1)``."""
+    if not 0 < level < 1:
+        raise ValueError(f"level must lie in (0, 1); got {level}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,11 @@ class PermutationScheme:
         ``n_samples`` permutations: the identity plus ``n_samples - 1``
         uniform draws with replacement from the full set, drawn from ``seed``.
         Another kind refuses an ``n_samples`` or ``seed`` off its default.
+
+    :meth:`size` counts the permutations of a window and refuses a
+    too-long ``iid_all`` window; ``_iter_chunks`` enumerates them.  That is
+    the one enumeration: :func:`p_value`, test inversion and the Monte
+    Carlo experiments all rank through ``_rank``, which runs it.
     """
 
     kind: str
@@ -124,17 +133,18 @@ class PermutationScheme:
             return math.factorial(n)
         return self.n_samples
 
-    def iter_permutations(self, n: int) -> Iterable[np.ndarray]:
-        """Yield each permutation of ``{0..n-1}`` as an index array, identity first."""
-        self.size(n)  # refuses a too-long iid_all window
-        for chunk in self._iter_chunks(n):
-            yield from chunk
-
     def _iter_chunks(self, n: int, cols: slice | np.ndarray = slice(None)) -> Iterable[np.ndarray]:
-        """Yield (m, n) matrices of permutation rows, identity in the first row.
+        """Yield (m, n) matrices of permutation rows, the identity in the first row.
 
-        With ``cols``, only those columns of each matrix are yielded; a
-        moving block then builds no more than those columns.
+        A moving block is one matrix of its ``n`` shifts.  ``iid_all``
+        yields ``itertools.permutations`` order in matrices of ``_CHUNK``
+        rows.  ``iid_sampled`` yields the identity alone, then its other
+        rows in matrices of at most ``_CHUNK``, all drawn from one
+        generator seeded with ``seed``.  The rows of all matrices, in
+        order, are the ``size(n)`` permutations; the length is not checked
+        here, so call :meth:`size` first.  With ``cols``, only those columns
+        of each matrix are yielded; a moving block then builds no more than
+        those columns.
         """
         base = np.arange(n)
         if self.kind == "moving_block":
@@ -156,49 +166,25 @@ class PermutationScheme:
                 remaining -= m
 
 
-def _post_values(residuals, post_window) -> np.ndarray:
-    u = np.asarray(residuals, dtype=float)[..., post_window]
-    if u.shape[-1] == 0:
-        raise DimensionError("post-treatment window is empty")
-    return u
-
-
-def _check_order(q) -> None:
-    """Refuse an order ``q`` of :func:`statistic_sq` that is below 1 or not finite.
-
-    A NaN order makes every statistic NaN, which no permutation ties, and
-    an infinite one makes every statistic 1.
-    """
-    if not 1 <= q < np.inf:
-        raise ValueError(f"statistic order q must be finite and >= 1; got {q}")
-
-
-def statistic_sq(residuals, post_window, q: float = 1.0):
-    """Scaled lq aggregate of the post-treatment residuals.
-
-    Computes ``(T*^{-1/2} * sum |u_t|^q)^(1/q)`` over the post window;
-    ``q=1`` is the default and is robust to heavy tails.  Large values
-    indicate evidence against the null.  The window indexes the last axis,
-    so a matrix of residual rows gives one statistic per row.
-    """
-    _check_order(q)
-    u = _post_values(residuals, post_window)
-    return ((np.abs(u) ** q).sum(axis=-1) / np.sqrt(u.shape[-1])) ** (1.0 / q)
-
-
-def statistic_mean(residuals, post_window):
-    """Absolute scaled sum ``|sum u_t| / sqrt(T*)``; targets the average effect.
-
-    Like :func:`statistic_sq`, it reduces over the last axis.
-    """
-    u = _post_values(residuals, post_window)
-    return np.abs(u.sum(axis=-1)) / np.sqrt(u.shape[-1])
-
-
 @dataclass(frozen=True)
 class Statistic:
-    """Declarative choice of test statistic: ``sq`` with an order, or ``mean``,
-    which has no order and refuses a ``q`` other than the default."""
+    """The test statistic: ``sq`` with an order ``q``, or ``mean``.
+
+    Called with residuals and the post window, it reduces the window's
+    values ``u`` over the last axis, so a matrix of residual rows gives one
+    statistic per row, and raises ``DimensionError`` for an empty window.
+    Large values indicate evidence against the null.
+
+    ``sq``
+        The scaled lq aggregate ``(T*^{-1/2} * sum |u_t|^q)^(1/q)``;
+        ``q=1`` is the default and is robust to heavy tails.  The order
+        must be finite and at least 1: a NaN order makes every statistic
+        NaN, which no permutation ties, and an infinite one makes every
+        statistic 1.
+    ``mean``
+        ``|sum u_t| / sqrt(T*)``, which targets the average effect.  It has
+        no order and refuses a ``q`` other than the default.
+    """
 
     kind: str = "sq"
     q: float = 1.0
@@ -206,9 +192,9 @@ class Statistic:
     def __post_init__(self):
         if self.kind not in ("sq", "mean"):
             raise ValueError(f"unknown statistic {self.kind!r}; expected 'sq' or 'mean'")
-        if self.kind == "sq":
-            _check_order(self.q)
-        elif self.q != fields(self)[1].default:
+        if self.kind == "sq" and not 1 <= self.q < np.inf:
+            raise ValueError(f"statistic order q must be finite and >= 1; got {self.q}")
+        if self.kind == "mean" and self.q != fields(self)[1].default:
             raise ValueError("mean statistics do not use 'q'")
 
     @property
@@ -220,9 +206,12 @@ class Statistic:
         return self.q if self.kind == "sq" else "mean"
 
     def __call__(self, residuals, post_window):
+        u = np.asarray(residuals, dtype=float)[..., post_window]
+        if u.shape[-1] == 0:
+            raise DimensionError("post-treatment window is empty")
         if self.kind == "sq":
-            return statistic_sq(residuals, post_window, self.q)
-        return statistic_mean(residuals, post_window)
+            return ((np.abs(u) ** self.q).sum(axis=-1) / np.sqrt(u.shape[-1])) ** (1.0 / self.q)
+        return np.abs(u.sum(axis=-1)) / np.sqrt(u.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -257,7 +246,10 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
         Residuals on the fitted window.
     scheme : PermutationScheme
     statistic : Statistic or callable
-        A callable must accept ``(permuted_residuals, post_window)``.
+        A :class:`Statistic` is evaluated on the post-window columns of a
+        whole chunk of permutations at once.  A callable must accept
+        ``(permuted_residuals, post_window)`` and is called once per
+        permutation.
     post_window : slice
         Positions of the post-treatment periods inside ``residuals``.
 
@@ -287,9 +279,14 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
 def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, post_window):
     """Permuted statistics and p-values of each row of a residual matrix.
 
-    Every row is ranked against the same permutations, generated once, as
-    :func:`p_value` documents.  Returns ``(stats, p_values)``: ``stats[i]``
-    holds the statistics of row ``i``, identity first.
+    Every row is ranked against the same permutations, generated once by
+    :meth:`PermutationScheme._iter_chunks`, each chunk's statistics
+    written at its offset, and the p-value is the one :func:`p_value`
+    documents.  A :class:`Statistic` takes the post-window columns of a
+    chunk, for all rows in one call; a callable is called per row and
+    permutation with the whole permuted row.  Returns
+    ``(stats, p_values)``: ``stats[i]`` holds the statistics of row ``i``,
+    identity first.
     """
     n = rows.shape[1]
     stats = np.empty((rows.shape[0], scheme.size(n)))  # size() also refuses a too-long iid_all window
@@ -476,8 +473,7 @@ def pointwise_ci(
     the set has interior gaps (and a warning when it is empty, which
     indicates a too-coarse grid or severe misfit).
     """
-    if not 0 < level < 1:
-        raise ValueError(f"level must lie in (0, 1); got {level}")
+    _check_level(level)
     scheme = scheme or PermutationScheme.moving_block()
     sub = pointwise_slice(panel, t)
     start = None
@@ -534,9 +530,7 @@ def test_average_effect(
     """
     aggregated = aggregate_time_blocks(panel)
     result = test_sharp_null(aggregated, [float(alpha_bar0)], spec, scheme, statistic)
-    meta = dict(result.metadata)
-    meta["effective_sample_size"] = aggregated.n_periods
-    return replace(result, metadata=meta)
+    return replace(result, metadata={"effective_sample_size": aggregated.n_periods})
 
 
 def test_multi_unit(
@@ -572,6 +566,4 @@ def placebo_test(
     """
     sub = pre_treatment_slice(panel, tau)
     result = test_sharp_null(sub, np.zeros(tau), spec, scheme, statistic)
-    meta = dict(result.metadata)
-    meta["tau"] = tau
-    return replace(result, metadata=meta)
+    return replace(result, metadata={"tau": tau})

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import EstimatorSpec, _fit_block
-from .inference import PermutationScheme, Statistic, _rank
+from .inference import PermutationScheme, Statistic, _check_level, _rank
 from .panel import PanelData
 from .solvers import _check_integer
 
@@ -113,11 +113,6 @@ class ExperimentResult:
     scheme_kind: str
     level: float
     p_values: np.ndarray | None = None
-
-
-def _check_level(level: float) -> None:
-    if not 0 < level < 1:
-        raise ValueError(f"level must lie in (0, 1); got {level}")
 
 
 def dgp_weights(kind: str, n_controls: int) -> np.ndarray:
@@ -268,8 +263,7 @@ def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpe
     :func:`simulate_panel` adds it.  Each effect's design is built, and so
     validated, before the first replication.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1; got {n_reps}")
+    _check_integer("n_reps", n_reps, 1)
     _check_level(level)
     designs = [replace(dgp, alpha_true=effect) for effect in effects]
     scheme = scheme or PermutationScheme.moving_block()
@@ -312,8 +306,10 @@ def run_size_experiment(
     measures power.  Replication seeds are spawned from ``dgp.seed``, and
     the p-values are those of :func:`~synthconf.inference.test_sharp_null`
     on :func:`simulate_panel` with each seed's generator, whatever the
-    chunking.
-    Raises ``ValueError`` for ``n_reps < 1`` or a level outside ``(0, 1)``.
+    chunking: every panel of a chunk is ranked through
+    :func:`~synthconf.inference._rank` with the default ``S_1`` statistic.
+    Raises ``ValueError`` unless ``n_reps`` is an integer of at least 1
+    (a float or a bool is refused) and ``level`` lies in ``(0, 1)``.
     """
     (result,) = _experiments(dgp, [dgp.alpha_true], estimator, scheme, n_reps, level, keep_pvalues)
     return result
@@ -380,7 +376,11 @@ def reproduce_figure_null_vs_pre(
     tests the true zero-effect null two ways on the *same* draws: fitting
     the weights on the adjusted full sample, and fitting them on the
     pre-treatment rows only.  Returns one row per (rho, mode) pair.
+    Raises ``ValueError`` unless ``n_reps`` is an integer of at least 1
+    and ``level`` lies in ``(0, 1)``.
     """
+    _check_integer("n_reps", n_reps, 1)
+    _check_level(level)
     estimator = EstimatorSpec.sc()
     scheme = PermutationScheme.moving_block()
     statistic = Statistic()

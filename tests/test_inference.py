@@ -22,10 +22,8 @@ from synthconf import (
     p_value,
     placebo_test,
     pointwise_ci,
-    statistic_mean,
-    statistic_sq,
 )
-from synthconf.inference import _median
+from synthconf.inference import _CHUNK, _median, _rank
 from conftest import random_panel
 
 # module-qualified aliases: bare imports of these would be collected by pytest
@@ -34,34 +32,42 @@ average_effect = sc.test_average_effect
 multi_unit = sc.test_multi_unit
 
 
+def permutations_of(scheme, n):
+    """The permutations ``_rank`` ranks against: ``size(n)`` rows, chunk by chunk."""
+    size = scheme.size(n)  # refuses a too-long iid_all window
+    rows = np.concatenate(list(scheme._iter_chunks(n)))
+    assert rows.shape == (size, n)
+    return rows
+
+
 class TestStatistics:
     def test_zero_residuals(self):
-        assert statistic_sq(np.zeros(6), slice(4, None)) == 0.0
+        assert Statistic()(np.zeros(6), slice(4, None)) == 0.0
 
     def test_single_term(self):
-        assert statistic_sq(np.array([1.0, 2.0, 3.0, 4.0]), slice(3, None), q=1) == 4.0
+        assert Statistic("sq", 1)(np.array([1.0, 2.0, 3.0, 4.0]), slice(3, None)) == 4.0
 
     def test_q2_hand_value(self):
         # ((9 + 16) / sqrt(2)) ** (1/2)
         expected = (25.0 / math.sqrt(2.0)) ** 0.5
-        got = statistic_sq(np.array([0.0, 3.0, 4.0]), slice(1, None), q=2)
+        got = Statistic("sq", 2)(np.array([0.0, 3.0, 4.0]), slice(1, None))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(4.2045, abs=1e-4)
 
     def test_mean_cancellation(self):
-        assert statistic_mean(np.array([1.0, -1.0]), slice(0, None)) == 0.0
+        assert Statistic("mean")(np.array([1.0, -1.0]), slice(0, None)) == 0.0
 
     def test_mean_single(self):
-        assert statistic_mean(np.array([2.0]), slice(0, None)) == 2.0
+        assert Statistic("mean")(np.array([2.0]), slice(0, None)) == 2.0
 
     def test_mean_hand_value(self):
-        got = statistic_mean(np.array([1.0, 2.0, 3.0]), slice(0, None))
+        got = Statistic("mean")(np.array([1.0, 2.0, 3.0]), slice(0, None))
         assert got == pytest.approx(6.0 / math.sqrt(3.0), abs=1e-12)
         assert got == pytest.approx(3.4641, abs=1e-4)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            statistic_sq(np.ones(4), slice(2, None), q=0.5)
+            Statistic("sq", 0.5)(np.ones(4), slice(2, None))
         with pytest.raises(ValueError):
             Statistic("sq", q=0.5)
 
@@ -70,7 +76,7 @@ class TestStatistics:
         # A NaN order gave p = 0, below the 1/|Pi| floor (no statistic ties
         # NaN), and an infinite one made every statistic 1, so p = 1.
         with pytest.raises(ValueError, match="finite"):
-            statistic_sq(np.ones(4), slice(2, None), q=q)
+            Statistic("sq", q)(np.ones(4), slice(2, None))
         with pytest.raises(ValueError, match="finite"):
             Statistic("sq", q=q)
 
@@ -85,18 +91,18 @@ class TestStatistics:
 class TestPermutationScheme:
     def test_moving_block_enumerates_t_shifts(self):
         scheme = PermutationScheme.moving_block()
-        perms = list(scheme.iter_permutations(4))
+        perms = permutations_of(scheme, 4)
         assert len(perms) == 4 == scheme.size(4)
         np.testing.assert_array_equal(perms[0], [0, 1, 2, 3])
         np.testing.assert_array_equal(perms[1], [1, 2, 3, 0])
 
     def test_moving_block_shift_example(self):
         u = np.array([1.0, 2.0, 3.0, 4.0])
-        shift = list(PermutationScheme.moving_block().iter_permutations(4))[1]
+        shift = permutations_of(PermutationScheme.moving_block(), 4)[1]
         np.testing.assert_array_equal(u[shift], [2.0, 3.0, 4.0, 1.0])
 
     def test_moving_block_composition_is_cyclic(self):
-        perms = list(PermutationScheme.moving_block().iter_permutations(5))
+        perms = permutations_of(PermutationScheme.moving_block(), 5)
         for a, b in itertools.product(range(5), repeat=2):
             composed = perms[a][perms[b]]
             np.testing.assert_array_equal(composed, perms[(a + b) % 5])
@@ -105,7 +111,7 @@ class TestPermutationScheme:
         # Pi * pi = Pi for every pi: composing all elements with a fixed one
         # reproduces the set.
         for scheme, n in ((PermutationScheme.moving_block(), 6), (PermutationScheme.iid_all(), 4)):
-            perms = [tuple(p) for p in scheme.iter_permutations(n)]
+            perms = [tuple(p) for p in permutations_of(scheme, n)]
             for pi in perms:
                 pi = np.asarray(pi)
                 composed = {tuple(np.asarray(sigma)[pi]) for sigma in perms}
@@ -113,7 +119,7 @@ class TestPermutationScheme:
 
     def test_iid_all_counts_and_identity_first(self):
         scheme = PermutationScheme.iid_all()
-        perms = list(scheme.iter_permutations(4))
+        perms = permutations_of(scheme, 4)
         assert len(perms) == math.factorial(4) == scheme.size(4)
         np.testing.assert_array_equal(perms[0], [0, 1, 2, 3])
         assert len({tuple(p) for p in perms}) == 24
@@ -124,14 +130,14 @@ class TestPermutationScheme:
         with pytest.raises(ValueError):
             scheme.size(11)
         with pytest.raises(ValueError):
-            next(iter(scheme.iter_permutations(11)))
+            permutations_of(scheme, 11)
         with pytest.raises(ValueError):
             p_value(np.ones(11), scheme, Statistic(), slice(10, None))
 
     def test_iid_sampled_contains_identity_and_is_seeded(self):
         scheme = PermutationScheme.iid_sampled(n_samples=50, seed=3)
-        first = list(scheme.iter_permutations(8))
-        again = list(scheme.iter_permutations(8))
+        first = permutations_of(scheme, 8)
+        again = permutations_of(scheme, 8)
         assert len(first) == 50
         np.testing.assert_array_equal(first[0], np.arange(8))
         for a, b in zip(first, again):
@@ -151,9 +157,21 @@ class TestPermutationScheme:
         with pytest.raises(ValueError, match=f"^{kind} permutations do not use '{field}'$"):
             PermutationScheme(kind, **{field: value})
 
+    def test_iid_sampled_past_one_chunk(self):
+        scheme = PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=11)
+        chunks = list(scheme._iter_chunks(6))
+        assert [len(chunk) for chunk in chunks] == [1, _CHUNK, 1]
+        first = permutations_of(scheme, 6)
+        assert len(first) == _CHUNK + 2 == scheme.size(6)
+        np.testing.assert_array_equal(first[0], np.arange(6))
+        np.testing.assert_array_equal(np.sort(first, axis=1), np.tile(np.arange(6), (_CHUNK + 2, 1)))
+        np.testing.assert_array_equal(first, permutations_of(scheme, 6))
+        other = permutations_of(PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=12), 6)
+        assert not np.array_equal(first[1:], other[1:])
+
     def test_iid_sampled_numpy_integer_count_accepted(self):
         scheme = PermutationScheme.iid_sampled(n_samples=np.int64(7))
-        assert len(list(scheme.iter_permutations(5))) == 7
+        assert len(permutations_of(scheme, 5)) == 7
 
     @pytest.mark.parametrize("seed", [1.5, 3.0, True, -1])
     def test_iid_sampled_seed_refused(self, seed):
@@ -165,7 +183,7 @@ class TestPermutationScheme:
     def test_iid_sampled_numpy_integer_seed_accepted(self):
         scheme = PermutationScheme.iid_sampled(n_samples=5, seed=np.int64(3))
         same = PermutationScheme.iid_sampled(n_samples=5, seed=3)
-        for a, b in zip(scheme.iter_permutations(6), same.iter_permutations(6)):
+        for a, b in zip(permutations_of(scheme, 6), permutations_of(same, 6)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -241,7 +259,7 @@ class TestPValue:
         u = rng.standard_normal(7)
         scheme = PermutationScheme.moving_block()
         fast = p_value(u, scheme, Statistic("sq", 1), slice(5, None))
-        slow = p_value(u, scheme, lambda r, w: statistic_sq(r, w, 1), slice(5, None))
+        slow = p_value(u, scheme, lambda r, w: Statistic("sq", 1)(r, w), slice(5, None))
         assert fast.p_value == slow.p_value
         np.testing.assert_allclose(fast.permuted_statistics, slow.permuted_statistics)
 
@@ -264,6 +282,30 @@ class TestPValue:
         stats = np.asarray(stats)
         expected = (stats >= stats[0]).mean()
         assert result.p_value == expected
+
+    def test_iid_all_across_chunks_matches_explicit_enumeration(self, rng):
+        # T = 8 gives 40,320 permutations in 10 chunks of at most _CHUNK rows;
+        # each chunk's statistics must land at its offset.
+        u = rng.standard_normal(8)
+        result = p_value(u, PermutationScheme.iid_all(), Statistic("sq", 1), slice(6, None))
+        perms = np.array(list(itertools.permutations(range(8))))
+        assert math.ceil(len(perms) / _CHUNK) == 10
+        stats = np.abs(u[perms][:, 6:]).sum(axis=1) / np.sqrt(2)
+        np.testing.assert_array_equal(result.permuted_statistics, stats)
+        assert result.p_value == (stats >= stats[0]).mean()
+
+    @pytest.mark.parametrize("statistic", [Statistic("sq", 1), Statistic("sq", 2), Statistic("mean")])
+    def test_builtin_and_custom_statistics_agree_across_chunks(self, rng, statistic):
+        # iid_sampled with _CHUNK + 2 samples yields the identity, one full
+        # chunk and a chunk of one: the vectorized path and the per-permutation
+        # loop must rank every row against the same permutations.
+        rows = rng.standard_normal((3, 9))
+        scheme = PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=5)
+        fast, fast_p = _rank(rows, scheme, statistic, slice(7, None))
+        slow, slow_p = _rank(rows, scheme, lambda r, w: statistic(r, w), slice(7, None))
+        assert fast.shape == (3, _CHUNK + 2)
+        np.testing.assert_array_equal(fast_p, slow_p)
+        np.testing.assert_allclose(fast, slow, rtol=1e-14)
 
 
 class TestSharpNull:
@@ -383,7 +425,7 @@ class TestOrbitExactness:
         outcomes = 10.0**exponent * np.column_stack([treated, controls])
         scheme = PermutationScheme.iid_all() if iid and n_periods <= 6 else PermutationScheme.moving_block()
         t0 = n_periods - n_post
-        fits = [sc.fit(PanelData(outcomes[pi], t0=t0), spec) for pi in scheme.iter_permutations(n_periods)]
+        fits = [sc.fit(PanelData(outcomes[pi], t0=t0), spec) for pi in permutations_of(scheme, n_periods)]
         assert all(fitted.permutation_invariant for fitted in fits)
         rows = np.array([fitted.residuals for fitted in fits])
         for statistic in (Statistic("sq", 1.0), Statistic("sq", 2.0), Statistic("mean")):

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthconf as sc
-from synthconf import DgpSpec, PanelData, ParseError, RunConfig, read_panel_csv
+from synthconf import DgpSpec, PanelData, ParseError, RunConfig, parse_estimator, read_panel_csv
 from synthconf import cli, estimators, inference
-from synthconf.cli import main, parse_estimator
+from synthconf.cli import main
 from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR
 
 

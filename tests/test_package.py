@@ -16,3 +16,11 @@ def test_package_exports_its_modules_all_lists():
             public = getattr(synthconf, name)
             assert public is getattr(module, name)
             assert public.__module__ == module.__name__, name
+
+
+def test_cli_all_names_only_what_cli_defines():
+    # Each public name has one module whose __all__ declares it.
+    from synthconf import cli
+
+    for name in cli.__all__:
+        assert getattr(cli, name).__module__ == cli.__name__, name

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo designs, experiments, and the oracle bound."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -256,12 +257,24 @@ class TestRunSizeExperiment:
 
 
     def test_rejects_no_reps_and_a_level_outside_unit_interval(self):
+        # n_reps of 2.5 and True reached numpy (TypeError); the figure function
+        # divided by 0 at 0, overflowed at -1, ran True as one replication and
+        # never checked its level.
         dgp = DgpSpec(t0=8, n_controls=3)
-        with pytest.raises(ValueError, match="n_reps"):
-            run_size_experiment(dgp, EstimatorSpec.did(), n_reps=0)
-        for level in (0.0, 1.0, 2.0):
-            with pytest.raises(ValueError, match="level"):
-                run_size_experiment(dgp, EstimatorSpec.did(), n_reps=5, level=level)
+        runs = [
+            lambda **kw: run_size_experiment(dgp, EstimatorSpec.did(), **kw),
+            lambda **kw: run_power_curve(dgp, EstimatorSpec.did(), **kw),
+            lambda **kw: reproduce_figure_null_vs_pre(rho_grid=(0.0,), t0=5, n_controls=4, **kw),
+        ]
+        refusals = [(0, "n_reps must be >= 1; got 0"), (-1, "n_reps must be >= 1; got -1"),
+                    (2.5, "n_reps must be an integer; got 2.5"), (True, "n_reps must be an integer; got True")]
+        for run in runs:
+            for n_reps, message in refusals:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run(n_reps=n_reps)
+            for level in (0.0, 1.0, 2.0):
+                with pytest.raises(ValueError, match="level"):
+                    run(n_reps=5, level=level)
 
 
 class TestRunPowerCurve:
