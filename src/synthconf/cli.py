@@ -2,9 +2,10 @@
 checks, and Monte Carlo experiments.
 
 Each command reads its inputs, runs the corresponding library pipeline,
-and writes a JSON result document plus companion CSV files with plot data
-into the output directory.  Given the same inputs, configuration, and
-seed, reruns produce identical documents except for the timestamp field.
+and writes a JSON result document plus one CSV table with plot data into
+the output directory, through one writer.  Given the same inputs,
+configuration, and seed, reruns produce identical documents except for
+the timestamp field.
 """
 
 from __future__ import annotations
@@ -74,33 +75,31 @@ def _parse_grid(text: str) -> np.ndarray:
         raise SynthconfError(f"grid must be 'min:max:count'; got {text!r}") from None
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _fields(instance) -> dict:
     """The fields of a dataclass of scalars and tuples, as ``asdict`` gives them
     without its deep copy."""
     return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_result(cfg: RunConfig, payload: dict, table: str, header, rows) -> None:
+    """Write a command's files into ``--out``, which is made if missing: its one
+    CSV ``table`` and ``result.json``, the document ``command``, then
+    ``payload``, then ``config`` (the run's :class:`RunConfig` fields)."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / table, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    write_json_result(out / "result.json", {"command": cfg.command, **payload, "config": _fields(cfg)})
 
 
 def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_units) -> None:
-    """Write ``result.json`` and ``residuals.csv`` of a ``test`` or ``placebo`` run.
+    """Write the files of a ``test`` or ``placebo`` run; the table is ``residuals.csv``.
 
     The result's metadata (``tau`` for a placebo test) joins the document.
     """
-    out = _out_dir(cfg)
     payload = {
-        "command": cfg.command,
         **result.metadata,
         "p_value": result.p_value,
         "statistic": result.statistic,
@@ -114,12 +113,10 @@ def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_uni
         "reject": result.p_value <= cfg.alpha,
         "window": list(result.window),
         "treated_units": treated_units,
-        "config": _fields(cfg),
     }
-    write_json_result(out / "result.json", payload)
     start = result.window[0]
-    _write_csv(out / "residuals.csv", ["period", "residual"],
-               ([start + i, format(value, ".17g")] for i, value in enumerate(result.residuals.tolist())))
+    _write_result(cfg, payload, "residuals.csv", ["period", "residual"],
+                  ([start + i, format(value, ".17g")] for i, value in enumerate(result.residuals.tolist())))
 
 
 def cmd_test(cfg: RunConfig) -> int:
@@ -143,13 +140,7 @@ def cmd_ci(cfg: RunConfig) -> int:
         panel, estimator, scheme, statistic, grid=grid, level=1.0 - cfg.alpha
     )
 
-    out = _out_dir(cfg)
-    _write_csv(out / "ci.csv", ["period", "candidate", "p_value", "accepted"],
-               ([entry.period, format(candidate, ".17g"), format(pv, ".17g"), int(acc)]
-                for entry in band.entries for candidate, pv, acc in
-                zip(entry.grid.tolist(), entry.p_values.tolist(), entry.accepted.tolist())))
     payload = {
-        "command": "ci",
         "level": band.level,
         "estimator": estimator.label,
         "intervals": [
@@ -166,9 +157,11 @@ def cmd_ci(cfg: RunConfig) -> int:
             for entry in band.entries
         ],
         "treated_units": names[: panel.n_treated],
-        "config": _fields(cfg),
     }
-    write_json_result(out / "result.json", payload)
+    _write_result(cfg, payload, "ci.csv", ["period", "candidate", "p_value", "accepted"],
+                  ([entry.period, format(candidate, ".17g"), format(pv, ".17g"), int(acc)]
+                   for entry in band.entries for candidate, pv, acc in
+                   zip(entry.grid.tolist(), entry.p_values.tolist(), entry.accepted.tolist())))
     for entry in band.entries:
         print(f"period {entry.period}: [{entry.lower:.4g}, {entry.upper:.4g}]"
               + (" (gaps)" if entry.has_gaps else ""))
@@ -207,7 +200,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise SynthconfError(f"--reps must be >= 1; got {cfg.reps}")
     result = run_size_experiment(dgp, estimator, scheme, n_reps=cfg.reps, level=cfg.alpha)
 
-    out = _out_dir(cfg)
     row = {
         "dgp": cfg.dgp,
         "estimator": result.estimator_id,
@@ -221,9 +213,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "n_reps": cfg.reps,
         "rejection_rate": result.rejection_rate,
     }
-    _write_csv(out / "simulation.csv", list(row), [list(row.values())])
-    write_json_result(out / "result.json", {"command": "simulate", **row,
-                                            "config": _fields(cfg)})
+    _write_result(cfg, row, "simulation.csv", list(row), [list(row.values())])
     print(f"rejection rate: {result.rejection_rate:.4f} ({cfg.reps} reps)")
     return 0
 

@@ -266,11 +266,10 @@ def _setting(default=MISSING, *, parse=str, commands=_DATA + _SIM, help=None, de
 class RunConfig:
     """All parameters of one command-line run, each declared once by :func:`_setting`.
 
-    ``seed`` defaults to ``$SYNTHCONF_SEED``, else 0.  :meth:`from_file`
-    reads them from a ``key=value`` text file, one per line, which must set
-    ``command``; ``treated`` and ``alpha0`` are comma-joined (unit names
-    therefore must not contain commas), and a float written with ``repr``
-    reads back exactly.
+    ``seed`` defaults to ``$SYNTHCONF_SEED``, else 0.  A ``--config`` file
+    (:func:`_read_config`) sets them as ``key=value`` lines, one per line;
+    ``treated`` and ``alpha0`` are comma-joined (unit names therefore must
+    not contain commas), and a float written with ``repr`` reads back exactly.
     """
 
     command: str = _setting(commands=())
@@ -301,13 +300,6 @@ class RunConfig:
     reps: int = _setting(5000, parse=int, commands=_SIM)
     alpha_true: float = _setting(0.0, parse=float, commands=_SIM,
                                  help="true effect added post treatment (0 for size)")
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        settings = _read_config(path)
-        if "command" not in settings:
-            raise ParseError("configuration file must set 'command'")
-        return cls(**settings)
 
 
 _SETTINGS = {setting.name: setting for setting in fields(RunConfig)}

@@ -376,9 +376,10 @@ def reproduce_figure_null_vs_pre(
     tests the true zero-effect null two ways on the *same* draws: fitting
     the weights on the adjusted full sample, and fitting them on the
     pre-treatment rows only.  Returns one row per (rho, mode) pair.
-    Raises ``ValueError`` unless ``n_reps`` is an integer of at least 1
-    and ``level`` lies in ``(0, 1)``.
+    Raises ``ValueError`` unless ``seed`` is an integer of at least 0,
+    ``n_reps`` an integer of at least 1 and ``level`` lies in ``(0, 1)``.
     """
+    _check_integer("seed", seed, 0)
     _check_integer("n_reps", n_reps, 1)
     _check_level(level)
     estimator = EstimatorSpec.sc()

@@ -16,7 +16,7 @@ import synthconf as sc
 from synthconf import DgpSpec, PanelData, ParseError, RunConfig, parse_estimator, read_panel_csv
 from synthconf import cli, estimators, inference
 from synthconf.cli import main
-from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR
+from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR, _read_config
 
 
 def write_lines(path, lines):
@@ -248,18 +248,18 @@ class TestRoundTrip:
         write_lines(path, ["command=test", "data=panel.csv", "t0=19", "treated=rhode", "estimator=classo:K=1",
                            "q=1.0", "alpha=0.1", "alpha0=0.0,-0.25", "seed=7", "out=results",
                            f"rho_u={0.1 + 0.2!r}"])
-        assert RunConfig.from_file(path) == cfg
+        assert RunConfig(**_read_config(path)) == cfg
 
     def test_config_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         write_lines(path, ["command=test", "banana=1"])
         with pytest.raises(ParseError, match="banana"):
-            RunConfig.from_file(path)
+            _read_config(path)
 
     def test_config_treated_names_are_stripped(self, tmp_path):
         path = tmp_path / "run.cfg"
         write_lines(path, ["command=test", "treated=rhode, ny"])
-        assert RunConfig.from_file(path).treated == ("rhode", "ny")
+        assert _read_config(path)["treated"] == ("rhode", "ny")
 
     def test_config_bad_value_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -722,7 +722,6 @@ class TestRefusals:
         (LONG, ["test", *DATA, "--treated", "nobody", "--layout", "long"],
          "treated unit(s) ['nobody'] not found among units ['c1', 'treated']"),
         (["command=test", "oops"], ["test", "--config", "{path}"], "line 2: expected key=value, got 'oops'"),
-        (["seed=1"], RunConfig.from_file, "configuration file must set 'command'"),
         (WIDE, ["simulate", "--estimator", "did", "--reps", "0"], "--reps must be >= 1; got 0"),
         (WIDE, ["simulate", "--estimator", "did", "--permutations", "iid", "--reps", "2"],
          "iid_all enumerates T! permutations and is limited to T <= 10; got T=21"),
@@ -730,7 +729,7 @@ class TestRefusals:
          "mean statistics do not use 'q'"),
     ], ids=["no_data", "malformed_grid", "treated_none", "no_treated", "header_only", "short_wide_header",
             "short_long_header", "ragged_long_row", "unknown_long_treated", "config_line_without_equals",
-            "config_without_command", "simulate_no_reps", "simulate_iid_too_long",
+            "simulate_no_reps", "simulate_iid_too_long",
             "mean_with_q"])
     def test_message(self, tmp_path, capsys, lines, call, message):
         path = tmp_path / "input"
@@ -865,6 +864,26 @@ class TestResultDocument:
         old = (tmp_path / "out" / "result.json").read_bytes()
         strip = lambda raw: re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', raw)
         assert b'"config": {' in new and strip(new) == strip(old)
+
+    @pytest.mark.parametrize("argv, table, settings", [
+        (["test"], "residuals.csv", {}),
+        (["placebo", "--tau", "2"], "residuals.csv", {"tau": 2}),
+        (["ci", "--grid=-1:1:5"], "ci.csv", {"grid": "-1:1:5"}),
+        (["simulate", "--sim-t0", "6", "--controls", "3", "--reps", "4"], "simulation.csv",
+         {"sim_t0": 6, "controls": 3, "reps": 4}),
+    ], ids=["test", "placebo", "ci", "simulate"])
+    def test_out_holds_the_document_and_one_table(self, fixture_csv, tmp_path, argv, table, settings):
+        out = tmp_path / "new" / "out"
+        if argv[0] != "simulate":
+            argv = [*argv, "--data", str(fixture_csv), "--t0", "12", "--treated", "rhode"]
+            settings = {**settings, "data": str(fixture_csv), "t0": 12, "treated": ("rhode",)}
+        assert main([*argv, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(["result.json", table])
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["schema_version"] == SCHEMA_VERSION and doc["timestamp"]
+        assert doc["command"] == argv[0]
+        run = RunConfig(command=argv[0], out=str(out), **settings)
+        assert doc["config"] == json.loads(json.dumps(dataclasses.asdict(run)))
 
 
 class TestIidWithLags:

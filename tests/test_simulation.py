@@ -345,6 +345,17 @@ class TestOraclePowerBound:
 
 
 class TestFigureNullVsPre:
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer; got 2.5"),
+        (-1, "seed must be >= 0; got -1"),
+        (True, "seed must be an integer; got True"),
+    ], ids=["float", "negative", "bool"])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed, message):
+        # 2.5 raised numpy's TypeError, -1 numpy's ValueError without the
+        # argument's name, and True ran as seed 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reproduce_figure_null_vs_pre(rho_grid=(0.0,), seed=seed, t0=5, n_controls=4, n_reps=3)
+
     def test_structure_and_determinism(self):
         rows = reproduce_figure_null_vs_pre(rho_grid=(0.0,), seed=4, n_reps=40)
         again = reproduce_figure_null_vs_pre(rho_grid=(0.0,), seed=4, n_reps=40)
