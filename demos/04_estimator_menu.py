@@ -38,15 +38,20 @@ for name, (data, spec) in menu.items():
 # Lag-based models consume a prefix: the AR(2) window starts at period 3 and
 # the permutations act on the shortened residual series automatically.
 
-# A user-supplied lag model can replace the built-in least squares; anything
-# implementing fitter(lags, response) -> predict works (e.g. a tree or a
-# small network).  Here, a clipped linear fit:
-def winsorized_ar(lags, response):
-    lo, hi = np.quantile(response, [0.05, 0.95])
-    coef = np.linalg.lstsq(
-        np.column_stack([np.ones(len(response)), lags]), np.clip(response, lo, hi), rcond=None
-    )[0]
-    return lambda L: np.column_stack([np.ones(L.shape[0]), L]) @ coef
+# A model of your own, a tree or a small network as well, is a callable from a
+# null-adjusted panel to a ProxyFit, accepted wherever a spec is.  Here, an AR(2)
+# fitted to the treated series clipped at its 5% and 95% quantiles: it
+# consumes two periods, so the fitted window starts at period 3, and its
+# residuals do not permute with the rows.
+def winsorized_ar(panel):
+    y = panel.treated
+    design = np.column_stack([np.ones(len(y) - 2), y[1:-1], y[:-2]])  # 1, y_{t-1}, y_{t-2}
+    target = y[2:]
+    lo, hi = np.quantile(target, [0.05, 0.95])
+    proxy = design @ np.linalg.lstsq(design, np.clip(target, lo, hi), rcond=None)[0]
+    return sc.ProxyFit(proxy, target - proxy, start=3, permutation_invariant=False,
+                       estimator_id="winsorized ar(lags=2)")
 
-custom = sc.EstimatorSpec.ar(2, fitter=winsorized_ar)
-print(f"\ncustom lag model p(zero) = {sc.test_sharp_null(panel, [0.0, 0.0], custom).p_value:.3f}")
+
+custom = sc.test_sharp_null(panel, [0.0, 0.0], winsorized_ar)
+print(f"\ncustom lag model p(zero) = {custom.p_value:.3f}  ({custom.estimator_id})")

@@ -84,14 +84,19 @@ def _fields(instance) -> dict:
 def _write_result(cfg: RunConfig, payload: dict, table: str, header, rows) -> None:
     """Write a command's files into ``--out``, which is made if missing: its one
     CSV ``table`` and ``result.json``, the document ``command``, then
-    ``payload``, then ``config`` (the run's :class:`RunConfig` fields)."""
+    ``payload``, then ``config`` (the run's :class:`RunConfig` fields).  An
+    ``OSError`` in making or writing ``--out`` is a :class:`SynthconfError`
+    that names the directory."""
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    write_json_result(out / "result.json", {"command": cfg.command, **payload, "config": _fields(cfg)})
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / table, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        write_json_result(out / "result.json", {"command": cfg.command, **payload, "config": _fields(cfg)})
+    except OSError as exc:
+        raise SynthconfError(f"cannot write the results into --out {str(out)!r}: {exc.strerror or exc}") from None
 
 
 def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_units) -> None:

@@ -93,7 +93,6 @@ class EstimatorSpec:
     n_factors: int | None = None
     n_lags: int | None = None
     base: "EstimatorSpec | None" = None   # first stage of a fused model
-    ar_fitter: Callable | None = None     # optional nonlinear lag-model fitter
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -146,8 +145,8 @@ class EstimatorSpec:
         return cls("matrix_completion", radius=radius)
 
     @classmethod
-    def ar(cls, n_lags: int, fitter: Callable | None = None) -> "EstimatorSpec":
-        return cls("ar", n_lags=n_lags, ar_fitter=fitter)
+    def ar(cls, n_lags: int) -> "EstimatorSpec":
+        return cls("ar", n_lags=n_lags)
 
     @classmethod
     def fused(cls, base: "EstimatorSpec", n_lags: int) -> "EstimatorSpec":
@@ -505,8 +504,7 @@ def _matrix_completion_core(outcomes, covariates, treated, spec, start) -> _Bloc
     return _stacked(map(fit_one, _panels(outcomes, treated)))
 
 
-def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
-                   fitter: Callable | None = None):
+def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool):
     """Least squares of ``series`` on its own ``n_lags`` lags, from period ``n_lags + 1``.
 
     Returns the predicted series, ``series`` minus it, the params (the
@@ -520,17 +518,13 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
     counts as no variation, ``x`` being the lag column (``n`` its rows) or
     the whole series.  The least-squares design must have at least as many
     rows as coefficients (and two rows), or the series is too short.
-    ``fitter`` replaces the least squares (see :func:`_ar_core`), with no params or report.
     """
-    n_coefs = 0 if fitter is not None else n_lags + intercept
-    if series.shape[0] - n_lags < max(2, n_coefs):
+    if series.shape[0] - n_lags < max(2, n_lags + intercept):
         raise DimensionError(f"{what} of length {series.shape[0]} is too short for {n_lags} lags")
     lags = np.column_stack([series[n_lags - m - 1: series.shape[0] - m - 1] for m in range(n_lags)])  # y_{t-1}, ...
     target = series[n_lags:]
     params, note = {}, ""
-    if fitter is not None:
-        predicted = np.asarray(fitter(lags, target)(lags), dtype=float)
-    elif intercept:
+    if intercept:
         keep = ~_negligible(np.ptp(lags, axis=0), lags.shape[0], np.abs(lags).max(axis=0))
         design = np.column_stack([np.ones(target.shape[0]), lags[:, keep]])
         coef = ols(design, target)
@@ -546,8 +540,7 @@ def _autoregression(series: np.ndarray, n_lags: int, what: str, intercept: bool,
         predicted = lags @ coef
         params["coefficients"] = coef
     residuals = target - predicted
-    report = None if fitter is not None else _closed_form(float((residuals ** 2).sum()), note)
-    return predicted, residuals, params, report
+    return predicted, residuals, params, _closed_form(float((residuals ** 2).sum()), note)
 
 
 def _ar_core(outcomes, covariates, treated, spec, start) -> _Block:
@@ -558,14 +551,9 @@ def _ar_core(outcomes, covariates, treated, spec, start) -> _Block:
     accepted.  The first ``n_lags`` periods are consumed to build the lag
     design, and the fitted window starts at period ``n_lags + 1``.
     ``params["coefficients"]`` holds the intercept, then one coefficient
-    per lag.
-
-    An optional ``ar_fitter(lags, response) -> predict`` callable in the
-    spec replaces the built-in linear least squares with a user-supplied
-    (possibly nonlinear) lag model; ``predict`` must map a lag matrix to
-    fitted values.
+    per lag.  A lag model of your own is a callable estimator (see :func:`fit`).
     """
-    fits = (_autoregression(panel[:, 0], spec.n_lags, "series", True, spec.ar_fitter)
+    fits = (_autoregression(panel[:, 0], spec.n_lags, "series", True)
             for panel in _panels(outcomes, treated))
     return _stacked(fits, spec.n_lags + 1)
 
@@ -678,7 +666,7 @@ _ESTIMATORS = {
     "interactive_fe": _Kind((("k", "n_factors", int, _REQUIRED),), _interactive_fe_core, ("solver",)),
     "matrix_completion": _Kind((("K", "radius", _auto_or_float, None),), _matrix_completion_core,
                                check=lambda spec: spec.radius is None or _check_radius(spec)),
-    "ar": _Kind((("lags", "n_lags", int, _REQUIRED),), _ar_core, ("ar_fitter",), fused_base=False),
+    "ar": _Kind((("lags", "n_lags", int, _REQUIRED),), _ar_core, fused_base=False),
     "fused": _Kind((("base", "base", EstimatorSpec, _REQUIRED), ("lags", "n_lags", int, _REQUIRED)), _fused_core,
                    label=lambda spec: f"fused({spec.base.label},lags={spec.n_lags})", fused_base=False,
                    check=_check_fused),

@@ -240,9 +240,12 @@ def pre_treatment_slice(panel: PanelData, tau: int) -> PanelData:
 
     Raises
     ------
+    ValueError
+        If ``tau`` is not an integer (a numpy integer is one, a bool is not).
     DimensionError
         If ``tau`` is not in ``1..t0-1``.
     """
+    _check_integer("tau", tau)
     if not 1 <= tau < panel.t0:
         raise DimensionError(f"placebo window tau must satisfy 1 <= tau < t0={panel.t0}; got {tau}")
     new_t0 = panel.t0 - tau
@@ -256,8 +259,10 @@ def pointwise_slice(panel: PanelData, t: int) -> PanelData:
 
     The result has ``t0 + 1`` rows and a one-period post window; it is the
     data layout used when testing a hypothesis about the effect in one
-    specific period.
+    specific period.  ``t`` must be an integer, as ``tau`` of
+    :func:`pre_treatment_slice` must.
     """
+    _check_integer("t", t)
     if not panel.t0 < t <= panel.n_periods:
         raise DimensionError(
             f"period t must lie in the post-treatment window {panel.t0 + 1}..{panel.n_periods}; got {t}"

@@ -261,8 +261,12 @@ def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpe
     Every effect sees the same replications: each chunk is simulated once,
     and each effect is added to its post-period treated entries as
     :func:`simulate_panel` adds it.  Each effect's design is built, and so
-    validated, before the first replication.
+    validated, before the first replication, and ``estimator`` must be an
+    :class:`EstimatorSpec`: the replications are fitted as blocks of its
+    kind's array core, which a callable estimator does not have.
     """
+    if not isinstance(estimator, EstimatorSpec):
+        raise TypeError(f"Monte Carlo needs an EstimatorSpec, not {type(estimator).__name__} {estimator!r}")
     _check_integer("n_reps", n_reps, 1)
     _check_level(level)
     designs = [replace(dgp, alpha_true=effect) for effect in effects]
@@ -309,7 +313,8 @@ def run_size_experiment(
     chunking: every panel of a chunk is ranked through
     :func:`~synthconf.inference._rank` with the default ``S_1`` statistic.
     Raises ``ValueError`` unless ``n_reps`` is an integer of at least 1
-    (a float or a bool is refused) and ``level`` lies in ``(0, 1)``.
+    (a float or a bool is refused) and ``level`` lies in ``(0, 1)``, and
+    ``TypeError`` unless ``estimator`` is an :class:`EstimatorSpec`.
     """
     (result,) = _experiments(dgp, [dgp.alpha_true], estimator, scheme, n_reps, level, keep_pvalues)
     return result

@@ -79,6 +79,21 @@ class TestCustomEstimator:
         with pytest.raises(TypeError):
             fit(panel, lambda p: p.treated)
 
+    @pytest.mark.parametrize("start, n_fitted, match", [
+        (10, 1, "starts at period 10, after the last pre-treatment period 8"),
+        (1, 8, "no post-treatment periods"),
+    ], ids=["starts_after_t0_plus_1", "no_post_period"])
+    def test_window_without_the_post_periods_refused(self, rng, start, n_fitted, match):
+        # Only a callable sets its own window: a spec's always holds the post periods.
+        panel = random_panel(rng, 10, 3)
+
+        def window(panel):
+            series = panel.treated[start - 1:start - 1 + n_fitted]
+            return sc.ProxyFit(np.zeros(n_fitted), series.copy(), start, permutation_invariant=False)
+
+        with pytest.raises(DimensionError, match=match):
+            sc.test_sharp_null(panel, [0.0, 0.0], window)
+
 
 class TestWarmStart:
     WARM_SPECS = [EstimatorSpec.sc(), EstimatorSpec.classo(), EstimatorSpec.lasso(0.5),
@@ -223,8 +238,7 @@ class TestEstimatorSpec:
     @pytest.mark.parametrize("make", [
         lambda: EstimatorSpec("matrix_completion", solver=SolverConfig(max_iters=1)),
         lambda: EstimatorSpec("did", radius=3.0),
-        lambda: EstimatorSpec("sc", ar_fitter=lambda lags, target: None),
-    ], ids=["solver", "radius", "ar_fitter"])
+    ], ids=["solver", "radius"])
     def test_field_the_fitter_never_reads_refused(self, make):
         # Regression: such a field was accepted and ignored, so the spec fitted
         # as the default one while comparing unequal to it.
@@ -237,7 +251,7 @@ class TestEstimatorSpec:
             EstimatorSpec.did(), EstimatorSpec.sc(tight), EstimatorSpec.classo(2.0, tight),
             EstimatorSpec.lasso(1.0, tight), EstimatorSpec.elastic_net(1.0, 0.5, tight),
             EstimatorSpec.factor(2), EstimatorSpec.interactive_fe(1, tight),
-            EstimatorSpec.matrix_completion(3.0), EstimatorSpec.ar(2, lambda lags, target: None),
+            EstimatorSpec.matrix_completion(3.0), EstimatorSpec.ar(2),
             EstimatorSpec.fused(EstimatorSpec.classo(2.0, tight), 2),
         ]
         assert [spec.kind for spec in built] == list(_KINDS)
@@ -751,15 +765,19 @@ class TestAr:
         fitted = fit(panel, EstimatorSpec.ar(2))
         np.testing.assert_allclose(fitted.params["coefficients"][1:], rho, atol=0.1)
 
-    def test_custom_fitter_hook(self, rng):
+    def test_custom_lag_model_is_a_callable(self, rng):
         panel = random_panel(rng, 12, 2)
 
-        def mean_fitter(lags, target):
-            level = target.mean()
-            return lambda L: np.full(L.shape[0], level)
+        def mean_of_target(panel):
+            target = panel.treated[1:]
+            proxy = np.full(target.shape[0], target.mean())
+            return sc.ProxyFit(proxy, target - proxy, start=2, permutation_invariant=False,
+                               estimator_id="mean(lags=1)")
 
-        fitted = fit(panel, EstimatorSpec.ar(1, fitter=mean_fitter))
+        fitted = fit(panel, mean_of_target)
         np.testing.assert_allclose(fitted.proxy, panel.treated[1:].mean(), atol=1e-12)
+        result = sc.test_sharp_null(panel, [0.0, 0.0], mean_of_target)
+        assert (result.estimator_id, result.window) == ("mean(lags=1)", (2, 12))
 
     def test_too_short_series(self):
         with pytest.raises(DimensionError):

@@ -54,6 +54,12 @@ class TestStatistics:
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(4.2045, abs=1e-4)
 
+    @pytest.mark.parametrize("statistic", [Statistic(), Statistic("sq", 2), Statistic("mean")],
+                             ids=lambda statistic: statistic.label)
+    def test_empty_window_refused(self, statistic):
+        with pytest.raises(DimensionError, match="post-treatment window is empty"):
+            statistic(np.ones(5), slice(5, None))
+
     def test_mean_cancellation(self):
         assert Statistic("mean")(np.array([1.0, -1.0]), slice(0, None)) == 0.0
 
@@ -89,6 +95,10 @@ class TestStatistics:
 
 
 class TestPermutationScheme:
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown permutation scheme 'bogus'"):
+            PermutationScheme("bogus")
+
     def test_moving_block_enumerates_t_shifts(self):
         scheme = PermutationScheme.moving_block()
         perms = permutations_of(scheme, 4)
@@ -868,6 +878,19 @@ class TestMultiUnit:
 
 
 class TestPlacebo:
+    def test_non_integer_period_or_window_refused_by_name(self, rng):
+        # Regression: pointwise_ci at t=12.0 raised numpy's IndexError, a
+        # placebo window of 2.5 was refused as "t0 must be an integer; got
+        # 7.5", and a window of True raised numpy's TypeError.
+        panel, did = random_panel(rng, 12, 3), EstimatorSpec.did()
+        with pytest.raises(ValueError, match=r"^t must be an integer; got 12\.0$"):
+            pointwise_ci(panel, 12.0, did)
+        for tau in (2.5, True):
+            with pytest.raises(ValueError, match=f"^tau must be an integer; got {tau!r}$"):
+                placebo_test(panel, tau, did)
+        assert pointwise_ci(panel, np.int64(12), did).period == 12
+        assert placebo_test(panel, np.int64(2), did).metadata["tau"] == 2
+
     def test_smoke_on_empirical_shape(self, rng):
         controls = rng.standard_normal((25, 50))
         treated = controls[:, :3].mean(axis=1) + rng.standard_normal(25)

@@ -316,6 +316,10 @@ class TestParseEstimator:
         with pytest.raises(sc.SynthconfError):
             parse_estimator("lasso")  # missing lam
 
+    def test_parameter_without_a_value_refused(self):
+        with pytest.raises(sc.SynthconfError, match="malformed estimator parameter 'K' in 'classo:K'"):
+            parse_estimator("classo:K")
+
     @pytest.mark.parametrize("notation, key, valid", [
         ("classo:k=2", "'k'", "K"),
         ("did:lam=1", "'lam'", "none"),
@@ -743,6 +747,14 @@ class TestRefusals:
             assert main([*argv, "--out", str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err == f"synthconf: error: {message}\n"
 
+    def test_out_that_is_a_file(self, tmp_path, capsys):
+        # Regression: the run did all its work, then ended with a FileExistsError traceback.
+        out = tmp_path / "afile"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["simulate", "--sim-t0", "5", "--controls", "3", "--reps", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"synthconf: error: cannot write the results into --out {str(out)!r}: File exists\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestWarningLine:
     @pytest.mark.parametrize("extra, lines", [
@@ -793,6 +805,11 @@ class TestConfigFile:
         doc = json.loads((tmp_path / "out" / "result.json").read_text())
         assert doc["command"] == doc["config"]["command"] == "test"
         assert doc["p_value"] == pytest.approx(8 / 13, abs=0)
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        write_lines(config, ["# a short design", "", "sim_t0=5", "  # indented", "controls=3", "   ", "reps=3"])
+        assert _read_config(config) == {"sim_t0": 5, "controls": 3, "reps": 3}
 
     def test_file_for_another_command_is_refused(self, fixture_csv, tmp_path, capsys):
         # The subcommand overrode the file's command=simulate and ran test.

@@ -62,6 +62,16 @@ class TestPanelData:
         with pytest.raises(DimensionError):
             PanelData(np.zeros((5, 2)), t0=3, covariates=np.zeros((5, 3, 1)))
 
+    @pytest.mark.parametrize("outcomes, kwargs, match", [
+        (np.zeros(5), {}, "must be 2-D"),
+        (np.zeros((5, 2)), {"n_treated": 0}, "n_treated must be >= 1; got 0"),
+        (np.zeros((5, 2)), {"n_treated": 3}, "2 columns but n_treated=3"),
+        (np.zeros((5, 2)), {"covariates": np.full((5, 2, 1), np.inf)}, "covariates contain non-finite"),
+    ], ids=["1d_outcomes", "no_treated", "more_treated_than_columns", "non_finite_covariates"])
+    def test_malformed_panel_refused(self, outcomes, kwargs, match):
+        with pytest.raises(DimensionError, match=match):
+            PanelData(outcomes, t0=3, **kwargs)
+
 
 class TestAdjustUnderNull:
     def test_zero_trajectory_is_identity(self, small_panel):
@@ -196,6 +206,15 @@ class TestPreTreatmentSlice:
             with pytest.raises(DimensionError):
                 pre_treatment_slice(panel, tau)
 
+    def test_window_must_be_an_integer(self, rng):
+        # Regression: tau=2.5 was refused as "t0 must be an integer; got 1.5",
+        # and True failed inside numpy.
+        panel = PanelData(rng.standard_normal((6, 3)), t0=4)
+        for tau in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"^tau must be an integer; got {tau!r}$"):
+                pre_treatment_slice(panel, tau)
+        assert pre_treatment_slice(panel, np.int64(2)).t0 == 2
+
     def test_commutes_with_zero_adjustment(self, rng):
         panel = PanelData(rng.standard_normal((10, 4)), t0=8)
         tau = 2
@@ -210,6 +229,14 @@ class TestPointwiseSlice:
             pointwise_slice(small_panel, 5)
         with pytest.raises(DimensionError):
             pointwise_slice(small_panel, 13)
+
+    def test_period_must_be_an_integer(self, small_panel):
+        # Regression: t=12.0 failed inside numpy with an IndexError.
+        for t in (12.0, 11.5, True):
+            with pytest.raises(ValueError, match=f"^t must be an integer; got {t!r}$"):
+                pointwise_slice(small_panel, t)
+        np.testing.assert_array_equal(pointwise_slice(small_panel, np.int32(12)).outcomes[-1],
+                                      small_panel.outcomes[11])
 
     def test_keeps_covariates(self, rng):
         cov = rng.standard_normal((6, 2, 2))

@@ -276,6 +276,24 @@ class TestRunSizeExperiment:
                 with pytest.raises(ValueError, match="level"):
                     run(n_reps=5, level=level)
 
+    def test_callable_estimator_refused_before_any_replication(self, monkeypatch):
+        # A callable reached the first replication and failed there with
+        # AttributeError: 'function' object has no attribute 'base'.
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        def mean_proxy(panel):
+            return fit(panel, EstimatorSpec.did())
+
+        monkeypatch.setattr(simulation, "_chunks", no_chunks)
+        dgp = DgpSpec(t0=8, n_controls=3)
+        for run in (run_size_experiment, run_power_curve):
+            with pytest.raises(TypeError, match="needs an EstimatorSpec, not function <function"):
+                run(dgp, mean_proxy, n_reps=5)
+        with pytest.raises(TypeError, match="needs an EstimatorSpec, not str 'did'"):
+            run_size_experiment(dgp, "did", n_reps=5)
+
+
 
 class TestRunPowerCurve:
     def test_zero_effect_point_reproduces_size_run(self):

@@ -153,6 +153,10 @@ class TestProjectNuclearBall:
         projected = project_nuclear_ball(a, 1.5)
         assert np.linalg.svd(projected, compute_uv=False).sum() <= 1.5 + 1e-9
 
+    def test_zero_radius_refused(self, rng):
+        with pytest.raises(ValueError, match="radius must be positive; got 0.0"):
+            project_nuclear_ball(rng.standard_normal((4, 3)), 0.0)
+
 
 class TestProjectionProperties:
     """Idempotence and non-expansiveness on sampled points."""
@@ -786,6 +790,10 @@ class TestPcaFactors:
             with pytest.raises(DimensionError):
                 pca_factors(Y, k)
 
+    def test_one_dimensional_matrix_refused(self):
+        with pytest.raises(DimensionError, match="Y must be 2-D"):
+            pca_factors(np.ones(6), 1)
+
 
 class TestAlternatingLS:
     def test_noise_free_model_reaches_zero(self, rng):
@@ -804,6 +812,11 @@ class TestAlternatingLS:
         *_, report = alternating_ls(Y, X, 2)
         trace = np.asarray(report.objective_trace)
         assert (np.diff(trace) <= 1e-10 * np.maximum(1.0, trace[:-1])).all()
+
+    @pytest.mark.parametrize("shape", [(18, 7), (18, 6, 2), (17, 7, 2)])
+    def test_covariates_of_the_wrong_shape_refused(self, rng, shape):
+        with pytest.raises(DimensionError, match="covariates must have shape"):
+            alternating_ls(rng.standard_normal((18, 7)), rng.standard_normal(shape), 2)
 
 
 class TestOls:
@@ -827,6 +840,10 @@ class TestOls:
         b = ols(X, y)
         lhs = np.abs(X.T @ (y - X @ b)).max()
         assert lhs <= 1e-8 * np.abs(X.T @ y).max()
+
+    def test_mismatched_rows_refused(self, rng):
+        with pytest.raises(DimensionError, match="incompatible"):
+            ols(rng.standard_normal((10, 2)), rng.standard_normal(9))
 
     def test_singular_design_raises(self):
         X = np.ones((10, 2))
