@@ -49,8 +49,7 @@ def winsorized_ar(panel):
     target = y[2:]
     lo, hi = np.quantile(target, [0.05, 0.95])
     proxy = design @ np.linalg.lstsq(design, np.clip(target, lo, hi), rcond=None)[0]
-    return sc.ProxyFit(proxy, target - proxy, start=3, permutation_invariant=False,
-                       estimator_id="winsorized ar(lags=2)")
+    return sc.ProxyFit(proxy, target - proxy, start=3, estimator_id="winsorized ar(lags=2)")
 
 
 custom = sc.test_sharp_null(panel, [0.0, 0.0], winsorized_ar)

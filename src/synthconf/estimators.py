@@ -3,10 +3,8 @@
 Every estimator consumes a null-adjusted panel, fits the proxy model for
 the treated unit's counterfactual outcome on *all* periods of that panel,
 and returns the fitted proxy series together with the residuals used for
-permutation inference.  Estimators whose residuals permute covariantly
-with a row permutation of the data carry ``permutation_invariant=True``;
-lag-based models consume a prefix of the sample and record the shortened
-fitted window instead.
+permutation inference.  Lag-based models consume a prefix of the sample
+and record the shortened fitted window.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ class ProxyFit:
     proxy: np.ndarray
     residuals: np.ndarray
     start: int
-    permutation_invariant: bool
     estimator_id: str = ""
     diagnostics: SolveReport | None = None
     params: dict = field(default_factory=dict)
@@ -64,15 +61,10 @@ class ProxyFit:
 
     def post_slice(self, t0: int) -> slice:
         """Positions of the post-treatment periods inside the residual vector."""
-        first = t0 + 1 - self.start
-        if first < 0:
-            raise DimensionError(
-                f"fitted window starts at period {self.start}, after the last "
-                f"pre-treatment period {t0}"
-            )
-        if first >= self.n_fitted:
-            raise DimensionError("fitted window contains no post-treatment periods")
-        return slice(first, self.n_fitted)
+        if self.start > t0 + 1:
+            raise DimensionError(f"fitted window starts at period {self.start}, "
+                                 f"after the last pre-treatment period {t0}")
+        return slice(t0 + 1 - self.start, self.n_fitted)
 
 
 @dataclass(frozen=True)
@@ -161,10 +153,12 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
     """Fit the proxy model described by ``spec`` on a null-adjusted panel.
 
     ``spec`` is an :class:`EstimatorSpec` or, for user-supplied estimators,
-    any callable mapping a panel to a :class:`ProxyFit`; custom fits are
-    responsible for setting their own ``permutation_invariant`` flag.  A
-    spec's fit is column 0 of its kind's array core (see :class:`_Kind`)
-    run on the panel's own treated series.
+    any callable mapping a panel to a :class:`ProxyFit`.  A custom fit's
+    residuals must be a finite 1-D array, its proxy of their shape, and its
+    window, from the integer ``start >= 1``, must end at the panel's last
+    period; else ``DimensionError`` names its ``estimator_id``.  A spec's
+    fit is column 0 of its kind's array core (see :class:`_Kind`) run on
+    the panel's own treated series.
 
     ``start`` is an earlier fit of the same spec on a panel with the same
     controls, such as the neighbouring candidate of a test inversion.  The
@@ -177,9 +171,19 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
     if callable(spec) and not isinstance(spec, EstimatorSpec):
         fitted = spec(panel)
         if not isinstance(fitted, ProxyFit):
-            raise TypeError(
-                f"custom estimator returned {type(fitted).__name__}, expected ProxyFit"
-            )
+            raise TypeError(f"custom estimator returned {type(fitted).__name__}, expected ProxyFit")
+        u, first = fitted.residuals, fitted.start
+        try:
+            if not (isinstance(u, np.ndarray) and u.ndim == 1 and u.dtype.kind in "fiu" and np.isfinite(u).all()):
+                raise ValueError("residuals must be a finite 1-D array")
+            if np.shape(fitted.proxy) != u.shape:
+                raise ValueError(f"proxy has shape {np.shape(fitted.proxy)}, residuals {u.shape}")
+            _check_integer("start", first, 1)
+            if first - 1 + u.size != panel.n_periods:
+                raise ValueError(f"window of periods {first} to {first - 1 + u.size} must end at period "
+                                 f"{panel.n_periods}")
+        except ValueError as err:
+            raise DimensionError(f"custom estimator {fitted.estimator_id!r}: {err}") from None
         return fitted
     return _fit_block(panel.outcomes, panel.covariates, spec, panel.treated[:, None], start).fit(0, spec.label)
 
@@ -211,9 +215,7 @@ class _Block(NamedTuple):
 
     def fit(self, g: int, label: str) -> ProxyFit:
         """The :class:`ProxyFit` of column ``g``, named ``label``."""
-        # Only the lag kinds start after period 1, and their residuals do not permute with the rows.
-        return ProxyFit(self.proxies[g], self.residuals[g], self.start, self.start == 1, label,
-                        self.report(g), self.params(g))
+        return ProxyFit(self.proxies[g], self.residuals[g], self.start, label, self.report(g), self.params(g))
 
 
 def _panels(outcomes: np.ndarray, treated: np.ndarray):

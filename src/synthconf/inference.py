@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .estimators import EstimatorSpec, ProxyFit, _fit_candidates, fit
-from .exceptions import DimensionError, _warn
+from .exceptions import DimensionError, NumericalError, _warn
 from .panel import (
     PanelData,
     _treated_under_nulls,
@@ -260,7 +260,8 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
         ``gamma = 100 eps |S(u)|``: statistics that are equal in exact
         arithmetic but were summed in another order count as ties, so the
         test stays conservative.  The identity permutation guarantees
-        ``p_value >= 1/|Pi|``.
+        ``p_value >= 1/|Pi|``.  A residual or a permuted statistic that is
+        not finite (an overflowing ``S_q``, say) raises ``NumericalError``.
     """
     residuals = np.asarray(residuals, dtype=float)
     stats, pvals = _rank(residuals[None, :], scheme, statistic, post_window)
@@ -286,19 +287,25 @@ def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, post_window):
     chunk, for all rows in one call; a callable is called per row and
     permutation with the whole permuted row.  Returns
     ``(stats, p_values)``: ``stats[i]`` holds the statistics of row ``i``,
-    identity first.
+    identity first; a non-finite residual or statistic raises ``NumericalError``.
     """
+    if not np.isfinite(rows).all():
+        raise NumericalError("a residual is not finite (NaN or infinite), so it has no rank")
     n = rows.shape[1]
     stats = np.empty((rows.shape[0], scheme.size(n)))  # size() also refuses a too-long iid_all window
     builtin = isinstance(statistic, Statistic)  # it reads the post-window columns only
     offset = 0
-    for chunk in scheme._iter_chunks(n, np.arange(n)[post_window] if builtin else slice(None)):
-        if builtin:
-            values = statistic(rows.take(chunk, axis=1), slice(None))
-        else:
-            values = [[statistic(row[pi], post_window) for pi in chunk] for row in rows]
-        stats[:, offset: offset + chunk.shape[0]] = values
-        offset += chunk.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf too: the error below, no warning first
+        for chunk in scheme._iter_chunks(n, np.arange(n)[post_window] if builtin else slice(None)):
+            if builtin:
+                values = statistic(rows.take(chunk, axis=1), slice(None))
+            else:
+                values = [[statistic(row[pi], post_window) for pi in chunk] for row in rows]
+            stats[:, offset: offset + chunk.shape[0]] = values
+            offset += chunk.shape[0]
+    if not np.isfinite(stats).all():  # an infinite one's tie bound is NaN: not even the identity would tie
+        raise NumericalError("a permuted statistic is not finite: the residuals overflow it, or a custom "
+                             "statistic returned NaN or infinity; rescale the outcomes")
     observed = stats[:, :1]
     ties = stats >= observed - _TIE_RTOL * np.abs(observed)
     return stats, np.add.reduce(ties, axis=1) / stats.shape[1]
@@ -365,6 +372,8 @@ def _default_ci_grid(fitted: ProxyFit) -> np.ndarray:
     treated outcome in magnitude, and 1 when every treated outcome is zero.
     Each but the last is in the units of Y, so the grid scales with them.
     """
+    if fitted.n_fitted < 2:  # a custom fit of the post period alone
+        raise DimensionError(f"{fitted.estimator_id!r} fits no pre-treatment period, so no default grid; pass a grid")
     point = float(fitted.residuals[-1])
     pre = fitted.residuals[:-1]
     spread = 1.4826 * float(_median(np.abs(pre - _median(pre))))

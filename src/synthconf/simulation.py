@@ -344,13 +344,15 @@ def oracle_power_bound(dgp: DgpSpec, alpha_grid: Sequence[float], level: float =
     test of a zero effect rejects when ``|u_T + alpha_true|`` exceeds the
     ``1 - level`` quantile of ``|N(0, 1)|``; its power is evaluated with
     the normal distribution function.  At ``alpha_true = 0`` the bound
-    equals the nominal level exactly.
+    equals the nominal level exactly.  A non-finite effect is refused.
     """
     _check_level(level)
+    a = np.asarray(alpha_grid, dtype=float)
+    for effect in a.flat:
+        replace(dgp, alpha_true=float(effect))  # DgpSpec refuses a non-finite effect
     normal = NormalDist()
     z = normal.inv_cdf(1.0 - level / 2.0)
     cdf = np.vectorize(normal.cdf, otypes=[float])
-    a = np.asarray(alpha_grid, dtype=float)
     return cdf(a - z) + cdf(-a - z)
 
 

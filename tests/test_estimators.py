@@ -66,7 +66,6 @@ class TestCustomEstimator:
                 residuals=panel.treated - proxy,
                 start=1,
                 estimator_id="mean-only",
-                permutation_invariant=True,
             )
 
         panel = random_panel(rng, 10, 3)
@@ -79,20 +78,63 @@ class TestCustomEstimator:
         with pytest.raises(TypeError):
             fit(panel, lambda p: p.treated)
 
-    @pytest.mark.parametrize("start, n_fitted, match", [
-        (10, 1, "starts at period 10, after the last pre-treatment period 8"),
-        (1, 8, "no post-treatment periods"),
-    ], ids=["starts_after_t0_plus_1", "no_post_period"])
-    def test_window_without_the_post_periods_refused(self, rng, start, n_fitted, match):
-        # Only a callable sets its own window: a spec's always holds the post periods.
+    @pytest.mark.parametrize("make, match", [
+        (lambda y, t0: dict(residuals=y[t0 + 1:], start=t0 + 2),
+         "starts at period 10, after the last pre-treatment period 8"),
+        (lambda y, t0: dict(residuals=y[:t0]), "window of periods 1 to 8 must end at period 10"),
+        (lambda y, t0: dict(residuals=y[:-1]), "window of periods 1 to 9 must end at period 10"),
+        (lambda y, t0: dict(start=2), "window of periods 2 to 11 must end at period 10"),
+        (lambda y, t0: dict(residuals=y[:, None]), "residuals must be a finite 1-D array"),
+        (lambda y, t0: dict(residuals=np.r_[np.nan, y[1:]]), "residuals must be a finite 1-D array"),
+        (lambda y, t0: dict(residuals=np.r_[y[:-1], np.inf]), "residuals must be a finite 1-D array"),
+        (lambda y, t0: dict(residuals=list(y)), "residuals must be a finite 1-D array"),
+        (lambda y, t0: dict(proxy=np.zeros(y.size + 1)), r"proxy has shape \(11,\), residuals \(10,\)"),
+        (lambda y, t0: dict(residuals=np.r_[0.0, y], start=0), "start must be >= 1; got 0"),
+        (lambda y, t0: dict(start=1.0), "start must be an integer; got 1.0"),
+        (lambda y, t0: dict(start=True), "start must be an integer; got True"),
+    ], ids=["starts_after_t0_plus_1", "no_post_period", "ends_before_the_last_period", "ends_after_the_last_period",
+            "two_dimensional", "nan", "infinite", "list", "proxy_shape", "start_zero", "fractional_start",
+            "boolean_start"])
+    def test_window_without_the_post_periods_refused(self, rng, make, match):
+        # Only a callable sets its own window: a spec's always holds the post
+        # periods.  ``make`` changes the fields of a fit of every period;
+        # before the fit was checked, a window that missed periods was ranked
+        # on the rest, and other residuals failed inside numpy or were ranked
+        # as NaN.
         panel = random_panel(rng, 10, 3)
 
         def window(panel):
-            series = panel.treated[start - 1:start - 1 + n_fitted]
-            return sc.ProxyFit(np.zeros(n_fitted), series.copy(), start, permutation_invariant=False)
+            fields = {"residuals": panel.treated.copy(), "start": 1, **make(panel.treated.copy(), panel.t0)}
+            return sc.ProxyFit(fields.pop("proxy", np.zeros(len(fields["residuals"]))), **fields, estimator_id="window")
 
         with pytest.raises(DimensionError, match=match):
             sc.test_sharp_null(panel, [0.0, 0.0], window)
+
+    @pytest.mark.parametrize("grid", [None, [0.0, 1.0]], ids=["default_grid", "grid"])
+    @pytest.mark.parametrize("make", [lambda y: y[:, None], lambda y: np.r_[np.nan, y[1:]]],
+                             ids=["two_dimensional", "nan"])
+    def test_test_inversion_names_the_estimator(self, rng, make, grid):
+        # Regression: 2-D residuals failed inside numpy, and a NaN residual
+        # was refused as a non-finite effect trajectory.
+        panel = random_panel(rng, 10, 3)
+
+        def window(panel):
+            residuals = make(panel.treated.copy())
+            return sc.ProxyFit(np.zeros(len(residuals)), residuals, start=1, estimator_id="window")
+
+        with pytest.raises(DimensionError, match="'window': residuals must be a finite 1-D array"):
+            sc.pointwise_ci(panel, 10, window, grid=grid)
+
+    def test_default_grid_needs_a_pre_treatment_residual(self, rng):
+        # Regression: a fit of the post period alone ended in an IndexError.
+        panel = random_panel(rng, 10, 3)
+
+        def post_only(panel):
+            return sc.ProxyFit(np.zeros(1), panel.treated[-1:].copy(), start=panel.t0 + 1, estimator_id="post")
+
+        with pytest.raises(DimensionError, match="'post' fits no pre-treatment period, so no default grid"):
+            sc.pointwise_ci(panel, 10, post_only)
+        assert sc.pointwise_ci(panel, 10, post_only, grid=[0.0]).p_values.tolist() == [1.0]
 
 
 class TestWarmStart:
@@ -183,7 +225,6 @@ class TestArrayCore:
         assert (block.steps[0], block.converged[0]) == ((0, True) if report is None else (
             report.iterations, report.converged))
         assert (block.start, fitted.start) == ((1, 1) if spec.kind not in ("ar", "fused") else (2, 2))
-        assert fitted.permutation_invariant == (spec.kind not in ("ar", "fused"))
 
     @pytest.mark.parametrize("n_candidates", [1, 5])
     @pytest.mark.parametrize("covariates", [False, True], ids=["controls", "collinear_covariates"])
@@ -457,28 +498,20 @@ class TestReconstructionIdentity:
 
 
 class TestPermutationInvariance:
-    INVARIANT_SPECS = [
-        EstimatorSpec.did(),
-        EstimatorSpec.sc(),
-        EstimatorSpec.classo(),
-        EstimatorSpec.factor(2),
-        EstimatorSpec.matrix_completion(4.0),
-    ]
-
-    @pytest.mark.parametrize("spec", INVARIANT_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("spec", [spec for spec in ROW_SPECS if spec.n_lags is None], ids=lambda s: s.label)
     def test_residuals_permute_with_rows(self, spec, rng):
+        # Every kind without lags treats the periods as exchangeable rows, a
+        # new kind included: permuting the rows of the panel (and of the
+        # covariate that interactive fixed effects needs) permutes the residuals.
         panel = random_panel(rng, n_periods=12, n_controls=4)
+        if spec.kind == "interactive_fe":  # the only kind that needs a covariate; the others fit the controls alone
+            panel = PanelData(panel.outcomes, t0=panel.t0, covariates=rng.standard_normal((12, 5, 1)))
         perm = rng.permutation(12)
-        permuted = PanelData(panel.outcomes[perm], t0=panel.t0)
+        covariates = None if panel.covariates is None else panel.covariates[perm]
+        permuted = PanelData(panel.outcomes[perm], t0=panel.t0, covariates=covariates)
         base = fit(panel, spec)
         shuffled = fit(permuted, spec)
-        assert base.permutation_invariant
         np.testing.assert_allclose(shuffled.residuals, base.residuals[perm], atol=1e-8)
-
-    def test_ar_is_flagged_non_invariant(self, rng):
-        panel = random_panel(rng, 14, 3)
-        assert not fit(panel, EstimatorSpec.ar(1)).permutation_invariant
-        assert not fit(panel, EstimatorSpec.fused(EstimatorSpec.did(), 1)).permutation_invariant
 
 
 class TestDid:
@@ -771,8 +804,7 @@ class TestAr:
         def mean_of_target(panel):
             target = panel.treated[1:]
             proxy = np.full(target.shape[0], target.mean())
-            return sc.ProxyFit(proxy, target - proxy, start=2, permutation_invariant=False,
-                               estimator_id="mean(lags=1)")
+            return sc.ProxyFit(proxy, target - proxy, start=2, estimator_id="mean(lags=1)")
 
         fitted = fit(panel, mean_of_target)
         np.testing.assert_allclose(fitted.proxy, panel.treated[1:].mean(), atol=1e-12)

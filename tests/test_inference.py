@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from synthconf import (
     CiEntry,
     DimensionError,
     EstimatorSpec,
+    NumericalError,
     PanelData,
     PermutationScheme,
     SolverConfig,
@@ -218,6 +220,33 @@ class TestPValue:
         assert result.p_value == 0.25
         assert result.statistic == 4.0
         assert sorted(result.permuted_statistics.tolist()) == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("residuals, statistic, match", [
+        ([1.0, 2.0, np.inf], Statistic(), "a residual is not finite"),
+        ([1.0, np.nan, 2.0], Statistic(), "a residual is not finite"),
+        ([1.0, 1.7e308, 1.7e308], Statistic("mean"), "a permuted statistic is not finite"),
+        ([1.0] + [1e308, 1e308, -1e308, -1e308] * 2, Statistic("mean"), "a permuted statistic is not finite"),
+        ([1.0, 1e160, 2e160], Statistic("sq", 2.0), "a permuted statistic is not finite"),
+        ([1.0, 2.0, 3.0], lambda residuals, window: np.nan, "a permuted statistic is not finite"),
+    ], ids=["infinite", "nan", "mean_overflows", "mean_partial_sums_overflow", "sq_overflows", "custom_nan"])
+    def test_non_finite_refused(self, residuals, statistic, match):
+        # Regression: the tie bound of an infinite statistic is NaN, so not
+        # even the identity tied and the p-value fell below 1/|Pi| (0 here);
+        # a NaN residual was ranked.  No RuntimeWarning comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=match):
+                p_value(residuals, PermutationScheme.moving_block(), statistic, slice(1, None))
+
+    def test_overflowing_statistic_refused_by_the_test(self):
+        # S_2 of 1e160-scaled outcomes overflows; at 1e150 it does not, and
+        # the p-value is that of the unscaled panel.
+        outcomes = np.random.default_rng(0).standard_normal((14, 5))
+        test = lambda scale: sharp_null(PanelData(scale * outcomes, t0=12), [0.0, 0.0], EstimatorSpec.did(),
+                                        statistic=Statistic("sq", 2.0))
+        assert test(1.0).p_value == test(1e150).p_value == 1.0
+        with pytest.raises(NumericalError, match="a permuted statistic is not finite"):
+            test(1e160)
 
     def test_total_ties_give_one(self):
         u = np.full(6, 0.7)
@@ -436,7 +465,6 @@ class TestOrbitExactness:
         scheme = PermutationScheme.iid_all() if iid and n_periods <= 6 else PermutationScheme.moving_block()
         t0 = n_periods - n_post
         fits = [sc.fit(PanelData(outcomes[pi], t0=t0), spec) for pi in permutations_of(scheme, n_periods)]
-        assert all(fitted.permutation_invariant for fitted in fits)
         rows = np.array([fitted.residuals for fitted in fits])
         for statistic in (Statistic("sq", 1.0), Statistic("sq", 2.0), Statistic("mean")):
             _, pvals = sc.inference._rank(rows, scheme, statistic, slice(t0, None))

@@ -747,6 +747,20 @@ class TestRefusals:
             assert main([*argv, "--out", str(tmp_path / "out")]) == 1
             assert capsys.readouterr().err == f"synthconf: error: {message}\n"
 
+    def test_overflowing_statistic(self, tmp_path, capsys):
+        # Regression: S_2 overflowed on this panel, so every statistic was
+        # infinite, and the command printed p-value 0 and wrote
+        # "statistic": Infinity, which is not strict JSON, with exit 0.
+        path = tmp_path / "panel.csv"
+        write_panel_csv(PanelData(1e160 * np.random.default_rng(0).standard_normal((14, 5)), t0=12), path)
+        argv = ["test", "--data", str(path), "--t0", "12", "--treated", "treated1", "--estimator", "did", "--q", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("synthconf: error: a permuted statistic is not finite: the residuals "
+                                           "overflow it, or a custom statistic returned NaN or infinity; "
+                                           "rescale the outcomes\n")
+
     def test_out_that_is_a_file(self, tmp_path, capsys):
         # Regression: the run did all its work, then ended with a FileExistsError traceback.
         out = tmp_path / "afile"

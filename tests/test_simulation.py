@@ -361,6 +361,15 @@ class TestOraclePowerBound:
         values = oracle_power_bound(dgp, grid)
         np.testing.assert_allclose(values[:2], values[:1:-1])
 
+    @pytest.mark.parametrize("grid, got", [([np.nan, np.inf], "nan"), ([0.0, -np.inf], "-inf")], ids=["nan", "inf"])
+    def test_non_finite_effect_refused_as_the_power_curve_refuses_it(self, grid, got):
+        # Regression: [nan, inf] gave [nan, 1.0]; run_power_curve refuses it through DgpSpec.
+        message = f"^alpha_true must be finite; got {got}$"
+        with pytest.raises(ValueError, match=message):
+            oracle_power_bound(DgpSpec(5, 3), grid)
+        with pytest.raises(ValueError, match=message):
+            run_power_curve(DgpSpec(5, 3), EstimatorSpec.did(), alpha_grid=grid, n_reps=1)
+
 
 class TestFigureNullVsPre:
     @pytest.mark.parametrize("seed, message", [
