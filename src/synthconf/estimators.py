@@ -24,6 +24,7 @@ from .solvers import (
     alternating_ls,
     _centre,
     _check_integer,
+    _check_real,
     _dots,
     _matvecs,
     _negligible,
@@ -619,7 +620,8 @@ def _auto_or_float(text: str) -> float | None:
 # Over an unbounded ball a classo fit is all NaN, and a matrix-completion proxy is the treated
 # series itself: every residual is 0 and every p-value 1.  None is matrix completion's automatic radius.
 def _check_radius(spec: EstimatorSpec) -> None:
-    if not (spec.radius is not None and 0 < spec.radius < math.inf):
+    _check_real("radius", spec.radius)
+    if not 0 < spec.radius < math.inf:
         raise ValueError(f"radius must be positive and finite; got {spec.radius}")
 
 

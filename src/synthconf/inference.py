@@ -31,7 +31,7 @@ from .panel import (
     pointwise_slice,
     pre_treatment_slice,
 )
-from .solvers import SolveReport, _check_integer
+from .solvers import SolveReport, _check_integer, _check_real
 
 __all__ = [
     "PermutationScheme",
@@ -60,6 +60,7 @@ _TIE_RTOL = 100 * np.finfo(float).eps
 
 def _check_level(level) -> None:
     """Refuse a confidence level or a test's level outside ``(0, 1)``."""
+    _check_real("level", level)
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0, 1); got {level}")
 
@@ -133,18 +134,16 @@ class PermutationScheme:
             return math.factorial(n)
         return self.n_samples
 
-    def _iter_chunks(self, n: int, cols: slice | np.ndarray = slice(None)) -> Iterable[np.ndarray]:
-        """Yield (m, n) matrices of permutation rows, the identity in the first row.
+    def _iter_chunks(self, n: int, cols: slice | np.ndarray) -> Iterable[np.ndarray]:
+        """Yield the columns ``cols`` of the permutation rows in matrices, the identity first.
 
-        A moving block is one matrix of its ``n`` shifts.  ``iid_all``
-        yields ``itertools.permutations`` order in matrices of ``_CHUNK``
-        rows.  ``iid_sampled`` yields the identity alone, then its other
-        rows in matrices of at most ``_CHUNK``, all drawn from one
-        generator seeded with ``seed``.  The rows of all matrices, in
-        order, are the ``size(n)`` permutations; the length is not checked
-        here, so call :meth:`size` first.  With ``cols``, only those columns
-        of each matrix are yielded; a moving block then builds no more than
-        those columns.
+        A moving block is one matrix of its ``n`` shifts, built only at
+        ``cols``.  ``iid_all`` yields ``itertools.permutations`` order in
+        matrices of ``_CHUNK`` rows.  ``iid_sampled`` yields the identity
+        alone, then its other rows in matrices of at most ``_CHUNK``, all
+        drawn from one generator seeded with ``seed``.  The rows of all
+        matrices, in order, are the ``size(n)`` permutations; the length is
+        not checked here, so call :meth:`size` first.
         """
         base = np.arange(n)
         if self.kind == "moving_block":
@@ -178,9 +177,9 @@ class Statistic:
     ``sq``
         The scaled lq aggregate ``(T*^{-1/2} * sum |u_t|^q)^(1/q)``;
         ``q=1`` is the default and is robust to heavy tails.  The order
-        must be finite and at least 1: a NaN order makes every statistic
-        NaN, which no permutation ties, and an infinite one makes every
-        statistic 1.
+        must be a real number (not a bool), finite and at least 1: a NaN
+        order makes every statistic NaN, which no permutation ties, and an
+        infinite one makes every statistic 1.
     ``mean``
         ``|sum u_t| / sqrt(T*)``, which targets the average effect.  It has
         no order and refuses a ``q`` other than the default.
@@ -192,6 +191,7 @@ class Statistic:
     def __post_init__(self):
         if self.kind not in ("sq", "mean"):
             raise ValueError(f"unknown statistic {self.kind!r}; expected 'sq' or 'mean'")
+        _check_real("q", self.q)
         if self.kind == "sq" and not 1 <= self.q < np.inf:
             raise ValueError(f"statistic order q must be finite and >= 1; got {self.q}")
         if self.kind == "mean" and self.q != fields(self)[1].default:
@@ -246,12 +246,15 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
         Residuals on the fitted window.
     scheme : PermutationScheme
     statistic : Statistic or callable
-        A :class:`Statistic` is evaluated on the post-window columns of a
-        whole chunk of permutations at once.  A callable must accept
-        ``(permuted_residuals, post_window)`` and is called once per
-        permutation.
+        Called as ``statistic(values, slice(None))`` once per chunk of
+        permutations, where ``values`` holds the post-window values of the
+        permuted residuals, of shape (rows, permutations in the chunk, post
+        periods).  It returns one value per row and permutation, shape
+        (rows, permutations in the chunk), as :class:`Statistic` does by
+        reducing the last axis; any other shape raises ``DimensionError``.
     post_window : slice
-        Positions of the post-treatment periods inside ``residuals``.
+        Positions of the post-treatment periods inside ``residuals``: a
+        non-empty run that ends at the last position, or ``DimensionError``.
 
     Returns
     -------
@@ -281,27 +284,36 @@ def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, post_window):
     """Permuted statistics and p-values of each row of a residual matrix.
 
     Every row is ranked against the same permutations, generated once by
-    :meth:`PermutationScheme._iter_chunks`, each chunk's statistics
-    written at its offset, and the p-value is the one :func:`p_value`
-    documents.  A :class:`Statistic` takes the post-window columns of a
-    chunk, for all rows in one call; a callable is called per row and
-    permutation with the whole permuted row.  Returns
+    :meth:`PermutationScheme._iter_chunks` at the post-window columns.
+    The statistic is called once per chunk on those columns of all rows,
+    as :func:`p_value` documents, each chunk's statistics written at its
+    offset, and the p-value is the one :func:`p_value` documents.  Returns
     ``(stats, p_values)``: ``stats[i]`` holds the statistics of row ``i``,
-    identity first; a non-finite residual or statistic raises ``NumericalError``.
+    identity first.  A window that is not a non-empty run of the last
+    positions, or a statistic of another shape, raises ``DimensionError``;
+    a non-finite residual or statistic raises ``NumericalError``.
     """
+    n = rows.shape[1]
+    try:
+        post = np.arange(n)[post_window]
+    except IndexError:  # a float, say, or a position past the end
+        post = np.empty(0, dtype=np.intp)
+    if post.ndim != 1 or post.size == 0 or not np.array_equal(post, np.arange(n - post.size, n)):
+        raise DimensionError(f"post window {post_window!r} of {n} residuals is not a non-empty run "
+                             f"of the last positions")
     if not np.isfinite(rows).all():
         raise NumericalError("a residual is not finite (NaN or infinite), so it has no rank")
-    n = rows.shape[1]
     stats = np.empty((rows.shape[0], scheme.size(n)))  # size() also refuses a too-long iid_all window
-    builtin = isinstance(statistic, Statistic)  # it reads the post-window columns only
     offset = 0
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf too: the error below, no warning first
-        for chunk in scheme._iter_chunks(n, np.arange(n)[post_window] if builtin else slice(None)):
-            if builtin:
-                values = statistic(rows.take(chunk, axis=1), slice(None))
-            else:
-                values = [[statistic(row[pi], post_window) for pi in chunk] for row in rows]
-            stats[:, offset: offset + chunk.shape[0]] = values
+        for chunk in scheme._iter_chunks(n, post):
+            values = rows.take(chunk, axis=1)
+            chunk_stats = statistic(values, slice(None))
+            if np.shape(chunk_stats) != values.shape[:-1]:
+                raise DimensionError(f"a statistic must return one value per row and permutation, shape "
+                                     f"{values.shape[:-1]} for post-window values of shape {values.shape} "
+                                     f"(rows, permutations, post periods); got shape {np.shape(chunk_stats)}")
+            stats[:, offset: offset + chunk.shape[0]] = chunk_stats
             offset += chunk.shape[0]
     if not np.isfinite(stats).all():  # an infinite one's tie bound is NaN: not even the identity would tie
         raise NumericalError("a permuted statistic is not finite: the residuals overflow it, or a custom "

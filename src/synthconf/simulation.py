@@ -38,7 +38,7 @@ import numpy as np
 from .estimators import EstimatorSpec, _fit_block
 from .inference import PermutationScheme, Statistic, _check_level, _rank
 from .panel import PanelData
-from .solvers import _check_integer
+from .solvers import _check_integer, _check_real
 
 __all__ = [
     "DgpSpec",
@@ -75,8 +75,9 @@ class DgpSpec:
     +1/-1 contrast (DGP4, outside every fitted model class).
     ``alpha_true`` is the effect added to the single post-treatment period.
     ``t0``, ``n_controls`` and ``seed`` must be integers (numpy integers
-    too, but not bools), ``seed`` at least 0, and ``alpha_true`` finite;
-    any other value raises ``ValueError``.
+    too, but not bools), ``seed`` at least 0; ``rho_u``, ``rho_eps`` and
+    ``alpha_true`` real numbers (not bools), ``alpha_true`` finite; any
+    other value raises ``ValueError``.
     """
 
     t0: int
@@ -92,9 +93,11 @@ class DgpSpec:
         _check_integer("t0", self.t0, 2)
         _check_integer("n_controls", self.n_controls)  # dgp_weights checks its least value
         _check_integer("seed", self.seed, 0)
+        _check_real("alpha_true", self.alpha_true)
         if not math.isfinite(self.alpha_true):
             raise ValueError(f"alpha_true must be finite; got {self.alpha_true}")
         for name, rho in (("rho_u", self.rho_u), ("rho_eps", self.rho_eps)):
+            _check_real(name, rho)
             if not 0.0 <= rho < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1); got {rho}")
         dgp_weights(self.weights_kind, self.n_controls)  # validates the design and n_controls

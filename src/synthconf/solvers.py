@@ -58,6 +58,16 @@ def _check_integer(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}; got {value}")
 
 
+def _check_real(name: str, value) -> None:
+    """Refuse ``value`` with ``ValueError`` unless it is a real number.
+
+    A numpy number is accepted.  A bool is refused, as it would count as 0
+    or 1, and so is a string, which would fail later in a comparison.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number; got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls shared by the iterative solvers.
@@ -76,8 +86,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_integer("max_iters", self.max_iters, 1)
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"tol must be a real number; got {self.tol!r}")
+        _check_real("tol", self.tol)
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite; got {self.tol}")
 
@@ -110,6 +119,8 @@ class ElasticNetPenalty:
     alpha: float
 
     def __post_init__(self):
+        _check_real("lam", self.lam)
+        _check_real("alpha", self.alpha)
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0; got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -514,6 +514,30 @@ class TestPermutationInvariance:
         np.testing.assert_allclose(shuffled.residuals, base.residuals[perm], atol=1e-8)
 
 
+class TestCovariates:
+    #: Kinds whose fit never reads the panel's covariates; a fused spec follows its base.
+    IGNORING = {"did", "factor", "matrix_completion", "ar"}
+
+    @pytest.mark.parametrize("spec", ROW_SPECS + [EstimatorSpec.fused(EstimatorSpec.sc(), 1)],
+                             ids=lambda spec: spec.label)
+    def test_which_kinds_read_covariates(self, rng, spec):
+        # As README's estimator table says: sc, classo, lasso and elastic net
+        # take the treated unit's covariates as free columns, interactive
+        # fixed effects needs them, and the others fit bit for bit as without.
+        panel = random_panel(rng, n_periods=12, n_controls=4)
+        covariates = PanelData(panel.outcomes, t0=panel.t0, covariates=rng.standard_normal((12, 5, 2)))
+        if spec.kind == "interactive_fe":
+            with pytest.raises(DimensionError, match="requires covariates"):
+                fit(panel, spec)
+            return
+        without, with_covariates = fit(panel, spec), fit(covariates, spec)
+        if (spec.base or spec).kind in self.IGNORING:
+            assert with_covariates.residuals.tobytes() == without.residuals.tobytes()
+            assert with_covariates.proxy.tobytes() == without.proxy.tobytes()
+        else:
+            assert not np.allclose(with_covariates.residuals, without.residuals)
+
+
 class TestDid:
     def test_exact_shift_recovered(self, rng):
         controls = rng.standard_normal((10, 3))

@@ -37,7 +37,7 @@ multi_unit = sc.test_multi_unit
 def permutations_of(scheme, n):
     """The permutations ``_rank`` ranks against: ``size(n)`` rows, chunk by chunk."""
     size = scheme.size(n)  # refuses a too-long iid_all window
-    rows = np.concatenate(list(scheme._iter_chunks(n)))
+    rows = np.concatenate(list(scheme._iter_chunks(n, slice(None))))
     assert rows.shape == (size, n)
     return rows
 
@@ -171,7 +171,7 @@ class TestPermutationScheme:
 
     def test_iid_sampled_past_one_chunk(self):
         scheme = PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=11)
-        chunks = list(scheme._iter_chunks(6))
+        chunks = list(scheme._iter_chunks(6, slice(None)))
         assert [len(chunk) for chunk in chunks] == [1, _CHUNK, 1]
         first = permutations_of(scheme, 6)
         assert len(first) == _CHUNK + 2 == scheme.size(6)
@@ -227,7 +227,7 @@ class TestPValue:
         ([1.0, 1.7e308, 1.7e308], Statistic("mean"), "a permuted statistic is not finite"),
         ([1.0] + [1e308, 1e308, -1e308, -1e308] * 2, Statistic("mean"), "a permuted statistic is not finite"),
         ([1.0, 1e160, 2e160], Statistic("sq", 2.0), "a permuted statistic is not finite"),
-        ([1.0, 2.0, 3.0], lambda residuals, window: np.nan, "a permuted statistic is not finite"),
+        ([1.0, 2.0, 3.0], lambda r, w: np.full(np.shape(r)[:-1], np.nan), "a permuted statistic is not finite"),
     ], ids=["infinite", "nan", "mean_overflows", "mean_partial_sums_overflow", "sq_overflows", "custom_nan"])
     def test_non_finite_refused(self, residuals, statistic, match):
         # Regression: the tie bound of an infinite statistic is NaN, so not
@@ -293,14 +293,15 @@ class TestPValue:
         assert scaled.statistic == pytest.approx(3.7 * base.statistic, rel=1e-12)
 
     def test_enumeration_order_irrelevant(self, rng):
-        # Evaluating the same set of permutations through a custom callable
-        # (loop path) and the built-in statistic (vectorized path) agrees.
+        # The statistics of the scheme's permutations, each evaluated alone
+        # and in a shuffled order, give the p-value of the chunked pass.
         u = rng.standard_normal(7)
         scheme = PermutationScheme.moving_block()
-        fast = p_value(u, scheme, Statistic("sq", 1), slice(5, None))
-        slow = p_value(u, scheme, lambda r, w: Statistic("sq", 1)(r, w), slice(5, None))
-        assert fast.p_value == slow.p_value
-        np.testing.assert_allclose(fast.permuted_statistics, slow.permuted_statistics)
+        result = p_value(u, scheme, Statistic("sq", 1), slice(5, None))
+        perms = rng.permutation(permutations_of(scheme, 7))
+        shuffled = np.array([Statistic("sq", 1)(u[pi], slice(5, None)) for pi in perms])
+        assert result.p_value == (shuffled >= result.statistic).mean()
+        np.testing.assert_array_equal(np.sort(result.permuted_statistics), np.sort(shuffled))
 
     def test_iid_sampled_end_to_end(self, rng):
         u = rng.standard_normal(30)
@@ -333,18 +334,68 @@ class TestPValue:
         np.testing.assert_array_equal(result.permuted_statistics, stats)
         assert result.p_value == (stats >= stats[0]).mean()
 
-    @pytest.mark.parametrize("statistic", [Statistic("sq", 1), Statistic("sq", 2), Statistic("mean")])
-    def test_builtin_and_custom_statistics_agree_across_chunks(self, rng, statistic):
-        # iid_sampled with _CHUNK + 2 samples yields the identity, one full
-        # chunk and a chunk of one: the vectorized path and the per-permutation
-        # loop must rank every row against the same permutations.
+    @pytest.mark.parametrize("scheme, n", [
+        (PermutationScheme.moving_block(), 9),
+        (PermutationScheme.iid_all(), 8),
+        (PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=5), 9),
+    ], ids=["moving_block", "iid_all", "iid_sampled"])
+    @pytest.mark.parametrize("statistic", [Statistic("sq", 1), Statistic("sq", 2), Statistic("mean")],
+                             ids=lambda statistic: statistic.label)
+    def test_builtin_and_custom_statistics_agree_across_chunks(self, rng, statistic, scheme, n):
+        # A moving block is one chunk; iid_all at n = 8 is 10 chunks, and
+        # iid_sampled with _CHUNK + 2 samples the identity, one full chunk
+        # and a chunk of one.  The statistic and a callable wrapping it rank
+        # every row against the statistics of the explicit enumeration.
+        rows = rng.standard_normal((3, n))
+        window = slice(n - 2, None)
+        explicit = statistic(rows[:, permutations_of(scheme, n)], window)
+        expected_p = (explicit >= explicit[:, :1]).mean(axis=1)
+        for candidate in (statistic, lambda r, w: statistic(r, w)):
+            stats, pvals = _rank(rows, scheme, candidate, window)
+            np.testing.assert_array_equal(stats, explicit)
+            np.testing.assert_array_equal(pvals, expected_p)
+
+    def test_custom_statistic_sees_the_post_window_of_a_chunk(self, rng):
+        # One call per chunk, on (rows, permutations in the chunk, post periods).
         rows = rng.standard_normal((3, 9))
-        scheme = PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=5)
-        fast, fast_p = _rank(rows, scheme, statistic, slice(7, None))
-        slow, slow_p = _rank(rows, scheme, lambda r, w: statistic(r, w), slice(7, None))
-        assert fast.shape == (3, _CHUNK + 2)
-        np.testing.assert_array_equal(fast_p, slow_p)
-        np.testing.assert_allclose(fast, slow, rtol=1e-14)
+        shapes = []
+        statistic = lambda r, w: shapes.append(r[..., w].shape) or Statistic()(r, w)
+        _rank(rows, PermutationScheme.moving_block(), statistic, slice(7, None))
+        assert shapes == [(3, 9, 2)]
+        shapes.clear()
+        _rank(rows, PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=5), statistic, slice(6, None))
+        assert shapes == [(3, 1, 3), (3, _CHUNK, 3), (3, 1, 3)]
+        shapes.clear()
+        result = p_value(rows[0], PermutationScheme.moving_block(), statistic, slice(8, None))
+        assert shapes == [(1, 9, 1)] and result.q == "custom"
+
+    @pytest.mark.parametrize("statistic, got", [
+        (lambda r, w: np.abs(r[w]).max(), r"\(\)"),
+        (lambda r, w: np.abs(r[..., w]).max(axis=(0, -1)), r"\(9,\)"),
+        (lambda r, w: np.abs(r[..., w]), r"\(2, 9, 2\)"),
+    ], ids=["scalar", "one_per_permutation", "no_reduction"])
+    def test_statistic_of_another_shape_refused(self, rng, statistic, got):
+        # A callable written for one 1-D row returns a scalar; broadcast over
+        # the chunk, it would make every permutation a tie without a word.
+        message = (r"^a statistic must return one value per row and permutation, shape \(2, 9\) for "
+                   r"post-window values of shape \(2, 9, 2\) \(rows, permutations, post periods\); "
+                   f"got shape {got}$")
+        with pytest.raises(DimensionError, match=message):
+            _rank(rng.standard_normal((2, 9)), PermutationScheme.moving_block(), statistic, slice(7, None))
+
+    @pytest.mark.parametrize("window", [slice(6), 6, slice(None, None, -1), slice(8, None), slice(5, 7),
+                                        np.array([6, 7, 7]), np.array([[6, 7]]), np.array([7, 8]), 6.5],
+                             ids=repr)
+    def test_window_not_a_run_of_the_last_positions_refused(self, window):
+        # Regression: each window was ranked as it came (slice(6) gave 0.625,
+        # 6 gave 0.375 and the reversed window 1.0, against 0.5 for the last
+        # two), and numpy's IndexError came from a window past the end or a float.
+        u = np.random.default_rng(3).standard_normal(8)
+        for last_two in (slice(6, None), slice(6, 8), slice(-2, None), np.array([6, 7])):
+            assert p_value(u, PermutationScheme.moving_block(), Statistic(), last_two).p_value == 0.5
+        with pytest.raises(DimensionError, match="^post window .* of 8 residuals is not a non-empty run "
+                                                 "of the last positions$"):
+            p_value(u, PermutationScheme.moving_block(), Statistic(), window)
 
 
 class TestSharpNull:

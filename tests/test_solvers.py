@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 
 import _oracles
 from synthconf import (
+    DgpSpec,
     DimensionError,
     ElasticNetPenalty,
     EstimatorSpec,
     PanelData,
     RankDeficiencyError,
     SolverConfig,
+    Statistic,
     alternating_ls,
     fit,
     ols,
     pca_factors,
+    pointwise_ci,
     project_l1_ball,
     project_nuclear_ball,
     project_simplex,
@@ -749,6 +752,30 @@ class TestSolverConfig:
 
     def test_numpy_integer_cap_accepted(self):
         assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+class TestRealParameters:
+    @pytest.mark.parametrize("value", [True, "2"], ids=["bool", "str"])
+    @pytest.mark.parametrize("name, make", [
+        ("tol", lambda v: SolverConfig(tol=v)),
+        ("q", lambda v: Statistic("sq", v)),
+        ("lam", lambda v: EstimatorSpec.lasso(v)),
+        ("radius", lambda v: EstimatorSpec.classo(v)),
+        ("lam", lambda v: EstimatorSpec.elastic_net(v, 0.5)),
+        ("alpha", lambda v: EstimatorSpec.elastic_net(0.5, v)),
+        ("radius", lambda v: EstimatorSpec.matrix_completion(v)),
+        ("rho_u", lambda v: DgpSpec(5, 3, rho_u=v)),
+        ("rho_eps", lambda v: DgpSpec(5, 3, rho_eps=v)),
+        ("alpha_true", lambda v: DgpSpec(5, 3, alpha_true=v)),
+        ("level", lambda v: pointwise_ci(PanelData(np.ones((6, 3)), t0=5), 6, EstimatorSpec.did(), level=v)),
+    ], ids=["tol", "q", "lasso_lam", "classo_radius", "elastic_net_lam", "elastic_net_alpha",
+            "matrix_completion_radius", "rho_u", "rho_eps", "alpha_true", "level"])
+    def test_bool_or_non_real_refused_by_name(self, name, make, value):
+        # One rule for every real-valued parameter.  Only tol had it: the
+        # others took True as 1 (or refused it as out of range), and a
+        # string failed inside a comparison with an unnamed TypeError.
+        with pytest.raises(ValueError, match=f"^{name} must be a real number; got {value!r}$"):
+            make(value)
 
 
 class TestPcaFactors:
