@@ -60,13 +60,6 @@ class ProxyFit:
     def n_fitted(self) -> int:
         return self.residuals.shape[0]
 
-    def post_slice(self, t0: int) -> slice:
-        """Positions of the post-treatment periods inside the residual vector."""
-        if self.start > t0 + 1:
-            raise DimensionError(f"fitted window starts at period {self.start}, "
-                                 f"after the last pre-treatment period {t0}")
-        return slice(t0 + 1 - self.start, self.n_fitted)
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -159,7 +152,9 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
     window, from the integer ``start >= 1``, must end at the panel's last
     period; else ``DimensionError`` names its ``estimator_id``.  A spec's
     fit is column 0 of its kind's array core (see :class:`_Kind`) run on
-    the panel's own treated series.
+    the panel's own treated series.  Either fit's window must start by
+    period ``t0 + 1``, so its residuals end with the ``n_post``
+    post-treatment periods, or ``DimensionError``.
 
     ``start`` is an earlier fit of the same spec on a panel with the same
     controls, such as the neighbouring candidate of a test inversion.  The
@@ -185,8 +180,12 @@ def fit(panel: PanelData, spec, start: ProxyFit | None = None) -> ProxyFit:
                                  f"{panel.n_periods}")
         except ValueError as err:
             raise DimensionError(f"custom estimator {fitted.estimator_id!r}: {err}") from None
-        return fitted
-    return _fit_block(panel.outcomes, panel.covariates, spec, panel.treated[:, None], start).fit(0, spec.label)
+    else:
+        fitted = _fit_block(panel.outcomes, panel.covariates, spec, panel.treated[:, None], start).fit(0, spec.label)
+    if fitted.start > panel.t0 + 1:
+        raise DimensionError(f"fitted window starts at period {fitted.start}, "
+                             f"after the last pre-treatment period {panel.t0}")
+    return fitted
 
 
 class _Block(NamedTuple):
@@ -210,9 +209,6 @@ class _Block(NamedTuple):
     params: Callable[[int], dict]
     report: Callable[[int], SolveReport | None]
     start: int = 1
-
-    n_fitted = property(lambda self: self.residuals.shape[-1])
-    post_slice = ProxyFit.post_slice  # the post-treatment positions in each residual row
 
     def fit(self, g: int, label: str) -> ProxyFit:
         """The :class:`ProxyFit` of column ``g``, named ``label``."""
@@ -257,12 +253,12 @@ def _fit_block(outcomes: np.ndarray, covariates: np.ndarray | None, spec: Estima
 
 
 def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit | None = None):
-    """``(residuals, window, steps, nonconverged)`` of the fits of ``panel`` with
+    """``(residuals, steps, nonconverged)`` of the fits of ``panel`` with
     its treated series replaced by each column of ``treated`` (T, G).
 
-    ``residuals`` (G, n) holds one residual row per column, ``window`` the
-    positions of the post-treatment periods in a row, ``steps`` the sum of
-    the fits' solver steps and ``nonconverged`` the count of fits that did
+    ``residuals`` (G, n) holds one residual row per column, its last
+    ``panel.n_post`` entries the post-treatment periods, ``steps`` the sum
+    of the fits' solver steps and ``nonconverged`` the count of fits that did
     not converge; a fit without a report counts 0 in both.  A spec fits
     the block (:func:`_fit_block`, warm from ``start``); a custom callable
     fits one panel per column.
@@ -272,7 +268,7 @@ def _fit_candidates(panel: PanelData, treated: np.ndarray, spec, start: ProxyFit
     else:
         fits = [fit(replace(panel, outcomes=outcomes), spec) for outcomes in _panels(panel.outcomes, treated)]
         block = _stacked(((f.proxy, f.residuals, f.params, f.diagnostics) for f in fits), fits[0].start)
-    return block.residuals, block.post_slice(panel.t0), int(block.steps.sum()), int((~block.converged).sum())
+    return block.residuals, int(block.steps.sum()), int((~block.converged).sum())
 
 
 def _require_controls(n_controls: int, spec: EstimatorSpec) -> None:

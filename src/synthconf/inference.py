@@ -84,10 +84,10 @@ class PermutationScheme:
         uniform draws with replacement from the full set, drawn from ``seed``.
         Another kind refuses an ``n_samples`` or ``seed`` off its default.
 
-    :meth:`size` counts the permutations of a window and refuses a
-    too-long ``iid_all`` window; ``_iter_chunks`` enumerates them.  That is
-    the one enumeration: :func:`p_value`, test inversion and the Monte
-    Carlo experiments all rank through ``_rank``, which runs it.
+    :meth:`size` counts the permutations of ``n`` periods and refuses a
+    too-long ``iid_all`` set; ``_iter_chunks`` enumerates their last
+    ``n_post`` columns.  That is the one enumeration: :func:`p_value`, test
+    inversion and Monte Carlo all rank through ``_rank``, which runs it.
     """
 
     kind: str
@@ -118,7 +118,7 @@ class PermutationScheme:
         return cls("iid_sampled", n_samples=n_samples, seed=seed)
 
     def size(self, n: int) -> int:
-        """Number of permutations of a window of ``n`` periods.
+        """Number of permutations of ``n`` periods.
 
         Raises ``DimensionError`` when ``iid_all`` would enumerate more
         than ``MAX_ENUMERATED_LENGTH!`` permutations.
@@ -134,18 +134,18 @@ class PermutationScheme:
             return math.factorial(n)
         return self.n_samples
 
-    def _iter_chunks(self, n: int, cols: slice | np.ndarray) -> Iterable[np.ndarray]:
-        """Yield the columns ``cols`` of the permutation rows in matrices, the identity first.
+    def _iter_chunks(self, n: int, k: int) -> Iterable[np.ndarray]:
+        """Yield the last ``k`` columns of the permutation rows in matrices, the identity first.
 
         A moving block is one matrix of its ``n`` shifts, built only at
-        ``cols``.  ``iid_all`` yields ``itertools.permutations`` order in
+        those columns.  ``iid_all`` yields ``itertools.permutations`` order in
         matrices of ``_CHUNK`` rows.  ``iid_sampled`` yields the identity
         alone, then its other rows in matrices of at most ``_CHUNK``, all
         drawn from one generator seeded with ``seed``.  The rows of all
-        matrices, in order, are the ``size(n)`` permutations; the length is
-        not checked here, so call :meth:`size` first.
+        matrices, in order, are the ``size(n)`` permutations.  Nothing is
+        checked here: ``_rank`` checks ``k`` and calls :meth:`size` first.
         """
-        base = np.arange(n)
+        base, cols = np.arange(n), slice(n - k, n)
         if self.kind == "moving_block":
             yield (base[:, None] + base[cols]) % n
         elif self.kind == "iid_all":
@@ -169,9 +169,9 @@ class PermutationScheme:
 class Statistic:
     """The test statistic: ``sq`` with an order ``q``, or ``mean``.
 
-    Called with residuals and the post window, it reduces the window's
-    values ``u`` over the last axis, so a matrix of residual rows gives one
-    statistic per row, and raises ``DimensionError`` for an empty window.
+    Called with the post-treatment residuals ``u`` alone, it reduces them
+    over the last axis, so a matrix of residual rows gives one statistic
+    per row, and raises ``DimensionError`` when the last axis is empty.
     Large values indicate evidence against the null.
 
     ``sq``
@@ -205,8 +205,8 @@ class Statistic:
     def order(self):
         return self.q if self.kind == "sq" else "mean"
 
-    def __call__(self, residuals, post_window):
-        u = np.asarray(residuals, dtype=float)[..., post_window]
+    def __call__(self, values):
+        u = np.asarray(values, dtype=float)
         if u.shape[-1] == 0:
             raise DimensionError("post-treatment window is empty")
         if self.kind == "sq":
@@ -237,24 +237,26 @@ class TestResult:
         return self.permuted_statistics.shape[0]
 
 
-def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> TestResult:
+def p_value(residuals, scheme: PermutationScheme, statistic, n_post: int) -> TestResult:
     """Exact permutation p-value of a residual vector.
 
     Parameters
     ----------
     residuals : array-like
-        Residuals on the fitted window.
+        Residuals on the fitted window, 1-D, or ``DimensionError``.
     scheme : PermutationScheme
     statistic : Statistic or callable
-        Called as ``statistic(values, slice(None))`` once per chunk of
-        permutations, where ``values`` holds the post-window values of the
-        permuted residuals, of shape (rows, permutations in the chunk, post
-        periods).  It returns one value per row and permutation, shape
-        (rows, permutations in the chunk), as :class:`Statistic` does by
-        reducing the last axis; any other shape raises ``DimensionError``.
-    post_window : slice
-        Positions of the post-treatment periods inside ``residuals``: a
-        non-empty run that ends at the last position, or ``DimensionError``.
+        Called as ``statistic(values)`` once per chunk of permutations,
+        where ``values`` holds the last ``n_post`` values of the permuted
+        residuals, of shape (rows, permutations in the chunk, n_post).  It
+        returns one real value per row and permutation, shape (rows,
+        permutations in the chunk), as :class:`Statistic` does by reducing
+        the last axis; any other shape raises ``DimensionError``, and a
+        dtype other than bool, integer or float ``NumericalError``.
+    n_post : int
+        The number of post-treatment periods, the last entries of
+        ``residuals``: an integer (else ``ValueError``) from 1 to their
+        length (else ``DimensionError``).
 
     Returns
     -------
@@ -267,7 +269,9 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
         not finite (an overflowing ``S_q``, say) raises ``NumericalError``.
     """
     residuals = np.asarray(residuals, dtype=float)
-    stats, pvals = _rank(residuals[None, :], scheme, statistic, post_window)
+    if residuals.ndim != 1:
+        raise DimensionError(f"residuals must be 1-D; got shape {residuals.shape}")
+    stats, pvals = _rank(residuals[None, :], scheme, statistic, n_post)
     return TestResult(
         statistic=float(stats[0, 0]),
         permuted_statistics=stats[0],
@@ -280,39 +284,36 @@ def p_value(residuals, scheme: PermutationScheme, statistic, post_window) -> Tes
     )
 
 
-def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, post_window):
+def _rank(rows: np.ndarray, scheme: PermutationScheme, statistic, n_post: int):
     """Permuted statistics and p-values of each row of a residual matrix.
 
     Every row is ranked against the same permutations, generated once by
-    :meth:`PermutationScheme._iter_chunks` at the post-window columns.
-    The statistic is called once per chunk on those columns of all rows,
-    as :func:`p_value` documents, each chunk's statistics written at its
-    offset, and the p-value is the one :func:`p_value` documents.  Returns
-    ``(stats, p_values)``: ``stats[i]`` holds the statistics of row ``i``,
-    identity first.  A window that is not a non-empty run of the last
-    positions, or a statistic of another shape, raises ``DimensionError``;
-    a non-finite residual or statistic raises ``NumericalError``.
+    :meth:`PermutationScheme._iter_chunks` at the last ``n_post`` columns:
+    no other code turns ``n_post`` into positions.  The statistic is called
+    once per chunk on those columns of all rows, each chunk's statistics
+    written at its offset.  Returns ``(stats, p_values)``: ``stats[i]``
+    holds the statistics of row ``i``, identity first.  The call, the
+    p-value and the errors are those :func:`p_value` documents.
     """
     n = rows.shape[1]
-    try:
-        post = np.arange(n)[post_window]
-    except IndexError:  # a float, say, or a position past the end
-        post = np.empty(0, dtype=np.intp)
-    if post.ndim != 1 or post.size == 0 or not np.array_equal(post, np.arange(n - post.size, n)):
-        raise DimensionError(f"post window {post_window!r} of {n} residuals is not a non-empty run "
-                             f"of the last positions")
+    _check_integer("n_post", n_post)
+    if not 1 <= n_post <= n:
+        raise DimensionError(f"n_post must lie in 1..{n} for {n} residuals; got {n_post}")
     if not np.isfinite(rows).all():
         raise NumericalError("a residual is not finite (NaN or infinite), so it has no rank")
     stats = np.empty((rows.shape[0], scheme.size(n)))  # size() also refuses a too-long iid_all window
     offset = 0
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf too: the error below, no warning first
-        for chunk in scheme._iter_chunks(n, post):
+        for chunk in scheme._iter_chunks(n, n_post):
             values = rows.take(chunk, axis=1)
-            chunk_stats = statistic(values, slice(None))
-            if np.shape(chunk_stats) != values.shape[:-1]:
+            chunk_stats = np.asarray(statistic(values))
+            if chunk_stats.shape != values.shape[:-1]:
                 raise DimensionError(f"a statistic must return one value per row and permutation, shape "
                                      f"{values.shape[:-1]} for post-window values of shape {values.shape} "
-                                     f"(rows, permutations, post periods); got shape {np.shape(chunk_stats)}")
+                                     f"(rows, permutations, post periods); got shape {chunk_stats.shape}")
+            if chunk_stats.dtype.kind not in "biuf":  # a complex one would be cast to real
+                raise NumericalError(f"a statistic must return real values (bool, integer or float); "
+                                     f"got dtype {chunk_stats.dtype}")
             stats[:, offset: offset + chunk.shape[0]] = chunk_stats
             offset += chunk.shape[0]
     if not np.isfinite(stats).all():  # an infinite one's tie bound is NaN: not even the identity would tie
@@ -349,7 +350,7 @@ def test_sharp_null(
     scheme = scheme or PermutationScheme.moving_block()
     adjusted = adjust_under_null(panel, alpha0)
     fitted = fit(adjusted, spec)
-    result = p_value(fitted.residuals, scheme, statistic, fitted.post_slice(panel.t0))
+    result = p_value(fitted.residuals, scheme, statistic, panel.n_post)
     return replace(
         result,
         estimator_id=fitted.estimator_id,
@@ -508,9 +509,8 @@ def pointwise_ci(
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise DimensionError(f"the candidate grid for period {t} is empty")
-    rows, window, block_steps, block_nonconverged = _fit_candidates(
-        sub, _treated_under_nulls(sub, grid[:, None]), spec, start)
-    _, pvals = _rank(rows, scheme, statistic, window)
+    rows, block_steps, block_nonconverged = _fit_candidates(sub, _treated_under_nulls(sub, grid[:, None]), spec, start)
+    _, pvals = _rank(rows, scheme, statistic, 1)
     entry = CiEntry(period=t, grid=grid, p_values=pvals, level=level,
                     iterations=steps + block_steps, nonconverged=nonconverged + block_nonconverged)
     if entry.is_empty:

@@ -243,9 +243,9 @@ def simulate_panel(spec: DgpSpec, rng: np.random.Generator | None = None) -> Pan
     return PanelData(outcomes=outcomes, t0=spec.t0)
 
 
-def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: PermutationScheme,
+def _pvalues(block: np.ndarray, estimator: EstimatorSpec, scheme: PermutationScheme,
              statistic: Statistic) -> np.ndarray:
-    """Zero-effect p-values of the panels of an outcome block.
+    """Zero-effect p-values of the panels of an outcome block, one post period each.
 
     They are those of :func:`~synthconf.inference.test_sharp_null`.
     :func:`~synthconf.estimators._fit_block` fits each panel's residual row,
@@ -253,7 +253,7 @@ def _pvalues(block: np.ndarray, t0: int, estimator: EstimatorSpec, scheme: Permu
     then ranked in one permutation pass.
     """
     fitted = _fit_block(block, None, estimator)
-    return _rank(fitted.residuals.reshape(-1, fitted.n_fitted), scheme, statistic, fitted.post_slice(t0))[1]
+    return _rank(fitted.residuals.reshape(-1, fitted.residuals.shape[-1]), scheme, statistic, 1)[1]
 
 
 def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpec,
@@ -281,7 +281,7 @@ def _experiments(dgp: DgpSpec, effects: Sequence[float], estimator: EstimatorSpe
         post = block[:, dgp.t0, 0].copy()
         for row, effect in zip(pvals, effects):
             block[:, dgp.t0, 0] = post + effect
-            row[done:done + len(block)] = _pvalues(block, dgp.t0, estimator, scheme, statistic)
+            row[done:done + len(block)] = _pvalues(block, estimator, scheme, statistic)
         done += len(block)
     return [
         ExperimentResult(
@@ -402,9 +402,9 @@ def reproduce_figure_null_vs_pre(
         reject_null = 0
         reject_pre = 0
         for block in _chunks(design, seeds, iid_controls=True):
-            reject_null += int((_pvalues(block, t0, estimator, scheme, statistic) <= level).sum())
+            reject_null += int((_pvalues(block, estimator, scheme, statistic) <= level).sum())
             pre = np.array([_pre_only_residuals(outcomes, t0) for outcomes in block])
-            reject_pre += int((_rank(pre, scheme, statistic, slice(t0, None))[1] <= level).sum())
+            reject_pre += int((_rank(pre, scheme, statistic, 1)[1] <= level).sum())
         rows.append(
             {"rho_u": float(rho), "mode": "under_null", "rejection_rate": reject_null / n_reps,
              "n_reps": n_reps, "t0": t0, "n_controls": n_controls}

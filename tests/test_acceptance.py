@@ -208,7 +208,7 @@ def test_criterion_08_hand_enumerated_p_value():
         np.array([1.0, 2.0, 3.0, 4.0]),
         PermutationScheme.moving_block(),
         Statistic("sq", 1.0),
-        slice(3, None),
+        1,
     )
     report(
         8,

@@ -110,6 +110,16 @@ class TestCustomEstimator:
         with pytest.raises(DimensionError, match=match):
             sc.test_sharp_null(panel, [0.0, 0.0], window)
 
+    def test_lag_model_past_the_pre_treatment_periods_refused_by_fit(self, rng):
+        # ar(5) fits from period 6, so its residuals miss the post periods 4
+        # and 5 of a panel with t0 = 3; fit refuses it for a spec as for a callable.
+        panel = random_panel(rng, 20, 3, t0=3)
+        message = "^fitted window starts at period 6, after the last pre-treatment period 3$"
+        with pytest.raises(DimensionError, match=message):
+            fit(panel, EstimatorSpec.ar(5))
+        with pytest.raises(DimensionError, match=message):
+            sc.test_sharp_null(panel, np.zeros(panel.n_post), EstimatorSpec.ar(5))
+
     @pytest.mark.parametrize("grid", [None, [0.0, 1.0]], ids=["default_grid", "grid"])
     @pytest.mark.parametrize("make", [lambda y: y[:, None], lambda y: np.r_[np.nan, y[1:]]],
                              ids=["two_dimensional", "nan"])
@@ -447,9 +457,9 @@ class TestKindRows:
         if not _ESTIMATORS[spec.kind].stacks:
             return
         scheme, statistic = PermutationScheme.moving_block(), Statistic()
-        got = simulation._pvalues(block, dgp.t0, spec, scheme, statistic)
+        got = simulation._pvalues(block, spec, scheme, statistic)
         monkeypatch.setitem(_ESTIMATORS, spec.kind, _ESTIMATORS[spec.kind]._replace(stacks=False))
-        want = simulation._pvalues(block, dgp.t0, spec, scheme, statistic)
+        want = simulation._pvalues(block, spec, scheme, statistic)
         assert (got.shape, got.tobytes()) == ((len(block),), want.tobytes())
 
     @pytest.mark.parametrize("spec, name", [(spec, name) for spec in ROW_SPECS

@@ -37,22 +37,22 @@ multi_unit = sc.test_multi_unit
 def permutations_of(scheme, n):
     """The permutations ``_rank`` ranks against: ``size(n)`` rows, chunk by chunk."""
     size = scheme.size(n)  # refuses a too-long iid_all window
-    rows = np.concatenate(list(scheme._iter_chunks(n, slice(None))))
+    rows = np.concatenate(list(scheme._iter_chunks(n, n)))
     assert rows.shape == (size, n)
     return rows
 
 
 class TestStatistics:
     def test_zero_residuals(self):
-        assert Statistic()(np.zeros(6), slice(4, None)) == 0.0
+        assert Statistic()(np.zeros(6)[4:]) == 0.0
 
     def test_single_term(self):
-        assert Statistic("sq", 1)(np.array([1.0, 2.0, 3.0, 4.0]), slice(3, None)) == 4.0
+        assert Statistic("sq", 1)(np.array([1.0, 2.0, 3.0, 4.0])[3:]) == 4.0
 
     def test_q2_hand_value(self):
         # ((9 + 16) / sqrt(2)) ** (1/2)
         expected = (25.0 / math.sqrt(2.0)) ** 0.5
-        got = Statistic("sq", 2)(np.array([0.0, 3.0, 4.0]), slice(1, None))
+        got = Statistic("sq", 2)(np.array([0.0, 3.0, 4.0])[1:])
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(4.2045, abs=1e-4)
 
@@ -60,22 +60,22 @@ class TestStatistics:
                              ids=lambda statistic: statistic.label)
     def test_empty_window_refused(self, statistic):
         with pytest.raises(DimensionError, match="post-treatment window is empty"):
-            statistic(np.ones(5), slice(5, None))
+            statistic(np.ones(5)[5:])
 
     def test_mean_cancellation(self):
-        assert Statistic("mean")(np.array([1.0, -1.0]), slice(0, None)) == 0.0
+        assert Statistic("mean")(np.array([1.0, -1.0])) == 0.0
 
     def test_mean_single(self):
-        assert Statistic("mean")(np.array([2.0]), slice(0, None)) == 2.0
+        assert Statistic("mean")(np.array([2.0])) == 2.0
 
     def test_mean_hand_value(self):
-        got = Statistic("mean")(np.array([1.0, 2.0, 3.0]), slice(0, None))
+        got = Statistic("mean")(np.array([1.0, 2.0, 3.0]))
         assert got == pytest.approx(6.0 / math.sqrt(3.0), abs=1e-12)
         assert got == pytest.approx(3.4641, abs=1e-4)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            Statistic("sq", 0.5)(np.ones(4), slice(2, None))
+            Statistic("sq", 0.5)(np.ones(4)[2:])
         with pytest.raises(ValueError):
             Statistic("sq", q=0.5)
 
@@ -84,7 +84,7 @@ class TestStatistics:
         # A NaN order gave p = 0, below the 1/|Pi| floor (no statistic ties
         # NaN), and an infinite one made every statistic 1, so p = 1.
         with pytest.raises(ValueError, match="finite"):
-            Statistic("sq", q)(np.ones(4), slice(2, None))
+            Statistic("sq", q)(np.ones(4)[2:])
         with pytest.raises(ValueError, match="finite"):
             Statistic("sq", q=q)
 
@@ -144,7 +144,7 @@ class TestPermutationScheme:
         with pytest.raises(ValueError):
             permutations_of(scheme, 11)
         with pytest.raises(ValueError):
-            p_value(np.ones(11), scheme, Statistic(), slice(10, None))
+            p_value(np.ones(11), scheme, Statistic(), 1)
 
     def test_iid_sampled_contains_identity_and_is_seeded(self):
         scheme = PermutationScheme.iid_sampled(n_samples=50, seed=3)
@@ -171,7 +171,7 @@ class TestPermutationScheme:
 
     def test_iid_sampled_past_one_chunk(self):
         scheme = PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=11)
-        chunks = list(scheme._iter_chunks(6, slice(None)))
+        chunks = list(scheme._iter_chunks(6, 6))
         assert [len(chunk) for chunk in chunks] == [1, _CHUNK, 1]
         first = permutations_of(scheme, 6)
         assert len(first) == _CHUNK + 2 == scheme.size(6)
@@ -216,7 +216,7 @@ class TestSortMedian:
 class TestPValue:
     def test_hand_enumerated_moving_block(self):
         u = np.array([1.0, 2.0, 3.0, 4.0])
-        result = p_value(u, PermutationScheme.moving_block(), Statistic("sq", 1), slice(3, None))
+        result = p_value(u, PermutationScheme.moving_block(), Statistic("sq", 1), 1)
         assert result.p_value == 0.25
         assert result.statistic == 4.0
         assert sorted(result.permuted_statistics.tolist()) == [1.0, 2.0, 3.0, 4.0]
@@ -227,7 +227,7 @@ class TestPValue:
         ([1.0, 1.7e308, 1.7e308], Statistic("mean"), "a permuted statistic is not finite"),
         ([1.0] + [1e308, 1e308, -1e308, -1e308] * 2, Statistic("mean"), "a permuted statistic is not finite"),
         ([1.0, 1e160, 2e160], Statistic("sq", 2.0), "a permuted statistic is not finite"),
-        ([1.0, 2.0, 3.0], lambda r, w: np.full(np.shape(r)[:-1], np.nan), "a permuted statistic is not finite"),
+        ([1.0, 2.0, 3.0], lambda r: np.full(np.shape(r)[:-1], np.nan), "a permuted statistic is not finite"),
     ], ids=["infinite", "nan", "mean_overflows", "mean_partial_sums_overflow", "sq_overflows", "custom_nan"])
     def test_non_finite_refused(self, residuals, statistic, match):
         # Regression: the tie bound of an infinite statistic is NaN, so not
@@ -236,7 +236,7 @@ class TestPValue:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match=match):
-                p_value(residuals, PermutationScheme.moving_block(), statistic, slice(1, None))
+                p_value(residuals, PermutationScheme.moving_block(), statistic, len(residuals) - 1)
 
     def test_overflowing_statistic_refused_by_the_test(self):
         # S_2 of 1e160-scaled outcomes overflows; at 1e150 it does not, and
@@ -250,7 +250,7 @@ class TestPValue:
 
     def test_total_ties_give_one(self):
         u = np.full(6, 0.7)
-        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(4, None))
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), 2)
         assert result.p_value == 1.0
 
     def test_rounding_level_ties_count(self):
@@ -258,7 +258,7 @@ class TestPValue:
         # so all statistics are equal in exact arithmetic; summation order
         # alone splits them by 1 ulp.
         u = np.array([0.1, 0.2, 0.3, 0.1, 0.2, 0.3])
-        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(3, None))
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), 3)
         assert result.p_value == 1.0
 
     @settings(max_examples=200, deadline=None)
@@ -270,25 +270,25 @@ class TestPValue:
         # A residual vector that repeats its post window has every shift of
         # that window as its post window: every permutation is a tie.
         u = scale * np.tile(block, 2)
-        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(len(block), None))
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), len(block))
         assert result.p_value == 1.0
 
     def test_strict_maximum_gives_lower_bound(self):
         u = np.array([0.1, -0.2, 0.3, 5.0])
-        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(3, None))
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), 1)
         assert result.p_value == 0.25  # = 1 / |Pi|
 
     def test_p_values_live_on_grid(self, rng):
         n = 9
         u = rng.standard_normal(n)
-        result = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(6, None))
+        result = p_value(u, PermutationScheme.moving_block(), Statistic(), 3)
         assert result.p_value in {k / n for k in range(1, n + 1)}
         assert result.p_value >= 1.0 / n
 
     def test_scale_invariance(self, rng):
         u = rng.standard_normal(8)
-        base = p_value(u, PermutationScheme.moving_block(), Statistic(), slice(6, None))
-        scaled = p_value(3.7 * u, PermutationScheme.moving_block(), Statistic(), slice(6, None))
+        base = p_value(u, PermutationScheme.moving_block(), Statistic(), 2)
+        scaled = p_value(3.7 * u, PermutationScheme.moving_block(), Statistic(), 2)
         assert scaled.p_value == base.p_value
         assert scaled.statistic == pytest.approx(3.7 * base.statistic, rel=1e-12)
 
@@ -297,24 +297,24 @@ class TestPValue:
         # and in a shuffled order, give the p-value of the chunked pass.
         u = rng.standard_normal(7)
         scheme = PermutationScheme.moving_block()
-        result = p_value(u, scheme, Statistic("sq", 1), slice(5, None))
+        result = p_value(u, scheme, Statistic("sq", 1), 2)
         perms = rng.permutation(permutations_of(scheme, 7))
-        shuffled = np.array([Statistic("sq", 1)(u[pi], slice(5, None)) for pi in perms])
+        shuffled = np.array([Statistic("sq", 1)(u[pi][5:]) for pi in perms])
         assert result.p_value == (shuffled >= result.statistic).mean()
         np.testing.assert_array_equal(np.sort(result.permuted_statistics), np.sort(shuffled))
 
     def test_iid_sampled_end_to_end(self, rng):
         u = rng.standard_normal(30)
         scheme = PermutationScheme.iid_sampled(n_samples=400, seed=12)
-        result = p_value(u, scheme, Statistic(), slice(28, None))
-        repeat = p_value(u, scheme, Statistic(), slice(28, None))
+        result = p_value(u, scheme, Statistic(), 2)
+        repeat = p_value(u, scheme, Statistic(), 2)
         assert result.p_value == repeat.p_value
         assert result.n_permutations == 400
         assert result.p_value >= 1 / 400
 
     def test_iid_all_matches_explicit_enumeration(self, rng):
         u = rng.standard_normal(5)
-        result = p_value(u, PermutationScheme.iid_all(), Statistic("sq", 1), slice(3, None))
+        result = p_value(u, PermutationScheme.iid_all(), Statistic("sq", 1), 2)
         stats = []
         for pi in itertools.permutations(range(5)):
             v = u[list(pi)][3:]
@@ -327,7 +327,7 @@ class TestPValue:
         # T = 8 gives 40,320 permutations in 10 chunks of at most _CHUNK rows;
         # each chunk's statistics must land at its offset.
         u = rng.standard_normal(8)
-        result = p_value(u, PermutationScheme.iid_all(), Statistic("sq", 1), slice(6, None))
+        result = p_value(u, PermutationScheme.iid_all(), Statistic("sq", 1), 2)
         perms = np.array(list(itertools.permutations(range(8))))
         assert math.ceil(len(perms) / _CHUNK) == 10
         stats = np.abs(u[perms][:, 6:]).sum(axis=1) / np.sqrt(2)
@@ -347,11 +347,11 @@ class TestPValue:
         # and a chunk of one.  The statistic and a callable wrapping it rank
         # every row against the statistics of the explicit enumeration.
         rows = rng.standard_normal((3, n))
-        window = slice(n - 2, None)
-        explicit = statistic(rows[:, permutations_of(scheme, n)], window)
+        n_post = 2
+        explicit = statistic(rows[:, permutations_of(scheme, n)][..., n - n_post:])
         expected_p = (explicit >= explicit[:, :1]).mean(axis=1)
-        for candidate in (statistic, lambda r, w: statistic(r, w)):
-            stats, pvals = _rank(rows, scheme, candidate, window)
+        for candidate in (statistic, lambda r: statistic(r)):
+            stats, pvals = _rank(rows, scheme, candidate, n_post)
             np.testing.assert_array_equal(stats, explicit)
             np.testing.assert_array_equal(pvals, expected_p)
 
@@ -359,20 +359,20 @@ class TestPValue:
         # One call per chunk, on (rows, permutations in the chunk, post periods).
         rows = rng.standard_normal((3, 9))
         shapes = []
-        statistic = lambda r, w: shapes.append(r[..., w].shape) or Statistic()(r, w)
-        _rank(rows, PermutationScheme.moving_block(), statistic, slice(7, None))
+        statistic = lambda r: shapes.append(r.shape) or Statistic()(r)
+        _rank(rows, PermutationScheme.moving_block(), statistic, 2)
         assert shapes == [(3, 9, 2)]
         shapes.clear()
-        _rank(rows, PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=5), statistic, slice(6, None))
+        _rank(rows, PermutationScheme.iid_sampled(n_samples=_CHUNK + 2, seed=5), statistic, 3)
         assert shapes == [(3, 1, 3), (3, _CHUNK, 3), (3, 1, 3)]
         shapes.clear()
-        result = p_value(rows[0], PermutationScheme.moving_block(), statistic, slice(8, None))
+        result = p_value(rows[0], PermutationScheme.moving_block(), statistic, 1)
         assert shapes == [(1, 9, 1)] and result.q == "custom"
 
     @pytest.mark.parametrize("statistic, got", [
-        (lambda r, w: np.abs(r[w]).max(), r"\(\)"),
-        (lambda r, w: np.abs(r[..., w]).max(axis=(0, -1)), r"\(9,\)"),
-        (lambda r, w: np.abs(r[..., w]), r"\(2, 9, 2\)"),
+        (lambda r: np.abs(r).max(), r"\(\)"),
+        (lambda r: np.abs(r).max(axis=(0, -1)), r"\(9,\)"),
+        (lambda r: np.abs(r), r"\(2, 9, 2\)"),
     ], ids=["scalar", "one_per_permutation", "no_reduction"])
     def test_statistic_of_another_shape_refused(self, rng, statistic, got):
         # A callable written for one 1-D row returns a scalar; broadcast over
@@ -381,22 +381,36 @@ class TestPValue:
                    r"post-window values of shape \(2, 9, 2\) \(rows, permutations, post periods\); "
                    f"got shape {got}$")
         with pytest.raises(DimensionError, match=message):
-            _rank(rng.standard_normal((2, 9)), PermutationScheme.moving_block(), statistic, slice(7, None))
+            _rank(rng.standard_normal((2, 9)), PermutationScheme.moving_block(), statistic, 2)
 
-    @pytest.mark.parametrize("window", [slice(6), 6, slice(None, None, -1), slice(8, None), slice(5, 7),
-                                        np.array([6, 7, 7]), np.array([[6, 7]]), np.array([7, 8]), 6.5],
-                             ids=repr)
-    def test_window_not_a_run_of_the_last_positions_refused(self, window):
-        # Regression: each window was ranked as it came (slice(6) gave 0.625,
-        # 6 gave 0.375 and the reversed window 1.0, against 0.5 for the last
-        # two), and numpy's IndexError came from a window past the end or a float.
+    @pytest.mark.parametrize("n_post", [0, 9, 1.5, True, slice(6, None)], ids=repr)
+    def test_n_post_not_a_count_of_the_residuals_refused(self, n_post):
+        # The post window is the last n_post residuals: 2 gives the p-value of
+        # the last two positions, and a count outside 1..8, a float, a bool or
+        # a slice is refused by name.
         u = np.random.default_rng(3).standard_normal(8)
-        for last_two in (slice(6, None), slice(6, 8), slice(-2, None), np.array([6, 7])):
-            assert p_value(u, PermutationScheme.moving_block(), Statistic(), last_two).p_value == 0.5
-        with pytest.raises(DimensionError, match="^post window .* of 8 residuals is not a non-empty run "
-                                                 "of the last positions$"):
-            p_value(u, PermutationScheme.moving_block(), Statistic(), window)
+        assert p_value(u, PermutationScheme.moving_block(), Statistic(), 2).p_value == 0.5
+        with pytest.raises(ValueError, match="^n_post must "):
+            p_value(u, PermutationScheme.moving_block(), Statistic(), n_post)
 
+    @pytest.mark.parametrize("residuals, shape", [(np.ones((3, 4)), r"\(3, 4\)"), (1.0, r"\(\)")],
+                             ids=["two_dimensional", "scalar"])
+    def test_residuals_not_one_dimensional_refused(self, residuals, shape):
+        # Regression: a matrix failed inside _rank with numpy's broadcast
+        # ValueError, and a scalar with numpy's IndexError.
+        with pytest.raises(DimensionError, match=f"^residuals must be 1-D; got shape {shape}$"):
+            p_value(residuals, PermutationScheme.moving_block(), Statistic(), 1)
+
+    @pytest.mark.parametrize("dtype", [complex, object], ids=["complex", "object"])
+    def test_statistic_not_real_refused(self, dtype):
+        # Regression: a complex result was cast to real with only a
+        # ComplexWarning, and the p-value (0.5 here) was returned.
+        statistic = lambda r: np.abs(r).max(axis=-1).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^a statistic must return real values .*; got dtype "
+                                                     f"{np.dtype(dtype)}$"):
+                p_value(np.arange(4.0), PermutationScheme.moving_block(), statistic, 2)
 
 class TestSharpNull:
     def test_noise_free_true_null_is_maximally_conservative(self, rng):
@@ -518,7 +532,7 @@ class TestOrbitExactness:
         fits = [sc.fit(PanelData(outcomes[pi], t0=t0), spec) for pi in permutations_of(scheme, n_periods)]
         rows = np.array([fitted.residuals for fitted in fits])
         for statistic in (Statistic("sq", 1.0), Statistic("sq", 2.0), Statistic("mean")):
-            _, pvals = sc.inference._rank(rows, scheme, statistic, slice(t0, None))
+            _, pvals = sc.inference._rank(rows, scheme, statistic, n_post)
             for alpha in np.unique(pvals):
                 assert (pvals <= alpha).mean() <= alpha + 1e-12, (statistic.label, alpha)
 
@@ -656,8 +670,7 @@ class TestPointwiseCi:
         sub = sc.pointwise_slice(panel, t0 + 2)
         start = sc.fit(sub, spec) if grid is None else None
         fits = _oracles.warm_candidate_fits(sub, entry.grid, spec, start)
-        expected = [p_value(f.residuals, PermutationScheme.moving_block(), Statistic(),
-                            f.post_slice(t0)).p_value for f in fits]
+        expected = [p_value(f.residuals, PermutationScheme.moving_block(), Statistic(), 1).p_value for f in fits]
         np.testing.assert_array_equal(entry.p_values, expected)
         reports = [f.diagnostics for f in ([start] if start else []) + fits]
         assert entry.nonconverged == sum(not report.converged for report in reports)
@@ -708,8 +721,7 @@ class TestPointwiseCi:
         rows = sc.estimators._fit_candidates(sub, sc.panel._treated_under_nulls(sub, entry.grid[:, None]), spec,
                                              start)[0]
         assert rows.tobytes() == np.array([f.residuals for f in fits]).tobytes()
-        expected = [p_value(f.residuals, PermutationScheme.moving_block(), Statistic(),
-                            f.post_slice(sub.t0)).p_value for f in fits]
+        expected = [p_value(f.residuals, PermutationScheme.moving_block(), Statistic(), 1).p_value for f in fits]
         np.testing.assert_array_equal(entry.p_values, expected)
         reports = [f.diagnostics for f in ([start] if start else []) + fits if f.diagnostics is not None]
         assert entry.iterations == sum(report.iterations for report in reports)

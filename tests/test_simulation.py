@@ -414,7 +414,7 @@ class TestFigureNullVsPre:
                 panel = PanelData(outcomes, t0=t0)
                 reject_null += inference.test_sharp_null(panel, 0, EstimatorSpec.sc()).p_value <= level
                 pre = simulation._pre_only_residuals(outcomes, t0)
-                reject_pre += inference.p_value(pre, scheme, inference.Statistic(), slice(t0, None)).p_value <= level
+                reject_pre += inference.p_value(pre, scheme, inference.Statistic(), 1).p_value <= level
             rates = {r["mode"]: r["rejection_rate"] for r in rows if r["rho_u"] == rho}
             assert rates == {"under_null": reject_null / n_reps, "pre_only": reject_pre / n_reps}
 
