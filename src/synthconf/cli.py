@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
+import os
 import sys
 import warnings
 from dataclasses import fields
@@ -81,6 +83,18 @@ def _fields(instance) -> dict:
     return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
+def _unwritable(out: Path, reason) -> SynthconfError:
+    return SynthconfError(f"cannot write the results into --out {str(out)!r}: {reason}")
+
+
+def _check_out(cfg: RunConfig) -> None:
+    """Refuse, before any work, an ``--out`` that exists and is not a directory,
+    with the error that making it would give."""
+    out = Path(cfg.out)
+    if out.exists() and not out.is_dir():
+        raise _unwritable(out, os.strerror(errno.EEXIST))
+
+
 def _write_result(cfg: RunConfig, payload: dict, table: str, header, rows) -> None:
     """Write a command's files into ``--out``, which is made if missing: its one
     CSV ``table`` and ``result.json``, the document ``command``, then
@@ -96,7 +110,7 @@ def _write_result(cfg: RunConfig, payload: dict, table: str, header, rows) -> No
             writer.writerows(rows)
         write_json_result(out / "result.json", {"command": cfg.command, **payload, "config": _fields(cfg)})
     except OSError as exc:
-        raise SynthconfError(f"cannot write the results into --out {str(out)!r}: {exc.strerror or exc}") from None
+        raise _unwritable(out, exc.strerror or exc) from None
 
 
 def _write_test_result(cfg: RunConfig, result, statistic: Statistic, treated_units) -> None:
@@ -287,6 +301,7 @@ def main(argv=None) -> int:
         f"synthconf: warning: {message}\n" if issubclass(category, UserWarning) else shown(message, category, *where))
     try:
         cfg = _config_from_args(args)
+        _check_out(cfg)
         return _COMMANDS[cfg.command][0](cfg)
     except SynthconfError as exc:
         print(f"synthconf: error: {exc}", file=sys.stderr)

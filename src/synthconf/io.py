@@ -16,9 +16,11 @@ read it and its ``--help`` line; the command line builds its flags from it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -126,19 +128,84 @@ def _unreadable(path, exc: OSError) -> ParseError:
     return ParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}")
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
+def _read_text(path) -> str:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+            return fh.read()
     except OSError as exc:
         raise _unreadable(path, exc) from None
+
+
+def _lines(text: str) -> io.StringIO:
+    """``text`` as a file opened with ``newline=""``: a line ends at LF, CR
+    or CRLF, which it keeps, as ``csv`` needs."""
+    return io.StringIO(text, newline="")
+
+
+def _rows(text: str) -> list[tuple[int, list[str]]]:
+    rows = [(lineno, row) for lineno, row in enumerate(csv.reader(_lines(text)), start=1) if row]
     if len(rows) < 2:
         raise ParseError("file needs a header row and at least one data row")
     return rows
 
 
+#: Characters that ``float`` refuses but numpy strips from a cell as
+#: whitespace; a file holding one is read row by row.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def _read_wide(path, t0: int, treated_names: list[str]):
-    rows = _read_rows(path)
+    text = _read_text(path)
+    units, outcomes = _parse_wide_bulk(text) or _parse_wide_rows(_rows(text))
+    missing = [name for name in treated_names if name not in units]
+    if missing:
+        raise ParseError(f"treated unit(s) {missing} not found among columns {units}")
+    rest = [j for j, name in enumerate(units) if name not in treated_names]
+    order = treated_names + [units[j] for j in rest]
+    col = [units.index(name) for name in treated_names] + rest
+    panel = PanelData(outcomes[:, col], t0=t0, n_treated=len(treated_names))
+    return panel, order
+
+
+def _parse_wide_bulk(text: str):
+    """The unit names and the time-sorted outcomes of a wide file, its body
+    parsed by one ``np.loadtxt`` call; None when the file needs the row loop
+    of :func:`_parse_wide_rows`, which names the line at fault.
+
+    The header is the first row that ``csv`` reads.  The body goes to
+    numpy, which splits lines and quoted cells as ``csv`` does and parses
+    each cell as ``float`` does, through ``PyOS_string_to_double``, so a
+    value keeps its bits.  Anything else is left to the loop: a cell numpy
+    refuses (``1_000``, which ``float`` takes), a ragged row, a non-finite
+    value, a repeated time or unit name, a file with no data row, a
+    numpy warning (numpy 1.24 warns where 2.x raises), and the ASCII
+    separators 0x1C-0x1F, which numpy strips as whitespace and ``float`` does not.
+    """
+    if any(char in text for char in _NUMPY_ONLY_SPACE):
+        return None
+    lines = _lines(text)
+    header = next(filter(None, csv.reader(lines)), [])
+    units = [name.strip() for name in header[1:]]
+    if not units or len(set(units)) != len(units):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    order = np.argsort(data[:, 0], kind="stable")
+    times = data[order, 0]
+    if (times[1:] == times[:-1]).any():
+        return None
+    return units, data[order, 1:]
+
+
+def _parse_wide_rows(rows):
+    """The unit names and the time-sorted outcomes of a wide file's ``csv``
+    rows, parsed a row at a time; a ``ParseError`` names the first line at fault."""
     _, header = rows[0]
     if len(header) < 2:
         raise ParseError("line 1: wide layout needs a time column plus one column per unit")
@@ -163,19 +230,11 @@ def _read_wide(path, t0: int, treated_names: list[str]):
     records.sort(key=lambda item: item[0])
     outcomes = np.array([values for _, values in records])
     _refuse_non_finite(rows, 1, units, outcomes)
-
-    missing = [name for name in treated_names if name not in units]
-    if missing:
-        raise ParseError(f"treated unit(s) {missing} not found among columns {units}")
-    rest = [j for j, name in enumerate(units) if name not in treated_names]
-    order = treated_names + [units[j] for j in rest]
-    col = [units.index(name) for name in treated_names] + rest
-    panel = PanelData(outcomes[:, col], t0=t0, n_treated=len(treated_names))
-    return panel, order
+    return units, outcomes
 
 
 def _read_long(path, t0: int, treated_names: list[str]):
-    rows = _read_rows(path)
+    rows = _rows(_read_text(path))
     _, header = rows[0]
     if len(header) < 3:
         raise ParseError("line 1: long layout needs columns unit, time, outcome")

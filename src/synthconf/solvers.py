@@ -41,6 +41,9 @@ _EPS = float(np.finfo(float).eps)
 # share of where it started: the rounding of a KKT solve, well below any
 # real gap between two weights' distances to zero.
 _TIE = math.sqrt(_EPS)
+# The rounding of the active set's gap, per weight it solves for: its stop
+# is never tighter than this times their number (see :class:`SolverConfig`).
+_GAP_ROUNDING = _EPS
 # The entries a join appends: the joining weight, and its term of a direction.
 _ZERO = np.zeros(1)
 _ONE = np.ones(1)
@@ -76,9 +79,13 @@ class SolverConfig:
     There is one certificate for ``sc``, ``classo``, lasso and elastic net:
     the active-set method stops once its gap over ``c (||y|| + c)``, ``c``
     the largest column norm, is at most ``tol`` (see :func:`_simplex_block`),
-    which has no units.  Alternating least squares stops once the relative
-    objective decrease falls below ``tol``.  Every solver has one step
-    rule; only the iteration cap and the tolerance are set here.
+    which has no units.  A ``tol`` under that gap's rounding level, ``k``
+    machine epsilons for ``k`` weights, stops at that level: below it, the
+    steps would only chase rounding.  The default ``tol`` lies far above
+    it, so the floor changes no default fit.  Alternating least squares
+    stops once the relative objective decrease falls below ``tol``.  Every
+    solver has one step rule; only the iteration cap and the tolerance are
+    set here.
     """
 
     max_iters: int = 10_000
@@ -336,10 +343,11 @@ def _active_set(gram, lin, pad, support, w_s, scale, cfg, system, rhs):
 
     Returns ``(support, w_s, steps, converged, kkt)``.  ``steps`` counts KKT
     steps, ``kkt`` is the gap ``max r - v'r`` over ``scale``, and
-    ``converged`` says the last step was completed and ``kkt <= cfg.tol``.
+    ``converged`` says the last step was completed and ``kkt`` is at most
+    ``cfg.tol``, or the rounding floor of :class:`SolverConfig`.
     """
     border = int(pad > 0)  # the sum-to-one row, if any
-    limit = cfg.tol * scale
+    limit = max(cfg.tol, lin.size * _GAP_ROUNDING) * scale
     steps = 0
     # The support by index: ``support`` is ``index[:n]``, and ``index[n]``
     # is the border's row of ``system`` when a step gathers its KKT system.

@@ -1,14 +1,22 @@
-"""Independent brute-force oracles used to validate the solvers.
+"""Independent brute-force oracles used to validate the solvers and the
+wide CSV reader.
 
 Everything here deliberately avoids the code paths of the package: grids
 are enumerated directly, thresholds come from scipy bisection,
-linear systems are solved through QR, and constrained least squares has a
-first-order reference solver (projected gradient).  Keeping these routes
+linear systems are solved through QR, constrained least squares has a
+first-order reference solver (projected gradient), and a wide CSV is read
+a row at a time with ``csv`` and ``float``.  Keeping these routes
 independent is the point; do not "simplify" them by calling into synthconf.
+Only the reader oracle's exception class comes from the package.
 """
+
+import csv
+import math
 
 import numpy as np
 from scipy import optimize
+
+from synthconf import ParseError
 
 
 def simplex_grid(n: int, step: float) -> np.ndarray:
@@ -358,3 +366,44 @@ def signed_active_set_reference(gram, lin, support, w_s, scale, cfg):
         solved = False
     kkt = max(gap, 0.0) / scale if scale > 0 else 0.0
     return support, w_s, steps, solved and gap <= limit, kkt
+
+
+def read_wide_rows(path):
+    """``(units, outcomes)`` of a wide panel CSV, read a row at a time with
+    ``csv`` and ``float``: the unit names of the header, stripped, and the
+    outcomes (T, n_units) sorted by time.  A file the package must refuse
+    raises ``ParseError`` with the package's text, naming the first line at fault."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    if len(rows) < 2:
+        raise ParseError("file needs a header row and at least one data row")
+    _, header = rows[0]
+    if len(header) < 2:
+        raise ParseError("line 1: wide layout needs a time column plus one column per unit")
+    units = [name.strip() for name in header[1:]]
+    if len(set(units)) != len(units):
+        raise ParseError("line 1: duplicate unit names in header")
+
+    def number(cell, lineno, column):
+        try:
+            return float(cell)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric value {cell!r} in column {column!r}") from None
+
+    records, seen = [], set()
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        time = number(row[0], lineno, header[0])
+        if not math.isfinite(time):
+            raise ParseError(f"line {lineno}: time period {row[0]!r} is not finite")
+        if time in seen:
+            raise ParseError(f"line {lineno}: duplicate time period {row[0]!r}")
+        seen.add(time)
+        records.append((time, [number(cell, lineno, unit) for unit, cell in zip(units, row[1:])]))
+    for lineno, row in rows[1:]:
+        for unit, cell in zip(units, row[1:]):
+            if not math.isfinite(float(cell)):
+                raise ParseError(f"line {lineno}: non-finite value {cell!r} in column {unit!r}")
+    records.sort(key=lambda record: record[0])
+    return units, np.array([values for _, values in records])

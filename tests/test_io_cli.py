@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 import synthconf as sc
 from synthconf import DgpSpec, PanelData, ParseError, RunConfig, parse_estimator, read_panel_csv
 from synthconf import cli, estimators, inference
@@ -168,6 +169,104 @@ class TestReadWideCells:
         self._write(path, [["1", "2", "3"], ["4", cell, "6"], ["nan", "8", "9"]])
         message = f"line 3: non-finite value {cell!r} in column 'b'"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_panel_csv(path, t0=1, treated="a")
+
+
+_CORRUPTIONS = ["short_row", "long_row", "long_header", "empty_cell", "nan_value", "overflow_value",
+                "duplicate_time", "nan_time", "inf_time"]
+
+
+@st.composite
+def _wide_files(draw):
+    """``(text, units, corruption)``: a wide CSV as the reader meets them (LF or
+    CRLF, blank lines, with or without a final newline, quoted and padded
+    cells, times out of order, more periods than units), with one
+    ``corruption`` of ``_CORRUPTIONS`` or None."""
+    n_periods, n_units = draw(st.integers(2, 9)), draw(st.integers(1, 4))
+    units = draw(st.permutations(["a", "b", "c d", "e,f"]))[:n_units]
+    pad = st.sampled_from(["", " ", "\t"])
+
+    def cell(text):
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' + draw(pad) if draw(st.booleans()) else text
+
+    times = draw(st.permutations(range(1, n_periods + 1)))
+    rows = []
+    for time in times:
+        values = draw(st.lists(st.floats(-1e9, 1e9), min_size=n_units, max_size=n_units))
+        rows.append([cell(draw(st.sampled_from([f"{time}", f"{time}.0"])))]
+                    + [cell(format(x, draw(st.sampled_from([".17g", "", ".6e", ".3f"])))) for x in values])
+    corruption = draw(st.none() | st.sampled_from(_CORRUPTIONS))
+    row = rows[draw(st.integers(0, n_periods - 1))]
+    column = draw(st.integers(1, n_units))
+    if corruption == "short_row":
+        row.pop()
+    elif corruption == "long_row":
+        row.append("1")
+    elif corruption in ("empty_cell", "nan_value", "overflow_value"):
+        row[column] = {"empty_cell": "", "nan_value": "nan", "overflow_value": "1e999"}[corruption]
+    elif corruption == "duplicate_time":
+        row[0] = rows[(rows.index(row) + 1) % n_periods][0]
+    elif corruption in ("nan_time", "inf_time"):
+        row[0] = {"nan_time": "nan", "inf_time": "-inf"}[corruption]
+    header = ["time", *units, "z"] if corruption == "long_header" else ["time", *units]
+    lines = [",".join(f'"{name}"' if "," in name else name for name in header)]
+    lines += [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.booleans()), units, corruption
+
+
+class TestReadWideAgainstRowLoop:
+    """The wide reader gives the panel, or the refusal, of the ``csv`` row loop
+    (``_oracles.read_wide_rows``); its bulk parse takes every clean file and
+    hands every corrupted one to the loop that names the line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_wide_files())
+    def test_same_panel_or_refusal(self, tmp_path_factory, case):
+        text, units, corruption = case
+        path = tmp_path_factory.mktemp("wide") / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (sc.io._parse_wide_bulk(text) is None) == (corruption is not None)
+        try:
+            names, outcomes = _oracles.read_wide_rows(path)
+        except ParseError as refused:
+            assert corruption is not None
+            with pytest.raises(ParseError) as got:
+                read_panel_csv(path, t0=1, treated=units[0])
+            assert str(got.value) == str(refused)
+            return
+        assert corruption is None
+        panel, read_names = read_panel_csv(path, t0=1, treated=names[0], return_names=True)
+        assert read_names == names == units
+        assert panel.outcomes.tobytes() == outcomes.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("cell", [" ", "\t", "2\x1c", "\x1f2"])
+    def test_cells_numpy_alone_reads_are_refused(self, tmp_path, cell):
+        # numpy strips 0x1C-0x1F as whitespace, and np.fromstring reads a
+        # blank cell as -1; float refuses both.
+        path = tmp_path / "panel.csv"
+        write_lines(path, ["time,a,b", "1,1.5,2.5", f"2,3.5,{cell}"])
+        message = f"line 3: non-numeric value {cell!r} in column 'b'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_panel_csv(path, t0=1, treated="a")
+
+    def test_a_numpy_that_warns_and_returns_short_is_not_trusted(self, tmp_path, monkeypatch):
+        # numpy 1.24's ``fromstring`` warns DeprecationWarning on unmatched
+        # text and returns the values before it, where numpy 2 raises: a
+        # parse that warns is not trusted, short or not.
+        def loadtxt(*args, **kwargs):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning, stacklevel=2)
+            return np.ones((1, 3))
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        path = tmp_path / "panel.csv"
+        write_lines(path, ["time,a,b", "2,3.5,4.5", "1,1.5,2.5"])
+        np.testing.assert_array_equal(read_panel_csv(path, t0=1, treated="a").outcomes, [[1.5, 2.5], [3.5, 4.5]])
+        write_lines(path, ["time,a,b", "1,1.5,2.5", "2,oops,4.5"])
+        with pytest.raises(ParseError, match=r"^line 3: non-numeric value 'oops' in column 'a'$"):
             read_panel_csv(path, t0=1, treated="a")
 
 
@@ -761,8 +860,13 @@ class TestRefusals:
                                            "overflow it, or a custom statistic returned NaN or infinity; "
                                            "rescale the outcomes\n")
 
-    def test_out_that_is_a_file(self, tmp_path, capsys):
-        # Regression: the run did all its work, then ended with a FileExistsError traceback.
+    def test_out_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        # Regression: the run did all its work, then ended with a FileExistsError
+        # traceback; later with this error line, but still after the whole run.
+        def run_size_experiment(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_size_experiment", run_size_experiment)
         out = tmp_path / "afile"
         out.write_text("kept\n", encoding="utf-8")
         assert main(["simulate", "--sim-t0", "5", "--controls", "3", "--reps", "3", "--out", str(out)]) == 1

@@ -646,9 +646,11 @@ class TestRareBranches:
         # With a tolerance below the rounding of a KKT solve, the gap left on a
         # solved support is that rounding, and the run stops there, not
         # converged, with the weights and steps the default tolerance gives.
+        # The stop's floor keeps a run above that rounding, so it is lifted here.
         rng = np.random.default_rng(seed)
         X, y = rng.standard_normal(shape), rng.standard_normal(shape[0])
-        result, reached = run_reaching(marker, lambda: solve(X, y, SolverConfig(tol=1e-300)))
+        with mock.patch.object(solvers, "_GAP_ROUNDING", 0.0):
+            result, reached = run_reaching(marker, lambda: solve(X, y, SolverConfig(tol=1e-300)))
         expected = solve(X, y, SolverConfig())
         assert reached
         report, ref = result[-1], expected[-1]
@@ -752,6 +754,19 @@ class TestSolverConfig:
 
     def test_numpy_integer_cap_accepted(self):
         assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_tol_under_the_rounding_level_stops_at_it(self, seed):
+        # Regression: with tol=1e-300 the active set chased rounding for all
+        # 10,000 steps and ended not converged, at kkt 0.05, with weights far
+        # from the default fit's, which stops after 3 steps at kkt 2e-17.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((10, 3))
+        panel = PanelData(np.column_stack([rng.standard_normal(10), X]), t0=9)
+        default = fit(panel, EstimatorSpec.lasso(1e-20))
+        tight = fit(panel, EstimatorSpec.lasso(1e-20, SolverConfig(tol=1e-300)))
+        assert tight.diagnostics.converged and tight.diagnostics.iterations == default.diagnostics.iterations
+        assert tight.params["weights"].tobytes() == default.params["weights"].tobytes()
 
 
 class TestRealParameters:
