@@ -42,36 +42,39 @@ SEED_ENV_VAR = "SYNTHCONF_SEED"
 
 
 def _parse_float(cell: str, lineno: int, column: str) -> float:
+    """A value cell: a finite number, not ``nan``, ``inf`` or an overflow such as ``1e999``."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(
             f"line {lineno}: non-numeric value {cell!r} in column {column!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: non-finite value {cell!r} in column {column!r}")
+    return value
 
 
 def _parse_time(cell: str, lineno: int, column: str) -> float:
     """A time period: a finite number, so that it sorts and compares as a period."""
-    time = _parse_float(cell, lineno, column)
+    try:
+        time = float(cell)
+    except ValueError:
+        time = _parse_float(cell, lineno, column)  # raises, naming the cell
     if not math.isfinite(time):
         raise ParseError(f"line {lineno}: time period {cell!r} is not finite")
     return time
 
 
-def _refuse_non_finite(rows, first: int, columns: list[str], *values: np.ndarray | None) -> None:
-    """Raise ``ParseError`` naming the first non-finite value cell (``nan``,
-    ``inf``, or an overflow such as ``1e999``), if ``values`` hold one.
-
-    ``values`` are the arrays of parsed value cells (``None`` for none);
-    the value cells of each row start at field ``first``, under
-    ``columns``.  The rows are read again only when a value is not finite.
-    """
-    if all(v is None or np.isfinite(v).all() for v in values):
-        return
-    for lineno, row in rows[1:]:
-        for column, cell in zip(columns, row[first:]):
-            if not math.isfinite(float(cell)):
-                raise ParseError(f"line {lineno}: non-finite value {cell!r} in column {column!r}")
+def _parse_values(cells: list[str], lineno: int, columns: list[str]) -> list[float]:
+    """The value cells of one record as finite floats, one ``float`` call per
+    cell; a ``ParseError`` names the first bad cell and its column."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        values = [_parse_float(cell, lineno, column) for column, cell in zip(columns, cells)]
+    return values
 
 
 def _as_treated_list(treated) -> list[str]:
@@ -109,8 +112,10 @@ def read_panel_csv(path, layout: str = "wide", t0: int | None = None,
         On a file that cannot be read (the message names it), ragged rows,
         non-numeric cells, a time period or value that is not finite
         (``nan``, ``inf``, or an overflow such as ``1e999``), duplicate or
-        missing observations, or unknown or repeated treated units;
-        messages carry the offending line number.
+        missing observations, or unknown or repeated treated units.  In
+        either layout the message names the first fault in file order
+        and, for a fault in a row, the file line on which that row
+        starts (a quoted line break inside a cell counts as a line).
     """
     if layout not in ("wide", "long"):
         raise ParseError(f"unknown layout {layout!r}; expected 'wide' or 'long'")
@@ -142,11 +147,21 @@ def _lines(text: str) -> io.StringIO:
     return io.StringIO(text, newline="")
 
 
-def _rows(text: str) -> list[tuple[int, list[str]]]:
-    rows = [(lineno, row) for lineno, row in enumerate(csv.reader(_lines(text)), start=1) if row]
-    if len(rows) < 2:
+def _rows(text: str):
+    """Each non-empty record of a CSV text, the header first, with the file
+    line on which it starts.  A ``ParseError`` names the first record whose
+    field count is not the header's, or a file without a data record."""
+    reader = csv.reader(_lines(text))
+    start, n_fields, n_records = 1, None, 0
+    for row in reader:
+        if row:
+            if n_fields is not None and len(row) != n_fields:
+                raise ParseError(f"line {start}: expected {n_fields} fields, got {len(row)}")
+            n_fields, n_records = len(row), n_records + 1
+            yield start, row
+        start = reader.line_num + 1
+    if n_records < 2:
         raise ParseError("file needs a header row and at least one data row")
-    return rows
 
 
 #: Characters that ``float`` refuses but numpy strips from a cell as
@@ -204,77 +219,54 @@ def _parse_wide_bulk(text: str):
 
 
 def _parse_wide_rows(rows):
-    """The unit names and the time-sorted outcomes of a wide file's ``csv``
-    rows, parsed a row at a time; a ``ParseError`` names the first line at fault."""
-    _, header = rows[0]
+    """The unit names and the time-sorted outcomes of a wide file's records
+    (:func:`_rows`), parsed a record at a time; a ``ParseError`` names the
+    first fault in file order."""
+    lineno, header = next(rows)
     if len(header) < 2:
-        raise ParseError("line 1: wide layout needs a time column plus one column per unit")
+        raise ParseError(f"line {lineno}: wide layout needs a time column plus one column per unit")
     units = [name.strip() for name in header[1:]]
     if len(set(units)) != len(units):
-        raise ParseError("line 1: duplicate unit names in header")
-    n_fields = len(header)
+        raise ParseError(f"line {lineno}: duplicate unit names in header")
     records = []
     seen_times = set()
-    for lineno, row in rows[1:]:
-        if len(row) != n_fields:
-            raise ParseError(f"line {lineno}: expected {n_fields} fields, got {len(row)}")
+    for lineno, row in rows:
         time = _parse_time(row[0], lineno, header[0])
         if time in seen_times:
             raise ParseError(f"line {lineno}: duplicate time period {row[0]!r}")
         seen_times.add(time)
-        try:
-            values = list(map(float, row[1:]))
-        except ValueError:  # name the first bad cell
-            values = [_parse_float(cell, lineno, units[j]) for j, cell in enumerate(row[1:])]
-        records.append((time, values))
+        records.append((time, _parse_values(row[1:], lineno, units)))
     records.sort(key=lambda item: item[0])
-    outcomes = np.array([values for _, values in records])
-    _refuse_non_finite(rows, 1, units, outcomes)
-    return units, outcomes
+    return units, np.array([values for _, values in records])
 
 
 def _read_long(path, t0: int, treated_names: list[str]):
     rows = _rows(_read_text(path))
-    _, header = rows[0]
+    lineno, header = next(rows)
     if len(header) < 3:
-        raise ParseError("line 1: long layout needs columns unit, time, outcome")
-    cov_names = [name.strip() for name in header[3:]]
-    records: dict[tuple[str, float], tuple[float, list[float]]] = {}
-    units_seen: list[str] = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        raise ParseError(f"line {lineno}: long layout needs columns unit, time, outcome")
+    columns = [header[2], *(name.strip() for name in header[3:])]
+    records: dict[tuple[str, float], list[float]] = {}
+    for lineno, row in rows:
         unit = row[0].strip()
         time = _parse_time(row[1], lineno, header[1])
-        key = (unit, time)
-        if key in records:
+        if (unit, time) in records:
             raise ParseError(f"line {lineno}: duplicate observation for unit {unit!r} at time {row[1]!r}")
-        outcome = _parse_float(row[2], lineno, header[2])
-        covs = [_parse_float(cell, lineno, cov_names[j]) for j, cell in enumerate(row[3:])]
-        records[key] = (outcome, covs)
-        if unit not in units_seen:
-            units_seen.append(unit)
+        records[unit, time] = _parse_values(row[2:], lineno, columns)
 
-    missing = [name for name in treated_names if name not in units_seen]
+    units = {unit for unit, _ in records}
+    missing = [name for name in treated_names if name not in units]
     if missing:
-        raise ParseError(f"treated unit(s) {missing} not found among units {sorted(units_seen)}")
-    order = treated_names + sorted(name for name in units_seen if name not in treated_names)
+        raise ParseError(f"treated unit(s) {missing} not found among units {sorted(units)}")
+    order = treated_names + sorted(units.difference(treated_names))
     times = sorted({time for _, time in records})
-    outcomes = np.empty((len(times), len(order)))
-    covariates = np.empty((len(times), len(order), len(cov_names))) if cov_names else None
-    for i, time in enumerate(times):
-        for j, unit in enumerate(order):
-            key = (unit, time)
-            if key not in records:
-                raise ParseError(
-                    f"panel is unbalanced: no observation for unit {unit!r} at time {time:g}"
-                )
-            outcome, covs = records[key]
-            outcomes[i, j] = outcome
-            if covariates is not None:
-                covariates[i, j] = covs
-    _refuse_non_finite(rows, 2, [header[2], *cov_names], outcomes, covariates)
-    panel = PanelData(outcomes, t0=t0, n_treated=len(treated_names), covariates=covariates)
+    try:  # (T, n_units, 1 + covariates), the first missing observation by time, then unit
+        cells = np.array([[records[unit, time] for unit in order] for time in times])
+    except KeyError as absent:
+        unit, time = absent.args[0]
+        raise ParseError(f"panel is unbalanced: no observation for unit {unit!r} at time {time:g}") from None
+    covariates = cells[..., 1:] if len(columns) > 1 else None
+    panel = PanelData(cells[..., 0], t0=t0, n_treated=len(treated_names), covariates=covariates)
     return panel, order
 
 

@@ -372,23 +372,38 @@ def read_wide_rows(path):
     """``(units, outcomes)`` of a wide panel CSV, read a row at a time with
     ``csv`` and ``float``: the unit names of the header, stripped, and the
     outcomes (T, n_units) sorted by time.  A file the package must refuse
-    raises ``ParseError`` with the package's text, naming the first line at fault."""
+    raises ``ParseError`` with the package's text, naming the first fault in
+    file order and the file line on which its record starts."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
-    if len(rows) < 2:
-        raise ParseError("file needs a header row and at least one data row")
-    _, header = rows[0]
+        reader = csv.reader(fh)
+        rows, start = [], 1
+        for row in reader:
+            if row:
+                rows.append((start, row))
+            start = reader.line_num + 1
+    no_data = ParseError("file needs a header row and at least one data row")
+    if not rows:
+        raise no_data
+    header_line, header = rows[0]
     if len(header) < 2:
-        raise ParseError("line 1: wide layout needs a time column plus one column per unit")
+        raise ParseError(f"line {header_line}: wide layout needs a time column plus one column per unit")
     units = [name.strip() for name in header[1:]]
     if len(set(units)) != len(units):
-        raise ParseError("line 1: duplicate unit names in header")
+        raise ParseError(f"line {header_line}: duplicate unit names in header")
+    if len(rows) < 2:
+        raise no_data
 
     def number(cell, lineno, column):
         try:
             return float(cell)
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric value {cell!r} in column {column!r}") from None
+
+    def value(cell, lineno, column):
+        x = number(cell, lineno, column)
+        if not math.isfinite(x):
+            raise ParseError(f"line {lineno}: non-finite value {cell!r} in column {column!r}")
+        return x
 
     records, seen = [], set()
     for lineno, row in rows[1:]:
@@ -400,10 +415,6 @@ def read_wide_rows(path):
         if time in seen:
             raise ParseError(f"line {lineno}: duplicate time period {row[0]!r}")
         seen.add(time)
-        records.append((time, [number(cell, lineno, unit) for unit, cell in zip(units, row[1:])]))
-    for lineno, row in rows[1:]:
-        for unit, cell in zip(units, row[1:]):
-            if not math.isfinite(float(cell)):
-                raise ParseError(f"line {lineno}: non-finite value {cell!r} in column {unit!r}")
+        records.append((time, [value(cell, lineno, unit) for unit, cell in zip(units, row[1:])]))
     records.sort(key=lambda record: record[0])
     return units, np.array([values for _, values in records])

@@ -1,7 +1,29 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from synthconf import PanelData
+
+#: ``SYNTHCONF_SOAK=1`` selects the ``soak`` hypothesis profile: each property
+#: runs ten times the examples its ``@settings`` names (see :func:`examples`),
+#: with no deadline and an example database in a fresh temporary directory,
+#: so a soak run replays no draw of an earlier run.  Unset, every property
+#: runs as tier-1 does.
+if os.environ.get("SYNTHCONF_SOAK") == "1":
+    settings.register_profile(
+        "soak", max_examples=settings.get_profile("default").max_examples * 10, deadline=None,
+        database=DirectoryBasedExampleDatabase(tempfile.mkdtemp(prefix="synthconf-soak-")))
+    settings.load_profile("soak")
+
+
+def examples(n: int) -> int:
+    """The example count of a property that runs ``n`` under the default
+    profile, scaled as the active profile scales hypothesis' default count."""
+    return n * settings.default.max_examples // settings.get_profile("default").max_examples
 
 
 @pytest.fixture

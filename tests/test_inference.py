@@ -26,7 +26,7 @@ from synthconf import (
     pointwise_ci,
 )
 from synthconf.inference import _CHUNK, _median, _rank
-from conftest import random_panel
+from conftest import examples, random_panel
 
 # module-qualified aliases: bare imports of these would be collected by pytest
 sharp_null = sc.test_sharp_null
@@ -200,7 +200,7 @@ class TestPermutationScheme:
 
 
 class TestSortMedian:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(st.lists(st.floats(width=64, allow_infinity=False), min_size=1, max_size=60)
            | st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=12))
     def test_equals_numpy_median(self, values):
@@ -261,7 +261,7 @@ class TestPValue:
         result = p_value(u, PermutationScheme.moving_block(), Statistic(), 3)
         assert result.p_value == 1.0
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         block=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=8),
         scale=st.floats(1e-3, 1e3),
@@ -468,7 +468,7 @@ class TestSharpNull:
         assert result.q == "mean"
         assert result.p_value >= 1 / 14
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_periods=st.integers(6, 24),
@@ -501,7 +501,7 @@ class TestOrbitExactness:
         EstimatorSpec.matrix_completion(), EstimatorSpec.matrix_completion(3.0),
     ]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_periods=st.integers(5, 7),
@@ -599,7 +599,7 @@ class TestPointwiseCi:
         assert entry.is_empty
         assert math.isnan(entry.lower)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         t0=st.integers(4, 12),
@@ -629,7 +629,7 @@ class TestPointwiseCi:
         expected = [sharp_null(sub, [candidate], spec).p_value for candidate in entry.grid]
         np.testing.assert_array_equal(entry.p_values, expected)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         t0=st.integers(3, 12),
@@ -825,7 +825,7 @@ class TestCiEntry:
         assert [f.name for f in dataclasses.fields(CiEntry)] == [
             "period", "grid", "p_values", "level", "iterations", "nonconverged"]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         grid=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
         n=st.integers(2, 40),

@@ -18,6 +18,7 @@ from synthconf import DgpSpec, PanelData, ParseError, RunConfig, parse_estimator
 from synthconf import cli, estimators, inference
 from synthconf.cli import main
 from synthconf.io import SCHEMA_VERSION, SEED_ENV_VAR, _read_config
+from conftest import examples
 
 
 def write_lines(path, lines):
@@ -140,7 +141,7 @@ class TestReadWideCells:
     def _write(path, rows):
         write_lines(path, ["time,a,b,c", *(f"{t},{','.join(row)}" for t, row in enumerate(rows, 1))])
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(rows=st.lists(st.lists(_cells(), min_size=3, max_size=3), min_size=2, max_size=6))
     def test_equals_per_cell_float(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("cells") / "panel.csv"
@@ -149,7 +150,7 @@ class TestReadWideCells:
         expected = np.array([[float(cell) for cell in row] for row in rows])
         assert panel.outcomes.tobytes() == expected.tobytes()  # signed zeros included
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(rows=st.lists(st.lists(_cells(), min_size=3, max_size=3), min_size=2, max_size=5),
            where=st.tuples(st.integers(0, 4), st.integers(0, 2)),
            bad=st.sampled_from(["oops", "1..2", "", " ", "1 2", "0x10", "1__0", "e5", "--1"]))
@@ -180,15 +181,18 @@ _CORRUPTIONS = ["short_row", "long_row", "long_header", "empty_cell", "nan_value
 def _wide_files(draw):
     """``(text, units, corruption)``: a wide CSV as the reader meets them (LF or
     CRLF, blank lines, with or without a final newline, quoted and padded
-    cells, times out of order, more periods than units), with one
-    ``corruption`` of ``_CORRUPTIONS`` or None."""
+    cells, quoted line breaks in the header and the value cells, times out
+    of order, more periods than units), with one ``corruption`` of
+    ``_CORRUPTIONS`` or None."""
     n_periods, n_units = draw(st.integers(2, 9)), draw(st.integers(1, 4))
-    units = draw(st.permutations(["a", "b", "c d", "e,f"]))[:n_units]
+    units = draw(st.permutations(["a", "b", "c d", "e,f", "g\nh"]))[:n_units]
     pad = st.sampled_from(["", " ", "\t"])
+    quoted_pad = st.sampled_from(["", " ", "\t", "\n", "\r\n"])
 
     def cell(text):
-        text = draw(pad) + text + draw(pad)
-        return f'"{text}"' + draw(pad) if draw(st.booleans()) else text
+        if draw(st.booleans()):
+            return f'"{draw(quoted_pad)}{text}{draw(quoted_pad)}"' + draw(pad)
+        return draw(pad) + text + draw(pad)
 
     times = draw(st.permutations(range(1, n_periods + 1)))
     rows = []
@@ -210,7 +214,7 @@ def _wide_files(draw):
     elif corruption in ("nan_time", "inf_time"):
         row[0] = {"nan_time": "nan", "inf_time": "-inf"}[corruption]
     header = ["time", *units, "z"] if corruption == "long_header" else ["time", *units]
-    lines = [",".join(f'"{name}"' if "," in name else name for name in header)]
+    lines = [",".join(f'"{name}"' if "," in name or "\n" in name else name for name in header)]
     lines += [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(1, len(lines))), "")
@@ -223,7 +227,7 @@ class TestReadWideAgainstRowLoop:
     (``_oracles.read_wide_rows``); its bulk parse takes every clean file and
     hands every corrupted one to the loop that names the line."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(case=_wide_files())
     def test_same_panel_or_refusal(self, tmp_path_factory, case):
         text, units, corruption = case
@@ -270,7 +274,91 @@ class TestReadWideAgainstRowLoop:
             read_panel_csv(path, t0=1, treated="a")
 
 
+_LONG_CORRUPTIONS = ["non_numeric", "nan_value", "overflow_value", "missing", "duplicate"]
+
+
+@st.composite
+def _long_files(draw):
+    """``(text, treated, units, values, message)``: a long CSV of a random
+    panel (rows shuffled, LF or CRLF, blank lines, with or without a final
+    newline, padded unit and covariate names, quoted line breaks around unit
+    names, 0-2 covariates), its treated unit, its units, its values
+    (T, n_units, 1 + covariates), and the ``ParseError`` text of its one
+    corrupted cell or observation, or None."""
+    n_periods, n_units, n_covs = draw(st.integers(2, 6)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
+    units = draw(st.permutations(["a", "b", "c d", "e"]))[:n_units]
+    pad = st.sampled_from(["", " ", "\t"])
+    quoted_pad = st.sampled_from(["", " ", "\t", "\n", "\r\n"])
+
+    def name(unit):
+        if draw(st.booleans()):
+            return f'"{draw(quoted_pad)}{unit}{draw(quoted_pad)}"'
+        return draw(pad) + unit + draw(pad)
+
+    size = n_periods * n_units * (1 + n_covs)
+    values = np.array(draw(st.lists(st.floats(-1e9, 1e9), min_size=size, max_size=size)))
+    values = values.reshape(n_periods, n_units, 1 + n_covs)
+    rows = draw(st.permutations([
+        [name(unit), draw(st.sampled_from([f"{t}", f"{t}.0"])), *map(repr, cells.tolist())]
+        for t, period in enumerate(values, 1) for unit, cells in zip(units, period)]))
+    columns = ["outcome", *(f"x{k + 1}" for k in range(n_covs))]
+
+    corruption = draw(st.none() | st.sampled_from(_LONG_CORRUPTIONS))
+    target = draw(st.integers(0, len(rows) - 1))
+    row, message = rows[target], None
+    unit = next(unit for unit in units if unit in row[0])  # no unit name is part of another
+    if corruption in ("non_numeric", "nan_value", "overflow_value"):
+        k = draw(st.integers(0, n_covs))
+        row[2 + k] = {"non_numeric": "x", "nan_value": "nan", "overflow_value": "1e999"}[corruption]
+        kind = "non-numeric" if corruption == "non_numeric" else "non-finite"
+        message = f"{kind} value {row[2 + k]!r} in column {columns[k]!r}"
+    elif corruption == "missing":
+        del rows[target]
+        message = f"panel is unbalanced: no observation for unit {unit!r} at time {float(row[1]):g}"
+    elif corruption == "duplicate":
+        target = draw(st.integers(target + 1, len(rows)))
+        row = [name(unit), draw(st.sampled_from([row[1], f"{float(row[1])!r}"])), *row[2:]]
+        rows.insert(target, row)
+        message = f"duplicate observation for unit {unit!r} at time {row[1]!r}"
+
+    lines = [",".join(["unit", "time", "outcome", *(draw(pad) + column + draw(pad) for column in columns[1:])])]
+    lines += [",".join(row) for row in rows]
+    target += 1
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, "")
+        target += at <= target
+    if corruption not in (None, "missing"):
+        line = 1 + sum(text.count("\n") + 1 for text in lines[:target])  # a quoted line break counts
+        message = f"line {line}: {message}"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + newline * draw(st.booleans())
+    return text, draw(st.sampled_from(units)), units, values, message
+
+
 class TestReadLong:
+    @settings(max_examples=examples(150), deadline=None)
+    @given(case=_long_files())
+    def test_random_panel_or_its_one_fault(self, tmp_path_factory, case):
+        text, treated, units, values, message = case
+        path = tmp_path_factory.mktemp("long") / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if message is not None:
+            with pytest.raises(ParseError) as refused:
+                read_panel_csv(path, layout="long", t0=1, treated=treated)
+            assert str(refused.value) == message
+            return
+        panel, names = read_panel_csv(path, layout="long", t0=1, treated=treated, return_names=True)
+        assert names == [treated, *sorted(unit for unit in units if unit != treated)]
+        values = values[:, [units.index(name) for name in names]]
+        assert panel.outcomes.shape == values.shape[:2]
+        assert panel.outcomes.tobytes() == values[..., 0].tobytes()  # signed zeros included
+        if values.shape[2] == 1:
+            assert panel.covariates is None
+        else:
+            assert panel.covariates.shape == values[..., 1:].shape
+            assert panel.covariates.tobytes() == values[..., 1:].tobytes()
+
     def test_row_order_irrelevant(self, tmp_path):
         sorted_path = tmp_path / "sorted.csv"
         shuffled_path = tmp_path / "shuffled.csv"
@@ -822,6 +910,19 @@ class TestRefusals:
          "line 1: long layout needs columns unit, time, outcome"),
         ([*LONG[:2], "c1,1"], ["test", *DATA, "--treated", "treated", "--layout", "long"],
          "line 3: expected 3 fields, got 2"),
+        # A line is the file line on which the record starts, and a quoted
+        # line break counts: the record count said line 3 for these two.
+        (['time,"a', 'b",c', "1,2,3", "2,x,4"], ["test", *DATA, "--treated", "c"],
+         "line 4: non-numeric value 'x' in column 'a\\nb'"),
+        (["unit,time,outcome", '"a', 'z",1,1.0', "b,1,x"], ["test", *DATA, "--treated", "b", "--layout", "long"],
+         "line 4: non-numeric value 'x' in column 'outcome'"),
+        (["", "time,a,a", "1,1,2"], ["test", *DATA, "--treated", "a"], "line 2: duplicate unit names in header"),
+        # The first fault in file order is named: the non-finite values were
+        # checked after the repeated time and the repeated observation.
+        (["time,a,b", "1,nan,2", "1,3,4"], ["test", *DATA, "--treated", "a"],
+         "line 2: non-finite value 'nan' in column 'a'"),
+        (["unit,time,outcome", "a,1,nan", "a,1,2"], ["test", *DATA, "--treated", "a", "--layout", "long"],
+         "line 2: non-finite value 'nan' in column 'outcome'"),
         (LONG, ["test", *DATA, "--treated", "nobody", "--layout", "long"],
          "treated unit(s) ['nobody'] not found among units ['c1', 'treated']"),
         (["command=test", "oops"], ["test", "--config", "{path}"], "line 2: expected key=value, got 'oops'"),
@@ -831,7 +932,9 @@ class TestRefusals:
         (WIDE, ["test", *DATA, "--treated", "treated", "--statistic", "mean", "--q", "2"],
          "mean statistics do not use 'q'"),
     ], ids=["no_data", "malformed_grid", "treated_none", "no_treated", "header_only", "short_wide_header",
-            "short_long_header", "ragged_long_row", "unknown_long_treated", "config_line_without_equals",
+            "short_long_header", "ragged_long_row",
+            "wide_line_break_in_header", "long_line_break_in_unit", "header_after_a_blank_line",
+            "wide_first_fault_first", "long_first_fault_first", "unknown_long_treated", "config_line_without_equals",
             "simulate_no_reps", "simulate_iid_too_long",
             "mean_with_q"])
     def test_message(self, tmp_path, capsys, lines, call, message):

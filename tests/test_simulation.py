@@ -22,6 +22,7 @@ from synthconf import (
     simulate_panel,
 )
 from synthconf import inference, simulation
+from conftest import examples
 
 
 class TestDgpWeights:
@@ -170,7 +171,7 @@ def small_designs(draw):
 
 
 class TestChunkedReplications:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     @given(
         dgp=small_designs(),
         spec=st.sampled_from((

@@ -32,6 +32,7 @@ from synthconf import (
     project_simplex,
     solvers,
 )
+from conftest import examples
 
 
 def simplex(X, y, m, cfg=SolverConfig(), start=None):
@@ -236,7 +237,7 @@ class TestSimplexLS:
         assert w[0] == 1.0 and report.converged
         np.testing.assert_allclose(X @ w, X[:, 1] * (X[:, 1] @ y) / (X[:, 1] @ X[:, 1]), atol=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(3, 12),
@@ -302,7 +303,7 @@ class TestWarmStart:
         assert steps == [(4, 2, 9), (4, 4, 43), (2, 3, 7), (7, 11, 45),
                          (5, 8, 9), (8, 10, 43), (2, 4, 8), (2, 3, 50)]
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(3, 15),
@@ -351,7 +352,7 @@ class TestWarmStart:
 
 
 class TestBlockOfOne:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(3, 15),
@@ -490,7 +491,7 @@ class TestCoordinateDescent:
         # At most rank(Xc) = 22 nonzero weights, the two unpenalized ones among them.
         assert w[-2:].all() and np.count_nonzero(w) <= 22
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(3, 9),
@@ -563,7 +564,7 @@ class TestBorderedJoin:
         assert warm.converged and warm.iterations > 0
         assert len(calls) == warm.iterations
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(3, 12),
@@ -665,7 +666,7 @@ class TestKktSolve:
     bit, a singular system falls back to least squares without a warning, and
     every Gram matrix is exactly symmetric (a step gathers rows for columns)."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), log_cond=st.floats(0.0, 15.0),
            symmetric=st.booleans())
     def test_solve_is_numpy_solve_bit_for_bit(self, seed, n, log_cond, symmetric):
@@ -722,7 +723,7 @@ class TestKktSolve:
         for gram in grams:
             assert np.array_equal(gram, gram.T)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(st.integers(0, 25), st.integers(0, 2**32 - 1))
     def test_signed_gram_is_the_block_matrix(self, k, seed):
         # The signed split's Gram matrix is written block by block; negation
